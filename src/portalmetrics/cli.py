@@ -30,6 +30,9 @@ def _read_text(path, what: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} file {path} is not UTF-8 text: {exc.reason} "
+                          f"at byte {exc.start}")
 
 
 def _require(cfg: RunConfig, field: str):
@@ -69,15 +72,23 @@ def _load_site_graph(cfg: RunConfig):
     return structure_mod.build_site_graph(text.splitlines())
 
 
+def _log_lines(paths):
+    """Lines of every log in turn; a read failure names its file."""
+    for path in paths:
+        try:
+            yield from usage_mod.read_log_lines([path])
+        except (OSError, EOFError) as exc:  # EOFError: a truncated .gz log
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read log file {path}: {reason}")
+
+
 def _load_sessions(cfg: RunConfig):
     """Parse logs, drop bots and non-page-views, and sessionize.
 
     Returns (sessions, tallies) where tallies records what was dropped on
     the way; those counts go to local diagnostics only.
     """
-    for path in _require(cfg, "logs"):
-        _read_text(path, "log")
-    parsed = usage_mod.parse_log(usage_mod.read_log_lines(cfg.logs),
+    parsed = usage_mod.parse_log(_log_lines(_require(cfg, "logs")),
                                  use_auth_user=cfg.use_auth_user)
     signatures = None
     if cfg.bot_list is not None:
@@ -204,6 +215,7 @@ def _position_profile(cfg: RunConfig):
     text = _read_text(_require(cfg, "cross_links"), "cross-site link")
     site_map = None
     if cfg.site_map is not None:
+        _read_text(cfg.site_map, "site map")
         site_map = usage_mod.load_link_map(cfg.site_map)
     graph, tally = position_mod.build_cross_site_graph(text.splitlines(),
                                                        site_map)

@@ -99,8 +99,8 @@ class RunConfig:
              "authority_percentile must lie in [0, 100]"),
             (0 <= self.hub_percentile <= 100,
              "hub_percentile must lie in [0, 100]"),
-            (self.distance_k is None or self.distance_k >= 1,
-             "distance_k must be at least 1"),
+            (self.distance_k is None or self.distance_k >= 2,
+             "distance_k must be at least 2"),
             (0 < self.linearity_band <= 1,
              "linearity_band must lie in (0, 1]"),
             (self.compare_margin >= 0, "compare_margin cannot be negative"),
@@ -218,6 +218,9 @@ def load_config(path) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} "
+                          f"at byte {exc.start}")
     return parse_config_text(text, source=str(path))
 
 

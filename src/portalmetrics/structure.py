@@ -11,9 +11,11 @@ The module computes:
                   (1 = directed chain, 0 = symmetric navigation).
 
 Unreachable pairs enter the converted-distance matrix at the conversion
-constant K (default: the node count). All-pairs distances come from BFS;
-graphs above ``_SCIPY_NODE_THRESHOLD`` nodes are handled by scipy's
-compiled shortest-path routines in chunks so large crawls stay fast.
+constant K (default: the node count), which may not be below the longest
+finite distance. Every metric and the matrix come from one breadth-first
+sweep that starts at all pages at once: each page holds the set of pages
+that have reached it as the bits of a Python integer, and status and
+contrastatus add up level by level without an n x n matrix.
 """
 
 from __future__ import annotations
@@ -22,14 +24,8 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import DomainError, FormatError
-
-# Above this many nodes, all-pairs BFS switches from pure Python to scipy.
-_SCIPY_NODE_THRESHOLD = 256
-_SCIPY_CHUNK = 512
 
 DEGENERATE_SINGLE_NODE = "single_node_graph"
 DEGENERATE_NO_REACHABLE = "no_page_reachable_from_root"
@@ -194,134 +190,122 @@ def from_outlinks_map(outlinks: dict[str, list[str]],
     return build_site_graph(buf.getvalue(), root=root)
 
 
-def _adjacency_indices(g: SiteGraph) -> tuple[list[str], list[list[int]]]:
+def _indexed(g: SiteGraph) -> tuple[list[str], list[tuple[int, int]], int]:
+    """Nodes in canonical order, edges as index pairs, and the root index."""
     order = g.node_order()
     index = {node: i for i, node in enumerate(order)}
-    adj: list[list[int]] = [[] for _ in order]
-    for a, b in g.edges:
-        adj[index[a]].append(index[b])
-    for out in adj:
-        out.sort()
-    return order, adj
+    return order, [(index[a], index[b]) for a, b in g.edges], index[g.root]
 
 
-def _bfs_row(adj: list[list[int]], src: int, n: int) -> list[int]:
-    """Shortest unweighted distances from src; -1 marks unreachable."""
-    dist = [-1] * n
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+def _sweep(n: int, edges):
+    """Breadth-first search from every node 0..n-1 at once.
+
+    Bit s of reach[v] is set once source s has reached v; each level pushes
+    the bits that arrived at a node on the previous level on to its
+    successors (multi-source BFS after Then et al., "The More the Merrier",
+    VLDB 2014). Yields (level, fresh) where fresh maps each node v to the
+    sources whose shortest distance to v is exactly ``level``, so the last
+    level yielded is the longest finite distance. Reversed edges turn
+    fresh[v] into the targets at that distance from v.
+    """
+    successors: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        successors[a].append(b)
+    reach = [1 << v for v in range(n)]
+    fresh = dict(enumerate(reach))
+    level = 0
+    while True:
+        level += 1
+        pushed = [0] * n
+        for u, sources in fresh.items():
+            for v in successors[u]:
+                pushed[v] |= sources
+        fresh = {}
+        for v, sources in enumerate(pushed):
+            sources &= ~reach[v]
+            if sources:
+                reach[v] |= sources
+                fresh[v] = sources
+        if not fresh:
+            return
+        yield level, fresh
 
 
-def _summary_python(g: SiteGraph, K: int) -> _DistanceSummary:
-    order, adj = _adjacency_indices(g)
-    n = len(order)
-    root_idx = order.index(g.root)
-    status = np.zeros(n)
-    contrastatus = np.zeros(n)
-    sum_converted = 0.0
-    root_distances = np.full(n, -1.0)
-    for src in range(n):
-        row = _bfs_row(adj, src, n)
-        if src == root_idx:
-            root_distances = np.array(row, dtype=float)
-        out_sum = 0
-        unreachable = 0
-        for dst, d in enumerate(row):
-            if dst == src:
-                continue
-            if d < 0:
-                unreachable += 1
-            else:
-                out_sum += d
-                status[dst] += d
-        contrastatus[src] = out_sum
-        sum_converted += out_sum + unreachable * K
-    return _DistanceSummary(n=n, K=K, sum_converted=sum_converted,
-                            status=status, contrastatus=contrastatus,
-                            root_distances=root_distances)
+def _check_conversion_constant(k: int, least: int, longest: int) -> None:
+    # Unreachable pairs count as K, so a K below a finite distance would
+    # rank unreachable pages closer than reachable ones.
+    if k < max(least, longest):
+        raise DomainError(
+            f"conversion constant K={k} is too small: it must be at least "
+            f"{least} and at least the longest finite distance, {longest}")
 
 
-def _sparse_adjacency(g: SiteGraph, order: list[str]) -> sparse.csr_matrix:
-    index = {node: i for i, node in enumerate(order)}
-    if g.edges:
-        rows, cols = zip(*((index[a], index[b]) for a, b in g.edges))
-    else:
-        rows, cols = (), ()
-    data = np.ones(len(rows), dtype=np.int8)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(len(order), len(order)))
+def _shape_summary(n: int, edges, root: int = 0,
+                   K: int | None = None) -> _DistanceSummary:
+    """Distance aggregates of the graph on nodes 0..n-1 with these edges.
 
-
-def _summary_scipy(g: SiteGraph, K: int) -> _DistanceSummary:
-    order = g.node_order()
-    n = len(order)
-    root_idx = order.index(g.root)
-    A = _sparse_adjacency(g, order)
-    status = np.zeros(n)
-    contrastatus = np.zeros(n)
-    sum_converted = 0.0
-    root_distances = np.full(n, -1.0)
-    for lo in range(0, n, _SCIPY_CHUNK):
-        idx = np.arange(lo, min(lo + _SCIPY_CHUNK, n))
-        D = csgraph.shortest_path(A, method="D", unweighted=True, indices=idx)
-        finite = np.isfinite(D)
-        Df = np.where(finite, D, 0.0)
-        contrastatus[idx] = Df.sum(axis=1)
-        status += Df.sum(axis=0)
-        # diagonal entries are finite zeros; they do not disturb the sums
-        unreachable = (~finite).sum()
-        sum_converted += Df.sum() + float(unreachable) * K
-        if lo <= root_idx < lo + len(idx):
-            row = D[root_idx - lo]
-            root_distances = np.where(np.isfinite(row), row, -1.0)
-    return _DistanceSummary(n=n, K=K, sum_converted=sum_converted,
-                            status=status, contrastatus=contrastatus,
-                            root_distances=root_distances)
+    Status comes from a sweep along the edges, contrastatus from one
+    against them. K defaults to n and must be at least 2, the least K for
+    which compactness has Max > Min.
+    """
+    k = n if K is None else K
+    status = [0] * n
+    root_distances = [-1] * n
+    root_distances[root] = 0
+    reached = n  # every node reaches itself at distance 0
+    longest = 0
+    for level, fresh in _sweep(n, edges):
+        for v, sources in fresh.items():
+            count = sources.bit_count()
+            status[v] += level * count
+            reached += count
+            if sources >> root & 1:
+                root_distances[v] = level
+        longest = level
+    _check_conversion_constant(k, 2, longest)
+    contrastatus = [0] * n
+    for level, fresh in _sweep(n, [(b, a) for a, b in edges]):
+        for v, targets in fresh.items():
+            contrastatus[v] += level * targets.bit_count()
+    return _DistanceSummary(
+        n=n, K=k,
+        sum_converted=float(sum(status) + (n * n - reached) * k),
+        status=np.array(status, dtype=float),
+        contrastatus=np.array(contrastatus, dtype=float),
+        root_distances=np.array(root_distances, dtype=float),
+    )
 
 
 def _distance_summary(g: SiteGraph, K: int | None = None) -> _DistanceSummary:
-    k = g.n if K is None else K
-    if k < 1:
-        raise DomainError("conversion constant K must be >= 1")
-    if g.n <= _SCIPY_NODE_THRESHOLD:
-        return _summary_python(g, k)
-    return _summary_scipy(g, k)
+    order, edges, root = _indexed(g)
+    return _shape_summary(len(order), edges, root, K)
+
+
+def _members(bits: int, n: int) -> np.ndarray:
+    """Boolean mask over 0..n-1 of the bits set in ``bits``."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
 
 
 def converted_distances(g: SiteGraph, K: int | None = None) -> ConvertedDistanceMatrix:
     """All-pairs shortest directed distances with unreachable pairs set to K.
 
-    Default K is the node count. The full n x n matrix is materialized;
-    for metric computation on large graphs prefer
-    :func:`organization_profile`, which aggregates in chunks instead.
+    Default K is the node count; K may not be below the longest finite
+    distance. The full n x n matrix is materialized; for metric
+    computation on large graphs prefer :func:`organization_profile`,
+    which only keeps per-node sums.
     """
     k = g.n if K is None else K
-    if k < 1:
-        raise DomainError("conversion constant K must be >= 1")
-    order = g.node_order()
+    order, edges, _ = _indexed(g)
     n = len(order)
-    if n <= _SCIPY_NODE_THRESHOLD:
-        _, adj = _adjacency_indices(g)
-        d = np.full((n, n), k, dtype=np.int64)
-        for src in range(n):
-            for dst, dist in enumerate(_bfs_row(adj, src, n)):
-                if dist >= 0:
-                    d[src, dst] = dist
-            d[src, src] = 0
-    else:
-        A = _sparse_adjacency(g, order)
-        D = csgraph.shortest_path(A, method="D", unweighted=True)
-        d = np.where(np.isfinite(D), D, float(k)).astype(np.int64)
+    d = np.full((n, n), k, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    longest = 0
+    for level, fresh in _sweep(n, edges):
+        for v, sources in fresh.items():
+            d[_members(sources, n), v] = level
+        longest = level
+    _check_conversion_constant(k, 1, longest)
     return ConvertedDistanceMatrix(nodes=tuple(order), d=d, K=k)
 
 

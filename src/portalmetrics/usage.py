@@ -495,13 +495,7 @@ def session_path_graph(session: Session) -> structure.SiteGraph | None:
 def _metrics_for_shape(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[float, float]:
     # Both metrics are invariant under node relabeling, so sessions sharing
     # a transition shape share their metrics; the cache exploits that.
-    nodes = frozenset(str(i) for i in range(n))
-    graph = structure.SiteGraph(
-        nodes=nodes,
-        edges=frozenset((str(a), str(b)) for a, b in edges),
-        root="0",
-    )
-    summary = structure._distance_summary(graph)
+    summary = structure._shape_summary(n, edges)
     return (structure._navigability_from_summary(summary),
             structure._linearity_from_summary(summary))
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -87,6 +90,18 @@ class TestStructureCommand:
         assert doc["pages"] == 3
         assert doc["links"] == 2
         assert doc["organization"]["navigability"] == pytest.approx(5 / 12)
+
+    @pytest.mark.parametrize("k,code", [("1", 2), ("2", 1), ("4", 0)])
+    def test_distance_k_on_five_cycle(self, tmp_path, capsys, k, code):
+        # The longest distance on a 5-cycle is 4. K=1 is a bad setting;
+        # K=2 would give navigability -0.5.
+        path = tmp_path / "edges.tsv"
+        fx.write_site_graph(fx.gen_graph(fx.GeneratorSpec(kind="cycle",
+                                                          size=5)), path)
+        assert cli.main(["structure", "--edges", str(path),
+                         "--distance-k", k]) == code
+        if code:
+            assert "distance" in capsys.readouterr().err
 
     def test_malformed_edge_file_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "edges.tsv"
@@ -201,6 +216,39 @@ class TestReportCommand:
         capsys.readouterr()
         assert open(path, "rb").read() == first
 
+    def test_gzip_log_gives_the_same_report(self, demo, tmp_path, capsys):
+        portal = demo["portals"]["alpha"]
+        log = os.path.join(portal["dir"], "access.log")
+        packed = tmp_path / "access.log.gz"
+        with open(log, "rb") as src:
+            packed.write_bytes(gzip.compress(src.read()))
+        reports = []
+        for logs, out in ((log, "plain"), (str(packed), "gz")):
+            assert cli.main(["report", "--config", portal["config"],
+                             "--logs", logs,
+                             "--output-dir", str(tmp_path / out)]) == 0
+            reports.append((tmp_path / out / "alpha.report.json").read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("content",
+                             [None, b"\x1f\x8b\x08\x00", b"plain text\n"],
+                             ids=["missing", "truncated-gzip", "not-gzip"])
+    def test_unreadable_log_is_config_error(self, demo, tmp_path, capsys,
+                                            content):
+        portal = demo["portals"]["alpha"]
+        good = os.path.join(portal["dir"], "access.log")
+        log = tmp_path / "rotated.log.gz"
+        if content is not None:
+            log.write_bytes(content)
+        code = cli.main(["report", "--config", portal["config"],
+                         "--logs", f"{good},{log}",
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read log file {log}:" in err
+        assert "Traceback" not in err
+
     def test_report_keeps_raw_visit_counts_out(self, demo, capsys):
         code = cli.main(["report", "--config",
                          demo["portals"]["alpha"]["config"]])
@@ -285,3 +333,44 @@ class TestGenCommand:
         assert set(doc["configs"]) == {"alpha", "beta"}
         for path in doc["configs"].values():
             assert os.path.exists(path)
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command,flag", [
+        ("catalog", "--catalog"),
+        ("catalog", "--taxonomy"),
+        ("catalog", "--config"),
+        ("structure", "--edges"),
+        ("position", "--cross-links"),
+        ("position", "--site-map"),
+        ("compare", None),
+    ])
+    def test_is_format_error(self, tmp_path, capsys, command, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe not utf-8\n")
+        links = tmp_path / "links.tsv"
+        fx.write_cross_links(fx.gen_graph(fx.GeneratorSpec(
+            kind="two-community", size=4)), links)
+        args = {
+            "catalog": ["--catalog", _catalog_file(tmp_path),
+                        "--reference-date", "2026-03-01"],
+            "structure": [],
+            "position": ["--cross-links", str(links), "--site", "x0.example"],
+            "compare": [str(bad), str(bad)],
+        }[command]
+        if flag is not None:
+            args += [flag, str(bad)]  # a repeated flag overrides the first
+        code = cli.main([command, "--output-dir", str(tmp_path / "out")]
+                        + args)
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, portalmetrics.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "False"

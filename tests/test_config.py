@@ -146,6 +146,7 @@ class TestValidation:
         ("authority_percentile", 101.0),
         ("hub_percentile", 150.0),
         ("distance_k", 0),
+        ("distance_k", 1),
         ("linearity_band", 0.0),
         ("linearity_band", 1.1),
         ("compare_margin", -0.01),
@@ -160,7 +161,7 @@ class TestValidation:
                                 "hub_percentile": 100.0,
                                 "linearity_band": 1.0,
                                 "compare_margin": 0.0,
-                                "distance_k": 1})
+                                "distance_k": 2})
 
     def test_period_must_come_as_pair(self):
         with pytest.raises(ConfigError, match="pair"):

@@ -16,6 +16,7 @@ from portalmetrics.fixtures import GeneratorSpec, gen_graph
 
 from oracles import (
     indexed_edges,
+    matrix_power_distances,
     oracle_compactness,
     oracle_converted,
     oracle_depth,
@@ -245,25 +246,58 @@ class TestConvertedDistances:
         assert matrix.d[3][0] == matrix.K
 
 
-class TestStrategyAgreement:
-    """The pure-Python and scipy all-pairs passes must agree exactly."""
+class TestOracleAgreement:
+    """The bitset sweep must agree exactly with the matrix-power oracle."""
 
     @given(digraphs)
     @settings(max_examples=40)
-    def test_summaries_identical(self, g):
-        py = structure._summary_python(g, g.n)
-        sp = structure._summary_scipy(g, g.n)
-        assert py.sum_converted == sp.sum_converted
-        assert np.array_equal(py.status, sp.status)
-        assert np.array_equal(py.contrastatus, sp.contrastatus)
-        assert np.array_equal(py.root_distances, sp.root_distances)
+    def test_summary_matches_oracle(self, g):
+        order, edges = indexed_edges(g)
+        d = matrix_power_distances(len(order), edges)
+        finite = np.where(d < 0, 0, d)
+        summary = structure._distance_summary(g)
+        assert summary.n == g.n
+        assert summary.K == g.n
+        assert summary.sum_converted == float(np.where(d < 0, g.n, d).sum())
+        assert np.array_equal(summary.status, finite.sum(axis=0))
+        assert np.array_equal(summary.contrastatus, finite.sum(axis=1))
+        assert np.array_equal(summary.root_distances,
+                              d[order.index(g.root)])
 
-    def test_threshold_crossing_consistency(self, monkeypatch):
-        g = _graph("random-digraph", 40, seed=7, edge_factor=2.5)
-        before = structure.organization_profile(g)
-        monkeypatch.setattr(structure, "_SCIPY_NODE_THRESHOLD", 1)
-        after = structure.organization_profile(g)
-        assert after == before
+    def test_profile_above_old_threshold_matches_oracle(self):
+        # 300 nodes: above 256, the size at which the code once switched
+        # to a second shortest-path backend.
+        g = _graph("random-digraph", 300, seed=7, edge_factor=2.5)
+        profile = structure.organization_profile(g)
+        mean, unreachable = oracle_depth(g)
+        assert profile.depth == pytest.approx(mean, abs=1e-12)
+        assert profile.unreachable == unreachable
+        assert profile.density == len(g.edges) / (300 * 299)
+        assert profile.navigability == pytest.approx(oracle_compactness(g),
+                                                     abs=1e-12)
+        assert profile.linearity == pytest.approx(oracle_stratum(g),
+                                                  abs=1e-12)
+
+
+class TestConversionConstant:
+    def test_below_longest_distance_rejected(self):
+        # The longest distance on a 5-cycle is 4; K=2 would give -0.5.
+        g = _graph("cycle", 5)
+        with pytest.raises(DomainError, match="longest finite distance, 4"):
+            structure.organization_profile(g, K=2)
+        with pytest.raises(DomainError):
+            structure.converted_distances(g, K=3)
+
+    def test_longest_distance_accepted(self):
+        g = _graph("cycle", 5)
+        value = structure.navigability(g, K=4)
+        assert value == pytest.approx(oracle_compactness(g, K=4), abs=1e-12)
+        assert structure.converted_distances(g, K=4).d.max() == 4
+
+    def test_k_of_one_rejected_for_metrics(self):
+        # Max equals Min at K=1, so compactness would divide by zero.
+        with pytest.raises(DomainError):
+            structure.navigability(_graph("complete", 3), K=1)
 
 
 class TestOrganizationProfile:

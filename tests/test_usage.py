@@ -11,7 +11,12 @@ from portalmetrics import usage
 from portalmetrics.catalog import ContentRecord
 from portalmetrics.errors import DomainError, FormatError
 
-from oracles import brute_sessionize, sessions_as_set
+from oracles import (
+    brute_sessionize,
+    oracle_compactness,
+    oracle_stratum,
+    sessions_as_set,
+)
 
 UTC = timezone.utc
 T0 = datetime(2026, 3, 2, tzinfo=UTC)
@@ -418,6 +423,21 @@ class TestNavigationMetrics:
         b = usage.navigation_metrics(_session(["/q1", "/q2", "/q3"]))
         assert a.complexity == b.complexity
         assert a.linearity == b.linearity
+
+    @given(st.lists(st.sampled_from(["/a", "/b", "/c", "/d", "/e", "/f"]),
+                    min_size=2, max_size=16))
+    @settings(max_examples=60)
+    def test_matches_oracle_on_path_graph(self, paths):
+        session = _session(paths)
+        metrics = usage.navigation_metrics(session)
+        graph = usage.session_path_graph(session)
+        if graph is None:
+            assert metrics.degenerate
+            return
+        assert metrics.complexity == pytest.approx(oracle_compactness(graph),
+                                                   abs=1e-12)
+        assert metrics.linearity == pytest.approx(oracle_stratum(graph),
+                                                  abs=1e-12)
 
     def test_path_graph_root_is_entry_page(self):
         graph = usage.session_path_graph(_session(["/b", "/a", "/c"]))
