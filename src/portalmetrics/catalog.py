@@ -180,7 +180,8 @@ def parse_catalog(stream) -> ParsedCatalog:
 
     Duplicate identifiers within one portal are collapsed to the first
     occurrence and tallied. Malformed rows are skipped and tallied with
-    their line number; a missing mandatory column is fatal.
+    their line number; a missing mandatory column is fatal. Each distinct
+    date string is parsed once.
     """
     if isinstance(stream, (str, bytes)):
         stream = io.StringIO(stream if isinstance(stream, str) else stream.decode())
@@ -197,6 +198,7 @@ def parse_catalog(stream) -> ParsedCatalog:
     seen: set[tuple[str, str]] = set()
     duplicates = 0
     row_errors: list[tuple[int, str]] = []
+    dates: dict[str, date] = {}
     reader = csv.reader(lines, delimiter=delimiter)
     for line_no, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -207,11 +209,15 @@ def parse_catalog(stream) -> ParsedCatalog:
             identifier = row[columns["identifier"]].strip()
             if not identifier:
                 raise ValueError("empty identifier")
+            published_text = row[columns["published"]]
+            published = dates.get(published_text)
+            if published is None:
+                published = dates[published_text] = _parse_date(published_text)
             record = ContentRecord(
                 identifier=identifier,
                 resource_type=row[columns["resource_type"]].strip(),
                 topic=row[columns["topic"]].strip(),
-                published=_parse_date(row[columns["published"]]),
+                published=published,
                 portal_id=row[columns["portal_id"]].strip(),
             )
         except ValueError as exc:

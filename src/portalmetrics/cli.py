@@ -24,15 +24,25 @@ from .config import RunConfig, _FIELD_PARSERS, build_config
 from .errors import ConfigError, DomainError, FormatError
 
 
-def _read_text(path, what: str) -> str:
+def _load_file(loader, path, what: str):
+    """``loader(path)``, with a failure to read the file reported as an
+    error that names it: unreadable -> ConfigError, not UTF-8 -> FormatError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        return loader(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{what} file {path} is not UTF-8 text: {exc.reason} "
                           f"at byte {exc.start}")
+
+
+def _text(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _read_text(path, what: str) -> str:
+    return _load_file(_text, path, what)
 
 
 def _require(cfg: RunConfig, field: str):
@@ -63,8 +73,8 @@ def _load_catalog(cfg: RunConfig) -> catalog_mod.ParsedCatalog:
 def _load_taxonomy(cfg: RunConfig) -> catalog_mod.TopicTaxonomy | None:
     if cfg.taxonomy is None:
         return None
-    _read_text(cfg.taxonomy, "taxonomy")
-    return catalog_mod.TopicTaxonomy.from_file(cfg.taxonomy)
+    return _load_file(catalog_mod.TopicTaxonomy.from_file, cfg.taxonomy,
+                      "taxonomy")
 
 
 def _load_site_graph(cfg: RunConfig):
@@ -92,8 +102,8 @@ def _load_sessions(cfg: RunConfig):
                                  use_auth_user=cfg.use_auth_user)
     signatures = None
     if cfg.bot_list is not None:
-        _read_text(cfg.bot_list, "bot signature list")
-        signatures = usage_mod.load_signatures(cfg.bot_list)
+        signatures = _load_file(usage_mod.load_signatures, cfg.bot_list,
+                                "bot signature list")
     humans, bots = usage_mod.filter_agents(parsed.entries, signatures)
     views = [e for e in humans if e.is_page_view]
     sessions = usage_mod.sessionize(views, cfg.session_timeout())
@@ -107,8 +117,11 @@ def _load_sessions(cfg: RunConfig):
     return sessions, tallies
 
 
-def _provision_summary(cfg: RunConfig, parsed, taxonomy, sessions):
-    """Provision metrics plus the flags explaining whatever is absent."""
+def _provision_summary(cfg: RunConfig, parsed, taxonomy, sessions, period):
+    """Provision metrics plus the flags explaining whatever is absent.
+
+    ``period`` is read only when ``sessions`` is given.
+    """
     flags: list[str] = []
     records = parsed.records
     offered = catalog_mod.offer_distribution(records, axis="topic")
@@ -126,11 +139,11 @@ def _provision_summary(cfg: RunConfig, parsed, taxonomy, sessions):
     gap_high_demand: tuple = ()
     gap_high_offer: tuple = ()
     if sessions is not None and cfg.link_map is not None:
-        _read_text(cfg.link_map, "link map")
-        path_map = usage_mod.load_link_map(cfg.link_map)
+        path_map = _load_file(usage_mod.load_link_map, cfg.link_map,
+                              "link map")
         try:
             accessed = usage_mod.accessed_distribution(
-                sessions, records, path_map, "topic", cfg.period())
+                sessions, records, path_map, "topic", period)
         except DomainError:
             flags.append("accessed_join_empty")
         else:
@@ -163,7 +176,7 @@ def _provision_summary(cfg: RunConfig, parsed, taxonomy, sessions):
 def cmd_catalog(cfg: RunConfig) -> int:
     parsed = _load_catalog(cfg)
     taxonomy = _load_taxonomy(cfg)
-    summary, flags = _provision_summary(cfg, parsed, taxonomy, None)
+    summary, flags = _provision_summary(cfg, parsed, taxonomy, None, None)
     _emit({
         "kind": "catalog-metrics",
         "portal_id": cfg.portal_id,
@@ -215,8 +228,7 @@ def _position_profile(cfg: RunConfig):
     text = _read_text(_require(cfg, "cross_links"), "cross-site link")
     site_map = None
     if cfg.site_map is not None:
-        _read_text(cfg.site_map, "site map")
-        site_map = usage_mod.load_link_map(cfg.site_map)
+        site_map = _load_file(usage_mod.load_link_map, cfg.site_map, "site map")
     graph, tally = position_mod.build_cross_site_graph(text.splitlines(),
                                                        site_map)
     site = _require(cfg, "site")
@@ -256,9 +268,7 @@ def _network_sizes(cfg: RunConfig):
     return ratios, segmentation_mod.size_class(ratios)
 
 
-def _segmentation_parts(cfg: RunConfig, sessions):
-    period = cfg.period()
-    demand = usage_mod.overall_demand(sessions, period)
+def _segmentation_parts(cfg: RunConfig, demand):
     trend = segmentation_mod.demand_trend(demand)
     dynamics = segmentation_mod.dynamics_class(trend.relative_slope,
                                                cfg.growth_threshold)
@@ -269,12 +279,13 @@ def _segmentation_parts(cfg: RunConfig, sessions):
             "catalogs; cannot compute its relative size"
         )
     label = segmentation_mod.segment(dynamics, sizes.classes[cfg.portal_id])
-    return trend, ratios[cfg.portal_id], label, demand, sizes
+    return trend, ratios[cfg.portal_id], label, sizes
 
 
 def cmd_segment(cfg: RunConfig) -> int:
     sessions, _tallies = _load_sessions(cfg)
-    trend, ratio, label, _demand, sizes = _segmentation_parts(cfg, sessions)
+    demand = usage_mod.overall_demand(sessions, cfg.period())
+    trend, ratio, label, sizes = _segmentation_parts(cfg, demand)
     _emit({
         "kind": "segmentation",
         "portal_id": cfg.portal_id,
@@ -287,6 +298,7 @@ def cmd_segment(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     """Full pipeline for one portal; writes report + local diagnostics."""
+    period = cfg.period()  # the report needs it even without logs
     flags: list[str] = []
     provision = organization = position = segmentation = None
     sessions = None
@@ -296,7 +308,6 @@ def cmd_report(cfg: RunConfig) -> int:
 
     if cfg.logs:
         sessions, tallies = _load_sessions(cfg)
-        period = cfg.period()
         demand = usage_mod.overall_demand(sessions, period)
         rec = usage_mod.recency(sessions, period)
         activity = usage_mod.activity_level(sessions) if sessions else None
@@ -305,7 +316,7 @@ def cmd_report(cfg: RunConfig) -> int:
         parsed = _load_catalog(cfg)
         taxonomy = _load_taxonomy(cfg)
         summary, provision_flags = _provision_summary(cfg, parsed, taxonomy,
-                                                      sessions)
+                                                      sessions, period)
         provision = report_mod.provision_section(summary)
         flags.extend(provision_flags)
 
@@ -323,7 +334,7 @@ def cmd_report(cfg: RunConfig) -> int:
         position = report_mod.position_section(profile)
 
     if sessions is not None and cfg.network_catalogs:
-        trend, ratio, label, _demand, _sizes = _segmentation_parts(cfg, sessions)
+        trend, ratio, label, _sizes = _segmentation_parts(cfg, demand)
         segmentation = report_mod.segmentation_section(trend, ratio, label)
 
     algorithms = {
@@ -334,7 +345,7 @@ def cmd_report(cfg: RunConfig) -> int:
         algorithms["community_seed"] = communities.seed
 
     portal_report = report_mod.assemble_report(
-        cfg.portal_id, cfg.period(),
+        cfg.portal_id, period,
         provision=provision, organization=organization,
         position=position, segmentation=segmentation,
         thresholds=cfg.thresholds_metadata(),
@@ -345,7 +356,7 @@ def cmd_report(cfg: RunConfig) -> int:
 
     if sessions is not None:
         diagnostics = report_mod.build_diagnostics(
-            cfg.portal_id, cfg.period(), demand=demand, recency_result=rec,
+            cfg.portal_id, period, demand=demand, recency_result=rec,
             activity=activity, session_count=len(sessions),
             navigation=navigation, tallies=tallies,
         )

@@ -12,6 +12,12 @@ Visitor identity: the authenticated-user field of the log line when
 present, otherwise a stable hash of (client address, user agent). The
 latter is an approximation -- one machine and browser counts as one
 visitor -- and reports label which method was in effect.
+
+Ingest costs one regex match per line plus one pass per distinct date,
+visitor and agent: the UTC midnight of each distinct date and offset,
+the hash of each distinct (address, agent) pair and the bot verdict of
+each distinct agent are computed once per call and reused for every line
+that repeats them.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import statistics
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import structure
 from .catalog import ContentRecord, TopicDistribution
@@ -59,11 +66,8 @@ _MONTHS = {
     "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
 }
 
-_TZ_CACHE: dict[str, timezone] = {}
 
-
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     """One parsed access-log line."""
 
     visitor_key: str
@@ -208,31 +212,28 @@ class NavigationSummary:
     sessions_skipped: int
 
 
-def _parse_clf_timestamp(text: str) -> datetime:
-    # Fixed layout: dd/Mon/yyyy:HH:MM:SS +ZZZZ (locale-independent).
+def _clf_date(text: str) -> tuple[datetime, int]:
+    """UTC midnight of a CLF timestamp's calendar date, and its offset in
+    seconds east of UTC.
+
+    Fixed layout: dd/Mon/yyyy:HH:MM:SS +ZZZZ (locale-independent). Only
+    the date and the offset are read here; raises ValueError or KeyError
+    on an invalid day, month, year or offset.
+    """
     day = int(text[0:2])
     month = _MONTHS[text[3:6]]
     year = int(text[7:11])
-    hour = int(text[12:14])
-    minute = int(text[15:17])
-    second = int(text[18:20])
     tz_text = text[21:].strip()
-    tz = _TZ_CACHE.get(tz_text)
-    if tz is None:
-        if len(tz_text) != 5 or tz_text[0] not in "+-":
-            raise ValueError(f"bad timezone {tz_text!r}")
-        offset = timedelta(hours=int(tz_text[1:3]), minutes=int(tz_text[3:5]))
-        tz = timezone(offset if tz_text[0] == "+" else -offset)
-        _TZ_CACHE[tz_text] = tz
-    return datetime(year, month, day, hour, minute, second, tzinfo=tz)
-
-
-def _visitor_key(host: str, authuser: str, user_agent: str,
-                 use_auth_user: bool) -> str:
-    if use_auth_user and authuser not in ("-", ""):
-        return f"user:{authuser}"
-    digest = hashlib.sha1(f"{host}|{user_agent}".encode("utf-8")).hexdigest()
-    return f"anon:{digest[:16]}"
+    if len(tz_text) != 5 or tz_text[0] not in "+-":
+        raise ValueError(f"bad timezone {tz_text!r}")
+    offset = timedelta(hours=int(tz_text[1:3]), minutes=int(tz_text[3:5]))
+    # timezone() rejects offsets of 24 hours or more.
+    tz = timezone(offset if tz_text[0] == "+" else -offset)
+    # The offset is applied per line, not folded into this midnight, so
+    # that an instant near datetime.min or .max overflows exactly when the
+    # instant itself is out of range.
+    return (datetime(year, month, day, tzinfo=timezone.utc),
+            int(tz.utcoffset(None).total_seconds()))
 
 
 def visitor_key_method(use_auth_user: bool = True) -> str:
@@ -249,6 +250,11 @@ def parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
     Non-2xx/3xx responses are retained but excluded from page views via
     ``LogEntry.is_page_view``. Raises FormatError when more than half of
     the lines fail to parse.
+
+    Each line costs one regex match and its time-of-day arithmetic; the
+    date and offset part of the timestamp is resolved once per distinct
+    value, and the anonymous visitor hash once per distinct (address,
+    agent) pair.
     """
     if isinstance(line_stream, (str, bytes)):
         text = line_stream if isinstance(line_stream, str) else line_stream.decode()
@@ -256,6 +262,8 @@ def parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
     entries: list[LogEntry] = []
     malformed = 0
     total = 0
+    dates: dict[str, tuple[datetime, int]] = {}
+    anonymous: dict[tuple[str, str], str] = {}
     for raw in line_stream:
         total += 1
         m = _COMBINED_RE.match(raw)
@@ -264,21 +272,38 @@ def parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
             continue
         host, _ident, authuser, when, request, status, _size, referrer, agent = m.groups()
         try:
-            ts = _parse_clf_timestamp(when)
-        except (ValueError, KeyError, IndexError):
+            hour = int(when[12:14])
+            minute = int(when[15:17])
+            second = int(when[18:20])
+            if not (0 <= hour < 24 and 0 <= minute < 60 and 0 <= second < 60):
+                raise ValueError(f"bad time of day in {when!r}")
+            # Date and offset; the separators between fields are not read.
+            date_key = when[:11] + when[21:]
+            date = dates.get(date_key)
+            if date is None:
+                date = dates[date_key] = _clf_date(when)
+        except (ValueError, KeyError):
             malformed += 1
             continue
         parts = request.split()
         if len(parts) < 2 or not parts[1]:
             malformed += 1
             continue
+        if use_auth_user and authuser not in ("-", ""):
+            visitor = f"user:{authuser}"
+        else:
+            visitor = anonymous.get((host, agent))
+            if visitor is None:
+                digest = hashlib.sha1(f"{host}|{agent}".encode("utf-8")).hexdigest()
+                visitor = anonymous[host, agent] = f"anon:{digest[:16]}"
+        midnight, offset = date
         entries.append(LogEntry(
-            visitor_key=_visitor_key(host, authuser, agent, use_auth_user),
-            timestamp=ts.astimezone(timezone.utc),
-            path=parts[1],
-            status=int(status),
-            user_agent=agent,
-            referrer="" if referrer == "-" else referrer,
+            visitor,
+            midnight + timedelta(0, hour * 3600 + minute * 60 + second - offset),
+            parts[1],
+            int(status),
+            agent,
+            "" if referrer == "-" else referrer,
         ))
     if total > 0 and malformed * 2 > total:
         raise FormatError(
@@ -327,15 +352,20 @@ def filter_agents(entries, signatures=None) -> tuple[list[LogEntry], list[LogEnt
 
     An entry is a bot hit when its user agent contains any signature
     (case-insensitive) or it requests the robots-exclusion file. The
-    partition is exhaustive and disjoint.
+    partition is exhaustive and disjoint. Signatures are matched once per
+    distinct user agent; the robots-exclusion test runs on every entry.
     """
     sigs = DEFAULT_BOT_SIGNATURES if signatures is None else tuple(signatures)
     sigs = tuple(s.lower() for s in sigs)
     humans: list[LogEntry] = []
     bots: list[LogEntry] = []
+    verdicts: dict[str, bool] = {}
     for entry in entries:
-        agent = entry.user_agent.lower()
-        if entry.path == ROBOTS_PATH or any(s in agent for s in sigs):
+        is_bot = verdicts.get(entry.user_agent)
+        if is_bot is None:
+            agent = entry.user_agent.lower()
+            is_bot = verdicts[entry.user_agent] = any(s in agent for s in sigs)
+        if is_bot or entry.path == ROBOTS_PATH:
             bots.append(entry)
         else:
             humans.append(entry)
@@ -346,28 +376,29 @@ def sessionize(entries, timeout: timedelta = DEFAULT_SESSION_TIMEOUT) -> list[Se
     """Group entries into visits: per visitor, a new session starts when
     the gap to the previous view exceeds the timeout (strictly).
 
-    Every entry lands in exactly one session. Input order does not matter;
-    entries are sorted by (visitor, timestamp, path) first.
+    Every entry lands in exactly one session. Input order does not matter:
+    views are grouped by visitor, and sessions come out in (visitor,
+    timestamp, path) order.
     """
-    ordered = sorted(entries, key=lambda e: (e.visitor_key, e.timestamp, e.path))
+    by_visitor: dict[str, list[tuple[datetime, str]]] = {}
+    for entry in entries:
+        views = by_visitor.get(entry.visitor_key)
+        if views is None:
+            by_visitor[entry.visitor_key] = [(entry.timestamp, entry.path)]
+        else:
+            views.append((entry.timestamp, entry.path))
     sessions: list[Session] = []
-    views: list[tuple[datetime, str]] = []
-    current_visitor: str | None = None
-    last_ts: datetime | None = None
-
-    def flush():
-        if views:
-            sessions.append(Session(visitor_key=current_visitor, views=tuple(views)))
-
-    for entry in ordered:
-        if entry.visitor_key != current_visitor or (
-                last_ts is not None and entry.timestamp - last_ts > timeout):
-            flush()
-            views = []
-            current_visitor = entry.visitor_key
-        views.append((entry.timestamp, entry.path))
-        last_ts = entry.timestamp
-    flush()
+    for visitor in sorted(by_visitor):
+        views = by_visitor[visitor]
+        views.sort()
+        first = 0
+        last_ts = views[0][0]
+        for i, (ts, _path) in enumerate(views):
+            if ts - last_ts > timeout:
+                sessions.append(Session(visitor, tuple(views[first:i])))
+                first = i
+            last_ts = ts
+        sessions.append(Session(visitor, tuple(views[first:])))
     return sessions
 
 
@@ -426,7 +457,9 @@ def accessed_distribution(sessions, records: list[ContentRecord],
 
     ``path_map`` joins request paths to catalog identifiers; views whose
     path or identifier has no catalog record are tallied as uncatalogued.
-    Raises DomainError when nothing joins at all.
+    Raises DomainError when nothing joins at all. Each distinct path is
+    joined once, and a view's bucket is looked up only when its timestamp
+    falls outside the previous view's bucket.
     """
     if axis not in ("topic", "resource_type"):
         raise DomainError(f"unknown distribution axis {axis!r}")
@@ -438,22 +471,38 @@ def accessed_distribution(sessions, records: list[ContentRecord],
     total_visitors: dict[str, set[str]] = {}
     uncatalogued = 0
     joined = 0
+    labels: dict[str, str | None] = {}  # path -> label; None: uncatalogued
+    lo = hi = None  # the current bucket is [lo, hi)
     for session in sessions:
+        visitor = session.visitor_key
         for ts, path in session.views:
-            idx = period.bucket_index(ts)
-            if idx is None:
-                continue
-            identifier = path_map.get(path)
-            record = by_id.get(identifier) if identifier else None
-            if record is None:
+            if lo is None or not lo <= ts < hi:
+                idx = period.bucket_index(ts)
+                if idx is None:
+                    lo = None
+                    continue
+                lo = period.start + idx * period.bucket
+                hi = min(lo + period.bucket, period.end)
+                bucket_views = view_counts[idx]
+                bucket_visitors = visitor_sets[idx]
+            try:
+                label = labels[path]
+            except KeyError:
+                identifier = path_map.get(path)
+                record = by_id.get(identifier) if identifier else None
+                if record is None:
+                    label = None
+                else:
+                    label = record.topic if axis == "topic" else record.resource_type
+                labels[path] = label
+            if label is None:
                 uncatalogued += 1
                 continue
-            label = record.topic if axis == "topic" else record.resource_type
             joined += 1
-            view_counts[idx][label] = view_counts[idx].get(label, 0) + 1
-            visitor_sets[idx].setdefault(label, set()).add(session.visitor_key)
+            bucket_views[label] = bucket_views.get(label, 0) + 1
             total_views[label] = total_views.get(label, 0) + 1
-            total_visitors.setdefault(label, set()).add(session.visitor_key)
+            bucket_visitors.setdefault(label, set()).add(visitor)
+            total_visitors.setdefault(label, set()).add(visitor)
     if joined == 0:
         raise DomainError(
             f"no page view joined the catalog ({uncatalogued} uncatalogued views)"

@@ -2,16 +2,21 @@
 
 Deliberately different algorithms from the ones under test: distances via
 boolean matrix powers rather than BFS or sparse shortest-path, session
-grouping via per-visitor scans, regression via the closed-form normal
-equations. Slow is fine here; disagreement is the signal.
+grouping via per-visitor scans, log parsing with no value cached between
+lines, regression via the closed-form normal equations. Slow is fine
+here; disagreement is the signal.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
+
+from portalmetrics.errors import FormatError
+from portalmetrics.usage import _COMBINED_RE, _MONTHS, LogEntry, ParsedLog
 
 
 def matrix_power_distances(n: int, edges) -> np.ndarray:
@@ -90,6 +95,70 @@ def oracle_stratum(graph) -> float | None:
     else:
         linear_max = (n ** 3 - n) / 4
     return absolute_prestige / linear_max
+
+
+def _reference_clf_timestamp(text: str) -> datetime:
+    # Fixed layout: dd/Mon/yyyy:HH:MM:SS +ZZZZ (locale-independent).
+    day = int(text[0:2])
+    month = _MONTHS[text[3:6]]
+    year = int(text[7:11])
+    hour = int(text[12:14])
+    minute = int(text[15:17])
+    second = int(text[18:20])
+    tz_text = text[21:].strip()
+    if len(tz_text) != 5 or tz_text[0] not in "+-":
+        raise ValueError(f"bad timezone {tz_text!r}")
+    offset = timedelta(hours=int(tz_text[1:3]), minutes=int(tz_text[3:5]))
+    tz = timezone(offset if tz_text[0] == "+" else -offset)
+    return datetime(year, month, day, hour, minute, second, tzinfo=tz)
+
+
+def _reference_visitor_key(host: str, authuser: str, user_agent: str,
+                           use_auth_user: bool) -> str:
+    if use_auth_user and authuser not in ("-", ""):
+        return f"user:{authuser}"
+    digest = hashlib.sha1(f"{host}|{user_agent}".encode("utf-8")).hexdigest()
+    return f"anon:{digest[:16]}"
+
+
+def reference_parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
+    """Reference log parser: every line pays for its own timestamp, time
+    zone, visitor hash and LogEntry, with no value shared between lines."""
+    if isinstance(line_stream, (str, bytes)):
+        text = line_stream if isinstance(line_stream, str) else line_stream.decode()
+        line_stream = text.splitlines()
+    entries: list[LogEntry] = []
+    malformed = 0
+    total = 0
+    for raw in line_stream:
+        total += 1
+        m = _COMBINED_RE.match(raw)
+        if m is None:
+            malformed += 1
+            continue
+        host, _ident, authuser, when, request, status, _size, referrer, agent = m.groups()
+        try:
+            ts = _reference_clf_timestamp(when)
+        except (ValueError, KeyError, IndexError):
+            malformed += 1
+            continue
+        parts = request.split()
+        if len(parts) < 2 or not parts[1]:
+            malformed += 1
+            continue
+        entries.append(LogEntry(
+            visitor_key=_reference_visitor_key(host, authuser, agent, use_auth_user),
+            timestamp=ts.astimezone(timezone.utc),
+            path=parts[1],
+            status=int(status),
+            user_agent=agent,
+            referrer="" if referrer == "-" else referrer,
+        ))
+    if total > 0 and malformed * 2 > total:
+        raise FormatError(
+            f"log stream is mostly unparseable: {malformed} of {total} lines malformed"
+        )
+    return ParsedLog(entries=entries, malformed=malformed, total_lines=total)
 
 
 def brute_sessionize(entries, timeout: timedelta):

@@ -60,6 +60,19 @@ class TestParseCatalog:
         assert line_number == 5
         assert "not-a-date" in message
 
+    def test_repeated_dates_keep_their_own_verdicts(self):
+        # Dates are parsed once per distinct string: a repeated bad date is
+        # still reported on each of its lines, and strptime's leniency
+        # (unpadded fields, surrounding blanks) is kept.
+        text = CSV_BASIC + ("r9,text,algebra,not-a-date,p\n"
+                            "r10,text,algebra,2026-3-1,p\n"
+                            "r11,text,algebra,not-a-date,p\n"
+                            "r12,text,algebra, 2026-03-01 ,p\n"
+                            "r13,text,algebra,2026-3-1,p\n")
+        parsed = catalog.parse_catalog(io.StringIO(text))
+        assert [line for line, _ in parsed.row_errors] == [5, 7]
+        assert [r.published for r in parsed.records[3:]] == [date(2026, 3, 1)] * 3
+
     def test_tab_separated_with_dublin_core_aliases(self):
         text = ("dc:identifier\tdc:type\tdc:subject\tdc:date\tportal\n"
                 "x1\tguide\thistory\t2025-11-30\tp\n")

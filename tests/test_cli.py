@@ -249,6 +249,30 @@ class TestReportCommand:
         assert f"cannot read log file {log}:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,what", [
+        ("--taxonomy", "taxonomy"),
+        ("--link-map", "link map"),
+        ("--bot-list", "bot signature list"),
+        ("--site-map", "site map"),
+    ])
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8\n"],
+                             ids=["missing", "not-utf8"])
+    def test_unreadable_side_file_exits_2(self, demo, tmp_path, capsys,
+                                          flag, what, content):
+        side = tmp_path / "side.txt"
+        if content is not None:
+            side.write_bytes(content)
+        code = cli.main(["report", "--config", demo["portals"]["alpha"]["config"],
+                         flag, str(side),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        if content is None:
+            assert f"cannot read {what} file {side}:" in err
+        else:
+            assert f"{what} file {side} is not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_report_keeps_raw_visit_counts_out(self, demo, capsys):
         code = cli.main(["report", "--config",
                          demo["portals"]["alpha"]["config"]])

@@ -154,7 +154,8 @@ class TestSizeClass:
             segmentation.size_class({})
 
     @given(st.dictionaries(st.text(min_size=1, max_size=3),
-                           st.floats(min_value=0.0, max_value=1.0),
+                           st.floats(min_value=0.0, max_value=1.0,
+                                     allow_subnormal=False),
                            min_size=1, max_size=9),
            st.floats(min_value=0.1, max_value=10.0))
     def test_classification_scale_invariant(self, ratios, scale):

@@ -5,7 +5,7 @@ import hashlib
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from portalmetrics import usage
 from portalmetrics.catalog import ContentRecord
@@ -15,6 +15,7 @@ from oracles import (
     brute_sessionize,
     oracle_compactness,
     oracle_stratum,
+    reference_parse_log,
     sessions_as_set,
 )
 
@@ -42,6 +43,73 @@ def _session(paths, visitor="user:alice", start=0, step=60):
     views = tuple((T0 + timedelta(seconds=start + i * step), p)
                   for i, p in enumerate(paths))
     return usage.Session(visitor_key=visitor, views=views)
+
+
+# Timestamp fields (day, month, year, hour, minute, second, offset,
+# separator): plausible values, among them days past the month's end
+# (29/Feb only in leap years) and years at the ends of the datetime
+# range, where the UTC instant itself can overflow; then one field at
+# most is replaced by an odd value such as hour 24, minute 60, second
+# 60, a bad month or offset, or a signed or padded number.
+_PLAUSIBLE_FIELDS = (
+    ["01", "09", "28", "29", "30", "31"],
+    ["Jan", "Feb", "Apr", "Dec"],
+    ["2024", "2026", "2000", "1900", "0001", "9999"],
+    ["00", "13", "23"],
+    ["00", "30", "59"],
+    ["00", "36", "59"],
+    [" +0000", " +0530", " -0700", " +1400", " -2359", " -0030"],
+    [":"],
+)
+_ODD_FIELDS = (
+    ["00", "32", " 7", "-1", "1_"],
+    ["feb", "Xyz"],
+    ["0000", "20a6"],
+    ["24", "-1", " 5", "+1"],
+    ["60", "-0"],
+    ["60", "5 "],
+    [" +2400", " 0000", " +05:30", " +ab00", "  +0100 ", "", " +01000"],
+    ["/", "-", "x"],
+)
+
+
+def _clf_timestamp(fields, odd):
+    if odd is not None:
+        index, value = odd
+        fields = fields[:index] + (value,) + fields[index + 1:]
+    day, month, year, hour, minute, second, offset, sep = fields
+    return f"{day}/{month}/{year}{sep}{hour}:{minute}{sep}{second}{offset}"
+
+
+_CLF_TIMESTAMPS = st.builds(
+    _clf_timestamp,
+    st.tuples(*(st.sampled_from(v) for v in _PLAUSIBLE_FIELDS)),
+    st.one_of(st.none(), st.one_of(*(st.tuples(st.just(i), st.sampled_from(v))
+                                     for i, v in enumerate(_ODD_FIELDS)))),
+)
+
+
+def _log_line(host, user, when, request, status, referrer, agent, junk):
+    if junk is not None:
+        return junk
+    return (f'{host} - {user} [{when}] "{request}" {status} 10 '
+            f'"{referrer}" "{agent}"')
+
+
+# Few hosts, users and agents, so (host, agent) pairs and dates repeat;
+# about one line in eight fails the line pattern.
+_LOG_LINES = st.builds(
+    _log_line,
+    st.sampled_from(["198.51.100.9", "203.0.113.7", "::1"]),
+    st.sampled_from(["-", "alice", "bob"]),
+    _CLF_TIMESTAMPS,
+    st.sampled_from(["GET /a HTTP/1.1", "GET /b", "POST  /c", "GET /a",
+                     "HEAD /b?q=1 HTTP/1.1", "GET /c", "-", "GET  HTTP/1.0"]),
+    st.sampled_from(["200", "302", "404"]),
+    st.sampled_from(["-", "http://ref.example/"]),
+    st.sampled_from(["AgentX/1.0", "ExampleBot/2.1", "Mozilla/5.0 (X11)"]),
+    st.sampled_from([None] * 7 + ["garbage"]),
+)
 
 
 class TestParseLog:
@@ -125,6 +193,35 @@ class TestParseLog:
                 '"-" 408 10 "-" "AgentX/1.0"')
         assert usage.parse_log([line, GOLDEN_LINE]).malformed == 1
 
+    @given(st.lists(_LOG_LINES, max_size=30), st.booleans())
+    @settings(max_examples=300)
+    # Instants next to the ends of the datetime range: the first is in
+    # range only after the offset is applied, the others overflow.
+    @example([f'h - - [{ts}] "GET /a" 200 1 "-" "A"'
+              for ts in ("01/Jan/0001:01:30:00 +0100",
+                         "31/Dec/9999:22:59:59 -0100")], True)
+    @example(['h - - [01/Jan/0001:00:30:00 +0100] "GET /a" 200 1 "-" "A"'], True)
+    @example(['h - - [31/Dec/9999:23:00:00 -0100] "GET /a" 200 1 "-" "A"'], True)
+    def test_matches_reference_parser(self, lines, use_auth_user):
+        # As many well-formed lines again keep the malformed share at or
+        # below one half, so that the entries are compared.
+        lines = lines + [GOLDEN_LINE] * len(lines)
+
+        def run(parse):
+            try:
+                return parse(lines, use_auth_user=use_auth_user)
+            except OverflowError:
+                return OverflowError
+        ours, reference = run(usage.parse_log), run(reference_parse_log)
+        if reference is OverflowError:
+            assert ours is OverflowError
+            return
+        assert ours.malformed == reference.malformed
+        assert ours.total_lines == reference.total_lines
+        # repr also compares each timestamp's tzinfo, which == ignores.
+        assert [repr(e) for e in ours.entries] == \
+            [repr(e) for e in reference.entries]
+
 
 class TestAgentFiltering:
     def _mk(self, agent, path="/a"):
@@ -159,6 +256,15 @@ class TestAgentFiltering:
         _, bots = usage.filter_agents(entries, signatures=("examplebot",))
         assert len(bots) == 1
 
+    def test_robots_fetch_does_not_mark_the_agent(self):
+        # The signature verdict is shared by every entry of an agent; the
+        # robots-exclusion test is not.
+        entries = [self._mk("Mozilla/5.0 PortalBrowser/1.0", path="/robots.txt"),
+                   self._mk("Mozilla/5.0 PortalBrowser/1.0", path="/a")]
+        humans, bots = usage.filter_agents(entries)
+        assert [e.path for e in bots] == ["/robots.txt"]
+        assert [e.path for e in humans] == ["/a"]
+
     def test_partition_is_exhaustive_and_disjoint(self):
         entries = [self._mk(a) for a in
                    ("x", "boty", "spider z", "Mozilla", "wget/1.2")]
@@ -190,6 +296,18 @@ class TestSessionize:
         forward = usage.sessionize(entries)
         backward = usage.sessionize(list(reversed(entries)))
         assert sessions_as_set(forward) == sessions_as_set(backward)
+
+    def test_interleaved_visitors_with_equal_timestamps(self):
+        rows = [("user:b", 0, "/b"), ("user:a", 0, "/b"), ("user:a", 0, "/a"),
+                ("user:b", 0, "/a"), ("user:a", 4000, "/c"),
+                ("user:b", 1800, "/c"), ("user:a", 4000, "/c")]
+        entries = [_entry(visitor=v, seconds=s, path=p) for v, s, p in rows]
+        sessions = usage.sessionize(entries)
+        assert sessions_as_set(sessions) == brute_sessionize(
+            entries, usage.DEFAULT_SESSION_TIMEOUT)
+        assert [(s.visitor_key, [p for _, p in s.views]) for s in sessions] == [
+            ("user:a", ["/a", "/b"]), ("user:a", ["/c", "/c"]),
+            ("user:b", ["/a", "/b", "/c"])]
 
     def test_every_entry_lands_in_exactly_one_session(self):
         entries = [_entry(seconds=s) for s in (0, 10, 7200, 7300)]
@@ -359,6 +477,23 @@ class TestAccessedDistribution:
             sessions, self.RECORDS, self.PATH_MAP, "topic", self.PERIOD)
         assert result.per_bucket_views[0].counts == {"algebra": 1}
         assert result.per_bucket_views[1].counts == {"biology": 1}
+
+    def test_unsorted_views_across_a_bucket_edge(self):
+        # The last bucket is cut short by the period's end at 36 h.
+        period = usage.AnalysisPeriod(start=T0, end=T0 + timedelta(hours=36))
+        hour = 3600
+        views = ((T0 + timedelta(seconds=24 * hour + 5), "/a"),
+                 (T0 + timedelta(seconds=24 * hour - 5), "/b"),
+                 (T0 + timedelta(seconds=24 * hour), "/a"),
+                 (T0 + timedelta(seconds=36 * hour), "/a"),  # past the end
+                 (T0 + timedelta(seconds=24 * hour - 1), "/a"),
+                 (T0 - timedelta(seconds=1), "/b"))          # before the start
+        sessions = [usage.Session(visitor_key="user:x", views=views)]
+        result = usage.accessed_distribution(
+            sessions, self.RECORDS, self.PATH_MAP, "topic", period)
+        assert result.per_bucket_views[0].counts == {"biology": 1, "algebra": 1}
+        assert result.per_bucket_views[1].counts == {"algebra": 2}
+        assert result.views_total.counts == {"algebra": 3, "biology": 1}
 
     def test_unmapped_views_tallied(self):
         sessions = [_session(["/a", "/nope"], visitor="user:x")]
