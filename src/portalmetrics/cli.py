@@ -36,13 +36,12 @@ def _load_file(loader, path, what: str):
                           f"at byte {exc.start}")
 
 
-def _text(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _read_text(path, what: str) -> str:
-    return _load_file(_text, path, what)
+    """The whole of a UTF-8 text file, read through ``_load_file``."""
+    def read(p) -> str:
+        with open(p, encoding="utf-8") as fh:
+            return fh.read()
+    return _load_file(read, path, what)
 
 
 def _require(cfg: RunConfig, field: str):

@@ -226,14 +226,14 @@ def _clf_date(text: str) -> tuple[datetime, int]:
     tz_text = text[21:].strip()
     if len(tz_text) != 5 or tz_text[0] not in "+-":
         raise ValueError(f"bad timezone {tz_text!r}")
-    offset = timedelta(hours=int(tz_text[1:3]), minutes=int(tz_text[3:5]))
-    # timezone() rejects offsets of 24 hours or more.
-    tz = timezone(offset if tz_text[0] == "+" else -offset)
+    offset = int(tz_text[1:3]) * 3600 + int(tz_text[3:5]) * 60
+    if not -86400 < offset < 86400:  # the offsets timezone() accepts
+        raise ValueError(f"bad timezone {tz_text!r}")
     # The offset is applied per line, not folded into this midnight, so
     # that an instant near datetime.min or .max overflows exactly when the
     # instant itself is out of range.
     return (datetime(year, month, day, tzinfo=timezone.utc),
-            int(tz.utcoffset(None).total_seconds()))
+            offset if tz_text[0] == "+" else -offset)
 
 
 def visitor_key_method(use_auth_user: bool = True) -> str:
@@ -458,8 +458,7 @@ def accessed_distribution(sessions, records: list[ContentRecord],
     ``path_map`` joins request paths to catalog identifiers; views whose
     path or identifier has no catalog record are tallied as uncatalogued.
     Raises DomainError when nothing joins at all. Each distinct path is
-    joined once, and a view's bucket is looked up only when its timestamp
-    falls outside the previous view's bucket.
+    joined once.
     """
     if axis not in ("topic", "resource_type"):
         raise DomainError(f"unknown distribution axis {axis!r}")
@@ -472,19 +471,11 @@ def accessed_distribution(sessions, records: list[ContentRecord],
     uncatalogued = 0
     joined = 0
     labels: dict[str, str | None] = {}  # path -> label; None: uncatalogued
-    lo = hi = None  # the current bucket is [lo, hi)
     for session in sessions:
-        visitor = session.visitor_key
         for ts, path in session.views:
-            if lo is None or not lo <= ts < hi:
-                idx = period.bucket_index(ts)
-                if idx is None:
-                    lo = None
-                    continue
-                lo = period.start + idx * period.bucket
-                hi = min(lo + period.bucket, period.end)
-                bucket_views = view_counts[idx]
-                bucket_visitors = visitor_sets[idx]
+            idx = period.bucket_index(ts)
+            if idx is None:
+                continue
             try:
                 label = labels[path]
             except KeyError:
@@ -499,10 +490,10 @@ def accessed_distribution(sessions, records: list[ContentRecord],
                 uncatalogued += 1
                 continue
             joined += 1
-            bucket_views[label] = bucket_views.get(label, 0) + 1
+            view_counts[idx][label] = view_counts[idx].get(label, 0) + 1
+            visitor_sets[idx].setdefault(label, set()).add(session.visitor_key)
             total_views[label] = total_views.get(label, 0) + 1
-            bucket_visitors.setdefault(label, set()).add(visitor)
-            total_visitors.setdefault(label, set()).add(visitor)
+            total_visitors.setdefault(label, set()).add(session.visitor_key)
     if joined == 0:
         raise DomainError(
             f"no page view joined the catalog ({uncatalogued} uncatalogued views)"
