@@ -13,6 +13,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from typing import Iterable
 
 from .errors import DomainError, FormatError
 
@@ -342,12 +343,13 @@ def demand_offer_gap(offer: TopicDistribution, accessed: TopicDistribution,
     )
 
 
-def content_counts(records: list[ContentRecord]) -> tuple[dict[str, int], int]:
+def content_counts(records: Iterable[ContentRecord]) -> tuple[dict[str, int], int]:
     """Deduplicated content counts per portal plus the network-wide total.
 
     Per-portal counts keep identifiers that several portals share; the
     network total collapses them, so it can be smaller than the sum of the
-    per-portal counts.
+    per-portal counts. ``records`` is read once, so it may be a stream
+    over several catalogs.
     """
     per_portal: dict[str, set[str]] = {}
     network: set[str] = set()

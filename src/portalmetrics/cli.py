@@ -92,25 +92,27 @@ def _log_lines(paths):
 
 
 def _load_sessions(cfg: RunConfig):
-    """Parse logs, drop bots and non-page-views, and sessionize.
+    """Parse logs, drop bots and non-page-views, and sessionize, streaming
+    each line through in turn, so that no list of entries is built.
 
     Returns (sessions, tallies) where tallies records what was dropped on
     the way; those counts go to local diagnostics only.
     """
-    parsed = usage_mod.parse_log(_log_lines(_require(cfg, "logs")),
-                                 use_auth_user=cfg.use_auth_user)
     signatures = None
     if cfg.bot_list is not None:
         signatures = _load_file(usage_mod.load_signatures, cfg.bot_list,
                                 "bot signature list")
-    humans, bots = usage_mod.filter_agents(parsed.entries, signatures)
-    views = [e for e in humans if e.is_page_view]
-    sessions = usage_mod.sessionize(views, cfg.session_timeout())
+    tally = usage_mod.IngestTally()
+    entries = usage_mod.iter_log(_log_lines(_require(cfg, "logs")), tally,
+                                 use_auth_user=cfg.use_auth_user)
+    sessions = usage_mod.sessionize(
+        usage_mod.human_page_views(entries, tally, signatures),
+        cfg.session_timeout())
     tallies = {
-        "log_lines": parsed.total_lines,
-        "malformed_lines": parsed.malformed,
-        "bot_entries": len(bots),
-        "non_page_view_entries": len(humans) - len(views),
+        "log_lines": tally.total_lines,
+        "malformed_lines": tally.malformed,
+        "bot_entries": tally.bot_entries,
+        "non_page_view_entries": tally.non_page_view_entries,
         "sessions": len(sessions),
     }
     return sessions, tallies
@@ -257,12 +259,13 @@ def cmd_position(cfg: RunConfig) -> int:
 
 
 def _network_sizes(cfg: RunConfig):
-    """Relative sizes over every portal catalog in the network."""
-    records = []
-    for path in _require(cfg, "network_catalogs"):
-        records.extend(catalog_mod.parse_catalog(
-            _read_text(path, "network catalog")).records)
-    per_portal, network_total = catalog_mod.content_counts(records)
+    """Relative sizes over every portal catalog in the network, counted one
+    catalog at a time: each catalog's records are dropped once counted."""
+    def records():
+        for path in _require(cfg, "network_catalogs"):
+            yield from catalog_mod.parse_catalog(
+                _read_text(path, "network catalog")).records
+    per_portal, network_total = catalog_mod.content_counts(records())
     ratios = segmentation_mod.relative_size(per_portal, network_total)
     return ratios, segmentation_mod.size_class(ratios)
 

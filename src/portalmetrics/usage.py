@@ -18,6 +18,12 @@ visitor and agent: the UTC midnight of each distinct date and offset,
 the hash of each distinct (address, agent) pair and the bot verdict of
 each distinct agent are computed once per call and reused for every line
 that repeats them.
+
+Ingest streams: ``iter_log`` yields each entry as its line is read and
+``human_page_views`` passes on only the human page views, so a pipeline
+of the two into ``sessionize`` holds no list of entries. Its memory
+follows the human page views that the sessions keep, not the number of
+log lines; every view of one request path shares one path string.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import statistics
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import structure
 from .catalog import ContentRecord, TopicDistribution
@@ -243,27 +249,41 @@ def visitor_key_method(use_auth_user: bool = True) -> str:
     return "address-agent-hash"
 
 
-def parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
-    """Parse NCSA Combined Log Format lines into LogEntry values.
+@dataclass
+class IngestTally:
+    """What a streamed ingest read and dropped. Each count is complete once
+    the stream that fills it has been read to the end."""
 
-    Malformed lines (including blank ones) are skipped and tallied.
-    Non-2xx/3xx responses are retained but excluded from page views via
-    ``LogEntry.is_page_view``. Raises FormatError when more than half of
-    the lines fail to parse.
+    total_lines: int = 0
+    malformed: int = 0
+    bot_entries: int = 0
+    non_page_view_entries: int = 0
+
+
+def iter_log(line_stream, tally: IngestTally,
+             use_auth_user: bool = True) -> Iterator[LogEntry]:
+    """Parse NCSA Combined Log Format lines, yielding one LogEntry per
+    well-formed line as the lines are read.
+
+    Malformed lines (including blank ones, and timestamps whose UTC instant
+    is outside the datetime range) are skipped and counted in ``tally``,
+    as are all lines. Non-2xx/3xx responses are yielded but are not page
+    views (``LogEntry.is_page_view``). Once the stream ends, raises
+    FormatError when more than half of the lines failed to parse.
 
     Each line costs one regex match and its time-of-day arithmetic; the
     date and offset part of the timestamp is resolved once per distinct
-    value, and the anonymous visitor hash once per distinct (address,
-    agent) pair.
+    value, the anonymous visitor hash once per distinct (address, agent)
+    pair, and every entry of one request path shares one path string.
     """
     if isinstance(line_stream, (str, bytes)):
         text = line_stream if isinstance(line_stream, str) else line_stream.decode()
         line_stream = text.splitlines()
-    entries: list[LogEntry] = []
     malformed = 0
     total = 0
     dates: dict[str, tuple[datetime, int]] = {}
     anonymous: dict[tuple[str, str], str] = {}
+    paths: dict[str, str] = {}
     for raw in line_stream:
         total += 1
         m = _COMBINED_RE.match(raw)
@@ -282,7 +302,10 @@ def parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
             date = dates.get(date_key)
             if date is None:
                 date = dates[date_key] = _clf_date(when)
-        except (ValueError, KeyError):
+            midnight, offset = date
+            timestamp = midnight + timedelta(
+                0, hour * 3600 + minute * 60 + second - offset)
+        except (ValueError, KeyError, OverflowError):
             malformed += 1
             continue
         parts = request.split()
@@ -296,20 +319,26 @@ def parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
             if visitor is None:
                 digest = hashlib.sha1(f"{host}|{agent}".encode("utf-8")).hexdigest()
                 visitor = anonymous[host, agent] = f"anon:{digest[:16]}"
-        midnight, offset = date
-        entries.append(LogEntry(
-            visitor,
-            midnight + timedelta(0, hour * 3600 + minute * 60 + second - offset),
-            parts[1],
-            int(status),
-            agent,
-            "" if referrer == "-" else referrer,
-        ))
+        path = paths.setdefault(parts[1], parts[1])
+        yield LogEntry(visitor, timestamp, path, int(status), agent,
+                       "" if referrer == "-" else referrer)
+    tally.total_lines += total
+    tally.malformed += malformed
     if total > 0 and malformed * 2 > total:
         raise FormatError(
             f"log stream is mostly unparseable: {malformed} of {total} lines malformed"
         )
-    return ParsedLog(entries=entries, malformed=malformed, total_lines=total)
+
+
+def parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
+    """Every entry of ``iter_log`` at once, with its line counts.
+
+    Raises FormatError when more than half of the lines fail to parse.
+    """
+    tally = IngestTally()
+    entries = list(iter_log(line_stream, tally, use_auth_user))
+    return ParsedLog(entries=entries, malformed=tally.malformed,
+                     total_lines=tally.total_lines)
 
 
 def read_log_lines(paths):
@@ -347,29 +376,60 @@ def load_signatures(path) -> tuple[str, ...]:
     return tuple(signatures)
 
 
+def _bot_test(signatures=None):
+    """The bot test of one ingest: an entry is a bot hit when its user
+    agent contains any signature (case-insensitive) or it requests the
+    robots-exclusion file. Signatures are matched once per distinct user
+    agent; the robots-exclusion test runs on every entry."""
+    sigs = DEFAULT_BOT_SIGNATURES if signatures is None else tuple(signatures)
+    sigs = tuple(s.lower() for s in sigs)
+    verdicts: dict[str, bool] = {}
+
+    def is_bot(entry: LogEntry) -> bool:
+        verdict = verdicts.get(entry.user_agent)
+        if verdict is None:
+            agent = entry.user_agent.lower()
+            verdict = verdicts[entry.user_agent] = any(s in agent for s in sigs)
+        return verdict or entry.path == ROBOTS_PATH
+    return is_bot
+
+
 def filter_agents(entries, signatures=None) -> tuple[list[LogEntry], list[LogEntry]]:
     """Split entries into (human, bot) partitions.
 
     An entry is a bot hit when its user agent contains any signature
     (case-insensitive) or it requests the robots-exclusion file. The
-    partition is exhaustive and disjoint. Signatures are matched once per
-    distinct user agent; the robots-exclusion test runs on every entry.
+    partition is exhaustive and disjoint.
     """
-    sigs = DEFAULT_BOT_SIGNATURES if signatures is None else tuple(signatures)
-    sigs = tuple(s.lower() for s in sigs)
+    is_bot = _bot_test(signatures)
     humans: list[LogEntry] = []
     bots: list[LogEntry] = []
-    verdicts: dict[str, bool] = {}
     for entry in entries:
-        is_bot = verdicts.get(entry.user_agent)
-        if is_bot is None:
-            agent = entry.user_agent.lower()
-            is_bot = verdicts[entry.user_agent] = any(s in agent for s in sigs)
-        if is_bot or entry.path == ROBOTS_PATH:
+        if is_bot(entry):
             bots.append(entry)
         else:
             humans.append(entry)
     return humans, bots
+
+
+def human_page_views(entries, tally: IngestTally,
+                     signatures=None) -> Iterator[LogEntry]:
+    """The entries that are human page views, as ``filter_agents`` and
+    ``LogEntry.is_page_view`` would keep them, yielded as they are read.
+
+    Bot hits and human non-page-views are counted in ``tally``.
+    """
+    is_bot = _bot_test(signatures)
+    bots = non_page_views = 0
+    for entry in entries:
+        if is_bot(entry):
+            bots += 1
+        elif entry.is_page_view:
+            yield entry
+        else:
+            non_page_views += 1
+    tally.bot_entries += bots
+    tally.non_page_view_entries += non_page_views
 
 
 def sessionize(entries, timeout: timedelta = DEFAULT_SESSION_TIMEOUT) -> list[Session]:

@@ -138,8 +138,9 @@ def reference_parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
             continue
         host, _ident, authuser, when, request, status, _size, referrer, agent = m.groups()
         try:
-            ts = _reference_clf_timestamp(when)
-        except (ValueError, KeyError, IndexError):
+            ts = _reference_clf_timestamp(when).astimezone(timezone.utc)
+        except (ValueError, KeyError, IndexError, OverflowError):
+            # OverflowError: the UTC instant is outside the datetime range.
             malformed += 1
             continue
         parts = request.split()
@@ -148,7 +149,7 @@ def reference_parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
             continue
         entries.append(LogEntry(
             visitor_key=_reference_visitor_key(host, authuser, agent, use_auth_user),
-            timestamp=ts.astimezone(timezone.utc),
+            timestamp=ts,
             path=parts[1],
             status=int(status),
             user_agent=agent,

@@ -7,11 +7,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from portalmetrics import cli
+from portalmetrics import catalog, cli, segmentation, usage
 from portalmetrics import fixtures as fx
+from portalmetrics.config import RunConfig
+from portalmetrics.errors import FormatError
 from portalmetrics.report import canonical_json, deserialize
 
 START = "2026-03-02T00:00:00+00:00"
@@ -139,6 +144,24 @@ class TestUsageCommand:
         code = cli.main(["usage", "--logs", str(log_path)])
         assert code == 2
 
+    def test_instant_outside_datetime_range_is_malformed(self, tmp_path,
+                                                         capsys):
+        log_path = tmp_path / "access.log"
+        fx.write_lines(log_path, [
+            'h - - [02/Mar/2026:10:00:00 +0000] "GET /a" 200 1 "-" "A"',
+            'h - - [01/Jan/0001:00:30:00 +0100] "GET /a" 200 1 "-" "A"',
+        ])
+        code = cli.main(["usage", "--logs", str(log_path),
+                         "--period-start", START, "--period-end", END,
+                         "--output-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        tallies = json.loads(captured.out)["tallies"]
+        assert tallies["log_lines"] == 2
+        assert tallies["malformed_lines"] == 1
+        assert tallies["sessions"] == 1
+
 
 class TestPositionCommand:
     def test_two_community_profile(self, tmp_path, capsys):
@@ -249,6 +272,23 @@ class TestReportCommand:
         assert f"cannot read log file {log}:" in err
         assert "Traceback" not in err
 
+    def test_mostly_malformed_log_writes_nothing(self, demo, tmp_path,
+                                                 capsys):
+        portal = demo["portals"]["alpha"]
+        log = tmp_path / "access.log"
+        fx.write_lines(log, [
+            'h - - [02/Mar/2026:10:00:00 +0000] "GET /a" 200 1 "-" "A"',
+            "junk", "more junk"])
+        out = tmp_path / "out"
+        code = cli.main(["report", "--config", portal["config"],
+                         "--logs", str(log), "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("error: log stream is mostly unparseable: "
+                "2 of 3 lines malformed") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,what", [
         ("--taxonomy", "taxonomy"),
         ("--link-map", "link map"),
@@ -306,6 +346,111 @@ def reports(demo):
         paths[name] = os.path.join(demo["portals"][name]["dir"], "out",
                                    f"{name}.report.json")
     return paths
+
+
+_T0 = datetime(2026, 3, 2, tzinfo=timezone.utc)
+
+
+def _clf_line(host, user, seconds, offset_hours, path, status, agent):
+    local = (_T0 + timedelta(seconds=seconds)).astimezone(
+        timezone(timedelta(hours=offset_hours)))
+    when = (f"{local.day:02d}/{fx._MONTH_ABBR[local.month - 1]}/{local.year}:"
+            f"{local:%H:%M:%S %z}")
+    return (f'{host} - {user} [{when}] "GET {path} HTTP/1.1" {status} 10 '
+            f'"-" "{agent}"')
+
+
+_INGEST_LINE = st.builds(
+    _clf_line,
+    st.sampled_from(["198.51.100.9", "203.0.113.7"]),
+    st.sampled_from(["-", "-", "alice"]),
+    st.integers(min_value=0, max_value=4 * 3600),
+    st.sampled_from([0, -7]),
+    st.sampled_from(["/a", "/b", "/c", "/robots.txt"]),
+    st.sampled_from([200, 200, 304, 404]),
+    st.sampled_from(["Mozilla/5.0", "ExampleBot/2.1", "AgentX/1.0"]))
+_JUNK_LINE = st.sampled_from([
+    "garbage", "", 'h - - [99/Xyz/2026:00:00:00 +0000] "GET /a" 200 1 "-" "A"'])
+# Few visitors, so sessions form and split; bots by signature, by a
+# custom signature list and by robots fetches; 404s; two offsets; and
+# junk lines, about one in four, so that some logs are mostly junk.
+_INGEST_LINES = st.lists(
+    st.one_of(_INGEST_LINE, _INGEST_LINE, _INGEST_LINE, _JUNK_LINE),
+    max_size=40)
+
+
+class TestStreamingIngest:
+    @given(_INGEST_LINES, st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_load_sessions_matches_the_eager_path(self, lines, use_auth_user,
+                                                  custom_bots):
+        with tempfile.TemporaryDirectory() as tmp:
+            log = os.path.join(tmp, "access.log")
+            fx.write_lines(log, lines)
+            bot_list = signatures = None
+            if custom_bots:
+                bot_list = os.path.join(tmp, "bots.txt")
+                fx.write_lines(bot_list, ["# custom", "AgentX"])
+                signatures = usage.load_signatures(bot_list)
+            cfg = RunConfig(logs=(log,), bot_list=bot_list,
+                            use_auth_user=use_auth_user)
+            try:
+                parsed = usage.parse_log(lines, use_auth_user=use_auth_user)
+            except FormatError as exc:
+                with pytest.raises(FormatError) as streamed:
+                    cli._load_sessions(cfg)
+                assert str(streamed.value) == str(exc)
+                return
+            sessions, tallies = cli._load_sessions(cfg)
+        humans, bots = usage.filter_agents(parsed.entries, signatures)
+        views = [e for e in humans if e.is_page_view]
+        expected = usage.sessionize(views, cfg.session_timeout())
+        assert sessions == expected
+        assert tallies == {
+            "log_lines": parsed.total_lines,
+            "malformed_lines": parsed.malformed,
+            "bot_entries": len(bots),
+            "non_page_view_entries": len(humans) - len(views),
+            "sessions": len(expected),
+        }
+
+
+class TestNetworkCatalogs:
+    HEADER = "identifier,resource_type,topic,published,portal_id"
+
+    @pytest.mark.parametrize("command", ["segment", "report"])
+    def test_identifier_shared_across_files_counts_once(self, demo, tmp_path,
+                                                        capsys, command):
+        # "shared" is in both files (two portals); alpha's x1 row is in
+        # both files too. A per-file reset of the network-wide identifier
+        # set would count "shared" twice in the network total.
+        first = tmp_path / "net-a.csv"
+        second = tmp_path / "net-b.csv"
+        fx.write_lines(first, [self.HEADER,
+                               "x1,text,algebra,2025-01-01,alpha",
+                               "x2,text,algebra,2025-01-01,alpha",
+                               "shared,text,biology,2025-01-01,alpha"])
+        fx.write_lines(second, [self.HEADER,
+                                "y1,text,biology,2025-01-01,beta",
+                                "shared,text,biology,2025-01-01,beta",
+                                "x1,text,algebra,2025-01-01,alpha"])
+        records = []
+        for path in (first, second):
+            records += catalog.parse_catalog(path.read_text("utf-8")).records
+        per_portal, network_total = catalog.content_counts(records)
+        assert (per_portal, network_total) == ({"alpha": 3, "beta": 2}, 4)
+        ratios = segmentation.relative_size(per_portal, network_total)
+
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", demo["portals"]["alpha"]["config"],
+                         "--network-catalogs", f"{first},{second}",
+                         "--output-dir", str(out)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["segmentation"]["relative_size"] == ratios["alpha"]
+        if command == "segment":
+            assert doc["network_size_classes"] == \
+                segmentation.size_class(ratios).classes
 
 
 class TestCompareCommand:
