@@ -357,10 +357,3 @@ def content_counts(records: Iterable[ContentRecord]) -> tuple[dict[str, int], in
         per_portal.setdefault(r.portal_id, set()).add(r.identifier)
         network.add(r.identifier)
     return {p: len(ids) for p, ids in sorted(per_portal.items())}, len(network)
-
-
-def latest_published(records: list[ContentRecord]) -> date:
-    """Default reference date: the newest publication date in the catalog."""
-    if not records:
-        raise DomainError("empty catalog has no publication dates")
-    return max(r.published for r in records)

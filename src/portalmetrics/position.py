@@ -18,8 +18,6 @@ import statistics
 from dataclasses import dataclass
 from urllib.parse import urlparse
 
-import numpy as np
-
 from .errors import DomainError, FormatError
 
 DEFAULT_BRIDGE_SCORE_THRESHOLD = 0.5
@@ -208,30 +206,33 @@ def build_cross_site_graph(page_links, site_map=None
     return CrossSiteGraph(sites=frozenset(sites), weights=weights), tally
 
 
+def _degrees(g: CrossSiteGraph
+             ) -> dict[str, tuple[DegreeMeasure, DegreeMeasure]]:
+    """Every site's (in, out) degree measures, from one pass over the links."""
+    counts = {site: [0, 0, 0, 0] for site in g.sites}
+    for (a, b), w in g.weights.items():
+        into, out = counts[b], counts[a]
+        into[0] += 1
+        into[1] += w
+        out[2] += 1
+        out[3] += w
+    return {site: (DegreeMeasure(distinct=c[0], weighted=c[1]),
+                   DegreeMeasure(distinct=c[2], weighted=c[3]))
+            for site, c in counts.items()}
+
+
 def authoritativeness(g: CrossSiteGraph, site: str) -> DegreeMeasure:
     """In-degree: distinct sites linking in, plus the page-link total."""
     if site not in g.sites:
         raise DomainError(f"unknown site {site!r}")
-    distinct = 0
-    weighted = 0
-    for (a, b), w in g.weights.items():
-        if b == site:
-            distinct += 1
-            weighted += w
-    return DegreeMeasure(distinct=distinct, weighted=weighted)
+    return _degrees(g)[site][0]
 
 
 def hubness(g: CrossSiteGraph, site: str) -> DegreeMeasure:
     """Out-degree: distinct sites linked to, plus the page-link total."""
     if site not in g.sites:
         raise DomainError(f"unknown site {site!r}")
-    distinct = 0
-    weighted = 0
-    for (a, b), w in g.weights.items():
-        if a == site:
-            distinct += 1
-            weighted += w
-    return DegreeMeasure(distinct=distinct, weighted=weighted)
+    return _degrees(g)[site][1]
 
 
 def detect_communities(g: CrossSiteGraph, seed: int = 0,
@@ -315,9 +316,9 @@ def bridging(g: CrossSiteGraph, site: str, communities: CommunityAssignment,
         raise DomainError(f"unknown site {site!r}")
     if set(communities.labels) != set(g.sites):
         raise DomainError("community assignment does not cover this graph")
-    in_deg = authoritativeness(g, site).distinct
-    out_deg = hubness(g, site).distinct
-    degree = in_deg + out_deg
+    degrees = _degrees(g)
+    in_measure, out_measure = degrees[site]
+    degree = in_measure.distinct + out_measure.distinct
     nbrs = g.neighbors(site)
     if not nbrs:
         return BridgeAssessment(degree=0, adjacent_communities=0,
@@ -326,9 +327,7 @@ def bridging(g: CrossSiteGraph, site: str, communities: CommunityAssignment,
     adjacent = len({communities.labels[other] for other in nbrs})
     score = adjacent / len(nbrs)
     median_degree = statistics.median(
-        authoritativeness(g, s).distinct + hubness(g, s).distinct
-        for s in g.site_order()
-    )
+        into.distinct + out.distinct for into, out in degrees.values())
     is_bridge = (adjacent >= thresholds.bridge_min_communities
                  and score >= thresholds.bridge_score_threshold
                  and degree <= median_degree)
@@ -340,7 +339,26 @@ def bridging(g: CrossSiteGraph, site: str, communities: CommunityAssignment,
 
 
 def _percentile_cut(values: list[int], percentile: float) -> float:
-    return float(np.percentile(np.asarray(values, dtype=float), percentile))
+    """Hyndman & Fan's type 7 percentile of ``values``; ``percentile`` lies
+    in [0, 100].
+
+    Interpolates between the order statistics around (n - 1) * percentile
+    / 100 in the two-sided form of the common ``linear`` method: up from
+    the lower value when the fraction t is below 0.5, down from the upper
+    one otherwise. The form decides the rounding, so the cut stays that
+    method's exact float.
+    """
+    if not 0 <= percentile <= 100:
+        raise ValueError(f"percentile {percentile} is outside [0, 100]")
+    ordered = sorted(map(float, values))
+    index = (len(ordered) - 1) * (percentile / 100)
+    below = int(index)
+    t = index - below
+    a = ordered[below]
+    b = ordered[min(below + 1, len(ordered) - 1)]
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
 
 
 def position_profile(g: CrossSiteGraph, site: str,
@@ -353,15 +371,15 @@ def position_profile(g: CrossSiteGraph, site: str,
     above the graph-wide percentile cut (default 75th); a graph where most
     sites have zero in-links must not flag them all.
     """
-    in_measure = authoritativeness(g, site)
-    out_measure = hubness(g, site)
     assessment = bridging(g, site, communities, thresholds)
-
-    order = g.site_order()
-    in_values = [authoritativeness(g, s).distinct for s in order]
-    out_values = [hubness(g, s).distinct for s in order]
-    authority_cut = _percentile_cut(in_values, thresholds.authority_percentile)
-    hub_cut = _percentile_cut(out_values, thresholds.hub_percentile)
+    degrees = _degrees(g)
+    in_measure, out_measure = degrees[site]
+    authority_cut = _percentile_cut(
+        [into.distinct for into, _ in degrees.values()],
+        thresholds.authority_percentile)
+    hub_cut = _percentile_cut(
+        [out.distinct for _, out in degrees.values()],
+        thresholds.hub_percentile)
 
     return PositionProfile(
         site=site,

@@ -15,15 +15,14 @@ constant K (default: the node count), which may not be below the longest
 finite distance. Every metric and the matrix come from one breadth-first
 sweep that starts at all pages at once: each page holds the set of pages
 that have reached it as the bits of a Python integer, and status and
-contrastatus add up level by level without an n x n matrix.
+contrastatus add up level by level without an n x n matrix. Only
+:func:`converted_distances` builds the matrix, as nested tuples of ints.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, FormatError
 
@@ -74,13 +73,13 @@ class BuildTally:
 class ConvertedDistanceMatrix:
     """All-pairs shortest directed distances with unreachable pairs at K.
 
-    d[i][j] is the shortest path length from node i to node j in the order
-    given by ``nodes``; d[i][i] = 0 and d[i][j] = K exactly when j is not
-    reachable from i.
+    ``d`` is a tuple of n row tuples of ints. d[i][j] is the shortest path
+    length from node i to node j in the order given by ``nodes``;
+    d[i][i] = 0 and d[i][j] = K exactly when j is not reachable from i.
     """
 
     nodes: tuple[str, ...]
-    d: np.ndarray
+    d: tuple[tuple[int, ...], ...]
     K: int
 
     @property
@@ -118,9 +117,9 @@ class _DistanceSummary:
     n: int
     K: int
     sum_converted: float
-    status: np.ndarray        # per node: sum of finite distances INTO it
-    contrastatus: np.ndarray  # per node: sum of finite distances OUT of it
-    root_distances: np.ndarray  # finite distances from root, -1 unreachable
+    status: list[int]        # per node: sum of finite distances INTO it
+    contrastatus: list[int]  # per node: sum of finite distances OUT of it
+    root_distances: list[int]  # finite distances from root, -1 unreachable
 
 
 def build_site_graph(edge_stream, root: str | None = None) -> tuple[SiteGraph, BuildTally]:
@@ -176,18 +175,6 @@ def build_site_graph(edge_stream, root: str | None = None) -> tuple[SiteGraph, B
     if root not in seen_nodes:
         raise FormatError(f"root {root!r} does not appear in the graph")
     return SiteGraph(nodes=frozenset(nodes), edges=frozenset(edges), root=root), tally
-
-
-def from_outlinks_map(outlinks: dict[str, list[str]],
-                      root: str | None = None) -> tuple[SiteGraph, BuildTally]:
-    """Adapter for crawler output: a URL -> outlinks mapping."""
-    buf = io.StringIO()
-    for url, targets in outlinks.items():
-        if not targets:
-            buf.write(f"# node: {url}\n")
-        for t in targets:
-            buf.write(f"{url}\t{t}\n")
-    return build_site_graph(buf.getvalue(), root=root)
 
 
 def _indexed(g: SiteGraph) -> tuple[list[str], list[tuple[int, int]], int]:
@@ -270,21 +257,15 @@ def _shape_summary(n: int, edges, root: int = 0,
     return _DistanceSummary(
         n=n, K=k,
         sum_converted=float(sum(status) + (n * n - reached) * k),
-        status=np.array(status, dtype=float),
-        contrastatus=np.array(contrastatus, dtype=float),
-        root_distances=np.array(root_distances, dtype=float),
+        status=status,
+        contrastatus=contrastatus,
+        root_distances=root_distances,
     )
 
 
 def _distance_summary(g: SiteGraph, K: int | None = None) -> _DistanceSummary:
     order, edges, root = _indexed(g)
     return _shape_summary(len(order), edges, root, K)
-
-
-def _members(bits: int, n: int) -> np.ndarray:
-    """Boolean mask over 0..n-1 of the bits set in ``bits``."""
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
 
 
 def converted_distances(g: SiteGraph, K: int | None = None) -> ConvertedDistanceMatrix:
@@ -298,15 +279,20 @@ def converted_distances(g: SiteGraph, K: int | None = None) -> ConvertedDistance
     k = g.n if K is None else K
     order, edges, _ = _indexed(g)
     n = len(order)
-    d = np.full((n, n), k, dtype=np.int64)
-    np.fill_diagonal(d, 0)
+    d = [[k] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = 0
     longest = 0
     for level, fresh in _sweep(n, edges):
         for v, sources in fresh.items():
-            d[_members(sources, n), v] = level
+            while sources:
+                low = sources & -sources
+                d[low.bit_length() - 1][v] = level
+                sources ^= low
         longest = level
     _check_conversion_constant(k, 1, longest)
-    return ConvertedDistanceMatrix(nodes=tuple(order), d=d, K=k)
+    return ConvertedDistanceMatrix(nodes=tuple(order), d=tuple(map(tuple, d)),
+                                   K=k)
 
 
 def depth(g: SiteGraph) -> DepthResult:
@@ -326,12 +312,14 @@ def depth(g: SiteGraph) -> DepthResult:
 
 def _depth_from_summary(summary: _DistanceSummary) -> DepthResult:
     dists = summary.root_distances
-    reach = dists[dists > 0]  # excludes root (0) and unreachable (-1)
-    unreachable = int((dists < 0).sum())
-    if len(reach) == 0:
+    # Excludes the root (0) and unreachable pages (-1).
+    reach = [d for d in dists if d > 0]
+    unreachable = dists.count(-1)
+    if not reach:
         return DepthResult(mean_depth=0.0, unreachable=unreachable,
                            flags=(DEGENERATE_NO_REACHABLE,))
-    return DepthResult(mean_depth=float(reach.mean()), unreachable=unreachable)
+    return DepthResult(mean_depth=sum(reach) / len(reach),
+                       unreachable=unreachable)
 
 
 def density(g: SiteGraph) -> tuple[float, tuple[str, ...]]:
@@ -377,7 +365,8 @@ def linearity(g: SiteGraph) -> float | None:
 
 def _linearity_from_summary(summary: _DistanceSummary) -> float:
     n = summary.n
-    prestige = float(np.abs(summary.status - summary.contrastatus).sum())
+    prestige = sum(abs(a - b)
+                   for a, b in zip(summary.status, summary.contrastatus))
     lap = n ** 3 / 4 if n % 2 == 0 else (n ** 3 - n) / 4
     return prestige / lap
 

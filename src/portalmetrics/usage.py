@@ -572,25 +572,6 @@ def accessed_distribution(sessions, records: list[ContentRecord],
     )
 
 
-def session_path_graph(session: Session) -> structure.SiteGraph | None:
-    """Directed graph of the session's page transitions.
-
-    Nodes are the distinct paths; edges join consecutive distinct views
-    (reload self-transitions are dropped). Root is the entry page. None
-    when the session visits fewer than 2 distinct pages.
-    """
-    paths = [p for _, p in session.views]
-    distinct = set(paths)
-    if len(distinct) < 2:
-        return None
-    edges = set()
-    for a, b in zip(paths, paths[1:]):
-        if a != b:
-            edges.add((a, b))
-    return structure.SiteGraph(nodes=frozenset(distinct),
-                               edges=frozenset(edges), root=paths[0])
-
-
 @lru_cache(maxsize=4096)
 def _metrics_for_shape(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[float, float]:
     # Both metrics are invariant under node relabeling, so sessions sharing

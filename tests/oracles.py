@@ -16,6 +16,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from portalmetrics.errors import FormatError
+from portalmetrics.structure import SiteGraph
 from portalmetrics.usage import _COMBINED_RE, _MONTHS, LogEntry, ParsedLog
 
 
@@ -95,6 +96,25 @@ def oracle_stratum(graph) -> float | None:
     else:
         linear_max = (n ** 3 - n) / 4
     return absolute_prestige / linear_max
+
+
+def session_path_graph(session) -> SiteGraph | None:
+    """Directed graph of the session's page transitions.
+
+    Nodes are the distinct paths; edges join consecutive distinct views
+    (reload self-transitions are dropped). Root is the entry page. None
+    when the session visits fewer than 2 distinct pages.
+    """
+    paths = [p for _, p in session.views]
+    distinct = set(paths)
+    if len(distinct) < 2:
+        return None
+    edges = set()
+    for a, b in zip(paths, paths[1:]):
+        if a != b:
+            edges.add((a, b))
+    return SiteGraph(nodes=frozenset(distinct), edges=frozenset(edges),
+                     root=paths[0])
 
 
 def _reference_clf_timestamp(text: str) -> datetime:

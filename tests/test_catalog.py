@@ -325,10 +325,3 @@ class TestTaxonomyFile:
         path.write_text("algebra\nbiology\n# comment\n\nchemistry\n")
         taxonomy = catalog.TopicTaxonomy.from_file(path)
         assert taxonomy.topics == ("algebra", "biology", "chemistry")
-
-    def test_latest_published(self):
-        records = [
-            _rec(ident="r1", published=date(2026, 1, 5)),
-            _rec(ident="r2", published=date(2026, 2, 7)),
-        ]
-        assert catalog.latest_published(records) == date(2026, 2, 7)

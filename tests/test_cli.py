@@ -535,11 +535,36 @@ class TestNonUtf8Input:
         assert "not UTF-8" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+def _src_dir():
+    return os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, portalmetrics.cli; print('scipy' in sys.modules)"],
+         "import sys, portalmetrics.cli; "
+         "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
         capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src})
-    assert result.stdout.strip() == "False"
+        env={**os.environ, "PYTHONPATH": _src_dir()})
+    assert result.stdout.strip() == "[]"
+
+
+def test_report_runs_with_numpy_blocked(tmp_path, capsys):
+    # Blocking the module also catches an import made inside a function,
+    # which the import check above cannot see.
+    assert cli.main(["gen", str(tmp_path / "demo")]) == 0
+    config = json.loads(capsys.readouterr().out)["configs"]["alpha"]
+    blocked = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['numpy'] = None; "
+         "from portalmetrics.cli import main; sys.exit(main(sys.argv[1:]))",
+         "report", "--config", config,
+         "--output-dir", str(tmp_path / "blocked")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": _src_dir()})
+    assert blocked.returncode == 0, blocked.stderr
+    assert cli.main(["report", "--config", config,
+                     "--output-dir", str(tmp_path / "free")]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "blocked" / "alpha.report.json").read_bytes()
+            == (tmp_path / "free" / "alpha.report.json").read_bytes())

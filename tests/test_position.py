@@ -1,7 +1,7 @@
 """Cross-site graph aggregation, communities, and network-role flags."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from portalmetrics import position
 from portalmetrics.errors import DomainError
@@ -305,3 +305,27 @@ class TestPositionProfile:
         assert profile.thresholds.authority_percentile == 90.0
         assert profile.community_algorithm == position.COMMUNITY_ALGORITHM
         assert profile.community_seed == 0
+
+    @pytest.mark.parametrize("percentile", [-1.0, 150.0])
+    def test_percentile_outside_range_rejected(self, percentile):
+        g = _bridged()
+        communities = position.detect_communities(g)
+        thresholds = position.PositionThresholds(authority_percentile=percentile)
+        with pytest.raises(ValueError):
+            position.position_profile(g, "c0.example", communities, thresholds)
+
+
+class TestPercentileCut:
+    @given(st.lists(st.integers(min_value=-1_000, max_value=100_000),
+                    min_size=1, max_size=60),
+           st.floats(min_value=0, max_value=100))
+    @example([4, 1, 9, 7], 0.0)
+    @example([4, 1, 9, 7], 50.0)
+    @example([3, 1, 7, 2, 8], 75.0)
+    @example([4, 1, 9, 7], 100.0)
+    @example([1, 4, 9], 25.0)  # index 0.5: t is exactly 0.5
+    @settings(max_examples=300)
+    def test_matches_numpy_linear_bit_for_bit(self, values, q):
+        np = pytest.importorskip("numpy")
+        expected = float(np.percentile(np.asarray(values, float), q))
+        assert position._percentile_cut(values, q) == expected

@@ -96,13 +96,6 @@ class TestBuildSiteGraph:
             structure.SiteGraph(nodes=frozenset({"/a"}),
                                 edges=frozenset({("/a", "/a")}), root="/a")
 
-    def test_outlinks_adapter(self):
-        g, _ = structure.from_outlinks_map(
-            {"/home": ["/a", "/b"], "/a": [], "/b": ["/home"]})
-        assert g.root == "/home"
-        assert g.n == 3
-        assert len(g.edges) == 3
-
 
 class TestDepth:
     def test_chain_of_four(self):
@@ -292,7 +285,7 @@ class TestConversionConstant:
         g = _graph("cycle", 5)
         value = structure.navigability(g, K=4)
         assert value == pytest.approx(oracle_compactness(g, K=4), abs=1e-12)
-        assert structure.converted_distances(g, K=4).d.max() == 4
+        assert max(map(max, structure.converted_distances(g, K=4).d)) == 4
 
     def test_k_of_one_rejected_for_metrics(self):
         # Max equals Min at K=1, so compactness would divide by zero.

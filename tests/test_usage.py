@@ -16,6 +16,7 @@ from oracles import (
     oracle_compactness,
     oracle_stratum,
     reference_parse_log,
+    session_path_graph,
     sessions_as_set,
 )
 
@@ -598,7 +599,7 @@ class TestNavigationMetrics:
     def test_matches_oracle_on_path_graph(self, paths):
         session = _session(paths)
         metrics = usage.navigation_metrics(session)
-        graph = usage.session_path_graph(session)
+        graph = session_path_graph(session)
         if graph is None:
             assert metrics.degenerate
             return
@@ -608,11 +609,11 @@ class TestNavigationMetrics:
                                                   abs=1e-12)
 
     def test_path_graph_root_is_entry_page(self):
-        graph = usage.session_path_graph(_session(["/b", "/a", "/c"]))
+        graph = session_path_graph(_session(["/b", "/a", "/c"]))
         assert graph.root == "/b"
 
     def test_path_graph_none_when_degenerate(self):
-        assert usage.session_path_graph(_session(["/a"])) is None
+        assert session_path_graph(_session(["/a"])) is None
 
 
 class TestSummarizeNavigation:
