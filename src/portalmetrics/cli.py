@@ -92,8 +92,8 @@ def _log_lines(paths):
 
 
 def _load_sessions(cfg: RunConfig):
-    """Parse logs, drop bots and non-page-views, and sessionize, streaming
-    each line through in turn, so that no list of entries is built.
+    """Ingest the logs line by line, keeping only human page views, and
+    sessionize them.
 
     Returns (sessions, tallies) where tallies records what was dropped on
     the way; those counts go to local diagnostics only.
@@ -103,11 +103,10 @@ def _load_sessions(cfg: RunConfig):
         signatures = _load_file(usage_mod.load_signatures, cfg.bot_list,
                                 "bot signature list")
     tally = usage_mod.IngestTally()
-    entries = usage_mod.iter_log(_log_lines(_require(cfg, "logs")), tally,
-                                 use_auth_user=cfg.use_auth_user)
-    sessions = usage_mod.sessionize(
-        usage_mod.human_page_views(entries, tally, signatures),
-        cfg.session_timeout())
+    views = usage_mod.ingest(_log_lines(_require(cfg, "logs")), tally,
+                             use_auth_user=cfg.use_auth_user,
+                             signatures=signatures)
+    sessions = usage_mod.sessionize(views, cfg.session_timeout())
     tallies = {
         "log_lines": tally.total_lines,
         "malformed_lines": tally.malformed,
@@ -258,11 +257,20 @@ def cmd_position(cfg: RunConfig) -> int:
     return 0
 
 
-def _network_sizes(cfg: RunConfig):
+def _network_sizes(cfg: RunConfig, parsed=None):
     """Relative sizes over every portal catalog in the network, counted one
-    catalog at a time: each catalog's records are dropped once counted."""
+    catalog at a time: each catalog's records are dropped once counted.
+
+    ``parsed``, when given, is the portal's own catalog, already parsed; a
+    network catalog at the same path reuses it instead of parsing again.
+    """
+    own = os.path.abspath(cfg.catalog) if parsed is not None else None
+
     def records():
         for path in _require(cfg, "network_catalogs"):
+            if os.path.abspath(path) == own:
+                yield from parsed.records
+                continue
             yield from catalog_mod.parse_catalog(
                 _read_text(path, "network catalog")).records
     per_portal, network_total = catalog_mod.content_counts(records())
@@ -270,11 +278,11 @@ def _network_sizes(cfg: RunConfig):
     return ratios, segmentation_mod.size_class(ratios)
 
 
-def _segmentation_parts(cfg: RunConfig, demand):
+def _segmentation_parts(cfg: RunConfig, demand, parsed=None):
     trend = segmentation_mod.demand_trend(demand)
     dynamics = segmentation_mod.dynamics_class(trend.relative_slope,
                                                cfg.growth_threshold)
-    ratios, sizes = _network_sizes(cfg)
+    ratios, sizes = _network_sizes(cfg, parsed)
     if cfg.portal_id not in ratios:
         raise ConfigError(
             f"portal {cfg.portal_id!r} does not appear in the network "
@@ -303,7 +311,7 @@ def cmd_report(cfg: RunConfig) -> int:
     period = cfg.period()  # the report needs it even without logs
     flags: list[str] = []
     provision = organization = position = segmentation = None
-    sessions = None
+    sessions = parsed = None
     tallies: dict = {}
     navigation = None
     demand = rec = activity = None
@@ -336,7 +344,7 @@ def cmd_report(cfg: RunConfig) -> int:
         position = report_mod.position_section(profile)
 
     if sessions is not None and cfg.network_catalogs:
-        trend, ratio, label, _sizes = _segmentation_parts(cfg, demand)
+        trend, ratio, label, _sizes = _segmentation_parts(cfg, demand, parsed)
         segmentation = report_mod.segmentation_section(trend, ratio, label)
 
     algorithms = {

@@ -13,17 +13,15 @@ present, otherwise a stable hash of (client address, user agent). The
 latter is an approximation -- one machine and browser counts as one
 visitor -- and reports label which method was in effect.
 
-Ingest costs one regex match per line plus one pass per distinct date,
-visitor and agent: the UTC midnight of each distinct date and offset,
-the hash of each distinct (address, agent) pair and the bot verdict of
-each distinct agent are computed once per call and reused for every line
-that repeats them.
-
-Ingest streams: ``iter_log`` yields each entry as its line is read and
-``human_page_views`` passes on only the human page views, so a pipeline
-of the two into ``sessionize`` holds no list of entries. Its memory
-follows the human page views that the sessions keep, not the number of
-log lines; every view of one request path shares one path string.
+Ingest is one loop: each log line is matched once, tested for being
+malformed, a bot hit or a non-page-view in that order, and, when kept,
+appended as an ``(epoch seconds, path)`` view to its visitor's list. No
+per-line record or ``datetime`` is built. The UTC midnight of each
+distinct date and offset, the hash of each distinct (address, agent)
+pair and the bot verdict of each distinct agent are computed once per
+call and reused for every line that repeats them. Memory follows the
+human page views that sessions keep, not the number of log lines; every
+view of one request path shares one path string.
 """
 
 from __future__ import annotations
@@ -32,10 +30,9 @@ import gzip
 import hashlib
 import re
 import statistics
-from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from dataclasses import dataclass, field
+from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
-from typing import Iterator, NamedTuple
 
 from . import structure
 from .catalog import ContentRecord, TopicDistribution
@@ -45,7 +42,7 @@ DEFAULT_SESSION_TIMEOUT = timedelta(minutes=30)
 DEFAULT_LINEARITY_BAND = 0.8
 
 # Case-insensitive substrings that mark an automated agent. User-extendable
-# via filter_agents(signatures=...) or a signature file.
+# via ingest(signatures=...) or a signature file.
 DEFAULT_BOT_SIGNATURES = (
     "bot",
     "crawler",
@@ -72,37 +69,37 @@ _MONTHS = {
     "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
 }
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+_MICROSECOND = timedelta(microseconds=1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+# The whole epoch seconds that a datetime can hold.
+_MIN_SECONDS = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _SECOND
+_MAX_SECONDS = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _SECOND
 
-class LogEntry(NamedTuple):
-    """One parsed access-log line."""
 
-    visitor_key: str
-    timestamp: datetime
-    path: str
-    status: int
-    user_agent: str
-    referrer: str
-
-    @property
-    def is_page_view(self) -> bool:
-        """Only successful and redirect responses count as page views."""
-        return 200 <= self.status < 400
+def instant(seconds: int) -> datetime:
+    """The UTC datetime of a view's epoch seconds."""
+    return _EPOCH + timedelta(seconds=seconds)
 
 
 @dataclass(frozen=True)
 class Session:
-    """A visit: one visitor's page views with no gap above the timeout."""
+    """A visit: one visitor's page views with no gap above the timeout.
+
+    Each view is (UTC epoch seconds, request path).
+    """
 
     visitor_key: str
-    views: tuple[tuple[datetime, str], ...]
+    views: tuple[tuple[int, str], ...]
 
     @property
     def start(self) -> datetime:
-        return self.views[0][0]
+        return instant(self.views[0][0])
 
     @property
     def end(self) -> datetime:
-        return self.views[-1][0]
+        return instant(self.views[-1][0])
 
     def __len__(self) -> int:
         return len(self.views)
@@ -112,40 +109,43 @@ class Session:
 class AnalysisPeriod:
     """Half-open observation window [start, end) cut into equal buckets.
 
-    The last bucket may be partial. All instants must be timezone-aware.
+    The last bucket may be partial. Both bounds must be timezone-aware.
+    Views are placed in buckets by their epoch seconds, against the bounds
+    and bucket length held exactly in integer microseconds.
     """
 
     start: datetime
     end: datetime
     bucket: timedelta = timedelta(days=1)
+    _start_us: int = field(init=False, repr=False, compare=False)
+    _span_us: int = field(init=False, repr=False, compare=False)
+    _bucket_us: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.start.utcoffset() is None or self.end.utcoffset() is None:
+            raise DomainError("period start and end must be timezone-aware")
         if self.start >= self.end:
             raise DomainError("period start must precede period end")
         if self.bucket <= timedelta(0):
             raise DomainError("bucket duration must be positive")
+        object.__setattr__(self, "_start_us", (self.start - _EPOCH) // _MICROSECOND)
+        object.__setattr__(self, "_span_us", (self.end - self.start) // _MICROSECOND)
+        object.__setattr__(self, "_bucket_us", self.bucket // _MICROSECOND)
 
     @property
     def bucket_count(self) -> int:
-        span = self.end - self.start
-        count = span // self.bucket
-        return int(count) + (1 if count * self.bucket < span else 0)
+        return -(-self._span_us // self._bucket_us)
 
-    def bucket_index(self, instant: datetime) -> int | None:
-        """Index of the bucket containing ``instant``; None when outside."""
-        if instant < self.start or instant >= self.end:
+    def bucket_index(self, seconds: int) -> int | None:
+        """Index of the bucket containing the instant ``seconds`` (UTC
+        epoch seconds); None when outside."""
+        offset = seconds * 1_000_000 - self._start_us
+        if offset < 0 or offset >= self._span_us:
             return None
-        return int((instant - self.start) // self.bucket)
+        return offset // self._bucket_us
 
     def bucket_starts(self) -> list[datetime]:
         return [self.start + i * self.bucket for i in range(self.bucket_count)]
-
-
-@dataclass
-class ParsedLog:
-    entries: list[LogEntry]
-    malformed: int
-    total_lines: int
 
 
 @dataclass(frozen=True)
@@ -218,9 +218,9 @@ class NavigationSummary:
     sessions_skipped: int
 
 
-def _clf_date(text: str) -> tuple[datetime, int]:
-    """UTC midnight of a CLF timestamp's calendar date, and its offset in
-    seconds east of UTC.
+def _clf_base(text: str) -> int:
+    """UTC epoch seconds of a CLF timestamp's local midnight: the UTC
+    midnight of its calendar date minus its offset east of UTC.
 
     Fixed layout: dd/Mon/yyyy:HH:MM:SS +ZZZZ (locale-independent). Only
     the date and the offset are read here; raises ValueError or KeyError
@@ -235,11 +235,8 @@ def _clf_date(text: str) -> tuple[datetime, int]:
     offset = int(tz_text[1:3]) * 3600 + int(tz_text[3:5]) * 60
     if not -86400 < offset < 86400:  # the offsets timezone() accepts
         raise ValueError(f"bad timezone {tz_text!r}")
-    # The offset is applied per line, not folded into this midnight, so
-    # that an instant near datetime.min or .max overflows exactly when the
-    # instant itself is out of range.
-    return (datetime(year, month, day, tzinfo=timezone.utc),
-            offset if tz_text[0] == "+" else -offset)
+    midnight = (date(year, month, day).toordinal() - _EPOCH_ORDINAL) * 86400
+    return midnight - offset if tz_text[0] == "+" else midnight + offset
 
 
 def visitor_key_method(use_auth_user: bool = True) -> str:
@@ -251,8 +248,8 @@ def visitor_key_method(use_auth_user: bool = True) -> str:
 
 @dataclass
 class IngestTally:
-    """What a streamed ingest read and dropped. Each count is complete once
-    the stream that fills it has been read to the end."""
+    """What an ingest read and dropped; complete once ``ingest`` returns
+    or raises."""
 
     total_lines: int = 0
     malformed: int = 0
@@ -260,37 +257,49 @@ class IngestTally:
     non_page_view_entries: int = 0
 
 
-def iter_log(line_stream, tally: IngestTally,
-             use_auth_user: bool = True) -> Iterator[LogEntry]:
-    """Parse NCSA Combined Log Format lines, yielding one LogEntry per
-    well-formed line as the lines are read.
+def ingest(lines, tally: IngestTally, *, use_auth_user: bool = True,
+           signatures=None) -> dict[str, list[tuple[int, str]]]:
+    """The human page views of NCSA Combined Log Format lines, grouped by
+    visitor: ``{visitor: [(UTC epoch seconds, path), ...]}``, each list in
+    line order.
 
-    Malformed lines (including blank ones, and timestamps whose UTC instant
-    is outside the datetime range) are skipped and counted in ``tally``,
-    as are all lines. Non-2xx/3xx responses are yielded but are not page
-    views (``LogEntry.is_page_view``). Once the stream ends, raises
-    FormatError when more than half of the lines failed to parse.
+    Each line is counted in ``tally`` under the first of these tests that
+    it meets, in this order:
+
+    - malformed: it fails the line pattern, its timestamp is invalid or
+      its UTC instant is outside the datetime range, or its request has
+      no path;
+    - bot hit: its user agent contains a signature (case-insensitive;
+      ``DEFAULT_BOT_SIGNATURES`` unless ``signatures`` is given), or it
+      requests the robots-exclusion file;
+    - not a page view: its status is not 2xx or 3xx;
+
+    and otherwise it is kept. Lines are read one at a time and none is
+    held. Once they are all read, raises FormatError when more than half
+    of them were malformed.
 
     Each line costs one regex match and its time-of-day arithmetic; the
-    date and offset part of the timestamp is resolved once per distinct
-    value, the anonymous visitor hash once per distinct (address, agent)
-    pair, and every entry of one request path shares one path string.
+    date and offset of the timestamp are resolved once per distinct value,
+    a bot verdict once per distinct agent and the anonymous visitor hash
+    once per distinct (address, agent) pair, and every view of one request
+    path shares one path string.
     """
-    if isinstance(line_stream, (str, bytes)):
-        text = line_stream if isinstance(line_stream, str) else line_stream.decode()
-        line_stream = text.splitlines()
-    malformed = 0
-    total = 0
-    dates: dict[str, tuple[datetime, int]] = {}
+    if signatures is None:
+        signatures = DEFAULT_BOT_SIGNATURES
+    sigs = tuple(s.lower() for s in signatures)
+    total = malformed = bots = non_page_views = 0
+    bases: dict[str, int] = {}
+    verdicts: dict[str, bool] = {}
     anonymous: dict[tuple[str, str], str] = {}
     paths: dict[str, str] = {}
-    for raw in line_stream:
+    views_by_visitor: dict[str, list[tuple[int, str]]] = {}
+    for raw in lines:
         total += 1
         m = _COMBINED_RE.match(raw)
         if m is None:
             malformed += 1
             continue
-        host, _ident, authuser, when, request, status, _size, referrer, agent = m.groups()
+        host, authuser, when, request, status, agent = m.group(1, 3, 4, 5, 6, 9)
         try:
             hour = int(when[12:14])
             minute = int(when[15:17])
@@ -299,18 +308,28 @@ def iter_log(line_stream, tally: IngestTally,
                 raise ValueError(f"bad time of day in {when!r}")
             # Date and offset; the separators between fields are not read.
             date_key = when[:11] + when[21:]
-            date = dates.get(date_key)
-            if date is None:
-                date = dates[date_key] = _clf_date(when)
-            midnight, offset = date
-            timestamp = midnight + timedelta(
-                0, hour * 3600 + minute * 60 + second - offset)
-        except (ValueError, KeyError, OverflowError):
+            base = bases.get(date_key)
+            if base is None:
+                base = bases[date_key] = _clf_base(when)
+        except (ValueError, KeyError):
             malformed += 1
             continue
+        seconds = base + hour * 3600 + minute * 60 + second
         parts = request.split()
-        if len(parts) < 2 or not parts[1]:
+        if (not _MIN_SECONDS <= seconds <= _MAX_SECONDS
+                or len(parts) < 2 or not parts[1]):
             malformed += 1
+            continue
+        path = parts[1]
+        verdict = verdicts.get(agent)
+        if verdict is None:
+            lowered = agent.lower()
+            verdict = verdicts[agent] = any(s in lowered for s in sigs)
+        if verdict or path == ROBOTS_PATH:
+            bots += 1
+            continue
+        if not 200 <= int(status) < 400:
+            non_page_views += 1
             continue
         if use_auth_user and authuser not in ("-", ""):
             visitor = f"user:{authuser}"
@@ -319,26 +338,21 @@ def iter_log(line_stream, tally: IngestTally,
             if visitor is None:
                 digest = hashlib.sha1(f"{host}|{agent}".encode("utf-8")).hexdigest()
                 visitor = anonymous[host, agent] = f"anon:{digest[:16]}"
-        path = paths.setdefault(parts[1], parts[1])
-        yield LogEntry(visitor, timestamp, path, int(status), agent,
-                       "" if referrer == "-" else referrer)
+        view = (seconds, paths.setdefault(path, path))
+        views = views_by_visitor.get(visitor)
+        if views is None:
+            views_by_visitor[visitor] = [view]
+        else:
+            views.append(view)
     tally.total_lines += total
     tally.malformed += malformed
+    tally.bot_entries += bots
+    tally.non_page_view_entries += non_page_views
     if total > 0 and malformed * 2 > total:
         raise FormatError(
             f"log stream is mostly unparseable: {malformed} of {total} lines malformed"
         )
-
-
-def parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
-    """Every entry of ``iter_log`` at once, with its line counts.
-
-    Raises FormatError when more than half of the lines fail to parse.
-    """
-    tally = IngestTally()
-    entries = list(iter_log(line_stream, tally, use_auth_user))
-    return ParsedLog(entries=entries, malformed=tally.malformed,
-                     total_lines=tally.total_lines)
+    return views_by_visitor
 
 
 def read_log_lines(paths):
@@ -376,88 +390,30 @@ def load_signatures(path) -> tuple[str, ...]:
     return tuple(signatures)
 
 
-def _bot_test(signatures=None):
-    """The bot test of one ingest: an entry is a bot hit when its user
-    agent contains any signature (case-insensitive) or it requests the
-    robots-exclusion file. Signatures are matched once per distinct user
-    agent; the robots-exclusion test runs on every entry."""
-    sigs = DEFAULT_BOT_SIGNATURES if signatures is None else tuple(signatures)
-    sigs = tuple(s.lower() for s in sigs)
-    verdicts: dict[str, bool] = {}
-
-    def is_bot(entry: LogEntry) -> bool:
-        verdict = verdicts.get(entry.user_agent)
-        if verdict is None:
-            agent = entry.user_agent.lower()
-            verdict = verdicts[entry.user_agent] = any(s in agent for s in sigs)
-        return verdict or entry.path == ROBOTS_PATH
-    return is_bot
-
-
-def filter_agents(entries, signatures=None) -> tuple[list[LogEntry], list[LogEntry]]:
-    """Split entries into (human, bot) partitions.
-
-    An entry is a bot hit when its user agent contains any signature
-    (case-insensitive) or it requests the robots-exclusion file. The
-    partition is exhaustive and disjoint.
-    """
-    is_bot = _bot_test(signatures)
-    humans: list[LogEntry] = []
-    bots: list[LogEntry] = []
-    for entry in entries:
-        if is_bot(entry):
-            bots.append(entry)
-        else:
-            humans.append(entry)
-    return humans, bots
-
-
-def human_page_views(entries, tally: IngestTally,
-                     signatures=None) -> Iterator[LogEntry]:
-    """The entries that are human page views, as ``filter_agents`` and
-    ``LogEntry.is_page_view`` would keep them, yielded as they are read.
-
-    Bot hits and human non-page-views are counted in ``tally``.
-    """
-    is_bot = _bot_test(signatures)
-    bots = non_page_views = 0
-    for entry in entries:
-        if is_bot(entry):
-            bots += 1
-        elif entry.is_page_view:
-            yield entry
-        else:
-            non_page_views += 1
-    tally.bot_entries += bots
-    tally.non_page_view_entries += non_page_views
-
-
-def sessionize(entries, timeout: timedelta = DEFAULT_SESSION_TIMEOUT) -> list[Session]:
-    """Group entries into visits: per visitor, a new session starts when
+def sessionize(views_by_visitor,
+               timeout: timedelta = DEFAULT_SESSION_TIMEOUT) -> list[Session]:
+    """Group each visitor's views into visits: a new session starts when
     the gap to the previous view exceeds the timeout (strictly).
 
-    Every entry lands in exactly one session. Input order does not matter:
-    views are grouped by visitor, and sessions come out in (visitor,
-    timestamp, path) order.
+    ``views_by_visitor`` maps each visitor to a non-empty list of (epoch
+    seconds, path) views in any order, as ``ingest`` returns it; each list
+    is sorted in place. Every view lands in exactly one session, and
+    sessions come out in (visitor, seconds, path) order.
     """
-    by_visitor: dict[str, list[tuple[datetime, str]]] = {}
-    for entry in entries:
-        views = by_visitor.get(entry.visitor_key)
-        if views is None:
-            by_visitor[entry.visitor_key] = [(entry.timestamp, entry.path)]
-        else:
-            views.append((entry.timestamp, entry.path))
+    # A gap of whole seconds exceeds the timeout exactly when it exceeds
+    # the timeout's whole seconds.
+    limit = timeout // _SECOND
     sessions: list[Session] = []
-    for visitor in sorted(by_visitor):
-        views = by_visitor[visitor]
+    for visitor in sorted(views_by_visitor):
+        views = views_by_visitor[visitor]
         views.sort()
         first = 0
-        last_ts = views[0][0]
-        for i, (ts, _path) in enumerate(views):
-            if ts - last_ts > timeout:
+        last = views[0][0]
+        for i, (seconds, _path) in enumerate(views):
+            if seconds - last > limit:
                 sessions.append(Session(visitor, tuple(views[first:i])))
                 first = i
-            last_ts = ts
+            last = seconds
         sessions.append(Session(visitor, tuple(views[first:])))
     return sessions
 
@@ -466,7 +422,7 @@ def overall_demand(sessions, period: AnalysisPeriod) -> DemandSeries:
     """Visits per bucket; a session counts in the bucket of its start."""
     counts = [0] * period.bucket_count
     for session in sessions:
-        idx = period.bucket_index(session.start)
+        idx = period.bucket_index(session.views[0][0])
         if idx is not None:
             counts[idx] += 1
     starts = period.bucket_starts()
@@ -479,19 +435,19 @@ def recency(sessions, period: AnalysisPeriod) -> RecencyResult:
     Only sessions starting inside the period count; visitors with a single
     visit are excluded and tallied, not imputed.
     """
-    starts_by_visitor: dict[str, list[datetime]] = {}
+    starts_by_visitor: dict[str, list[int]] = {}
     for session in sessions:
-        if period.bucket_index(session.start) is not None:
-            starts_by_visitor.setdefault(session.visitor_key, []).append(session.start)
+        start = session.views[0][0]
+        if period.bucket_index(start) is not None:
+            starts_by_visitor.setdefault(session.visitor_key, []).append(start)
     gaps: list[timedelta] = []
     single = 0
     for starts in starts_by_visitor.values():
         if len(starts) < 2:
             single += 1
             continue
-        starts.sort()
-        deltas = [b - a for a, b in zip(starts, starts[1:])]
-        gaps.append(sum(deltas, timedelta()) / len(deltas))
+        # The consecutive gaps sum to the span from first to last start.
+        gaps.append(timedelta(seconds=max(starts) - min(starts)) / (len(starts) - 1))
     if not gaps:
         return RecencyResult(mean_between_visits=None, eligible_visitors=0,
                              single_visit_visitors=single)
@@ -526,14 +482,14 @@ def accessed_distribution(sessions, records: list[ContentRecord],
     nbuckets = period.bucket_count
     view_counts = [dict() for _ in range(nbuckets)]
     visitor_sets = [dict() for _ in range(nbuckets)]
-    total_views: dict[str, int] = {}
-    total_visitors: dict[str, set[str]] = {}
+    total_views: dict[str, int] = {}  # labels in order of first view
     uncatalogued = 0
-    joined = 0
     labels: dict[str, str | None] = {}  # path -> label; None: uncatalogued
+    bucket_index = period.bucket_index
     for session in sessions:
-        for ts, path in session.views:
-            idx = period.bucket_index(ts)
+        visitor = session.visitor_key
+        for seconds, path in session.views:
+            idx = bucket_index(seconds)
             if idx is None:
                 continue
             try:
@@ -549,12 +505,15 @@ def accessed_distribution(sessions, records: list[ContentRecord],
             if label is None:
                 uncatalogued += 1
                 continue
-            joined += 1
-            view_counts[idx][label] = view_counts[idx].get(label, 0) + 1
-            visitor_sets[idx].setdefault(label, set()).add(session.visitor_key)
+            counts = view_counts[idx]
+            counts[label] = counts.get(label, 0) + 1
+            visitors = visitor_sets[idx].get(label)
+            if visitors is None:
+                visitor_sets[idx][label] = {visitor}
+            else:
+                visitors.add(visitor)
             total_views[label] = total_views.get(label, 0) + 1
-            total_visitors.setdefault(label, set()).add(session.visitor_key)
-    if joined == 0:
+    if not total_views:
         raise DomainError(
             f"no page view joined the catalog ({uncatalogued} uncatalogued views)"
         )
@@ -565,9 +524,10 @@ def accessed_distribution(sessions, records: list[ContentRecord],
             for s in visitor_sets
         ),
         views_total=TopicDistribution.from_counts(total_views),
-        visitors_total=TopicDistribution.from_counts(
-            {k: len(v) for k, v in total_visitors.items()}
-        ),
+        visitors_total=TopicDistribution.from_counts({
+            label: len(set().union(*(s[label] for s in visitor_sets if label in s)))
+            for label in total_views
+        }),
         uncatalogued_views=uncatalogued,
     )
 

@@ -2,22 +2,33 @@
 
 Deliberately different algorithms from the ones under test: distances via
 boolean matrix powers rather than BFS or sparse shortest-path, session
-grouping via per-visitor scans, log parsing with no value cached between
-lines, regression via the closed-form normal equations. Slow is fine
-here; disagreement is the signal.
+grouping via per-visitor scans, log parsing into one ``LogEntry`` per line
+with aware ``datetime`` timestamps and no value cached between lines, bot
+filtering with no verdict cached between entries, bucket placement by
+``datetime`` arithmetic, regression via the closed-form normal equations.
+Slow is fine here; disagreement is the signal.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from typing import NamedTuple
 
 import numpy as np
 
 from portalmetrics.errors import FormatError
 from portalmetrics.structure import SiteGraph
-from portalmetrics.usage import _COMBINED_RE, _MONTHS, LogEntry, ParsedLog
+from portalmetrics.usage import (
+    _COMBINED_RE,
+    _MONTHS,
+    DEFAULT_BOT_SIGNATURES,
+    ROBOTS_PATH,
+)
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def matrix_power_distances(n: int, edges) -> np.ndarray:
@@ -117,6 +128,29 @@ def session_path_graph(session) -> SiteGraph | None:
                      root=paths[0])
 
 
+class LogEntry(NamedTuple):
+    """One parsed access-log line."""
+
+    visitor_key: str
+    timestamp: datetime
+    path: str
+    status: int
+    user_agent: str
+    referrer: str
+
+    @property
+    def is_page_view(self) -> bool:
+        """Only successful and redirect responses count as page views."""
+        return 200 <= self.status < 400
+
+
+@dataclass
+class ParsedLog:
+    entries: list[LogEntry]
+    malformed: int
+    total_lines: int
+
+
 def _reference_clf_timestamp(text: str) -> datetime:
     # Fixed layout: dd/Mon/yyyy:HH:MM:SS +ZZZZ (locale-independent).
     day = int(text[0:2])
@@ -182,6 +216,54 @@ def reference_parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
     return ParsedLog(entries=entries, malformed=malformed, total_lines=total)
 
 
+def reference_filter_agents(entries, signatures=None):
+    """Split entries into (human, bot) lists: a bot hit's user agent
+    contains a signature (case-insensitive), or it requests the
+    robots-exclusion file. Every entry is tested on its own."""
+    sigs = DEFAULT_BOT_SIGNATURES if signatures is None else signatures
+    humans: list[LogEntry] = []
+    bots: list[LogEntry] = []
+    for e in entries:
+        agent = e.user_agent.lower()
+        if any(s.lower() in agent for s in sigs) or e.path == ROBOTS_PATH:
+            bots.append(e)
+        else:
+            humans.append(e)
+    return humans, bots
+
+
+def reference_ingest(lines, timeout: timedelta, use_auth_user: bool = True,
+                     signatures=None):
+    """The eager oracle chain: ``reference_parse_log`` ->
+    ``reference_filter_agents`` -> page-view filter -> ``brute_sessionize``.
+
+    Returns (sessions as ``brute_sessionize`` gives them, counts keyed as
+    the fields of ``usage.IngestTally``); raises the parser's FormatError.
+    """
+    parsed = reference_parse_log(lines, use_auth_user=use_auth_user)
+    humans, bots = reference_filter_agents(parsed.entries, signatures)
+    views = [e for e in humans if e.is_page_view]
+    counts = {"total_lines": parsed.total_lines, "malformed": parsed.malformed,
+              "bot_entries": len(bots),
+              "non_page_view_entries": len(humans) - len(views)}
+    return brute_sessionize(views, timeout), counts
+
+
+def epoch_seconds(instant: datetime) -> int:
+    """Whole UTC epoch seconds of an aware datetime (rounded down)."""
+    return (instant - EPOCH) // timedelta(seconds=1)
+
+
+def views_by_visitor(entries) -> dict:
+    """Entries as ``usage.sessionize`` takes them: per visitor, a list of
+    (epoch seconds, path) views in entry order."""
+    grouped: dict = {}
+    for e in entries:
+        grouped.setdefault(e.visitor_key, []).append(
+            (epoch_seconds(e.timestamp), e.path))
+    return grouped
+
+
 def brute_sessionize(entries, timeout: timedelta):
     """Reference grouping: per visitor, walk views in time order and cut
     whenever the gap is strictly greater than the timeout.
@@ -210,9 +292,20 @@ def brute_sessionize(entries, timeout: timedelta):
 
 
 def sessions_as_set(sessions):
+    """Sessions as ``brute_sessionize`` gives them, with each view's epoch
+    seconds as a UTC datetime."""
     return {(s.visitor_key,
-             tuple(ts for ts, _ in s.views),
+             tuple(EPOCH + timedelta(seconds=ts) for ts, _ in s.views),
              tuple(p for _, p in s.views)) for s in sessions}
+
+
+def reference_bucket_index(period, instant: datetime) -> int | None:
+    """The bucket of ``instant`` by ``datetime`` arithmetic: the floor of
+    its distance from the period start over the bucket length, or None
+    outside the half-open period."""
+    if instant < period.start or instant >= period.end:
+        return None
+    return (instant - period.start) // period.bucket
 
 
 def ols_slope(ys) -> float:

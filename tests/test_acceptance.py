@@ -26,7 +26,13 @@ from portalmetrics.catalog import (
 from portalmetrics.report import REPORT_SCHEMA, deserialize
 from portalmetrics.structure import SiteGraph
 
-from oracles import brute_sessionize, oracle_converted, sessions_as_set
+from oracles import (
+    LogEntry,
+    brute_sessionize,
+    oracle_converted,
+    sessions_as_set,
+    views_by_visitor,
+)
 
 UTC = timezone.utc
 START = datetime(2026, 3, 2, tzinfo=UTC)
@@ -158,7 +164,7 @@ def test_criterion_4_sessionize_oracle(capsys):
     for _ in range(1000):
         entries = []
         for _ in range(rng.randint(0, 40)):
-            entries.append(usage_mod.LogEntry(
+            entries.append(LogEntry(
                 visitor_key=f"user:v{rng.randint(0, 3)}",
                 timestamp=START + timedelta(seconds=rng.randint(0, 10_800)),
                 path=f"/p{rng.randint(0, 5):04d}",
@@ -167,7 +173,7 @@ def test_criterion_4_sessionize_oracle(capsys):
                 referrer="",
             ))
         timeout = timedelta(minutes=rng.choice((5, 30)))
-        sessions = usage_mod.sessionize(entries, timeout)
+        sessions = usage_mod.sessionize(views_by_visitor(entries), timeout)
         if sessions_as_set(sessions) != brute_sessionize(entries, timeout):
             failures.append(f"mismatch vs brute oracle (fixture "
                             f"{fixtures_checked})")
@@ -180,17 +186,17 @@ def test_criterion_4_sessionize_oracle(capsys):
 
     timeout = timedelta(minutes=30)
     at_timeout = [
-        usage_mod.LogEntry("user:a", START, "/x", 200, "x", ""),
-        usage_mod.LogEntry("user:a", START + timeout, "/y", 200, "x", ""),
+        LogEntry("user:a", START, "/x", 200, "x", ""),
+        LogEntry("user:a", START + timeout, "/y", 200, "x", ""),
     ]
-    if len(usage_mod.sessionize(at_timeout, timeout)) != 1:
+    if len(usage_mod.sessionize(views_by_visitor(at_timeout), timeout)) != 1:
         failures.append("gap of exactly the timeout split the session")
     past_timeout = [
-        usage_mod.LogEntry("user:a", START, "/x", 200, "x", ""),
-        usage_mod.LogEntry("user:a", START + timeout + timedelta(seconds=1),
-                           "/y", 200, "x", ""),
+        LogEntry("user:a", START, "/x", 200, "x", ""),
+        LogEntry("user:a", START + timeout + timedelta(seconds=1),
+                 "/y", 200, "x", ""),
     ]
-    if len(usage_mod.sessionize(past_timeout, timeout)) != 2:
+    if len(usage_mod.sessionize(views_by_visitor(past_timeout), timeout)) != 2:
         failures.append("gap of timeout+1s did not split the session")
 
     elapsed = time.perf_counter() - t0
@@ -207,14 +213,15 @@ def test_criterion_5_planted_recovery(capsys):
                                         visits_per_bucket=(10, 20, 30),
                                         visitors=5, bot_fraction=0.2,
                                         start=START))
-    parsed = usage_mod.parse_log(lines)
-    humans, bots = usage_mod.filter_agents(parsed.entries)
-    if (len(humans), len(bots)) != (180, 45):
-        failures.append(f"bot removal inexact: {len(humans)} human, "
-                        f"{len(bots)} bot")
+    tally = usage_mod.IngestTally()
+    views = usage_mod.ingest(lines, tally)
+    humans = sum(len(v) for v in views.values())
+    if (humans, tally.bot_entries) != (180, 45):
+        failures.append(f"bot removal inexact: {humans} human, "
+                        f"{tally.bot_entries} bot")
     period = usage_mod.AnalysisPeriod(start=START,
                                       end=START + timedelta(days=3))
-    demand = usage_mod.overall_demand(usage_mod.sessionize(humans), period)
+    demand = usage_mod.overall_demand(usage_mod.sessionize(views), period)
     if demand.counts() != [10, 20, 30]:
         failures.append(f"planted demand came back as {demand.counts()}")
     trend = segmentation.demand_trend(demand)
@@ -228,7 +235,7 @@ def test_criterion_5_planted_recovery(capsys):
                                              visits_per_bucket=(7, 7, 7),
                                              visitors=4, start=START))
     flat_sessions = usage_mod.sessionize(
-        usage_mod.parse_log(flat_lines).entries)
+        usage_mod.ingest(flat_lines, usage_mod.IngestTally()))
     flat = segmentation.demand_trend(
         usage_mod.overall_demand(flat_sessions, period))
     if segmentation.dynamics_class(flat.relative_slope).label != (

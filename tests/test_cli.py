@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -15,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from portalmetrics import catalog, cli, segmentation, usage
 from portalmetrics import fixtures as fx
-from portalmetrics.config import RunConfig
+from portalmetrics.config import RunConfig, build_config
 from portalmetrics.errors import FormatError
 from portalmetrics.report import canonical_json, deserialize
+
+from oracles import reference_ingest, sessions_as_set
 
 START = "2026-03-02T00:00:00+00:00"
 END = "2026-03-05T00:00:00+00:00"
@@ -395,22 +399,24 @@ class TestStreamingIngest:
             cfg = RunConfig(logs=(log,), bot_list=bot_list,
                             use_auth_user=use_auth_user)
             try:
-                parsed = usage.parse_log(lines, use_auth_user=use_auth_user)
+                expected, counts = reference_ingest(
+                    lines, cfg.session_timeout(), use_auth_user, signatures)
             except FormatError as exc:
                 with pytest.raises(FormatError) as streamed:
                     cli._load_sessions(cfg)
                 assert str(streamed.value) == str(exc)
                 return
             sessions, tallies = cli._load_sessions(cfg)
-        humans, bots = usage.filter_agents(parsed.entries, signatures)
-        views = [e for e in humans if e.is_page_view]
-        expected = usage.sessionize(views, cfg.session_timeout())
-        assert sessions == expected
+        assert sessions_as_set(sessions) == expected
+        assert len(sessions) == len(expected)
+        # Sessions come out in (visitor, start) order.
+        order = [(s.visitor_key, s.views[0]) for s in sessions]
+        assert order == sorted(order)
         assert tallies == {
-            "log_lines": parsed.total_lines,
-            "malformed_lines": parsed.malformed,
-            "bot_entries": len(bots),
-            "non_page_view_entries": len(humans) - len(views),
+            "log_lines": counts["total_lines"],
+            "malformed_lines": counts["malformed"],
+            "bot_entries": counts["bot_entries"],
+            "non_page_view_entries": counts["non_page_view_entries"],
             "sessions": len(expected),
         }
 
@@ -451,6 +457,85 @@ class TestNetworkCatalogs:
         if command == "segment":
             assert doc["network_size_classes"] == \
                 segmentation.size_class(ratios).classes
+
+
+    def test_own_catalog_is_parsed_once(self, demo, tmp_path, capsys,
+                                        monkeypatch):
+        # The demo configs list each portal's own catalog again among the
+        # network catalogs; report parses each distinct file once.
+        config = demo["portals"]["alpha"]["config"]
+        cfg = build_config(config)
+        own = cfg.catalog
+        others = [p for p in cfg.network_catalogs
+                  if os.path.abspath(p) != os.path.abspath(own)]
+        assert len(others) == len(cfg.network_catalogs) - 1
+        calls = []
+        parse_catalog = catalog.parse_catalog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return parse_catalog(*args, **kwargs)
+        monkeypatch.setattr(catalog, "parse_catalog", counting)
+
+        def report(name, *network):
+            calls.clear()
+            out = tmp_path / name
+            args = ["report", "--config", config, "--output-dir", str(out)]
+            if network:
+                args += ["--network-catalogs", ",".join(network)]
+            assert cli.main(args) == 0
+            capsys.readouterr()
+            return len(calls), (out / "alpha.report.json").read_bytes()
+
+        calls_listed, listed = report("listed")
+        assert calls_listed == 1 + len(others)
+        # The same file under another spelling of its path is still reused.
+        respelled = os.path.join(os.path.dirname(own), ".",
+                                 os.path.basename(own))
+        assert report("respelled", respelled, *others) == (calls_listed, listed)
+        # A copy is another file: parsed again, to the same report.
+        copy = tmp_path / "copy.csv"
+        shutil.copyfile(own, copy)
+        assert report("copied", str(copy), *others) == (calls_listed + 1,
+                                                        listed)
+
+
+# sha256 of the demo network's outputs: both portals' report and
+# diagnostics, and their comparison. A change that moves any byte must
+# update the digest and say why.
+DEMO_DIGESTS = {
+    "alpha.report.json":
+        "f96cab93335dc176e7f0c382083e8e39a632848e25fee91b23b855ea528713c0",
+    "alpha.diagnostics.json":
+        "41f6bd07bad1467e41c5a9a419d62466e6f034ec7ca9fa0051b566de725c6a04",
+    "beta.report.json":
+        "4f217381163ff39ec6c2e12b8fbac7d186240cffffe452e06c60dfec69b5e822",
+    "beta.diagnostics.json":
+        "6c4c78ddaec6c2c9dad96e7c1debb042ae89d13cbf369b08f323bb6bd8e0edbb",
+    "comparison.json":
+        "73942e2e0d4e5d8145629cf7d1133c1aace8d5ba3562076a24e203ebd46fc15f",
+}
+
+
+def test_demo_network_outputs_match_their_pinned_digests(tmp_path, capsys):
+    root = tmp_path / "demo"
+    assert cli.main(["gen", str(root)]) == 0
+    configs = json.loads(capsys.readouterr().out)["configs"]
+    outputs = {}
+    for name in ("alpha", "beta"):
+        out = tmp_path / name
+        assert cli.main(["report", "--config", configs[name],
+                         "--output-dir", str(out)]) == 0
+        for kind in ("report", "diagnostics"):
+            outputs[f"{name}.{kind}.json"] = out / f"{name}.{kind}.json"
+    assert cli.main(["compare", "--output-dir", str(tmp_path / "cmp"),
+                     str(outputs["alpha.report.json"]),
+                     str(outputs["beta.report.json"])]) == 0
+    capsys.readouterr()
+    outputs["comparison.json"] = tmp_path / "cmp" / "comparison.json"
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in outputs.items()}
+    assert digests == DEMO_DIGESTS
 
 
 class TestCompareCommand:

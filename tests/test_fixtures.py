@@ -24,13 +24,15 @@ from portalmetrics.position import build_cross_site_graph, detect_communities
 from portalmetrics.structure import SiteGraph, build_site_graph
 from portalmetrics.usage import (
     AnalysisPeriod,
-    filter_agents,
+    IngestTally,
+    ingest,
     load_link_map,
     overall_demand,
-    parse_log,
     read_log_lines,
     sessionize,
 )
+
+from oracles import reference_filter_agents, reference_parse_log
 
 UTC = timezone.utc
 START = datetime(2026, 3, 2, tzinfo=UTC)
@@ -175,19 +177,18 @@ class TestGenLog:
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
                                             visits_per_bucket=(3, 2),
                                             visitors=2, start=START))
-        parsed = parse_log(lines)
-        assert parsed.malformed == 0
-        humans, bots = filter_agents(parsed.entries)
-        assert bots == []
+        tally = IngestTally()
+        views = ingest(lines, tally)
+        assert (tally.malformed, tally.bot_entries) == (0, 0)
         period = AnalysisPeriod(start=START, end=START + timedelta(days=2))
-        demand = overall_demand(sessionize(humans), period)
+        demand = overall_demand(sessionize(views), period)
         assert demand.counts() == [3, 2]
 
     def test_visits_dealt_round_robin(self):
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
                                             visits_per_bucket=(5,),
                                             visitors=2, start=START))
-        sessions = sessionize(parse_log(lines).entries)
+        sessions = sessionize(ingest(lines, IngestTally()))
         by_visitor: dict = {}
         for s in sessions:
             by_visitor[s.visitor_key] = by_visitor.get(s.visitor_key, 0) + 1
@@ -197,17 +198,17 @@ class TestGenLog:
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
                                             visits_per_bucket=(4,),
                                             views_per_visit=5, start=START))
-        sessions = sessionize(parse_log(lines).entries)
+        sessions = sessionize(ingest(lines, IngestTally()))
         assert [len(s) for s in sessions] == [5, 5, 5, 5]
 
     def test_views_one_minute_apart(self):
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
                                             visits_per_bucket=(1,),
                                             start=START))
-        (session,) = sessionize(parse_log(lines).entries)
+        (session,) = sessionize(ingest(lines, IngestTally()))
         gaps = [session.views[i + 1][0] - session.views[i][0]
                 for i in range(len(session) - 1)]
-        assert gaps == [timedelta(minutes=1)] * (len(session) - 1)
+        assert gaps == [60] * (len(session) - 1)
 
     def test_bot_lines_planted_exactly(self):
         # 12 human lines at fraction 1/4 need exactly 4 bot lines
@@ -216,24 +217,28 @@ class TestGenLog:
                                             visitors=2, bot_fraction=0.25,
                                             start=START))
         assert len(lines) == 16
-        humans, bots = filter_agents(parse_log(lines).entries)
+        humans, bots = reference_filter_agents(reference_parse_log(lines).entries)
         assert (len(humans), len(bots)) == (12, 4)
         assert sorted(e.path for e in bots) == ["/p0001", "/p0002",
                                                 "/p0003", "/robots.txt"]
+        tally = IngestTally()
+        views = ingest(lines, tally)
+        assert (sum(map(len, views.values())), tally.bot_entries) == (12, 4)
 
     def test_half_bot_traffic(self):
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
                                             visits_per_bucket=(4,),
                                             visitors=2, bot_fraction=0.5,
                                             start=START))
-        humans, bots = filter_agents(parse_log(lines).entries)
-        assert len(humans) == len(bots) == 12
+        tally = IngestTally()
+        views = ingest(lines, tally)
+        assert sum(map(len, views.values())) == tally.bot_entries == 12
 
     def test_bots_carry_no_auth_user(self):
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
                                             visits_per_bucket=(2,),
                                             bot_fraction=0.3, start=START))
-        _, bots = filter_agents(parse_log(lines).entries)
+        _, bots = reference_filter_agents(reference_parse_log(lines).entries)
         assert bots and all(e.visitor_key.startswith("anon:") for e in bots)
 
     def test_no_humans_means_no_bots(self):
@@ -247,7 +252,7 @@ class TestGenLog:
                                             visits_per_bucket=(6, 6),
                                             visitors=3, bot_fraction=0.2,
                                             start=START))
-        stamps = [e.timestamp for e in parse_log(lines).entries]
+        stamps = [e.timestamp for e in reference_parse_log(lines).entries]
         assert stamps == sorted(stamps)
 
     def test_determinism(self):
@@ -450,9 +455,10 @@ class TestWriterRoundTrips:
                                             start=START))
         path = tmp_path / "access.log"
         fx.write_lines(path, lines)
-        parsed = parse_log(read_log_lines([str(path)]))
-        assert parsed.total_lines == len(lines)
-        assert parsed.malformed == 0
+        tally = IngestTally()
+        ingest(read_log_lines([str(path)]), tally)
+        assert tally.total_lines == len(lines)
+        assert tally.malformed == 0
 
 
 @pytest.fixture(scope="module")
@@ -498,15 +504,15 @@ class TestDemoNetwork:
         assert g.weights[("ministry.example", "alpha.example")] == 3
 
     def test_logs_planted(self, demo):
-        parsed = parse_log(read_log_lines([demo["portals"]["alpha"]["log"]]))
-        assert parsed.malformed == 0
-        humans, bots = filter_agents(parsed.entries)
+        tally = IngestTally()
+        views = ingest(read_log_lines([demo["portals"]["alpha"]["log"]]), tally)
+        assert tally.malformed == 0
         # 60 visits of 3 views at bot fraction 0.2: 180 human, 45 bot lines
-        assert (len(humans), len(bots)) == (180, 45)
+        assert (sum(map(len, views.values())), tally.bot_entries) == (180, 45)
         period = AnalysisPeriod(
             start=datetime.fromisoformat(fx.DEMO_PERIOD_START),
             end=datetime.fromisoformat(fx.DEMO_PERIOD_END))
-        demand = overall_demand(sessionize(humans), period)
+        demand = overall_demand(sessionize(views), period)
         assert demand.counts() == [10, 20, 30]
 
     def test_byte_determinism(self, tmp_path):

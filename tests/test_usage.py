@@ -1,7 +1,9 @@
-"""Access-log parsing, sessionization, and the demand-side metrics."""
+"""Access-log ingest, sessionization, and the demand-side metrics."""
 
+import gc
 import gzip
 import hashlib
+import weakref
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -9,19 +11,27 @@ from hypothesis import example, given, settings, strategies as st
 
 from portalmetrics import usage
 from portalmetrics.catalog import ContentRecord
+from portalmetrics.config import RunConfig
 from portalmetrics.errors import DomainError, FormatError
 
 from oracles import (
+    LogEntry,
     brute_sessionize,
+    epoch_seconds,
     oracle_compactness,
     oracle_stratum,
+    reference_bucket_index,
+    reference_filter_agents,
+    reference_ingest,
     reference_parse_log,
     session_path_graph,
     sessions_as_set,
+    views_by_visitor,
 )
 
 UTC = timezone.utc
 T0 = datetime(2026, 3, 2, tzinfo=UTC)
+T0_S = epoch_seconds(T0)
 
 GOLDEN_LINE = ('203.0.113.7 - alice [10/Oct/2000:13:55:36 -0700] '
                '"GET /apache_pb.gif HTTP/1.0" 200 2326 '
@@ -29,20 +39,35 @@ GOLDEN_LINE = ('203.0.113.7 - alice [10/Oct/2000:13:55:36 -0700] '
                '"Mozilla/4.08 [en] (Win98; I ;Nav)"')
 
 
-def _entry(visitor="user:alice", seconds=0, path="/a", status=200):
-    return usage.LogEntry(
-        visitor_key=visitor,
-        timestamp=T0 + timedelta(seconds=seconds),
-        path=path,
-        status=status,
-        user_agent="PortalBrowser/1.0",
-        referrer="",
-    )
+def _line(agent="PortalBrowser/1.0", path="/a", status=200,
+          when="02/Mar/2026:10:00:00 +0000", host="198.51.100.9", user="-"):
+    return (f'{host} - {user} [{when}] "GET {path} HTTP/1.1" {status} 10 '
+            f'"-" "{agent}"')
+
+
+def _ingest(lines, **options):
+    tally = usage.IngestTally()
+    views = usage.ingest(lines, tally, **options)
+    return views, tally
+
+
+def _entry(visitor="user:alice", seconds=0, path="/a"):
+    """An oracle entry, for the oracles that take entries."""
+    return LogEntry(visitor_key=visitor, timestamp=T0 + timedelta(seconds=seconds),
+                    path=path, status=200, user_agent="PortalBrowser/1.0",
+                    referrer="")
+
+
+def _views(rows):
+    """(visitor, seconds after T0, path) rows as ``sessionize`` takes them."""
+    grouped: dict = {}
+    for visitor, seconds, path in rows:
+        grouped.setdefault(visitor, []).append((T0_S + seconds, path))
+    return grouped
 
 
 def _session(paths, visitor="user:alice", start=0, step=60):
-    views = tuple((T0 + timedelta(seconds=start + i * step), p)
-                  for i, p in enumerate(paths))
+    views = tuple((T0_S + start + i * step, p) for i, p in enumerate(paths))
     return usage.Session(visitor_key=visitor, views=views)
 
 
@@ -105,7 +130,8 @@ _LOG_LINES = st.builds(
     st.sampled_from(["-", "alice", "bob"]),
     _CLF_TIMESTAMPS,
     st.sampled_from(["GET /a HTTP/1.1", "GET /b", "POST  /c", "GET /a",
-                     "HEAD /b?q=1 HTTP/1.1", "GET /c", "-", "GET  HTTP/1.0"]),
+                     "HEAD /b?q=1 HTTP/1.1", "GET /c", "-", "GET  HTTP/1.0",
+                     "GET /robots.txt"]),
     st.sampled_from(["200", "302", "404"]),
     st.sampled_from(["-", "http://ref.example/"]),
     st.sampled_from(["AgentX/1.0", "ExampleBot/2.1", "Mozilla/5.0 (X11)"]),
@@ -113,230 +139,325 @@ _LOG_LINES = st.builds(
 )
 
 
+def _low_repetition_lines(rows):
+    # A new agent on every line, so every anonymous visitor and every bot
+    # verdict is new; some agents are bots by signature.
+    return [_line(agent=f"Agent{i}/{'bot' if bot else 'web'}", path=path,
+                  status=status, host=host, user=user,
+                  when=f"{day:02d}/{month}/{year:04d}:{hour:02d}:{minute:02d}:"
+                       f"{second:02d} {offset}")
+            for i, (year, month, day, hour, minute, second, offset, path,
+                    status, host, user, bot) in enumerate(rows)]
+
+
+# Dates decades apart over the whole datetime range, so nearly every line
+# has a date and offset of its own.
+_LOW_REPETITION_ROWS = st.lists(st.tuples(
+    st.integers(min_value=0, max_value=999).map(lambda d: 1 + 10 * d),
+    st.sampled_from(["Jan", "Feb", "Jun", "Dec"]),
+    st.integers(min_value=1, max_value=28),
+    st.integers(min_value=0, max_value=23),
+    st.integers(min_value=0, max_value=59),
+    st.integers(min_value=0, max_value=59),
+    st.sampled_from(["+0000", "-2359", "+1400", "-0700", "+0530"]),
+    st.sampled_from(["/a", "/b", "/robots.txt"]),
+    st.sampled_from([200, 304, 404]),
+    st.sampled_from(["198.51.100.9", "203.0.113.7"]),
+    st.sampled_from(["-", "-", "alice"]),
+    st.booleans()), max_size=30)
+
+
+def _assert_matches_oracle(lines, use_auth_user=True, signatures=None):
+    timeout = usage.DEFAULT_SESSION_TIMEOUT
+    try:
+        expected, counts = reference_ingest(lines, timeout, use_auth_user,
+                                            signatures)
+    except FormatError as exc:
+        tally = usage.IngestTally()
+        with pytest.raises(FormatError) as ours:
+            usage.ingest(lines, tally, use_auth_user=use_auth_user,
+                         signatures=signatures)
+        assert str(ours.value) == str(exc)
+        return
+    views, tally = _ingest(lines, use_auth_user=use_auth_user,
+                           signatures=signatures)
+    sessions = usage.sessionize(views, timeout)
+    assert sessions_as_set(sessions) == expected
+    assert len(sessions) == len(expected)
+    assert vars(tally) == counts
+
+
 class TestParseLog:
     def test_golden_line(self):
-        parsed = usage.parse_log([GOLDEN_LINE])
-        assert parsed.malformed == 0
-        entry = parsed.entries[0]
-        assert entry.visitor_key == "user:alice"
+        views, tally = _ingest([GOLDEN_LINE])
+        assert tally.malformed == 0
         # -0700 offset normalizes to UTC
-        assert entry.timestamp == datetime(2000, 10, 10, 20, 55, 36, tzinfo=UTC)
-        assert entry.path == "/apache_pb.gif"
-        assert entry.status == 200
-        assert entry.referrer == "http://www.example.com/start.html"
-        assert entry.is_page_view
+        stamp = epoch_seconds(datetime(2000, 10, 10, 20, 55, 36, tzinfo=UTC))
+        assert views == {"user:alice": [(stamp, "/apache_pb.gif")]}
+        assert vars(tally) == {"total_lines": 1, "malformed": 0,
+                               "bot_entries": 0, "non_page_view_entries": 0}
 
     def test_anonymous_visitor_hash(self):
         line = ('198.51.100.9 - - [02/Mar/2026:10:00:00 +0000] '
                 '"GET /a HTTP/1.1" 200 10 "-" "AgentX/1.0"')
-        entry = usage.parse_log([line]).entries[0]
+        views, _ = _ingest([line])
         digest = hashlib.sha1(b"198.51.100.9|AgentX/1.0").hexdigest()[:16]
-        assert entry.visitor_key == f"anon:{digest}"
-        assert entry.referrer == ""
+        assert list(views) == [f"anon:{digest}"]
 
     def test_auth_user_can_be_disabled(self):
-        parsed = usage.parse_log([GOLDEN_LINE], use_auth_user=False)
-        assert parsed.entries[0].visitor_key.startswith("anon:")
+        views, _ = _ingest([GOLDEN_LINE], use_auth_user=False)
+        (visitor,) = views
+        assert visitor.startswith("anon:")
 
     def test_same_host_agent_same_anonymous_key(self):
         line_a = ('198.51.100.9 - - [02/Mar/2026:10:00:00 +0000] '
                   '"GET /a HTTP/1.1" 200 10 "-" "AgentX/1.0"')
         line_b = ('198.51.100.9 - - [02/Mar/2026:11:00:00 +0000] '
                   '"GET /b HTTP/1.1" 200 10 "-" "AgentX/1.0"')
-        entries = usage.parse_log([line_a, line_b]).entries
-        assert entries[0].visitor_key == entries[1].visitor_key
+        views, _ = _ingest([line_a, line_b])
+        assert [[p for _, p in v] for v in views.values()] == [["/a", "/b"]]
 
     def test_positive_offset_timestamp(self):
         line = ('198.51.100.9 - - [02/Mar/2026:10:30:00 +0530] '
                 '"GET /a HTTP/1.1" 200 10 "-" "AgentX/1.0"')
-        entry = usage.parse_log([line]).entries[0]
-        assert entry.timestamp == datetime(2026, 3, 2, 5, 0, tzinfo=UTC)
+        views, _ = _ingest([line])
+        [[(seconds, _path)]] = views.values()
+        assert usage.instant(seconds) == datetime(2026, 3, 2, 5, 0, tzinfo=UTC)
 
     def test_error_status_kept_but_not_page_view(self):
         line = ('198.51.100.9 - - [02/Mar/2026:10:00:00 +0000] '
                 '"GET /missing HTTP/1.1" 404 10 "-" "AgentX/1.0"')
-        parsed = usage.parse_log([line])
-        assert len(parsed.entries) == 1
-        assert not parsed.entries[0].is_page_view
+        views, tally = _ingest([line])
+        assert views == {}
+        assert (tally.malformed, tally.non_page_view_entries) == (0, 1)
 
     def test_redirect_is_page_view(self):
-        assert _entry(status=302).is_page_view
-        assert not _entry(status=500).is_page_view
+        views, tally = _ingest([_line(status=302, path="/moved"),
+                                _line(status=500, path="/broken")])
+        assert [[p for _, p in v] for v in views.values()] == [["/moved"]]
+        assert tally.non_page_view_entries == 1
 
     def test_malformed_lines_tallied(self):
         lines = [GOLDEN_LINE, "garbage", GOLDEN_LINE]
-        parsed = usage.parse_log(lines)
-        assert parsed.malformed == 1
-        assert parsed.total_lines == 3
-        assert len(parsed.entries) == 2
+        views, tally = _ingest(lines)
+        assert tally.malformed == 1
+        assert tally.total_lines == 3
+        assert len(views["user:alice"]) == 2
 
     def test_bad_month_abbreviation_is_malformed(self):
         line = ('198.51.100.9 - - [02/Foo/2026:10:00:00 +0000] '
                 '"GET /a HTTP/1.1" 200 10 "-" "AgentX/1.0"')
-        assert usage.parse_log([line, GOLDEN_LINE]).malformed == 1
+        assert _ingest([line, GOLDEN_LINE])[1].malformed == 1
 
     def test_majority_malformed_is_fatal(self):
         lines = [GOLDEN_LINE, "junk1", "junk2"]
         with pytest.raises(FormatError):
-            usage.parse_log(lines)
+            _ingest(lines)
 
     def test_exactly_half_malformed_is_tolerated(self):
-        parsed = usage.parse_log([GOLDEN_LINE, "junk"])
-        assert parsed.malformed == 1
+        _, tally = _ingest([GOLDEN_LINE, "junk"])
+        assert tally.malformed == 1
 
     def test_empty_stream(self):
-        parsed = usage.parse_log([])
-        assert parsed.entries == []
-        assert parsed.total_lines == 0
+        views, tally = _ingest([])
+        assert views == {}
+        assert tally.total_lines == 0
 
     def test_request_without_path_is_malformed(self):
         line = ('198.51.100.9 - - [02/Mar/2026:10:00:00 +0000] '
                 '"-" 408 10 "-" "AgentX/1.0"')
-        assert usage.parse_log([line, GOLDEN_LINE]).malformed == 1
+        assert _ingest([line, GOLDEN_LINE])[1].malformed == 1
 
     @pytest.mark.parametrize("when", ["01/Jan/0001:00:30:00 +0100",
                                       "31/Dec/9999:23:00:00 -0100"])
     def test_instant_outside_datetime_range_is_malformed(self, when):
         line = f'h - - [{when}] "GET /a" 200 1 "-" "A"'
-        parsed = usage.parse_log([line, GOLDEN_LINE])
-        assert parsed.malformed == 1
-        assert [e.path for e in parsed.entries] == ["/apache_pb.gif"]
+        views, tally = _ingest([line, GOLDEN_LINE])
+        assert tally.malformed == 1
+        assert [p for v in views.values() for _, p in v] == ["/apache_pb.gif"]
 
-    def test_entries_are_yielded_as_lines_are_read(self):
+    def test_lines_are_not_held(self):
+        class Line(str):
+            """A line that a weak reference can follow."""
+
+        read: list = []
+
         def lines():
-            yield GOLDEN_LINE
-            raise RuntimeError("read past the first line")
-        tally = usage.IngestTally()
-        entry = next(usage.iter_log(lines(), tally))
-        assert entry.path == "/apache_pb.gif"
+            for i in range(6):
+                # By the time a line is asked for, the one read two
+                # lines earlier has been dropped.
+                gc.collect()
+                if i >= 2:
+                    assert read[i - 2]() is None
+                line = Line(_line(path=f"/p{i}"))
+                read.append(weakref.ref(line))
+                yield line
+                del line
+        views, _ = _ingest(lines())
+        assert [[p for _, p in v] for v in views.values()] == \
+            [[f"/p{i}" for i in range(6)]]
 
     def test_mostly_unparseable_stream_fails_at_its_end(self):
-        stream = usage.iter_log([GOLDEN_LINE, "junk1", "junk2"],
-                                usage.IngestTally())
-        assert next(stream).path == "/apache_pb.gif"
+        read = []
+
+        def lines():
+            for line in (GOLDEN_LINE, "junk1", "junk2"):
+                read.append(line)
+                yield line
+        tally = usage.IngestTally()
         with pytest.raises(FormatError, match="2 of 3 lines malformed"):
-            next(stream)
+            usage.ingest(lines(), tally)
+        assert len(read) == 3
+        assert (tally.total_lines, tally.malformed) == (3, 2)
 
     def test_views_of_one_path_share_its_string(self):
-        entries = usage.parse_log([GOLDEN_LINE, GOLDEN_LINE]).entries
-        assert entries[0].path == "/apache_pb.gif"
-        assert entries[0].path is entries[1].path
+        views, _ = _ingest([GOLDEN_LINE, GOLDEN_LINE])
+        (first, path_a), (second, path_b) = views["user:alice"]
+        assert path_a == "/apache_pb.gif"
+        assert path_a is path_b
 
-    @given(st.lists(_LOG_LINES, max_size=30), st.booleans())
+    @given(st.lists(_LOG_LINES, max_size=30), st.booleans(), st.booleans())
     @settings(max_examples=300)
     # Instants next to the ends of the datetime range: the first is in
     # range only after the offset is applied; the others are out of range
     # in UTC, so both parsers count them as malformed.
     @example([f'h - - [{ts}] "GET /a" 200 1 "-" "A"'
               for ts in ("01/Jan/0001:01:30:00 +0100",
-                         "31/Dec/9999:22:59:59 -0100")], True)
-    @example(['h - - [01/Jan/0001:00:30:00 +0100] "GET /a" 200 1 "-" "A"'], True)
-    @example(['h - - [31/Dec/9999:23:00:00 -0100] "GET /a" 200 1 "-" "A"'], True)
-    def test_matches_reference_parser(self, lines, use_auth_user):
+                         "31/Dec/9999:22:59:59 -0100")], True, True)
+    @example(['h - - [01/Jan/0001:00:30:00 +0100] "GET /a" 200 1 "-" "A"'], True, True)
+    @example(['h - - [31/Dec/9999:23:00:00 -0100] "GET /a" 200 1 "-" "A"'], True, True)
+    # Both ends again, unpadded: one malformed line of one is fatal.
+    @example(['h - - [01/Jan/0001:00:30:00 +0100] "GET /a" 200 1 "-" "A"',
+              'h - - [31/Dec/9999:23:00:00 -0100] "GET /a" 200 1 "-" "A"'],
+             False, False)
+    # A seconds field of 60 (no leap seconds), and the widest offset
+    # next to one digit too many.
+    @example(['h - - [02/Mar/2026:10:00:60 +0000] "GET /a" 200 1 "-" "A"'], True, True)
+    @example([f'h - {user} [01/Jan/2026:00:00:00 {offset}] "GET /a" 200 1 "-" "A"'
+              for user in ("-", "u") for offset in ("-2359", "+01000")],
+             True, False)
+    def test_matches_reference_parser(self, lines, use_auth_user, pad):
         # As many well-formed lines again keep the malformed share at or
-        # below one half, so that the entries are compared.
-        lines = lines + [GOLDEN_LINE] * len(lines)
-        ours = usage.parse_log(lines, use_auth_user=use_auth_user)
-        reference = reference_parse_log(lines, use_auth_user=use_auth_user)
-        assert ours.malformed == reference.malformed
-        assert ours.total_lines == reference.total_lines
-        # repr also compares each timestamp's tzinfo, which == ignores.
-        assert [repr(e) for e in ours.entries] == \
-            [repr(e) for e in reference.entries]
+        # below one half, so that the sessions are compared; unpadded,
+        # some inputs fail as a whole, and the error text is compared.
+        if pad:
+            lines = lines + [GOLDEN_LINE] * len(lines)
+        _assert_matches_oracle(lines, use_auth_user)
+
+    @given(_LOW_REPETITION_ROWS, st.booleans(),
+           st.sampled_from([None, ("agent1/",)]))
+    @settings(max_examples=150)
+    def test_low_repetition_matches_reference(self, rows, use_auth_user,
+                                              signatures):
+        _assert_matches_oracle(_low_repetition_lines(rows), use_auth_user,
+                               signatures)
 
 
 class TestAgentFiltering:
-    def _mk(self, agent, path="/a"):
-        return usage.LogEntry(visitor_key="anon:x", timestamp=T0, path=path,
-                              status=200, user_agent=agent, referrer="")
+    def _kept(self, views):
+        return [p for v in views.values() for _, p in v]
 
     def test_default_signatures_catch_common_bots(self):
-        entries = [
-            self._mk("Mozilla/5.0 PortalBrowser/1.0"),
-            self._mk("ExampleBot/2.1 (+https://bots.example/info)"),
-            self._mk("some-crawler/3.0"),
-            self._mk("curl/8.0"),
-        ]
-        humans, bots = usage.filter_agents(entries)
-        assert len(humans) == 1
-        assert len(bots) == 3
+        lines = [_line("Mozilla/5.0 PortalBrowser/1.0"),
+                 _line("ExampleBot/2.1 (+https://bots.example/info)"),
+                 _line("some-crawler/3.0"),
+                 _line("curl/8.0")]
+        views, tally = _ingest(lines)
+        assert len(self._kept(views)) == 1
+        assert tally.bot_entries == 3
 
     def test_robots_path_flags_any_agent(self):
-        entries = [self._mk("Mozilla/5.0 PortalBrowser/1.0", path="/robots.txt")]
-        humans, bots = usage.filter_agents(entries)
-        assert humans == []
-        assert len(bots) == 1
+        views, tally = _ingest([_line("Mozilla/5.0 PortalBrowser/1.0",
+                                      path="/robots.txt")])
+        assert views == {}
+        assert tally.bot_entries == 1
 
     def test_custom_signatures_replace_defaults(self):
-        entries = [self._mk("ExampleBot/2.1"), self._mk("WeirdAgent/1.0")]
-        humans, bots = usage.filter_agents(entries, signatures=("weirdagent",))
-        assert [e.user_agent for e in bots] == ["WeirdAgent/1.0"]
-        assert [e.user_agent for e in humans] == ["ExampleBot/2.1"]
+        lines = [_line("ExampleBot/2.1", path="/kept"),
+                 _line("WeirdAgent/1.0", path="/dropped")]
+        views, tally = _ingest(lines, signatures=("weirdagent",))
+        assert self._kept(views) == ["/kept"]
+        assert tally.bot_entries == 1
 
     def test_matching_is_case_insensitive(self):
-        entries = [self._mk("EXAMPLEBOT/2.1")]
-        _, bots = usage.filter_agents(entries, signatures=("examplebot",))
-        assert len(bots) == 1
+        views, tally = _ingest([_line("EXAMPLEBOT/2.1")],
+                               signatures=("ExampleBot",))
+        assert tally.bot_entries == 1
+        assert views == {}
 
     def test_robots_fetch_does_not_mark_the_agent(self):
-        # The signature verdict is shared by every entry of an agent; the
+        # The signature verdict is shared by every line of an agent; the
         # robots-exclusion test is not.
-        entries = [self._mk("Mozilla/5.0 PortalBrowser/1.0", path="/robots.txt"),
-                   self._mk("Mozilla/5.0 PortalBrowser/1.0", path="/a")]
-        humans, bots = usage.filter_agents(entries)
-        assert [e.path for e in bots] == ["/robots.txt"]
-        assert [e.path for e in humans] == ["/a"]
+        lines = [_line("Mozilla/5.0 PortalBrowser/1.0", path="/robots.txt"),
+                 _line("Mozilla/5.0 PortalBrowser/1.0", path="/a")]
+        views, tally = _ingest(lines)
+        assert self._kept(views) == ["/a"]
+        assert tally.bot_entries == 1
 
-    def test_human_page_views_match_filter_agents(self):
-        entries = [self._mk("Mozilla/5.0"), self._mk("ExampleBot/2.1"),
-                   self._mk("Mozilla/5.0", path="/robots.txt"),
-                   usage.LogEntry("anon:x", T0, "/gone", 404, "Mozilla/5.0", ""),
-                   self._mk("Mozilla/5.0", path="/b")]
-        tally = usage.IngestTally()
-        views = list(usage.human_page_views(entries, tally))
-        humans, bots = usage.filter_agents(entries)
-        assert views == [e for e in humans if e.is_page_view]
-        assert [e.path for e in views] == ["/a", "/b"]
-        assert (tally.bot_entries, tally.non_page_view_entries) == (2, 1)
+    def test_kept_views_match_the_oracle_filter(self):
+        lines = [_line("Mozilla/5.0"), _line("ExampleBot/2.1"),
+                 _line("Mozilla/5.0", path="/robots.txt"),
+                 _line("Mozilla/5.0", path="/gone", status=404),
+                 _line("Mozilla/5.0", path="/b")]
+        views, tally = _ingest(lines)
+        humans, bots = reference_filter_agents(reference_parse_log(lines).entries)
+        assert self._kept(views) == [e.path for e in humans if e.is_page_view]
+        assert self._kept(views) == ["/a", "/b"]
+        assert (tally.bot_entries, tally.non_page_view_entries) == (len(bots), 1)
+        assert len(bots) == 2
 
     def test_partition_is_exhaustive_and_disjoint(self):
-        entries = [self._mk(a) for a in
-                   ("x", "boty", "spider z", "Mozilla", "wget/1.2")]
-        humans, bots = usage.filter_agents(entries)
-        assert len(humans) + len(bots) == len(entries)
-        assert not (set(id(e) for e in humans) & set(id(e) for e in bots))
+        lines = [_line(a, status=s) for a in
+                 ("x", "boty", "spider z", "Mozilla", "wget/1.2")
+                 for s in (200, 404)]
+        views, tally = _ingest(lines + ["junk"])
+        kept = sum(len(v) for v in views.values())
+        assert (kept, tally.bot_entries, tally.non_page_view_entries,
+                tally.malformed) == (2, 6, 2, 1)
+        assert kept + tally.bot_entries + tally.non_page_view_entries \
+            + tally.malformed == tally.total_lines
 
 
 class TestSessionize:
     def test_gap_equal_to_timeout_keeps_session(self):
-        entries = [_entry(seconds=0), _entry(seconds=1800, path="/b")]
-        sessions = usage.sessionize(entries, timeout=timedelta(minutes=30))
+        views = _views([("user:alice", 0, "/a"), ("user:alice", 1800, "/b")])
+        sessions = usage.sessionize(views, timeout=timedelta(minutes=30))
         assert len(sessions) == 1
         assert len(sessions[0]) == 2
 
     def test_gap_one_second_over_timeout_splits(self):
-        entries = [_entry(seconds=0), _entry(seconds=1801, path="/b")]
-        sessions = usage.sessionize(entries, timeout=timedelta(minutes=30))
+        views = _views([("user:alice", 0, "/a"), ("user:alice", 1801, "/b")])
+        sessions = usage.sessionize(views, timeout=timedelta(minutes=30))
         assert len(sessions) == 2
 
+    @pytest.mark.parametrize("minutes", [0.5, 0.5001])
+    def test_fractional_timeout_splits_past_its_whole_seconds(self, minutes):
+        # 0.5001 minutes is 30.006 s: a gap of 30 s stays, 31 s splits.
+        timeout = RunConfig(session_timeout_minutes=minutes).session_timeout()
+        for gap, count in ((30, 1), (31, 2)):
+            views = _views([("user:a", 0, "/a"), ("user:a", gap, "/b")])
+            assert len(usage.sessionize(views, timeout)) == count
+            entries = [_entry("user:a", 0, "/a"), _entry("user:a", gap, "/b")]
+            assert len(brute_sessionize(entries, timeout)) == count
+
     def test_visitors_never_share_a_session(self):
-        entries = [_entry(visitor="user:a"), _entry(visitor="user:b")]
-        sessions = usage.sessionize(entries)
+        sessions = usage.sessionize(_views([("user:a", 0, "/a"),
+                                            ("user:b", 0, "/a")]))
         assert len(sessions) == 2
         assert {s.visitor_key for s in sessions} == {"user:a", "user:b"}
 
     def test_input_order_does_not_matter(self):
-        entries = [_entry(seconds=s, path=f"/p{s}") for s in (0, 60, 4000, 4060)]
-        forward = usage.sessionize(entries)
-        backward = usage.sessionize(list(reversed(entries)))
-        assert sessions_as_set(forward) == sessions_as_set(backward)
+        rows = [("user:alice", s, f"/p{s}") for s in (0, 60, 4000, 4060)]
+        forward = usage.sessionize(_views(rows))
+        backward = usage.sessionize(_views(list(reversed(rows))))
+        assert forward == backward
 
     def test_interleaved_visitors_with_equal_timestamps(self):
         rows = [("user:b", 0, "/b"), ("user:a", 0, "/b"), ("user:a", 0, "/a"),
                 ("user:b", 0, "/a"), ("user:a", 4000, "/c"),
                 ("user:b", 1800, "/c"), ("user:a", 4000, "/c")]
-        entries = [_entry(visitor=v, seconds=s, path=p) for v, s, p in rows]
-        sessions = usage.sessionize(entries)
+        sessions = usage.sessionize(_views(rows))
+        entries = [_entry(v, s, p) for v, s, p in rows]
         assert sessions_as_set(sessions) == brute_sessionize(
             entries, usage.DEFAULT_SESSION_TIMEOUT)
         assert [(s.visitor_key, [p for _, p in s.views]) for s in sessions] == [
@@ -344,13 +465,13 @@ class TestSessionize:
             ("user:b", ["/a", "/b", "/c"])]
 
     def test_every_entry_lands_in_exactly_one_session(self):
-        entries = [_entry(seconds=s) for s in (0, 10, 7200, 7300)]
-        sessions = usage.sessionize(entries)
-        assert sum(len(s) for s in sessions) == len(entries)
+        rows = [("user:alice", s, "/a") for s in (0, 10, 7200, 7300)]
+        sessions = usage.sessionize(_views(rows))
+        assert sum(len(s) for s in sessions) == len(rows)
 
     def test_session_start_end(self):
-        entries = [_entry(seconds=0), _entry(seconds=300, path="/b")]
-        session = usage.sessionize(entries)[0]
+        rows = [("user:alice", 0, "/a"), ("user:alice", 300, "/b")]
+        session = usage.sessionize(_views(rows))[0]
         assert session.start == T0
         assert session.end == T0 + timedelta(seconds=300)
 
@@ -361,16 +482,16 @@ class TestSessionize:
         max_size=40),
         st.integers(min_value=1, max_value=3600))
     def test_matches_brute_force_oracle(self, rows, timeout_seconds):
-        entries = [_entry(visitor=v, seconds=s, path=p) for v, s, p in rows]
+        entries = [_entry(v, s, p) for v, s, p in rows]
         timeout = timedelta(seconds=timeout_seconds)
-        ours = usage.sessionize(entries, timeout=timeout)
+        ours = usage.sessionize(views_by_visitor(entries), timeout=timeout)
         assert sessions_as_set(ours) == brute_sessionize(entries, timeout)
         assert sum(len(s) for s in ours) == len(entries)
         for session in ours:
             gaps = [b - a for (a, _), (b, _) in zip(session.views,
                                                     session.views[1:])]
-            assert all(g <= timeout for g in gaps)
-            assert all(g >= timedelta(0) for g in gaps)
+            assert all(g <= timeout_seconds for g in gaps)
+            assert all(g >= 0 for g in gaps)
 
 
 class TestAnalysisPeriod:
@@ -387,10 +508,10 @@ class TestAnalysisPeriod:
 
     def test_bucket_index_is_half_open(self):
         period = usage.AnalysisPeriod(start=T0, end=T0 + timedelta(days=3))
-        assert period.bucket_index(T0) == 0
-        assert period.bucket_index(T0 + timedelta(days=1)) == 1
-        assert period.bucket_index(T0 + timedelta(days=3)) is None
-        assert period.bucket_index(T0 - timedelta(seconds=1)) is None
+        assert period.bucket_index(T0_S) == 0
+        assert period.bucket_index(T0_S + 86_400) == 1
+        assert period.bucket_index(T0_S + 3 * 86_400) is None
+        assert period.bucket_index(T0_S - 1) is None
 
     def test_degenerate_periods_rejected(self):
         with pytest.raises(DomainError):
@@ -398,6 +519,35 @@ class TestAnalysisPeriod:
         with pytest.raises(DomainError):
             usage.AnalysisPeriod(start=T0, end=T0 + timedelta(days=1),
                                  bucket=timedelta(0))
+
+    def test_naive_bounds_rejected(self):
+        naive = datetime(2026, 3, 2)
+        with pytest.raises(DomainError, match="timezone-aware"):
+            usage.AnalysisPeriod(start=naive, end=naive + timedelta(days=1))
+
+    @given(st.integers(min_value=-10**9, max_value=10**9),
+           st.integers(min_value=0, max_value=999_999),
+           st.sampled_from([0.3, 1.0, 0.25, 1 / 3, 2.5, 1e-5, 7.000001]),
+           st.integers(min_value=1, max_value=4_000_000),
+           st.lists(st.integers(min_value=-3, max_value=3), max_size=8))
+    @settings(max_examples=300)
+    @example(0, 500_000, 0.3, 3 * 86_400, [0, 1, -1])
+    def test_bucket_index_matches_datetime_rule(self, start_s, start_us,
+                                                bucket_days, span_s, nudges):
+        start = usage.instant(start_s) + timedelta(microseconds=start_us)
+        end = start + timedelta(seconds=span_s)
+        bucket = timedelta(days=bucket_days)
+        period = usage.AnalysisPeriod(start=start, end=end, bucket=bucket)
+        span = end - start
+        count = span // bucket
+        assert period.bucket_count == count + (count * bucket < span)
+        # Whole seconds at and around both ends and every bucket edge.
+        edges = [start + i * bucket for i in range(min(count, 50) + 1)] + [end]
+        for edge in edges:
+            for nudge in [0, 1, -1, *nudges]:
+                seconds = epoch_seconds(edge) + nudge
+                assert period.bucket_index(seconds) == reference_bucket_index(
+                    period, usage.instant(seconds))
 
 
 class TestOverallDemand:
@@ -468,6 +618,24 @@ class TestRecency:
         result = usage.recency(sessions, self.PERIOD)
         assert result.mean_between_visits == timedelta(days=2)
 
+    @given(st.lists(st.lists(st.integers(min_value=0, max_value=10 * 86_400 - 1),
+                             min_size=1, max_size=6), max_size=6))
+    def test_equals_the_mean_of_summed_gaps(self, starts_per_visitor):
+        sessions = [_session(["/a"], visitor=f"user:{v}", start=s)
+                    for v, starts in enumerate(starts_per_visitor)
+                    for s in starts]
+        # The rule as sums of timedeltas between consecutive starts.
+        gaps = []
+        for starts in starts_per_visitor:
+            instants = sorted(T0 + timedelta(seconds=s) for s in starts)
+            deltas = [b - a for a, b in zip(instants, instants[1:])]
+            if deltas:
+                gaps.append(sum(deltas, timedelta()) / len(deltas))
+        result = usage.recency(sessions, self.PERIOD)
+        assert result.mean_between_visits == (
+            sum(gaps, timedelta()) / len(gaps) if gaps else None)
+        assert result.eligible_visitors == len(gaps)
+
 
 class TestActivityLevel:
     def test_ratio_of_totals(self):
@@ -512,16 +680,28 @@ class TestAccessedDistribution:
         assert result.per_bucket_views[0].counts == {"algebra": 1}
         assert result.per_bucket_views[1].counts == {"biology": 1}
 
+    def test_visitor_counts_once_per_bucket_and_once_in_total(self):
+        sessions = [
+            _session(["/a", "/b"], visitor="user:x", start=0),
+            _session(["/a"], visitor="user:x", start=86_400 + 10),
+            _session(["/a"], visitor="user:y", start=86_400 + 20),
+        ]
+        result = usage.accessed_distribution(
+            sessions, self.RECORDS, self.PATH_MAP, "topic", self.PERIOD)
+        assert [d.counts for d in result.per_bucket_visitors] == [
+            {"algebra": 1, "biology": 1}, {"algebra": 2}]
+        assert result.visitors_total.counts == {"algebra": 2, "biology": 1}
+
     def test_unsorted_views_across_a_bucket_edge(self):
         # The last bucket is cut short by the period's end at 36 h.
         period = usage.AnalysisPeriod(start=T0, end=T0 + timedelta(hours=36))
         hour = 3600
-        views = ((T0 + timedelta(seconds=24 * hour + 5), "/a"),
-                 (T0 + timedelta(seconds=24 * hour - 5), "/b"),
-                 (T0 + timedelta(seconds=24 * hour), "/a"),
-                 (T0 + timedelta(seconds=36 * hour), "/a"),  # past the end
-                 (T0 + timedelta(seconds=24 * hour - 1), "/a"),
-                 (T0 - timedelta(seconds=1), "/b"))          # before the start
+        views = ((T0_S + 24 * hour + 5, "/a"),
+                 (T0_S + 24 * hour - 5, "/b"),
+                 (T0_S + 24 * hour, "/a"),
+                 (T0_S + 36 * hour, "/a"),      # past the end
+                 (T0_S + 24 * hour - 1, "/a"),
+                 (T0_S - 1, "/b"))              # before the start
         sessions = [usage.Session(visitor_key="user:x", views=views)]
         result = usage.accessed_distribution(
             sessions, self.RECORDS, self.PATH_MAP, "topic", period)
