@@ -21,7 +21,8 @@ from . import segmentation as segmentation_mod
 from . import structure as structure_mod
 from . import usage as usage_mod
 from .config import RunConfig, _FIELD_PARSERS, build_config
-from .errors import ConfigError, DomainError, FormatError
+from .errors import (ConfigError, DomainError, FormatError,
+                     ReportValidationError)
 
 
 def _load_file(loader, path, what: str):
@@ -382,7 +383,11 @@ def cmd_report(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig, report_paths) -> int:
     reports = []
     for path in report_paths:
-        reports.append(report_mod.deserialize(_read_text(path, "report")))
+        text = _read_text(path, "report")
+        try:
+            reports.append(report_mod.deserialize(text))
+        except ReportValidationError as exc:
+            raise ReportValidationError(f"report file {path}: {exc}") from None
     comparison = report_mod.compare_within_segment(reports, cfg.compare_margin)
     _write_output(cfg, "comparison.json", comparison.to_json())
     sys.stdout.write(comparison.to_text())
@@ -461,9 +466,6 @@ def main(argv=None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if getattr(exc, "violations", None):
-            for violation in exc.violations:
-                sys.stderr.write(f"  - {violation}\n")
         return 2
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")

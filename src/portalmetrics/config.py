@@ -108,6 +108,13 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        for name, unit in (("bucket_days", "days"),
+                           ("session_timeout_minutes", "minutes")):
+            try:
+                timedelta(**{unit: getattr(self, name)})
+            except OverflowError:
+                raise ConfigError(f"{name} is longer than a time span can be "
+                                  f"({timedelta.max.days} days)") from None
         if (self.period_start is None) != (self.period_end is None):
             raise ConfigError("period_start and period_end come as a pair")
         if (self.period_start is not None

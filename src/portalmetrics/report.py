@@ -8,6 +8,14 @@ it; they go to a separate local-only diagnostics document. The schema
 enforces this shape, so a report that smuggles extra fields fails
 validation.
 
+REPORT_SCHEMA is a JSON Schema (draft 2020-12) document. It is checked by
+a small private checker, ``_check``, that applies only the keywords the
+schema uses and reads them as the draft does; the tests hold it to
+jsonschema's validator. Every violation is reported, each as
+``"a/b/c: message"`` (``"<root>: ..."`` for the document itself), sorted
+by path. deserialize also refuses the NaN and Infinity tokens that
+Python's json module would accept.
+
 Serialization is canonical: sorted keys, minimal separators, UTF-8, one
 trailing newline. Equal reports produce identical bytes, and
 deserialize(serialize(r)) == r.
@@ -21,10 +29,9 @@ number that means two different things.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass
 from datetime import datetime
-
-from jsonschema import Draft202012Validator
 
 from .catalog import ProvisionSummary
 from .errors import ComparabilityError, DomainError, ReportValidationError
@@ -43,137 +50,95 @@ _NULLABLE_UNIT = {"type": ["number", "null"], "minimum": 0.0, "maximum": 1.0}
 _NULLABLE_NONNEG = {"type": ["number", "null"], "minimum": 0.0}
 _STRING_LIST = {"type": "array", "items": {"type": "string"}}
 
+
+def _closed(properties: dict, nullable: bool = False) -> dict:
+    """An object schema that requires exactly ``properties``, no more."""
+    return {
+        "type": ["object", "null"] if nullable else "object",
+        "additionalProperties": False,
+        "required": list(properties),
+        "properties": properties,
+    }
+
+
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "$id": "portal-report.schema.json",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema_version", "portal_id", "period", "provision",
-                 "organization", "position", "segmentation", "metadata"],
-    "properties": {
+    **_closed({
         "schema_version": {"const": SCHEMA_VERSION},
         "portal_id": {"type": "string", "minLength": 1},
-        "period": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["start", "end", "bucket_seconds"],
-            "properties": {
-                "start": {"type": "string"},
-                "end": {"type": "string"},
-                "bucket_seconds": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "provision": {
-            "type": ["object", "null"],
-            "additionalProperties": False,
-            "required": ["diversity_offered_nats", "evenness_offered",
-                         "diversity_accessed_by_visits_nats",
-                         "diversity_accessed_by_visitors_nats", "richness",
-                         "average_age_days", "high_demand_low_offer",
-                         "high_offer_low_demand"],
-            "properties": {
-                "diversity_offered_nats": _NULLABLE_NONNEG,
-                "evenness_offered": _NULLABLE_UNIT,
-                "diversity_accessed_by_visits_nats": _NULLABLE_NONNEG,
-                "diversity_accessed_by_visitors_nats": _NULLABLE_NONNEG,
-                "richness": _NULLABLE_UNIT,
-                "average_age_days": _NULLABLE_NONNEG,
-                "high_demand_low_offer": _STRING_LIST,
-                "high_offer_low_demand": _STRING_LIST,
-            },
-        },
-        "organization": {
-            "type": ["object", "null"],
-            "additionalProperties": False,
-            "required": ["depth", "unreachable_pages", "density",
-                         "navigability", "linearity", "navigation", "flags"],
-            "properties": {
-                "depth": {"type": "number", "minimum": 0},
-                "unreachable_pages": {"type": "integer", "minimum": 0},
-                "density": {"type": "number", "minimum": 0, "maximum": 1},
-                "navigability": _NULLABLE_UNIT,
-                "linearity": _NULLABLE_UNIT,
-                "navigation": {
-                    "type": ["object", "null"],
-                    "additionalProperties": False,
-                    "required": ["complexity_mean", "complexity_median",
-                                 "linearity_mean", "linearity_median",
-                                 "high_linearity_share", "linearity_band"],
-                    "properties": {
-                        "complexity_mean": _NULLABLE_UNIT,
-                        "complexity_median": _NULLABLE_UNIT,
-                        "linearity_mean": _NULLABLE_UNIT,
-                        "linearity_median": _NULLABLE_UNIT,
-                        "high_linearity_share": _NULLABLE_UNIT,
-                        "linearity_band": {"type": "number",
-                                           "exclusiveMinimum": 0, "maximum": 1},
-                    },
+        "period": _closed({
+            "start": {"type": "string"},
+            "end": {"type": "string"},
+            "bucket_seconds": {"type": "number", "exclusiveMinimum": 0},
+        }),
+        "provision": _closed({
+            "diversity_offered_nats": _NULLABLE_NONNEG,
+            "evenness_offered": _NULLABLE_UNIT,
+            "diversity_accessed_by_visits_nats": _NULLABLE_NONNEG,
+            "diversity_accessed_by_visitors_nats": _NULLABLE_NONNEG,
+            "richness": _NULLABLE_UNIT,
+            "average_age_days": _NULLABLE_NONNEG,
+            "high_demand_low_offer": _STRING_LIST,
+            "high_offer_low_demand": _STRING_LIST,
+        }, nullable=True),
+        "organization": _closed({
+            "depth": {"type": "number", "minimum": 0},
+            "unreachable_pages": {"type": "integer", "minimum": 0},
+            "density": {"type": "number", "minimum": 0, "maximum": 1},
+            "navigability": _NULLABLE_UNIT,
+            "linearity": _NULLABLE_UNIT,
+            "navigation": _closed({
+                "complexity_mean": _NULLABLE_UNIT,
+                "complexity_median": _NULLABLE_UNIT,
+                "linearity_mean": _NULLABLE_UNIT,
+                "linearity_median": _NULLABLE_UNIT,
+                "high_linearity_share": _NULLABLE_UNIT,
+                "linearity_band": {"type": "number",
+                                   "exclusiveMinimum": 0, "maximum": 1},
+            }, nullable=True),
+            "flags": _STRING_LIST,
+        }, nullable=True),
+        "position": _closed({
+            "site": {"type": "string"},
+            "in_degree": {"type": "integer", "minimum": 0},
+            "out_degree": {"type": "integer", "minimum": 0},
+            "weighted_in_degree": {"type": "integer", "minimum": 0},
+            "weighted_out_degree": {"type": "integer", "minimum": 0},
+            "degree": {"type": "integer", "minimum": 0},
+            "adjacent_communities": {"type": "integer", "minimum": 0},
+            "bridge_score": _NULLABLE_UNIT,
+            "authority": {"type": "boolean"},
+            "hub": {"type": "boolean"},
+            "bridge": {"type": "boolean"},
+            "flags": _STRING_LIST,
+        }, nullable=True),
+        "segmentation": _closed({
+            "relative_slope": {"type": ["number", "null"]},
+            "relative_size": {"type": "number",
+                              "exclusiveMinimum": 0, "maximum": 1},
+            "dynamics": {"enum": [GROWING, STABLE, None]},
+            "size": {"enum": [LARGE, SMALL]},
+            "quadrant": {"enum": sorted(QUADRANT_NAMES.values()) + [None]},
+            "annotations": _STRING_LIST,
+        }, nullable=True),
+        "metadata": _closed({
+            "tool_version": {"type": "string"},
+            "thresholds": {
+                "type": "object",
+                "additionalProperties": {
+                    "type": ["number", "string", "boolean", "null"],
                 },
-                "flags": _STRING_LIST,
             },
-        },
-        "position": {
-            "type": ["object", "null"],
-            "additionalProperties": False,
-            "required": ["site", "in_degree", "out_degree",
-                         "weighted_in_degree", "weighted_out_degree", "degree",
-                         "adjacent_communities", "bridge_score", "authority",
-                         "hub", "bridge", "flags"],
-            "properties": {
-                "site": {"type": "string"},
-                "in_degree": {"type": "integer", "minimum": 0},
-                "out_degree": {"type": "integer", "minimum": 0},
-                "weighted_in_degree": {"type": "integer", "minimum": 0},
-                "weighted_out_degree": {"type": "integer", "minimum": 0},
-                "degree": {"type": "integer", "minimum": 0},
-                "adjacent_communities": {"type": "integer", "minimum": 0},
-                "bridge_score": _NULLABLE_UNIT,
-                "authority": {"type": "boolean"},
-                "hub": {"type": "boolean"},
-                "bridge": {"type": "boolean"},
-                "flags": _STRING_LIST,
+            "algorithms": {
+                "type": "object",
+                "additionalProperties": {"type": ["string", "number"]},
             },
-        },
-        "segmentation": {
-            "type": ["object", "null"],
-            "additionalProperties": False,
-            "required": ["relative_slope", "relative_size", "dynamics",
-                         "size", "quadrant", "annotations"],
-            "properties": {
-                "relative_slope": {"type": ["number", "null"]},
-                "relative_size": {"type": "number",
-                                  "exclusiveMinimum": 0, "maximum": 1},
-                "dynamics": {"enum": [GROWING, STABLE, None]},
-                "size": {"enum": [LARGE, SMALL]},
-                "quadrant": {"enum": sorted(QUADRANT_NAMES.values()) + [None]},
-                "annotations": _STRING_LIST,
-            },
-        },
-        "metadata": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["tool_version", "thresholds", "algorithms", "flags",
-                         "missing_sections"],
-            "properties": {
-                "tool_version": {"type": "string"},
-                "thresholds": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": ["number", "string", "boolean", "null"],
-                    },
-                },
-                "algorithms": {
-                    "type": "object",
-                    "additionalProperties": {"type": ["string", "number"]},
-                },
-                "flags": _STRING_LIST,
-                "missing_sections": _STRING_LIST,
-            },
-        },
-    },
+            "flags": _STRING_LIST,
+            "missing_sections": _STRING_LIST,
+        }),
+    }),
 }
-
-_VALIDATOR = Draft202012Validator(REPORT_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -206,14 +171,85 @@ def canonical_json(document) -> bytes:
     return text.encode("utf-8") + b"\n"
 
 
+# The keywords _check applies. Annotations ("$schema", "$id") are not
+# checked; tests/test_report.py fails if REPORT_SCHEMA uses any other keyword.
+_CHECKED_KEYWORDS = frozenset({
+    "type", "const", "enum", "minimum", "maximum", "exclusiveMinimum",
+    "minLength", "required", "properties", "additionalProperties", "items",
+})
+
+_IS_TYPE = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
+
+# (keyword, test that the value breaks it, wording) for the numeric bounds.
+_BOUNDS = (("minimum", operator.lt, "below the minimum"),
+           ("exclusiveMinimum", operator.le, "not above"),
+           ("maximum", operator.gt, "above the maximum"))
+
+
+def _check(schema: dict, value, path: tuple, out: list) -> None:
+    """Append ``(path, keyword, message)`` to ``out`` for every way
+    ``value`` breaks ``schema``, reading the keywords as JSON Schema draft
+    2020-12 does: each applies only to values of its own JSON type, a
+    failed "type" does not stop the others, "required" fails once per
+    missing key and "additionalProperties": false once per object."""
+    def fail(keyword: str, message: str) -> None:
+        out.append((path, keyword, message))
+
+    if "type" in schema:
+        types = schema["type"]
+        types = [types] if isinstance(types, str) else types
+        if not any(_IS_TYPE[t](value) for t in types):
+            fail("type", f"{value!r} is not of type {' or '.join(types)}")
+    # const and enum hold only strings and None here, so == is JSON equality.
+    if "const" in schema and value != schema["const"]:
+        fail("const", f"{schema['const']!r} was expected, not {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail("enum", f"{value!r} is not one of {schema['enum']!r}")
+    if _IS_TYPE["number"](value):
+        for keyword, breaks, words in _BOUNDS:
+            if keyword in schema and breaks(value, schema[keyword]):
+                fail(keyword, f"{value!r} is {words} {schema[keyword]!r}")
+    elif isinstance(value, str):
+        if "minLength" in schema and len(value) < schema["minLength"]:
+            fail("minLength", f"{value!r} is shorter than "
+                              f"{schema['minLength']} character(s)")
+    elif isinstance(value, list):
+        if "items" in schema:
+            for index, item in enumerate(value):
+                _check(schema["items"], item, path + (index,), out)
+    elif isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail("required", f"{key!r} is a required property")
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        unexpected = [key for key in value if key not in properties]
+        if extra is False and unexpected:
+            fail("additionalProperties", "unexpected properties "
+                                         + ", ".join(map(repr, unexpected)))
+        for key, item in value.items():
+            if key in properties:
+                _check(properties[key], item, path + (key,), out)
+            elif isinstance(extra, dict):
+                _check(extra, item, path + (key,), out)
+
+
 def _collect_violations(document) -> list[str]:
-    errors = sorted(_VALIDATOR.iter_errors(document),
-                    key=lambda e: (list(map(str, e.absolute_path)), e.message))
-    out = []
-    for err in errors:
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        out.append(f"{where}: {err.message}")
-    return out
+    found: list = []
+    _check(REPORT_SCHEMA, document, (), found)
+    found.sort(key=lambda v: ([str(p) for p in v[0]], v[2]))
+    return [f"{'/'.join(map(str, path)) or '<root>'}: {message}"
+            for path, _keyword, message in found]
 
 
 def validate_document(document) -> None:
@@ -232,12 +268,17 @@ def serialize(report: PortalReport) -> bytes:
     return canonical_json(document)
 
 
+def _reject_constant(name: str):
+    raise ReportValidationError(f"report holds {name}, which is not a JSON "
+                                "number")
+
+
 def deserialize(data) -> PortalReport:
     """Parse and validate canonical report bytes back into a PortalReport."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        document = json.loads(data)
+        document = json.loads(data, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ReportValidationError(f"report is not valid JSON: {exc}")
     if not isinstance(document, dict):

@@ -6,6 +6,7 @@ import gzip
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -576,6 +577,38 @@ class TestCompareCommand:
                          str(bogus), str(bogus)])
         assert code == 2
 
+    @staticmethod
+    def _with_density(reports, tmp_path, token):
+        data = open(reports["beta"], "rb").read()
+        data, count = re.subn(rb'"density":[^,}]+',
+                              b'"density":' + token, data)
+        assert count == 1
+        path = tmp_path / f"beta-{token.decode()}.report.json"
+        path.write_bytes(data)
+        return str(path)
+
+    @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_finite_number_names_the_report(self, reports, tmp_path,
+                                                capsys, token):
+        bad = self._with_density(reports, tmp_path, token)
+        code = cli.main(["compare", "--output-dir", str(tmp_path / "cmp"),
+                         reports["alpha"], bad])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert bad in err and token.decode() in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_violation_is_printed_once(self, reports, tmp_path, capsys):
+        bad = self._with_density(reports, tmp_path, b"1.5")
+        code = cli.main(["compare", "--output-dir", str(tmp_path / "cmp"),
+                         reports["alpha"], bad])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert bad in err
+        assert err.count("organization/density") == 1
+        assert len(err.splitlines()) == 1
+
 
 class TestGenCommand:
     def test_writes_workspace(self, tmp_path, capsys):
@@ -624,32 +657,47 @@ def _src_dir():
     return os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
-def test_cli_import_loads_neither_numpy_nor_scipy():
+def test_cli_import_loads_only_the_standard_library():
+    # Modules loaded before the import (site hooks) are not the package's.
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, portalmetrics.cli; "
-         "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
+         "import sys; before = set(sys.modules); import portalmetrics.cli; "
+         "print(sorted({name.split('.')[0] for name in sys.modules}"
+         " - {name.split('.')[0] for name in before}"
+         " - set(sys.stdlib_module_names) - {'portalmetrics'}))"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": _src_dir()})
     assert result.stdout.strip() == "[]"
 
 
-def test_report_runs_with_numpy_blocked(tmp_path, capsys):
-    # Blocking the module also catches an import made inside a function,
-    # which the import check above cannot see.
+def test_report_and_compare_run_with_test_packages_blocked(tmp_path, capsys):
+    # Blocking the test-only packages also catches an import made inside a
+    # function, which the import check above cannot see.
     assert cli.main(["gen", str(tmp_path / "demo")]) == 0
-    config = json.loads(capsys.readouterr().out)["configs"]["alpha"]
+    configs = json.loads(capsys.readouterr().out)["configs"]
+
+    def commands(out):
+        reports = [["report", "--config", configs[name],
+                    "--output-dir", str(out)] for name in ("alpha", "beta")]
+        return reports + [["compare", "--output-dir", str(out),
+                           str(out / "alpha.report.json"),
+                           str(out / "beta.report.json")]]
+
     blocked = subprocess.run(
         [sys.executable, "-c",
-         "import sys; sys.modules['numpy'] = None; "
-         "from portalmetrics.cli import main; sys.exit(main(sys.argv[1:]))",
-         "report", "--config", config,
-         "--output-dir", str(tmp_path / "blocked")],
+         "import json, sys\n"
+         "sys.modules['numpy'] = sys.modules['jsonschema'] = None\n"
+         "from portalmetrics.cli import main\n"
+         "for argv in json.loads(sys.argv[1]):\n"
+         "    if main(argv) != 0:\n"
+         "        sys.exit(1)\n",
+         json.dumps(commands(tmp_path / "blocked"))],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": _src_dir()})
     assert blocked.returncode == 0, blocked.stderr
-    assert cli.main(["report", "--config", config,
-                     "--output-dir", str(tmp_path / "free")]) == 0
+    for argv in commands(tmp_path / "free"):
+        assert cli.main(argv) == 0
     capsys.readouterr()
-    assert ((tmp_path / "blocked" / "alpha.report.json").read_bytes()
-            == (tmp_path / "free" / "alpha.report.json").read_bytes())
+    for name in ("alpha.report.json", "beta.report.json", "comparison.json"):
+        assert ((tmp_path / "blocked" / name).read_bytes()
+                == (tmp_path / "free" / name).read_bytes())

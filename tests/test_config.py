@@ -155,6 +155,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             build_config(overrides={field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("bucket_days", 1e10),
+        ("bucket_days", float("inf")),
+        ("session_timeout_minutes", 1e20),
+        ("session_timeout_minutes", float("inf")),
+    ])
+    def test_span_too_long_for_a_timedelta_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            build_config(overrides={field: value})
+
     def test_boundary_values_accepted(self):
         build_config(overrides={"bridge_score_threshold": 1.0,
                                 "authority_percentile": 0.0,

@@ -1,10 +1,14 @@
 """Report schema, canonical serialization, and within-segment comparison."""
 
+import copy
+import hashlib
 import json
 import math
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from portalmetrics import report
 from portalmetrics.errors import (ComparabilityError, DomainError,
@@ -186,6 +190,14 @@ class TestSchemaAndRoundTrip:
     def test_deserialize_rejects_non_json(self):
         with pytest.raises(ReportValidationError):
             report.deserialize(b"not json at all")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_deserialize_rejects_non_finite_numbers(self, token):
+        data = report.serialize(_report())
+        assert b'"density":0.25' in data
+        data = data.replace(b'"density":0.25', b'"density":' + token.encode())
+        with pytest.raises(ReportValidationError, match=token):
+            report.deserialize(data)
 
     def test_section_accessor(self):
         r = _report()
@@ -380,3 +392,187 @@ class TestComparison:
         document = comparison.to_document()
         assert json.loads(comparison.to_json()) == document
         assert document["kind"] == "network-comparison"
+
+
+# sha256 of canonical_json(REPORT_SCHEMA). The schema is the contract
+# between portals: a change to it must update this digest on purpose.
+SCHEMA_DIGEST = "674c465440687957238b807093bc6ee50d4794418ecdad81dc6f0d5c71523434"
+
+ANNOTATIONS = {"$schema", "$id"}
+
+
+def _subschemas(node):
+    """``node`` and every subschema below it."""
+    yield node
+    for sub in node.get("properties", {}).values():
+        yield from _subschemas(sub)
+    for key in ("items", "additionalProperties"):
+        if isinstance(node.get(key), dict):
+            yield from _subschemas(node[key])
+
+
+NAVIGATION = {
+    "complexity_mean": 0.3, "complexity_median": 0.25,
+    "linearity_mean": 0.6, "linearity_median": None,
+    "high_linearity_share": 0.1, "linearity_band": 0.8,
+}
+
+# A valid report with every section, a navigation block and threshold and
+# algorithm values of each allowed type; the oracle test mutates copies.
+VALID = json.loads(report.serialize(_report(
+    organization=_organization(navigation=NAVIGATION),
+    provision=_provision(high_demand_low_offer=["algebra", "biology"]),
+    thresholds={"growth_threshold": 0.05, "distance_k": None,
+                "bridge_min_communities": 2, "use_auth_user": True,
+                "visitor_key": "auth-user"},
+    algorithms={"community": "synchronous-label-propagation",
+                "community_seed": 0},
+)))
+
+FIELD_NAMES = sorted(_schema_property_names(report.REPORT_SCHEMA))
+
+NUMBERS = st.one_of(
+    st.integers(-2, 2), st.integers(),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.0, 0.5, 1.5, -0.5, 1e300,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+# Numbers at the schema's bounds and types: integral floats, negative
+# fractions, signed zeros, non-finite values and bools.
+EDGE_NUMBERS = st.sampled_from([0, 0.0, -0.0, 1, 1.0, -1, 0.5, -0.5, 1.5, 2.0,
+                                math.nan, math.inf, -math.inf, True, False])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), NUMBERS, st.text(max_size=4),
+    st.sampled_from(["", "1", "Growing", "Stable", "Large", "Small",
+                     GROW_LARGE, STABLE_SMALL]),
+)
+KEYS = st.text(max_size=3) | st.sampled_from(FIELD_NAMES)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6)
+SECTIONS = st.sampled_from(
+    [VALID[name] for name in VALID if isinstance(VALID[name], dict)]
+).map(copy.deepcopy)
+
+
+def _nodes(value, path=()):
+    """(path, value) for ``value`` and everything inside it, root first."""
+    yield path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _nodes(item, path + (key,))
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parent(nodes, path):
+    return next(node for p, node in nodes if p == path[:-1])
+
+
+@st.composite
+def mutated_reports(draw):
+    """A copy of VALID with one to three mutations: a value replaced, a
+    number set to an edge value, a key or item deleted or added at any
+    depth, or a whole section replaced."""
+    doc = copy.deepcopy(VALID)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "number", "number", "delete",
+                                   "add", "section"]))
+        nodes = list(_nodes(doc))
+        if op == "number":
+            numbers = [path for path, n in nodes if path and _is_number(n)]
+            if numbers:
+                path = draw(st.sampled_from(numbers))
+                _parent(nodes, path)[path[-1]] = draw(EDGE_NUMBERS)
+        elif op == "section" and isinstance(doc, dict):
+            name = draw(st.sampled_from(sorted(VALID)))
+            doc[name] = draw(SECTIONS | JSON_VALUES)
+        elif op == "replace":
+            path, _ = draw(st.sampled_from(nodes))
+            value = draw(st.one_of(NUMBERS, SCALARS, JSON_VALUES, SECTIONS))
+            if not path:
+                doc = value
+                continue
+            _parent(nodes, path)[path[-1]] = value
+        else:
+            containers = [n for _, n in nodes if isinstance(n, (dict, list))
+                          and (n or op == "add")]
+            if not containers:
+                continue
+            node = draw(st.sampled_from(containers))
+            if op == "add" and isinstance(node, dict):
+                node[draw(KEYS)] = draw(JSON_VALUES)
+            elif op == "add":
+                node.append(draw(JSON_VALUES))
+            elif isinstance(node, dict):
+                del node[draw(st.sampled_from(list(node)))]
+            else:
+                del node[draw(st.integers(0, len(node) - 1))]
+    return doc
+
+
+def _with(path, value):
+    doc = copy.deepcopy(VALID)
+    _parent(list(_nodes(doc)), path)[path[-1]] = value
+    return doc
+
+
+class TestSchemaChecker:
+    def test_schema_digest_is_pinned(self):
+        digest = hashlib.sha256(
+            report.canonical_json(report.REPORT_SCHEMA)).hexdigest()
+        assert digest == SCHEMA_DIGEST
+
+    def test_checker_handles_every_keyword_the_schema_uses(self):
+        subschemas = list(_subschemas(report.REPORT_SCHEMA))
+        used = set().union(*subschemas) - ANNOTATIONS
+        assert used == report._CHECKED_KEYWORDS
+        # The checker compares const and enum values with ==, which is JSON
+        # equality only for strings and null (in Python, True == 1).
+        for sub in subschemas:
+            for value in sub.get("enum", []) + [sub.get("const")]:
+                assert value is None or isinstance(value, str)
+
+    def test_violations_sorted_by_path(self):
+        doc = _with(("position", "in_degree"), -0.5)
+        doc["organization"]["density"] = 1.5
+        del doc["period"]["end"]
+        with pytest.raises(ReportValidationError) as excinfo:
+            report.validate_document(doc)
+        assert [v.split(":")[0] for v in excinfo.value.violations] == [
+            "organization/density", "period", "position/in_degree",
+            "position/in_degree"]
+
+    @given(mutated_reports())
+    @example(_with(("organization", "density"), True))  # bool: not a number
+    @example(_with(("position", "in_degree"), -0.5))  # type and minimum fail
+    @example(_with(("position", "in_degree"), 3.0))  # an integral float
+    @example(_with(("organization", "depth"), math.nan))
+    @example(_with(("organization", "depth"), -math.inf))
+    @example(_with(("provision", "visit_counts"), [1]) | {"demand": 1,
+                                                          "recency": 2})
+    @example(_with(("metadata", "thresholds", "x"), [math.inf]))
+    @example(_with(("portal_id",), ""))
+    @example(_with(("period", "bucket_seconds"), 0))
+    @example(_with(("schema_version",), 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_jsonschema_draft_2020_12(self, doc):
+        jsonschema = pytest.importorskip("jsonschema")
+        oracle = jsonschema.Draft202012Validator(report.REPORT_SCHEMA)
+        expected = Counter((tuple(err.absolute_path), err.validator)
+                           for err in oracle.iter_errors(doc))
+        found: list = []
+        report._check(report.REPORT_SCHEMA, doc, (), found)
+        assert Counter((path, keyword) for path, keyword, _ in found) \
+            == expected
+        if expected:
+            with pytest.raises(ReportValidationError) as excinfo:
+                report.validate_document(doc)
+            assert len(excinfo.value.violations) == sum(expected.values())
+        else:
+            report.validate_document(doc)
