@@ -539,6 +539,56 @@ def test_demo_network_outputs_match_their_pinned_digests(tmp_path, capsys):
     assert digests == DEMO_DIGESTS
 
 
+# sha256 of what each single-section command writes on the demo network:
+# its stdout, and the diagnostics file `usage` writes. Same rule as above.
+SINGLE_COMMAND_DIGESTS = {
+    "alpha.catalog.stdout":
+        "6a8c9491616cc17d75855a0b04bf89157577c66faa877c53da9fda93cf401d6f",
+    "alpha.structure.stdout":
+        "76b2aeab3e66062ba9ec429d2835ffe85a4563cf360e9e3dbb6bba312f18afc0",
+    "alpha.usage.stdout":
+        "41f6bd07bad1467e41c5a9a419d62466e6f034ec7ca9fa0051b566de725c6a04",
+    "alpha.usage.alpha.diagnostics.json":
+        "41f6bd07bad1467e41c5a9a419d62466e6f034ec7ca9fa0051b566de725c6a04",
+    "alpha.position.stdout":
+        "5441ba5fc19d55733697ecb16ea48a66cab5efb2e3a3f7ccb0921f214f13073b",
+    "alpha.segment.stdout":
+        "5d1adcf7eb70d4a5c311f371c9d16e596ac7ab28e51e080f44e7f4d2e2e4a2ca",
+    "beta.catalog.stdout":
+        "491ba0cfd8842615c3cc9de0982991c72f400eb780788a29b62b4d33268ea8bc",
+    "beta.structure.stdout":
+        "5611269bc38ff334523c5e26473b52504b721456f2fdb6b8d3482f05c7313ac1",
+    "beta.usage.stdout":
+        "6c4c78ddaec6c2c9dad96e7c1debb042ae89d13cbf369b08f323bb6bd8e0edbb",
+    "beta.usage.beta.diagnostics.json":
+        "6c4c78ddaec6c2c9dad96e7c1debb042ae89d13cbf369b08f323bb6bd8e0edbb",
+    "beta.position.stdout":
+        "41f5da3a31a7fe60b0716cc8a88ff9ec5a68de59a545ebd612ddcb79069a78fe",
+    "beta.segment.stdout":
+        "a275746e5c1676b369e4dc355f1371aa3e7ab94f94485125f8b62959b92420d8",
+}
+
+
+def test_single_section_commands_match_their_pinned_digests(tmp_path, capsys):
+    root = tmp_path / "demo"
+    assert cli.main(["gen", str(root)]) == 0
+    configs = json.loads(capsys.readouterr().out)["configs"]
+    digests = {}
+    for name in ("alpha", "beta"):
+        for command in ("catalog", "structure", "usage", "position",
+                        "segment"):
+            out = tmp_path / f"{name}-{command}"
+            assert cli.main([command, "--config", configs[name],
+                             "--output-dir", str(out)]) == 0
+            stdout = capsys.readouterr().out.encode("utf-8")
+            digests[f"{name}.{command}.stdout"] = hashlib.sha256(
+                stdout).hexdigest()
+            for written in sorted(out.iterdir()) if out.exists() else ():
+                digests[f"{name}.{command}.{written.name}"] = hashlib.sha256(
+                    written.read_bytes()).hexdigest()
+    assert digests == SINGLE_COMMAND_DIGESTS
+
+
 class TestCompareCommand:
     def test_within_segment_comparison(self, reports, tmp_path, capsys):
         out_dir = tmp_path / "cmp"
