@@ -4,7 +4,7 @@ Submodules:
   catalog       content provision: diversity, richness, age, demand gaps
   structure     site organization: depth, density, navigability, linearity
   usage         access logs: sessions, demand, recency, navigation
-  position      cross-site standing: degrees, communities, bridging
+  position      cross-site standing: degrees, communities, bridges
   segmentation  growth/size typology quadrants
   report        shareable reports and within-segment comparison
   fixtures      deterministic synthetic inputs with planted ground truth

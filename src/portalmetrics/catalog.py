@@ -56,9 +56,6 @@ class TopicTaxonomy:
         if len(set(self.topics)) != len(self.topics):
             raise DomainError("taxonomy labels must be unique")
 
-    def __contains__(self, label: str) -> bool:
-        return label in set(self.topics)
-
     @classmethod
     def from_file(cls, path) -> "TopicTaxonomy":
         """Load a taxonomy from a plain-text file, one label per line."""
@@ -84,11 +81,6 @@ class TopicDistribution:
             raise DomainError("distribution counts must be non-negative")
         return cls(counts=dict(counts), total=sum(counts.values()))
 
-    def share(self, label: str) -> float:
-        if self.total == 0:
-            raise DomainError("distribution is empty")
-        return self.counts.get(label, 0) / self.total
-
 
 @dataclass
 class ParsedCatalog:
@@ -105,30 +97,17 @@ class DiversityResult:
 
     entropy_nats: float
     evenness: float
-    positive_topics: int
 
 
 @dataclass(frozen=True)
 class AverageAgeResult:
     mean_age_days: float
-    by_topic: dict[str, float]
-    reference: date
-
-
-@dataclass(frozen=True)
-class TopicGap:
-    topic: str
-    offer_share: float
-    demand_share: float
-    gap: float
 
 
 @dataclass(frozen=True)
 class GapReport:
-    gaps: tuple[TopicGap, ...]
     high_demand_low_offer: tuple[str, ...]
     high_offer_low_demand: tuple[str, ...]
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -255,8 +234,7 @@ def shannon_diversity(dist: TopicDistribution,
     if s < 1:
         raise DomainError("taxonomy size must be >= 1")
     evenness = 0.0 if s == 1 else entropy / math.log(s)
-    return DiversityResult(entropy_nats=entropy, evenness=evenness,
-                           positive_topics=len(positive))
+    return DiversityResult(entropy_nats=entropy, evenness=evenness)
 
 
 def richness(records: list[ContentRecord],
@@ -276,11 +254,8 @@ def richness(records: list[ContentRecord],
 
 def average_age(records: list[ContentRecord],
                 reference: date) -> AverageAgeResult:
-    """Mean age of the catalog in days at the reference date.
-
-    Also breaks the average down per topic, which is what the replacement
-    analysis (old content with low demand) consumes.
-    """
+    """Mean age of the catalog's records in days at the reference date;
+    a record published after it is refused."""
     if not records:
         raise DomainError("cannot compute average age of an empty catalog")
     for r in records:
@@ -290,14 +265,7 @@ def average_age(records: list[ContentRecord],
                 f"than the reference date {reference}"
             )
     ages = [(reference - r.published).days for r in records]
-    by_topic: dict[str, list[int]] = {}
-    for r, age in zip(records, ages):
-        by_topic.setdefault(r.topic, []).append(age)
-    return AverageAgeResult(
-        mean_age_days=sum(ages) / len(ages),
-        by_topic={t: sum(a) / len(a) for t, a in sorted(by_topic.items())},
-        reference=reference,
-    )
+    return AverageAgeResult(mean_age_days=sum(ages) / len(ages))
 
 
 def offer_distribution(records: list[ContentRecord],
@@ -323,24 +291,17 @@ def demand_offer_gap(offer: TopicDistribution, accessed: TopicDistribution,
     if offer.total == 0 or accessed.total == 0:
         raise DomainError("both distributions must have positive totals")
     labels = sorted(set(offer.counts) | set(accessed.counts))
-    gaps = []
     high_demand = []
     high_offer = []
     for label in labels:
-        o = offer.counts.get(label, 0) / offer.total
-        d = accessed.counts.get(label, 0) / accessed.total
-        gap = d - o
-        gaps.append(TopicGap(topic=label, offer_share=o, demand_share=d, gap=gap))
+        gap = (accessed.counts.get(label, 0) / accessed.total
+               - offer.counts.get(label, 0) / offer.total)
         if gap > threshold:
             high_demand.append(label)
         elif gap < -threshold:
             high_offer.append(label)
-    return GapReport(
-        gaps=tuple(gaps),
-        high_demand_low_offer=tuple(high_demand),
-        high_offer_low_demand=tuple(high_offer),
-        threshold=threshold,
-    )
+    return GapReport(high_demand_low_offer=tuple(high_demand),
+                     high_offer_low_demand=tuple(high_offer))
 
 
 def content_counts(records: Iterable[ContentRecord]) -> tuple[dict[str, int], int]:

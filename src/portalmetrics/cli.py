@@ -205,23 +205,29 @@ def cmd_structure(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_usage(cfg: RunConfig) -> int:
-    period = cfg.period()
-    sessions, tallies = _load_sessions(cfg)
-    demand = usage_mod.overall_demand(sessions, period)
-    rec = usage_mod.recency(sessions, period)
-    activity = usage_mod.activity_level(sessions) if sessions else None
-    navigation = usage_mod.summarize_navigation(sessions, cfg.linearity_band)
+def _write_diagnostics(cfg: RunConfig, period, sessions, tallies, demand,
+                       navigation) -> dict:
+    """Build the local diagnostics, write them and say so on stderr."""
     diagnostics = report_mod.build_diagnostics(
-        cfg.portal_id, period, demand=demand, recency_result=rec,
-        activity=activity, session_count=len(sessions),
-        navigation=navigation, tallies=tallies,
+        cfg.portal_id, period, demand=demand,
+        recency_result=usage_mod.recency(sessions, period),
+        activity=usage_mod.activity_level(sessions) if sessions else None,
+        session_count=len(sessions), navigation=navigation, tallies=tallies,
     )
     path = _write_output(cfg, f"{cfg.portal_id}.diagnostics.json",
                          report_mod.canonical_json(diagnostics))
-    _emit(diagnostics)
     sys.stderr.write(f"local diagnostics written to {path}; "
                      "this file is not for sharing\n")
+    return diagnostics
+
+
+def cmd_usage(cfg: RunConfig) -> int:
+    period = cfg.period()
+    sessions, tallies = _load_sessions(cfg)
+    _emit(_write_diagnostics(
+        cfg, period, sessions, tallies,
+        usage_mod.overall_demand(sessions, period),
+        usage_mod.summarize_navigation(sessions, cfg.linearity_band)))
     return 0
 
 
@@ -314,14 +320,11 @@ def cmd_report(cfg: RunConfig) -> int:
     provision = organization = position = segmentation = None
     sessions = parsed = None
     tallies: dict = {}
-    navigation = None
-    demand = rec = activity = None
+    navigation = demand = None
 
     if cfg.logs:
         sessions, tallies = _load_sessions(cfg)
         demand = usage_mod.overall_demand(sessions, period)
-        rec = usage_mod.recency(sessions, period)
-        activity = usage_mod.activity_level(sessions) if sessions else None
 
     if cfg.catalog is not None:
         parsed = _load_catalog(cfg)
@@ -366,15 +369,7 @@ def cmd_report(cfg: RunConfig) -> int:
     path = _write_output(cfg, f"{cfg.portal_id}.report.json", data)
 
     if sessions is not None:
-        diagnostics = report_mod.build_diagnostics(
-            cfg.portal_id, period, demand=demand, recency_result=rec,
-            activity=activity, session_count=len(sessions),
-            navigation=navigation, tallies=tallies,
-        )
-        diag_path = _write_output(cfg, f"{cfg.portal_id}.diagnostics.json",
-                                  report_mod.canonical_json(diagnostics))
-        sys.stderr.write(f"local diagnostics written to {diag_path}; "
-                         "this file is not for sharing\n")
+        _write_diagnostics(cfg, period, sessions, tallies, demand, navigation)
     sys.stdout.write(data.decode("utf-8"))
     sys.stderr.write(f"report written to {path}\n")
     return 0

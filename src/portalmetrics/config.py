@@ -16,6 +16,11 @@ from .errors import ConfigError
 from .position import PositionThresholds
 from .usage import AnalysisPeriod
 
+# The most buckets a period may be cut into; a year of one-minute buckets
+# is 525,600. Demand keeps one count per bucket.
+MAX_BUCKETS = 1_000_000
+_MICROSECOND = timedelta(microseconds=1)
+
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -117,9 +122,19 @@ class RunConfig:
                                   f"({timedelta.max.days} days)") from None
         if (self.period_start is None) != (self.period_end is None):
             raise ConfigError("period_start and period_end come as a pair")
-        if (self.period_start is not None
-                and self.period_start >= self.period_end):
+        bucket = timedelta(days=self.bucket_days)
+        if bucket < _MICROSECOND:
+            raise ConfigError("bucket_days must be at least one microsecond "
+                              f"({_MICROSECOND / timedelta(days=1):.3g} days)")
+        if self.period_start is None:
+            return
+        if self.period_start >= self.period_end:
             raise ConfigError("period_start must precede period_end")
+        buckets = -(-(self.period_end - self.period_start) // bucket)
+        if buckets > MAX_BUCKETS:
+            raise ConfigError(f"bucket_days = {self.bucket_days} cuts the period "
+                              f"into {buckets} buckets; at most {MAX_BUCKETS} "
+                              "are allowed")
 
     def period(self) -> AnalysisPeriod:
         if self.period_start is None or self.period_end is None:

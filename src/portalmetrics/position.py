@@ -58,16 +58,6 @@ class CrossSiteGraph:
     def site_order(self) -> list[str]:
         return sorted(self.sites)
 
-    def neighbors(self, site: str) -> set:
-        """Distinct sites adjacent to ``site``, ignoring direction."""
-        out = set()
-        for a, b in self.weights:
-            if a == site:
-                out.add(b)
-            elif b == site:
-                out.add(a)
-        return out
-
 
 @dataclass
 class CrossBuildTally:
@@ -89,21 +79,6 @@ class CommunityAssignment:
     @property
     def community_count(self) -> int:
         return len(set(self.labels.values()))
-
-
-@dataclass(frozen=True)
-class DegreeMeasure:
-    distinct: int
-    weighted: int
-
-
-@dataclass(frozen=True)
-class BridgeAssessment:
-    degree: int
-    adjacent_communities: int
-    bridge_score: float | None
-    bridge: bool
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -129,9 +104,6 @@ class PositionProfile:
     authority: bool
     hub: bool
     bridge: bool
-    community_algorithm: str
-    community_seed: int
-    thresholds: PositionThresholds
     flags: tuple[str, ...] = ()
 
 
@@ -206,37 +178,26 @@ def build_cross_site_graph(page_links, site_map=None
     return CrossSiteGraph(sites=frozenset(sites), weights=weights), tally
 
 
-def _degrees(g: CrossSiteGraph
-             ) -> dict[str, tuple[DegreeMeasure, DegreeMeasure]]:
-    """Every site's (in, out) degree measures, from one pass over the links."""
-    counts = {site: [0, 0, 0, 0] for site in g.sites}
+def _degrees(g: CrossSiteGraph, site: str) -> tuple[dict[str, list[int]], set]:
+    """Every site's [in, weighted in, out, weighted out] degree, and the
+    distinct sites adjacent to ``site`` in either direction, from one pass
+    over the links."""
+    counts = {s: [0, 0, 0, 0] for s in g.sites}
+    linked = set()
     for (a, b), w in g.weights.items():
         into, out = counts[b], counts[a]
         into[0] += 1
         into[1] += w
         out[2] += 1
         out[3] += w
-    return {site: (DegreeMeasure(distinct=c[0], weighted=c[1]),
-                   DegreeMeasure(distinct=c[2], weighted=c[3]))
-            for site, c in counts.items()}
+        if a == site:
+            linked.add(b)
+        elif b == site:
+            linked.add(a)
+    return counts, linked
 
 
-def authoritativeness(g: CrossSiteGraph, site: str) -> DegreeMeasure:
-    """In-degree: distinct sites linking in, plus the page-link total."""
-    if site not in g.sites:
-        raise DomainError(f"unknown site {site!r}")
-    return _degrees(g)[site][0]
-
-
-def hubness(g: CrossSiteGraph, site: str) -> DegreeMeasure:
-    """Out-degree: distinct sites linked to, plus the page-link total."""
-    if site not in g.sites:
-        raise DomainError(f"unknown site {site!r}")
-    return _degrees(g)[site][1]
-
-
-def detect_communities(g: CrossSiteGraph, seed: int = 0,
-                       algorithm: str = COMMUNITY_ALGORITHM) -> CommunityAssignment:
+def detect_communities(g: CrossSiteGraph, seed: int = 0) -> CommunityAssignment:
     """Label propagation over the undirected weighted projection.
 
     Synchronous rounds: every site simultaneously adopts the label with the
@@ -253,8 +214,6 @@ def detect_communities(g: CrossSiteGraph, seed: int = 0,
     Identical graph + seed always yields the identical assignment. Labels
     are renumbered 0..k-1 by first appearance in site order.
     """
-    if algorithm != COMMUNITY_ALGORITHM:
-        raise DomainError(f"unknown community algorithm {algorithm!r}")
     order = g.site_order()
     if not order:
         raise DomainError("cannot detect communities on an empty graph")
@@ -297,45 +256,9 @@ def detect_communities(g: CrossSiteGraph, seed: int = 0,
         if lab not in renumber:
             renumber[lab] = len(renumber)
         canonical[site] = renumber[lab]
-    return CommunityAssignment(labels=canonical, seed=seed, algorithm=algorithm,
+    return CommunityAssignment(labels=canonical, seed=seed,
+                               algorithm=COMMUNITY_ALGORITHM,
                                rounds=rounds, converged=converged)
-
-
-def bridging(g: CrossSiteGraph, site: str, communities: CommunityAssignment,
-             thresholds: PositionThresholds = PositionThresholds()
-             ) -> BridgeAssessment:
-    """Bridge classification: few links spanning several communities.
-
-    adjacent_communities counts distinct labels among neighbor sites (the
-    site's own label only counts if a neighbor carries it). The score is
-    that count over the distinct-neighbor count. A site is a bridge when
-    it touches at least 2 communities, its score clears the threshold, and
-    its degree is at most the graph's median degree.
-    """
-    if site not in g.sites:
-        raise DomainError(f"unknown site {site!r}")
-    if set(communities.labels) != set(g.sites):
-        raise DomainError("community assignment does not cover this graph")
-    degrees = _degrees(g)
-    in_measure, out_measure = degrees[site]
-    degree = in_measure.distinct + out_measure.distinct
-    nbrs = g.neighbors(site)
-    if not nbrs:
-        return BridgeAssessment(degree=0, adjacent_communities=0,
-                                bridge_score=None, bridge=False,
-                                flags=(ISOLATED_SITE_FLAG,))
-    adjacent = len({communities.labels[other] for other in nbrs})
-    score = adjacent / len(nbrs)
-    median_degree = statistics.median(
-        into.distinct + out.distinct for into, out in degrees.values())
-    is_bridge = (adjacent >= thresholds.bridge_min_communities
-                 and score >= thresholds.bridge_score_threshold
-                 and degree <= median_degree)
-    flags = ()
-    if communities.community_count < 2:
-        flags = (SINGLE_COMMUNITY_FLAG,)
-    return BridgeAssessment(degree=degree, adjacent_communities=adjacent,
-                            bridge_score=score, bridge=is_bridge, flags=flags)
 
 
 def _percentile_cut(values: list[int], percentile: float) -> float:
@@ -365,36 +288,54 @@ def position_profile(g: CrossSiteGraph, site: str,
                      communities: CommunityAssignment,
                      thresholds: PositionThresholds = PositionThresholds()
                      ) -> PositionProfile:
-    """All position measures for one site, with role flags.
+    """All position measures for one site, with role flags: the one entry
+    point to them.
+
+    Degrees count distinct sites linking in and linked to; weighted
+    degrees count page links. adjacent_communities counts distinct labels
+    among the neighbor sites (the site's own label only counts if a
+    neighbor carries it), and the bridge score is that count over the
+    distinct-neighbor count. A site is a bridge when it touches at least
+    ``bridge_min_communities`` communities, its score clears the
+    threshold, and its degree is at most the graph's median degree. An
+    isolated site has no score and a flag.
 
     Authority / hub flags require the degree to be positive and at or
     above the graph-wide percentile cut (default 75th); a graph where most
     sites have zero in-links must not flag them all.
     """
-    assessment = bridging(g, site, communities, thresholds)
-    degrees = _degrees(g)
-    in_measure, out_measure = degrees[site]
-    authority_cut = _percentile_cut(
-        [into.distinct for into, _ in degrees.values()],
-        thresholds.authority_percentile)
-    hub_cut = _percentile_cut(
-        [out.distinct for _, out in degrees.values()],
-        thresholds.hub_percentile)
-
+    if site not in g.sites:
+        raise DomainError(f"unknown site {site!r}")
+    if set(communities.labels) != set(g.sites):
+        raise DomainError("community assignment does not cover this graph")
+    degrees, linked = _degrees(g, site)
+    in_degree, weighted_in, out_degree, weighted_out = degrees[site]
+    degree = in_degree + out_degree
+    adjacent, score, is_bridge = 0, None, False
+    flags: tuple[str, ...] = (ISOLATED_SITE_FLAG,)
+    if linked:
+        adjacent = len({communities.labels[other] for other in linked})
+        score = adjacent / len(linked)
+        median_degree = statistics.median(c[0] + c[2] for c in degrees.values())
+        is_bridge = (adjacent >= thresholds.bridge_min_communities
+                     and score >= thresholds.bridge_score_threshold
+                     and degree <= median_degree)
+        flags = (SINGLE_COMMUNITY_FLAG,) if communities.community_count < 2 else ()
+    authority_cut = _percentile_cut([c[0] for c in degrees.values()],
+                                    thresholds.authority_percentile)
+    hub_cut = _percentile_cut([c[2] for c in degrees.values()],
+                              thresholds.hub_percentile)
     return PositionProfile(
         site=site,
-        in_degree=in_measure.distinct,
-        out_degree=out_measure.distinct,
-        weighted_in_degree=in_measure.weighted,
-        weighted_out_degree=out_measure.weighted,
-        degree=in_measure.distinct + out_measure.distinct,
-        adjacent_communities=assessment.adjacent_communities,
-        bridge_score=assessment.bridge_score,
-        authority=in_measure.distinct > 0 and in_measure.distinct >= authority_cut,
-        hub=out_measure.distinct > 0 and out_measure.distinct >= hub_cut,
-        bridge=assessment.bridge,
-        community_algorithm=communities.algorithm,
-        community_seed=communities.seed,
-        thresholds=thresholds,
-        flags=assessment.flags,
+        in_degree=in_degree,
+        out_degree=out_degree,
+        weighted_in_degree=weighted_in,
+        weighted_out_degree=weighted_out,
+        degree=degree,
+        adjacent_communities=adjacent,
+        bridge_score=score,
+        authority=in_degree > 0 and in_degree >= authority_cut,
+        hub=out_degree > 0 and out_degree >= hub_cut,
+        bridge=is_bridge,
+        flags=flags,
     )

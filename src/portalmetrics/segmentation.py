@@ -66,7 +66,6 @@ class Dynamics:
 @dataclass(frozen=True)
 class SizeClassification:
     classes: dict
-    median_ratio: float
     flags: tuple[str, ...] = ()
 
 
@@ -159,7 +158,7 @@ def size_class(ratios: dict) -> SizeClassification:
     flags = (SINGLE_PORTAL_FLAG,) if len(values) == 1 else ()
     classes = {portal: (LARGE if ratio >= median else SMALL)
                for portal, ratio in ratios.items()}
-    return SizeClassification(classes=classes, median_ratio=median, flags=flags)
+    return SizeClassification(classes=classes, flags=flags)
 
 
 def segment(dynamics: Dynamics, size: str) -> SegmentLabel:

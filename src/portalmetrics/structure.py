@@ -12,8 +12,9 @@ The module computes:
 
 Unreachable pairs enter the converted-distance matrix at the conversion
 constant K (default: the node count), which may not be below the longest
-finite distance. Every metric and the matrix come from one breadth-first
-sweep that starts at all pages at once: each page holds the set of pages
+finite distance. :func:`organization_profile` computes all four metrics;
+they and the matrix come from breadth-first sweeps that start at all pages
+at once: each page holds the set of pages
 that have reached it as the bits of a Python integer, and status and
 contrastatus add up level by level without an n x n matrix. Only
 :func:`converted_distances` builds the matrix, as nested tuples of ints.
@@ -85,13 +86,6 @@ class ConvertedDistanceMatrix:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class DepthResult:
-    mean_depth: float
-    unreachable: int
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -295,75 +289,18 @@ def converted_distances(g: SiteGraph, K: int | None = None) -> ConvertedDistance
                                    K=k)
 
 
-def depth(g: SiteGraph) -> DepthResult:
-    """Mean shortest click-distance from the homepage to reachable pages.
-
-    Pages unreachable from the root are excluded from the mean and counted
-    separately, keeping the average interpretable as a click distance.
-    A single-node graph (or a root that reaches nothing) yields 0.0 with a
-    degeneracy flag.
-    """
-    if g.n == 1:
-        return DepthResult(mean_depth=0.0, unreachable=0,
-                           flags=(DEGENERATE_SINGLE_NODE,))
-    summary = _distance_summary(g)
-    return _depth_from_summary(summary)
-
-
-def _depth_from_summary(summary: _DistanceSummary) -> DepthResult:
-    dists = summary.root_distances
-    # Excludes the root (0) and unreachable pages (-1).
-    reach = [d for d in dists if d > 0]
-    unreachable = dists.count(-1)
-    if not reach:
-        return DepthResult(mean_depth=0.0, unreachable=unreachable,
-                           flags=(DEGENERATE_NO_REACHABLE,))
-    return DepthResult(mean_depth=sum(reach) / len(reach),
-                       unreachable=unreachable)
-
-
-def density(g: SiteGraph) -> tuple[float, tuple[str, ...]]:
-    """|edges| / (n * (n - 1)): link cohesion in [0, 1]."""
-    if g.n == 1:
-        return 0.0, (DEGENERATE_SINGLE_NODE,)
-    return len(g.edges) / (g.n * (g.n - 1)), ()
-
-
-def navigability(g: SiteGraph, K: int | None = None) -> float | None:
-    """Compactness of the converted-distance matrix, in [0, 1].
-
-    Cp = (Max - sum(d_ij)) / (Max - Min) with Max = (n^2 - n) * K and
-    Min = n^2 - n. 1.0 for a complete digraph, 0.0 for an edgeless graph.
-    Returns None for degenerate graphs (n < 2).
-    """
-    if g.n < 2:
-        return None
-    return _navigability_from_summary(_distance_summary(g, K))
-
-
 def _navigability_from_summary(summary: _DistanceSummary) -> float:
+    # Compactness Cp = (Max - sum(d_ij)) / (Max - Min) with
+    # Max = (n^2 - n) * K and Min = n^2 - n.
     n, k = summary.n, summary.K
     max_sum = (n * n - n) * k
     min_sum = n * n - n
     return (max_sum - summary.sum_converted) / (max_sum - min_sum)
 
 
-def linearity(g: SiteGraph) -> float | None:
-    """Stratum: normalized absolute prestige, in [0, 1].
-
-    For each node, status is the sum of finite shortest distances into it
-    and contrastatus the sum out of it (unreachable pairs contribute 0).
-    The absolute prestige sum(|status - contrastatus|) is normalized by its
-    value on a directed chain: n^3/4 for even n, (n^3 - n)/4 for odd n.
-    1.0 for a directed chain, 0.0 whenever the distance relation is
-    symmetric (e.g. a directed cycle). None for degenerate graphs (n < 2).
-    """
-    if g.n < 2:
-        return None
-    return _linearity_from_summary(_distance_summary(g))
-
-
 def _linearity_from_summary(summary: _DistanceSummary) -> float:
+    # Absolute prestige sum(|status - contrastatus|) over its value on a
+    # directed chain: n^3/4 for even n, (n^3 - n)/4 for odd n.
     n = summary.n
     prestige = sum(abs(a - b)
                    for a, b in zip(summary.status, summary.contrastatus))
@@ -372,7 +309,14 @@ def _linearity_from_summary(summary: _DistanceSummary) -> float:
 
 
 def organization_profile(g: SiteGraph, K: int | None = None) -> OrganizationProfile:
-    """All four organization metrics from a single all-pairs distance pass."""
+    """All four organization metrics from a single all-pairs distance pass:
+    the one entry point to them.
+
+    Pages the root does not reach are left out of the mean depth and
+    counted in ``unreachable``; a root that reaches nothing has depth 0.0
+    and a flag. A single-node graph has depth and density 0.0,
+    navigability and linearity None (absent, not 0), and a flag.
+    """
     if g.n == 1:
         return OrganizationProfile(
             depth=0.0, unreachable=0, density=0.0,
@@ -380,13 +324,14 @@ def organization_profile(g: SiteGraph, K: int | None = None) -> OrganizationProf
             flags=(DEGENERATE_SINGLE_NODE,),
         )
     summary = _distance_summary(g, K)
-    depth_result = _depth_from_summary(summary)
-    dens, _ = density(g)
+    dists = summary.root_distances
+    # Excludes the root (0) and unreachable pages (-1).
+    reach = [d for d in dists if d > 0]
     return OrganizationProfile(
-        depth=depth_result.mean_depth,
-        unreachable=depth_result.unreachable,
-        density=dens,
+        depth=sum(reach) / len(reach) if reach else 0.0,
+        unreachable=dists.count(-1),
+        density=len(g.edges) / (g.n * (g.n - 1)),
         navigability=_navigability_from_summary(summary),
         linearity=_linearity_from_summary(summary),
-        flags=depth_result.flags,
+        flags=() if reach else (DEGENERATE_NO_REACHABLE,),
     )

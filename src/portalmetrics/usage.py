@@ -4,9 +4,10 @@ Ingests web-server access logs in NCSA Combined Log Format, splits human
 from automated-agent traffic, groups page views into visits (sessions),
 and computes the demand-side metrics: overall demand per time bucket,
 recency (mean time between visits by the same visitor), activity level
-(page views per visit), accessed-content distributions joined against the
-catalog, and per-session navigation complexity/linearity derived from the
-structure-module metrics on the session's path graph.
+(page views per visit), the accessed-content distributions of the whole
+period (by views and by unique visitors) joined against the catalog, and
+per-session navigation complexity/linearity derived from the structure
+metrics on the session's path graph.
 
 Visitor identity: the authenticated-user field of the log line when
 present, otherwise a stable hash of (client address, user agent). The
@@ -183,10 +184,9 @@ class RecencyResult:
 
 @dataclass(frozen=True)
 class AccessedContent:
-    """Accessed-content distributions, by views and by unique visitors."""
+    """Accessed-content distributions over the period, by views and by
+    unique visitors."""
 
-    per_bucket_views: tuple[TopicDistribution, ...]
-    per_bucket_visitors: tuple[TopicDistribution, ...]
     views_total: TopicDistribution
     visitors_total: TopicDistribution
     uncatalogued_views: int
@@ -202,7 +202,6 @@ class NavigationMetrics:
 
     complexity: float | None
     linearity: float | None
-    distinct_pages: int
     degenerate: bool
 
 
@@ -469,28 +468,26 @@ def activity_level(sessions) -> float:
 def accessed_distribution(sessions, records: list[ContentRecord],
                           path_map: dict[str, str], axis: str,
                           period: AnalysisPeriod) -> AccessedContent:
-    """Accessed-content distributions per bucket, by views and by visitors.
+    """Accessed-content distributions over the period, by views and by
+    unique visitors.
 
-    ``path_map`` joins request paths to catalog identifiers; views whose
-    path or identifier has no catalog record are tallied as uncatalogued.
-    Raises DomainError when nothing joins at all. Each distinct path is
-    joined once.
+    Only views inside the period count. ``path_map`` joins request paths
+    to catalog identifiers; views whose path or identifier has no catalog
+    record are tallied as uncatalogued. Raises DomainError when nothing
+    joins at all. Each distinct path is joined once.
     """
     if axis not in ("topic", "resource_type"):
         raise DomainError(f"unknown distribution axis {axis!r}")
     by_id = {r.identifier: r for r in records}
-    nbuckets = period.bucket_count
-    view_counts = [dict() for _ in range(nbuckets)]
-    visitor_sets = [dict() for _ in range(nbuckets)]
     total_views: dict[str, int] = {}  # labels in order of first view
+    visitors: dict[str, set[str]] = {}
     uncatalogued = 0
     labels: dict[str, str | None] = {}  # path -> label; None: uncatalogued
     bucket_index = period.bucket_index
     for session in sessions:
         visitor = session.visitor_key
         for seconds, path in session.views:
-            idx = bucket_index(seconds)
-            if idx is None:
+            if bucket_index(seconds) is None:
                 continue
             try:
                 label = labels[path]
@@ -505,29 +502,21 @@ def accessed_distribution(sessions, records: list[ContentRecord],
             if label is None:
                 uncatalogued += 1
                 continue
-            counts = view_counts[idx]
-            counts[label] = counts.get(label, 0) + 1
-            visitors = visitor_sets[idx].get(label)
-            if visitors is None:
-                visitor_sets[idx][label] = {visitor}
+            count = total_views.get(label)
+            if count is None:
+                total_views[label] = 1
+                visitors[label] = {visitor}
             else:
-                visitors.add(visitor)
-            total_views[label] = total_views.get(label, 0) + 1
+                total_views[label] = count + 1
+                visitors[label].add(visitor)
     if not total_views:
         raise DomainError(
             f"no page view joined the catalog ({uncatalogued} uncatalogued views)"
         )
     return AccessedContent(
-        per_bucket_views=tuple(TopicDistribution.from_counts(c) for c in view_counts),
-        per_bucket_visitors=tuple(
-            TopicDistribution.from_counts({k: len(v) for k, v in s.items()})
-            for s in visitor_sets
-        ),
         views_total=TopicDistribution.from_counts(total_views),
-        visitors_total=TopicDistribution.from_counts({
-            label: len(set().union(*(s[label] for s in visitor_sets if label in s)))
-            for label in total_views
-        }),
+        visitors_total=TopicDistribution.from_counts(
+            {label: len(visitors[label]) for label in total_views}),
         uncatalogued_views=uncatalogued,
     )
 
@@ -555,14 +544,14 @@ def navigation_metrics(session: Session) -> NavigationMetrics:
             order[p] = len(order)
     if len(order) < 2:
         return NavigationMetrics(complexity=None, linearity=None,
-                                 distinct_pages=len(order), degenerate=True)
+                                 degenerate=True)
     edges = set()
     for a, b in zip(paths, paths[1:]):
         if a != b:
             edges.add((order[a], order[b]))
     complexity, linearity = _metrics_for_shape(len(order), tuple(sorted(edges)))
     return NavigationMetrics(complexity=complexity, linearity=linearity,
-                             distinct_pages=len(order), degenerate=False)
+                             degenerate=False)
 
 
 def summarize_navigation(sessions,

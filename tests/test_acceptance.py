@@ -90,24 +90,25 @@ def test_criterion_1_shannon_suite(capsys):
 
 def test_criterion_2_structure_extremes(capsys):
     failures: list[str] = []
+    profile = structure.organization_profile
     for n in range(3, 9):
         complete = fx.gen_graph(fx.GeneratorSpec(kind="complete", size=n))
-        if structure.navigability(complete) != 1.0:
+        if profile(complete).navigability != 1.0:
             failures.append(f"complete n={n} navigability != 1.0")
         edgeless = SiteGraph(
             nodes=frozenset(f"/p{i:04d}" for i in range(n)),
             edges=frozenset(), root="/p0000")
-        if structure.navigability(edgeless) != 0.0:
+        if profile(edgeless).navigability != 0.0:
             failures.append(f"edgeless n={n} navigability != 0.0")
         chain = fx.gen_graph(fx.GeneratorSpec(kind="chain", size=n))
-        if structure.linearity(chain) != 1.0:
+        if profile(chain).linearity != 1.0:
             failures.append(f"chain n={n} linearity != 1.0")
         cycle = fx.gen_graph(fx.GeneratorSpec(kind="cycle", size=n))
-        if structure.linearity(cycle) != 0.0:
+        if profile(cycle).linearity != 0.0:
             failures.append(f"cycle n={n} linearity != 0.0")
 
     chain3 = fx.gen_graph(fx.GeneratorSpec(kind="chain", size=3))
-    got = structure.navigability(chain3)
+    got = profile(chain3).navigability
     if abs(got - 5 / 12) > 1e-12:
         failures.append(f"chain-3 navigability {got} != 5/12")
     _verdict(capsys, 2, failures,
@@ -252,20 +253,20 @@ def test_criterion_6_position_suite(capsys):
         g = fx.gen_graph(fx.GeneratorSpec(kind="random-cross",
                                           size=3 + seed % 8,
                                           edge_factor=2.0, seed=seed))
-        sites = g.site_order()
-        if sum(position_mod.authoritativeness(g, s).distinct
-               for s in sites) != sum(position_mod.hubness(g, s).distinct
-                                      for s in sites):
+        communities = position_mod.detect_communities(g)
+        profiles = [position_mod.position_profile(g, s, communities)
+                    for s in g.site_order()]
+        if sum(p.in_degree for p in profiles) != sum(p.out_degree
+                                                     for p in profiles):
             failures.append(f"distinct handshake broke at seed {seed}")
-        if sum(position_mod.authoritativeness(g, s).weighted
-               for s in sites) != sum(position_mod.hubness(g, s).weighted
-                                      for s in sites):
+        if sum(p.weighted_in_degree for p in profiles) != sum(
+                p.weighted_out_degree for p in profiles):
             failures.append(f"weighted handshake broke at seed {seed}")
 
     bridged = fx.gen_graph(fx.GeneratorSpec(kind="two-community", size=8,
                                             bridge_node=True))
     communities = position_mod.detect_communities(bridged)
-    got = position_mod.bridging(bridged, "x0.example", communities)
+    got = position_mod.position_profile(bridged, "x0.example", communities)
     if got.adjacent_communities != 2:
         failures.append(f"bridge adjacent_communities {got.adjacent_communities}")
     if got.bridge_score != 1.0:
@@ -273,7 +274,7 @@ def test_criterion_6_position_suite(capsys):
     if not got.bridge:
         failures.append("bridge node not flagged as bridge")
     for site in sorted(bridged.sites - {"x0.example"}):
-        interior = position_mod.bridging(bridged, site, communities)
+        interior = position_mod.position_profile(bridged, site, communities)
         if interior.bridge:
             failures.append(f"clique site {site} wrongly flagged as bridge")
 

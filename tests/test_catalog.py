@@ -101,7 +101,6 @@ class TestShannonDiversity:
         result = catalog.shannon_diversity(dist)
         assert result.entropy_nats == 0.0
         assert result.evenness == 0.0
-        assert result.positive_topics == 1
 
     def test_uniform_four_topics(self):
         dist = catalog.TopicDistribution.from_counts(
@@ -207,14 +206,6 @@ class TestAverageAge:
         with pytest.raises(DomainError):
             catalog.average_age([], REF)
 
-    def test_per_topic_breakdown(self):
-        records = [
-            _rec(ident="r1", topic="a", published=date(2026, 2, 19)),
-            _rec(ident="r2", topic="b", published=date(2026, 2, 9)),
-        ]
-        result = catalog.average_age(records, REF)
-        assert result.by_topic == {"a": 10.0, "b": 20.0}
-
     @given(st.lists(st.integers(min_value=0, max_value=2000), min_size=1,
                     max_size=30),
            st.lists(st.integers(min_value=0, max_value=2000), min_size=1,
@@ -259,7 +250,6 @@ class TestDemandOfferGap:
     def test_identical_distributions_no_flags(self):
         dist = catalog.TopicDistribution.from_counts({"a": 3, "b": 7})
         result = catalog.demand_offer_gap(dist, dist)
-        assert all(g.gap == 0.0 for g in result.gaps)
         assert result.high_demand_low_offer == ()
         assert result.high_offer_low_demand == ()
 
@@ -269,8 +259,6 @@ class TestDemandOfferGap:
         result = catalog.demand_offer_gap(offer, demand)
         assert result.high_demand_low_offer == ("b",)
         assert result.high_offer_low_demand == ("a",)
-        by_topic = {g.topic: g.gap for g in result.gaps}
-        assert by_topic["b"] == pytest.approx(0.8)
 
     def test_zero_total_rejected(self):
         offer = catalog.TopicDistribution.from_counts({"a": 9})
@@ -289,7 +277,7 @@ class TestDemandOfferGap:
                            st.integers(min_value=0, max_value=50)),
            st.dictionaries(st.sampled_from("abcdef"),
                            st.integers(min_value=0, max_value=50)))
-    def test_gaps_sum_to_zero(self, offer_counts, demand_counts):
+    def test_flags_follow_the_share_gap(self, offer_counts, demand_counts):
         offer = catalog.TopicDistribution.from_counts(offer_counts)
         demand = catalog.TopicDistribution.from_counts(demand_counts)
         if offer.total == 0 or demand.total == 0:
@@ -297,7 +285,13 @@ class TestDemandOfferGap:
                 catalog.demand_offer_gap(offer, demand)
             return
         result = catalog.demand_offer_gap(offer, demand)
-        assert sum(g.gap for g in result.gaps) == pytest.approx(0.0, abs=1e-9)
+        gaps = {label: demand_counts.get(label, 0) / demand.total
+                - offer_counts.get(label, 0) / offer.total
+                for label in sorted(set(offer_counts) | set(demand_counts))}
+        assert result.high_demand_low_offer == tuple(
+            label for label, gap in gaps.items() if gap > 0.10)
+        assert result.high_offer_low_demand == tuple(
+            label for label, gap in gaps.items() if gap < -0.10)
 
 
 class TestContentCounts:

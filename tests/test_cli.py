@@ -122,6 +122,20 @@ class TestStructureCommand:
         assert "error:" in err
 
 
+@pytest.mark.parametrize("bucket_days", ["1e-12", "1e-9"])
+def test_bucket_too_small_for_the_period_exits_2(demo, tmp_path, capsys,
+                                                 bucket_days):
+    # `catalog` builds no demand series, so a regression exits 0 here
+    # instead of allocating billions of buckets.
+    code = cli.main(["catalog", "--config", demo["portals"]["alpha"]["config"],
+                     "--bucket-days", bucket_days,
+                     "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bucket_days" in err
+    assert "Traceback" not in err
+
+
 class TestUsageCommand:
     def test_diagnostics_written_with_warning(self, tmp_path, capsys):
         lines = fx.gen_log(fx.GeneratorSpec(

@@ -8,6 +8,7 @@ from datetime import date, datetime, timedelta, timezone
 import pytest
 
 from portalmetrics.config import (
+    MAX_BUCKETS,
     RunConfig,
     _FIELD_PARSERS,
     build_config,
@@ -164,6 +165,37 @@ class TestValidation:
     def test_span_too_long_for_a_timedelta_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             build_config(overrides={field: value})
+
+    @pytest.mark.parametrize("period", [False, True])
+    def test_bucket_below_a_microsecond_rejected(self, period):
+        bounds = {}
+        if period:
+            start = datetime(2026, 3, 2, tzinfo=UTC)
+            bounds = {"period_start": start,
+                      "period_end": start + timedelta(days=3)}
+        with pytest.raises(ConfigError, match="bucket_days.*microsecond"):
+            build_config(overrides={"bucket_days": 1e-12, **bounds})
+
+    @pytest.mark.parametrize("extra_seconds,accepted", [(0, True),
+                                                        (1, False)])
+    def test_bucket_count_bounded(self, extra_seconds, accepted):
+        # One-second buckets over MAX_BUCKETS seconds, then one more second.
+        start = datetime(2026, 3, 2, tzinfo=UTC)
+        overrides = {"bucket_days": 1 / 86400, "period_start": start,
+                     "period_end": start + timedelta(
+                         seconds=MAX_BUCKETS + extra_seconds)}
+        if accepted:
+            assert build_config(overrides=overrides).period().bucket_count \
+                == MAX_BUCKETS
+        else:
+            with pytest.raises(ConfigError, match="bucket_days"):
+                build_config(overrides=overrides)
+
+    def test_tiny_bucket_over_a_period_rejected(self):
+        start = datetime(2026, 3, 2, tzinfo=UTC)
+        with pytest.raises(ConfigError, match="bucket_days"):
+            build_config(overrides={"bucket_days": 1e-9, "period_start": start,
+                                    "period_end": start + timedelta(days=3)})
 
     def test_boundary_values_accepted(self):
         build_config(overrides={"bridge_score_threshold": 1.0,

@@ -103,32 +103,32 @@ class TestRegistrableDomain:
         assert position.registrable_domain("") is None
 
 
+def _profile(g, site):
+    return position.position_profile(g, site, position.detect_communities(g))
+
+
 class TestDegrees:
     def test_in_and_out_degree(self):
         g = _cross({("a", "c"): 2, ("b", "c"): 5, ("c", "a"): 1})
-        a_in = position.authoritativeness(g, "c")
-        assert a_in.distinct == 2
-        assert a_in.weighted == 7
-        c_out = position.hubness(g, "c")
-        assert c_out.distinct == 1
-        assert c_out.weighted == 1
+        c = _profile(g, "c")
+        assert c.in_degree == 2
+        assert c.weighted_in_degree == 7
+        assert c.out_degree == 1
+        assert c.weighted_out_degree == 1
 
     def test_unknown_site_rejected(self):
         g = _cross({("a", "b"): 1})
         with pytest.raises(DomainError):
-            position.authoritativeness(g, "zzz")
+            _profile(g, "zzz")
 
     @given(cross_graphs)
     def test_handshake_sums(self, g):
-        total_in_distinct = sum(
-            position.authoritativeness(g, s).distinct for s in g.site_order())
-        total_out_distinct = sum(
-            position.hubness(g, s).distinct for s in g.site_order())
+        profiles = [_profile(g, s) for s in g.site_order()]
+        total_in_distinct = sum(p.in_degree for p in profiles)
+        total_out_distinct = sum(p.out_degree for p in profiles)
         assert total_in_distinct == total_out_distinct == g.edge_count
-        total_in_weight = sum(
-            position.authoritativeness(g, s).weighted for s in g.site_order())
-        total_out_weight = sum(
-            position.hubness(g, s).weighted for s in g.site_order())
+        total_in_weight = sum(p.weighted_in_degree for p in profiles)
+        total_out_weight = sum(p.weighted_out_degree for p in profiles)
         assert total_in_weight == total_out_weight == sum(g.weights.values())
 
 
@@ -182,11 +182,6 @@ class TestDetectCommunities:
         labels = position.detect_communities(g).labels
         assert labels["lonely"] not in (labels["a"],)
 
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(DomainError):
-            position.detect_communities(_cross({("a", "b"): 1}),
-                                        algorithm="modularity-max")
-
     def test_empty_graph_rejected(self):
         with pytest.raises(DomainError):
             position.detect_communities(
@@ -206,7 +201,7 @@ class TestBridging:
     def test_bridge_between_two_cliques(self):
         g = _bridged()
         communities = position.detect_communities(g)
-        assessment = position.bridging(g, "x0.example", communities)
+        assessment = position.position_profile(g, "x0.example", communities)
         assert assessment.adjacent_communities == 2
         assert assessment.bridge_score == 1.0
         assert assessment.degree == 2
@@ -215,14 +210,14 @@ class TestBridging:
     def test_clique_interior_is_not_bridge(self):
         g = _bridged()
         communities = position.detect_communities(g)
-        assessment = position.bridging(g, "c1.example", communities)
+        assessment = position.position_profile(g, "c1.example", communities)
         assert assessment.adjacent_communities == 1
         assert not assessment.bridge
 
     def test_isolated_site_flagged(self):
         g = _cross({("a", "b"): 1}, extra_sites=("lonely",))
         communities = position.detect_communities(g)
-        assessment = position.bridging(g, "lonely", communities)
+        assessment = position.position_profile(g, "lonely", communities)
         assert assessment.bridge_score is None
         assert not assessment.bridge
         assert position.ISOLATED_SITE_FLAG in assessment.flags
@@ -231,7 +226,7 @@ class TestBridging:
         weights = {(a, b): 1 for a in "abc" for b in "abc" if a != b}
         g = _cross(weights)
         communities = position.detect_communities(g)
-        assessment = position.bridging(g, "a", communities)
+        assessment = position.position_profile(g, "a", communities)
         assert position.SINGLE_COMMUNITY_FLAG in assessment.flags
         assert not assessment.bridge
 
@@ -239,7 +234,7 @@ class TestBridging:
         g = _cross({("a", "b"): 1})
         other = position.detect_communities(_cross({("x", "y"): 1}))
         with pytest.raises(DomainError):
-            position.bridging(g, "a", other)
+            position.position_profile(g, "a", other)
 
     def test_high_degree_site_not_bridge(self):
         # hub touches both communities but its degree tops the median
@@ -250,7 +245,7 @@ class TestBridging:
         busy = position.CrossSiteGraph(sites=g.sites, weights=weights)
         communities = position.detect_communities(busy)
         if communities.community_count >= 2:
-            assessment = position.bridging(busy, "x0.example", communities)
+            assessment = position.position_profile(busy, "x0.example", communities)
             assert not assessment.bridge
 
 
@@ -295,16 +290,6 @@ class TestPositionProfile:
             profile = position.position_profile(g, site, communities)
             assert profile.authority
             assert profile.hub
-
-    def test_thresholds_echoed(self):
-        g = _bridged()
-        communities = position.detect_communities(g)
-        thresholds = position.PositionThresholds(authority_percentile=90.0)
-        profile = position.position_profile(g, "c0.example", communities,
-                                            thresholds)
-        assert profile.thresholds.authority_percentile == 90.0
-        assert profile.community_algorithm == position.COMMUNITY_ALGORITHM
-        assert profile.community_seed == 0
 
     @pytest.mark.parametrize("percentile", [-1.0, 150.0])
     def test_percentile_outside_range_rejected(self, percentile):

@@ -131,7 +131,6 @@ class TestSizeClass:
         result = segmentation.size_class({"a": 0.25, "b": 0.75})
         assert result.classes == {"a": segmentation.SMALL,
                                   "b": segmentation.LARGE}
-        assert result.median_ratio == 0.5
 
     def test_ties_go_large(self):
         result = segmentation.size_class({"a": 0.5, "b": 0.5})

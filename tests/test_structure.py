@@ -100,56 +100,65 @@ class TestBuildSiteGraph:
 class TestDepth:
     def test_chain_of_four(self):
         g = _graph("chain", 4)
-        result = structure.depth(g)
-        assert result.mean_depth == 2.0
+        result = structure.organization_profile(g)
+        assert result.depth == 2.0
         assert result.unreachable == 0
 
     def test_unreachable_excluded_and_counted(self):
         g = _from_edges([("/h", "/a")], root="/h")
         g = structure.SiteGraph(nodes=g.nodes | {"/lost"}, edges=g.edges,
                                 root="/h")
-        result = structure.depth(g)
-        assert result.mean_depth == 1.0
+        result = structure.organization_profile(g)
+        assert result.depth == 1.0
         assert result.unreachable == 1
 
     def test_single_node_flagged(self):
         g = structure.SiteGraph(nodes=frozenset({"/h"}), edges=frozenset(),
                                 root="/h")
-        result = structure.depth(g)
-        assert result.mean_depth == 0.0
+        result = structure.organization_profile(g)
+        assert result.depth == 0.0
         assert structure.DEGENERATE_SINGLE_NODE in result.flags
 
     def test_root_reaching_nothing_flagged(self):
         g = _from_edges([("/a", "/h")], root="/h")
-        result = structure.depth(g)
-        assert result.mean_depth == 0.0
+        result = structure.organization_profile(g)
+        assert result.depth == 0.0
         assert result.unreachable == 1
         assert structure.DEGENERATE_NO_REACHABLE in result.flags
 
     @given(digraphs)
     def test_matches_oracle(self, g):
-        result = structure.depth(g)
+        result = structure.organization_profile(g)
         mean, unreachable = oracle_depth(g)
-        assert result.mean_depth == pytest.approx(mean, abs=1e-12)
+        assert result.depth == pytest.approx(mean, abs=1e-12)
         assert result.unreachable == unreachable
 
 
 class TestDensity:
     def test_quarter(self):
         g = _from_edges([("/h", "/a"), ("/a", "/b"), ("/b", "/c")], root="/h")
-        value, flags = structure.density(g)
-        assert value == 0.25
-        assert flags == ()
+        profile = structure.organization_profile(g)
+        assert profile.density == 0.25
+        assert profile.flags == ()
 
     def test_complete_graph_is_one(self):
-        assert structure.density(_graph("complete", 4))[0] == 1.0
+        assert structure.organization_profile(
+            _graph("complete", 4)).density == 1.0
 
     def test_single_node_flagged(self):
         g = structure.SiteGraph(nodes=frozenset({"/h"}), edges=frozenset(),
                                 root="/h")
-        value, flags = structure.density(g)
-        assert value == 0.0
-        assert structure.DEGENERATE_SINGLE_NODE in flags
+        profile = structure.organization_profile(g)
+        assert profile.density == 0.0
+        assert structure.DEGENERATE_SINGLE_NODE in profile.flags
+
+
+def _navigability(g, K=None):
+    return structure.organization_profile(g, K).navigability
+
+
+def _linearity(g):
+    return structure.organization_profile(g).linearity
 
 
 class TestNavigability:
@@ -157,35 +166,35 @@ class TestNavigability:
         # distances: 0,1,2 / K,0,1 / K,K,0 with K=3 -> sum 3+4+6=13... no:
         # finite sum 1+2+1 = 4, unreachable pairs 3 at K=3 -> total 13;
         # Max=18, Min=6 -> (18-13)/12 = 5/12.
-        value = structure.navigability(_graph("chain", 3))
+        value = _navigability(_graph("chain", 3))
         assert value == pytest.approx(5 / 12, abs=1e-12)
 
     def test_complete_is_one(self):
-        assert structure.navigability(_graph("complete", 5)) == 1.0
+        assert _navigability(_graph("complete", 5)) == 1.0
 
     def test_edgeless_is_zero(self):
         g = structure.SiteGraph(nodes=frozenset({"/a", "/b", "/c"}),
                                 edges=frozenset(), root="/a")
-        assert structure.navigability(g) == 0.0
+        assert _navigability(g) == 0.0
 
     def test_single_node_is_none(self):
         g = structure.SiteGraph(nodes=frozenset({"/a"}), edges=frozenset(),
                                 root="/a")
-        assert structure.navigability(g) is None
+        assert _navigability(g) is None
 
     def test_custom_conversion_constant(self):
         # K=10 on the 3-chain: converted sum = 4 + 3*10 = 34,
         # Max = 60, Min = 6 -> 26/54 = 13/27.
-        value = structure.navigability(_graph("chain", 3), K=10)
+        value = _navigability(_graph("chain", 3), K=10)
         assert value == pytest.approx(13 / 27, abs=1e-12)
 
     def test_invalid_conversion_constant(self):
         with pytest.raises(DomainError):
-            structure.navigability(_graph("chain", 3), K=0)
+            _navigability(_graph("chain", 3), K=0)
 
     @given(digraphs)
     def test_matches_oracle_and_range(self, g):
-        value = structure.navigability(g)
+        value = _navigability(g)
         assert value == pytest.approx(oracle_compactness(g), abs=1e-12)
         assert 0.0 <= value <= 1.0
 
@@ -193,26 +202,26 @@ class TestNavigability:
 class TestLinearity:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_directed_chain_is_one(self, n):
-        assert structure.linearity(_graph("chain", n)) == pytest.approx(
+        assert _linearity(_graph("chain", n)) == pytest.approx(
             1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_directed_cycle_is_zero(self, n):
-        assert structure.linearity(_graph("cycle", n)) == pytest.approx(
+        assert _linearity(_graph("cycle", n)) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_complete_is_zero(self):
-        assert structure.linearity(_graph("complete", 4)) == pytest.approx(
+        assert _linearity(_graph("complete", 4)) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_single_node_is_none(self):
         g = structure.SiteGraph(nodes=frozenset({"/a"}), edges=frozenset(),
                                 root="/a")
-        assert structure.linearity(g) is None
+        assert _linearity(g) is None
 
     @given(digraphs)
     def test_matches_oracle_and_range(self, g):
-        value = structure.linearity(g)
+        value = _linearity(g)
         assert value == pytest.approx(oracle_stratum(g), abs=1e-12)
         assert 0.0 <= value <= 1.0
 
@@ -283,26 +292,17 @@ class TestConversionConstant:
 
     def test_longest_distance_accepted(self):
         g = _graph("cycle", 5)
-        value = structure.navigability(g, K=4)
+        value = _navigability(g, K=4)
         assert value == pytest.approx(oracle_compactness(g, K=4), abs=1e-12)
         assert max(map(max, structure.converted_distances(g, K=4).d)) == 4
 
     def test_k_of_one_rejected_for_metrics(self):
         # Max equals Min at K=1, so compactness would divide by zero.
         with pytest.raises(DomainError):
-            structure.navigability(_graph("complete", 3), K=1)
+            _navigability(_graph("complete", 3), K=1)
 
 
 class TestOrganizationProfile:
-    def test_consistent_with_individual_metrics(self):
-        g = _graph("random-digraph", 12, seed=3)
-        profile = structure.organization_profile(g)
-        assert profile.depth == structure.depth(g).mean_depth
-        assert profile.unreachable == structure.depth(g).unreachable
-        assert profile.density == structure.density(g)[0]
-        assert profile.navigability == structure.navigability(g)
-        assert profile.linearity == structure.linearity(g)
-
     def test_single_node_profile(self):
         g = structure.SiteGraph(nodes=frozenset({"/h"}), edges=frozenset(),
                                 root="/h")
