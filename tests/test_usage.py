@@ -3,6 +3,7 @@
 import gc
 import gzip
 import hashlib
+import random
 import weakref
 from datetime import date, datetime, timedelta, timezone
 
@@ -813,6 +814,65 @@ class TestSummarizeNavigation:
         summary = usage.summarize_navigation(sessions)
         assert summary.linearity_median == pytest.approx(1.0, abs=1e-12)
 
+
+
+def _walk_sessions(seed=20261018, pages=400, count=6000):
+    """Seeded random-walk visits over a random site: back-steps, reloads,
+    2 to 24 views each."""
+    rng = random.Random(seed)
+    out = [[p for p in rng.sample(range(pages), rng.randint(0, 6)) if p != u]
+           for u in range(pages)]
+    sessions = []
+    for i in range(count):
+        start = 0 if rng.random() < 0.3 else rng.randrange(pages)
+        stack, visited = [start], [start]
+        length = rng.randint(2, 24)
+        while len(visited) < length:
+            here = stack[-1]
+            if rng.random() < 0.08:
+                pass  # a reload: the same page again
+            elif len(stack) > 1 and (rng.random() < 0.25 or not out[here]):
+                stack.pop()
+            elif out[here]:
+                stack.append(rng.choice(out[here]))
+            else:
+                stack = [rng.randrange(pages)]
+            visited.append(stack[-1])
+        sessions.append(usage.Session(
+            visitor_key=f"v{i}",
+            views=tuple((T0_S + 60 * j, f"/p{p:03d}")
+                        for j, p in enumerate(visited))))
+    return sessions
+
+
+# The NavigationSummary of _walk_sessions(), floats by repr. A change that
+# moves any value must update it and say why.
+WALK_NAVIGATION = {
+    "complexity_mean": "0.5163154166188093",
+    "complexity_median": "0.4722222222222222",
+    "linearity_mean": "0.759808590509068",
+    "linearity_median": "0.8666666666666667",
+    "high_linearity_share": "0.5915398762748704",
+    "linearity_band": "0.8",
+    "sessions_measured": "5981",
+    "sessions_skipped": "19",
+}
+
+
+def test_walk_sessions_navigation_summary_is_pinned():
+    sessions = _walk_sessions()
+    # Distinct transition graphs, pages numbered by first visit: several
+    # thousand, so the pin covers far more shapes than the demo network.
+    shapes = set()
+    for session in sessions:
+        paths = [p for _, p in session.views]
+        first = {p: i for i, p in enumerate(dict.fromkeys(paths))}
+        shapes.add(frozenset((first[a], first[b])
+                             for a, b in zip(paths, paths[1:]) if a != b))
+    assert len(shapes - {frozenset()}) == 2887
+    summary = usage.summarize_navigation(sessions)
+    assert {name: repr(value) for name, value in vars(summary).items()} \
+        == WALK_NAVIGATION
 
 class TestFileHelpers:
     def test_read_log_lines_mixed_plain_and_gzip(self, tmp_path):
