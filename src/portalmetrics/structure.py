@@ -13,10 +13,13 @@ The module computes:
 Unreachable pairs enter the converted-distance matrix at the conversion
 constant K (default: the node count), which may not be below the longest
 finite distance. :func:`organization_profile` computes all four metrics;
-they and the matrix come from breadth-first sweeps that start at all pages
-at once: each page holds the set of pages
-that have reached it as the bits of a Python integer, and status and
-contrastatus add up level by level without an n x n matrix. Only
+they and the matrix come from a breadth-first sweep that starts at all
+pages at once: each page holds the set of pages that have reached it as
+the bits of a Python integer, and status and contrastatus add up level by
+level without an n x n matrix. Status counts each page's new bits;
+contrastatus walks the same bits back to their sources while that costs
+no more than the sweep, as it does on a session's path graph, and on a
+larger site comes from a second sweep against the edges. Only
 :func:`converted_distances` builds the matrix, as nested tuples of ints.
 """
 
@@ -184,10 +187,11 @@ def _sweep(n: int, edges):
     Bit s of reach[v] is set once source s has reached v; each level pushes
     the bits that arrived at a node on the previous level on to its
     successors (multi-source BFS after Then et al., "The More the Merrier",
-    VLDB 2014). Yields (level, fresh) where fresh maps each node v to the
-    sources whose shortest distance to v is exactly ``level``, so the last
-    level yielded is the longest finite distance. Reversed edges turn
-    fresh[v] into the targets at that distance from v.
+    VLDB 2014). Yields (level, fresh, steps) where fresh maps each node v
+    to the sources whose shortest distance to v is exactly ``level``, so
+    the last level yielded is the longest finite distance, and steps is
+    the sweep's own work so far: its edge pushes plus n per level.
+    Reversed edges turn fresh[v] into the targets at that distance from v.
     """
     successors: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
@@ -195,12 +199,16 @@ def _sweep(n: int, edges):
     reach = [1 << v for v in range(n)]
     fresh = dict(enumerate(reach))
     level = 0
+    steps = 0
     while True:
         level += 1
         pushed = [0] * n
         for u, sources in fresh.items():
-            for v in successors[u]:
+            targets = successors[u]
+            steps += len(targets)
+            for v in targets:
                 pushed[v] |= sources
+        steps += n
         fresh = {}
         for v, sources in enumerate(pushed):
             sources &= ~reach[v]
@@ -209,7 +217,7 @@ def _sweep(n: int, edges):
                 fresh[v] = sources
         if not fresh:
             return
-        yield level, fresh
+        yield level, fresh, steps
 
 
 def _check_conversion_constant(k: int, least: int, longest: int) -> None:
@@ -225,17 +233,24 @@ def _shape_summary(n: int, edges, root: int = 0,
                    K: int | None = None) -> _DistanceSummary:
     """Distance aggregates of the graph on nodes 0..n-1 with these edges.
 
-    Status comes from a sweep along the edges, contrastatus from one
-    against them. K defaults to n and must be at least 2, the least K for
-    which compactness has Max > Min.
+    Status comes from a sweep along the edges. So does contrastatus while
+    the reachable pairs found so far do not outnumber the sweep's own
+    steps: each source bit of a level's fresh sets then adds the level to
+    that source's sum. On a graph with more pairs than that, such as a
+    large site, walking the bits would cost more than the sweep, and
+    contrastatus comes from a second sweep against the edges. K defaults
+    to n and must be at least 2, the least K for which compactness has
+    Max > Min.
     """
     k = n if K is None else K
     status = [0] * n
+    contrastatus = [0] * n
     root_distances = [-1] * n
     root_distances[root] = 0
     reached = n  # every node reaches itself at distance 0
     longest = 0
-    for level, fresh in _sweep(n, edges):
+    walking = True
+    for level, fresh, steps in _sweep(n, edges):
         for v, sources in fresh.items():
             count = sources.bit_count()
             status[v] += level * count
@@ -243,11 +258,19 @@ def _shape_summary(n: int, edges, root: int = 0,
             if sources >> root & 1:
                 root_distances[v] = level
         longest = level
+        walking = walking and reached - n <= steps
+        if walking:
+            for sources in fresh.values():
+                while sources:
+                    s = sources.bit_length() - 1
+                    contrastatus[s] += level
+                    sources ^= 1 << s
     _check_conversion_constant(k, 2, longest)
-    contrastatus = [0] * n
-    for level, fresh in _sweep(n, [(b, a) for a, b in edges]):
-        for v, targets in fresh.items():
-            contrastatus[v] += level * targets.bit_count()
+    if not walking:
+        contrastatus = [0] * n
+        for level, fresh, _ in _sweep(n, [(b, a) for a, b in edges]):
+            for v, targets in fresh.items():
+                contrastatus[v] += level * targets.bit_count()
     return _DistanceSummary(
         n=n, K=k,
         sum_converted=float(sum(status) + (n * n - reached) * k),
@@ -277,7 +300,7 @@ def converted_distances(g: SiteGraph, K: int | None = None) -> ConvertedDistance
     for i in range(n):
         d[i][i] = 0
     longest = 0
-    for level, fresh in _sweep(n, edges):
+    for level, fresh, _ in _sweep(n, edges):
         for v, sources in fresh.items():
             while sources:
                 low = sources & -sources

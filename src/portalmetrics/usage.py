@@ -537,19 +537,15 @@ def navigation_metrics(session: Session) -> NavigationMetrics:
     graph; linearity is its stratum. Degenerate sessions (fewer than 2
     distinct pages) carry None metrics.
     """
-    paths = [p for _, p in session.views]
-    order: dict[str, int] = {}
-    for p in paths:
-        if p not in order:
-            order[p] = len(order)
-    if len(order) < 2:
+    # Each view as its page's first-visit index; the shape key is the
+    # page count and the sorted transitions between distinct pages.
+    first: dict[str, int] = {}
+    visits = [first.setdefault(p, len(first)) for _, p in session.views]
+    if len(first) < 2:
         return NavigationMetrics(complexity=None, linearity=None,
                                  degenerate=True)
-    edges = set()
-    for a, b in zip(paths, paths[1:]):
-        if a != b:
-            edges.add((order[a], order[b]))
-    complexity, linearity = _metrics_for_shape(len(order), tuple(sorted(edges)))
+    edges = {(a, b) for a, b in zip(visits, visits[1:]) if a != b}
+    complexity, linearity = _metrics_for_shape(len(first), tuple(sorted(edges)))
     return NavigationMetrics(complexity=complexity, linearity=linearity,
                              degenerate=False)
 
