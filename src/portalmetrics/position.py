@@ -207,7 +207,10 @@ def detect_communities(g: CrossSiteGraph, seed: int = 0) -> CommunityAssignment:
     Multiplicity-weighted voting keeps a single inter-clique edge from
     flooding its label across both cliques during all-tied early rounds,
     and the self vote keeps two-node components from oscillating forever.
-    Stops at a fixed point or after 100 rounds.
+    Stops at a fixed point or after 100 rounds. When a round repeats the
+    labels of two rounds back, the rounds alternate from there on, so the
+    labels and round count of the 100th round are returned without
+    running the rest.
 
     Initial labels are the sites' lexicographic ranks; a nonzero seed
     shuffles that assignment, which probes the stability of the outcome.
@@ -230,6 +233,7 @@ def detect_communities(g: CrossSiteGraph, seed: int = 0) -> CommunityAssignment:
     adjacency = {site: sorted(nbrs.items()) for site, nbrs in undirected.items()}
     rounds = 0
     converged = False
+    previous = None  # the labels of the round before ``labels``
     while rounds < LPA_MAX_ROUNDS:
         rounds += 1
         new = {}
@@ -247,7 +251,14 @@ def detect_communities(g: CrossSiteGraph, seed: int = 0) -> CommunityAssignment:
         if new == labels:
             converged = True
             break
-        labels = new
+        if new == previous:
+            # A 2-cycle: the rounds alternate between ``new`` and
+            # ``labels`` up to the cap, so the cap's labels are known.
+            if (LPA_MAX_ROUNDS - rounds) % 2 == 0:
+                labels = new
+            rounds = LPA_MAX_ROUNDS
+            break
+        previous, labels = labels, new
 
     canonical: dict = {}
     renumber: dict = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import NamedTuple
@@ -20,6 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from portalmetrics.errors import FormatError
+from portalmetrics.position import (
+    COMMUNITY_ALGORITHM,
+    LPA_MAX_ROUNDS,
+    CommunityAssignment,
+)
 from portalmetrics.structure import SiteGraph
 from portalmetrics.usage import (
     _COMBINED_RE,
@@ -127,6 +133,48 @@ def session_path_graph(session) -> SiteGraph | None:
     return SiteGraph(nodes=frozenset(distinct), edges=frozenset(edges),
                      root=paths[0])
 
+
+
+def reference_communities(g, seed: int = 0) -> CommunityAssignment:
+    """Synchronous label propagation that runs every round up to the cap,
+    with no shortcut for a 2-cycle; otherwise the same votes, ties, seed
+    shuffle and renumbering as ``position.detect_communities``."""
+    order = g.site_order()
+    initial = list(range(len(order)))
+    if seed != 0:
+        random.Random(seed).shuffle(initial)
+    labels = dict(zip(order, initial))
+    undirected: dict = {site: {} for site in order}
+    for (a, b), w in g.weights.items():
+        undirected[a][b] = undirected[a].get(b, 0) + w
+        undirected[b][a] = undirected[b].get(a, 0) + w
+    adjacency = {site: sorted(nbrs.items()) for site, nbrs in undirected.items()}
+    rounds = 0
+    converged = False
+    while rounds < LPA_MAX_ROUNDS:
+        rounds += 1
+        new = {}
+        for site in order:
+            nbrs = adjacency[site]
+            if not nbrs:
+                new[site] = labels[site]
+                continue
+            counts: dict = {labels[site]: 1}
+            for other, weight in nbrs:
+                lab = labels[other]
+                counts[lab] = counts.get(lab, 0) + weight
+            best = max(counts.values())
+            new[site] = min(lab for lab, c in counts.items() if c == best)
+        if new == labels:
+            converged = True
+            break
+        labels = new
+    renumber: dict = {}
+    canonical = {site: renumber.setdefault(labels[site], len(renumber))
+                 for site in order}
+    return CommunityAssignment(labels=canonical, seed=seed,
+                               algorithm=COMMUNITY_ALGORITHM,
+                               rounds=rounds, converged=converged)
 
 class LogEntry(NamedTuple):
     """One parsed access-log line."""

@@ -7,6 +7,8 @@ from portalmetrics import position
 from portalmetrics.errors import DomainError
 from portalmetrics.fixtures import GeneratorSpec, gen_graph
 
+from oracles import reference_communities
+
 
 def _cross(weights, extra_sites=()):
     sites = set(extra_sites)
@@ -196,6 +198,36 @@ class TestDetectCommunities:
         k = result.community_count
         assert set(result.labels.values()) == set(range(k))
 
+
+    # Seeded random-cross graphs whose rounds fall into a 2-cycle. Unshuffled,
+    # the 10-site graphs find it at an odd round (seed 0), where the 100th
+    # round's labels are the older of the pair, and at an even one (seed 2),
+    # where they are the newer.
+    @pytest.mark.parametrize("size, seed, edge_factor",
+                             [(10, 0, 1.0), (10, 2, 1.0), (50, 4, 1.0),
+                              (120, 7, 2.0)])
+    @pytest.mark.parametrize("shuffle", [0, 5])
+    def test_two_cycle_stop_equals_running_to_the_cap(self, size, seed,
+                                                      edge_factor, shuffle):
+        g = gen_graph(GeneratorSpec(kind="random-cross", size=size,
+                                    seed=seed, edge_factor=edge_factor))
+        result = position.detect_communities(g, seed=shuffle)
+        assert result == reference_communities(g, seed=shuffle)
+        assert result.rounds == position.LPA_MAX_ROUNDS
+        assert not result.converged
+
+    @pytest.mark.parametrize("shuffle", [0, 1, 2, 3])
+    def test_two_clique_fixture_equals_reference(self, shuffle):
+        g = gen_graph(GeneratorSpec(kind="two-community", size=8,
+                                    bridge_node=True))
+        result = position.detect_communities(g, seed=shuffle)
+        assert result == reference_communities(g, seed=shuffle)
+
+    @given(cross_graphs, st.integers(min_value=0, max_value=50))
+    @settings(max_examples=60)
+    def test_equals_reference(self, g, seed):
+        assert position.detect_communities(g, seed=seed) \
+            == reference_communities(g, seed=seed)
 
 class TestBridging:
     def test_bridge_between_two_cliques(self):
