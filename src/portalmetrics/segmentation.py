@@ -38,17 +38,14 @@ UNSEGMENTED = "unsegmented"
 
 @dataclass(frozen=True)
 class TrendResult:
-    """Least-squares slope of visits per bucket, absolute and relative.
+    """Least-squares slope of visits per bucket relative to their mean.
 
     relative_slope = slope / mean visit count, so a value of 0.05 means
-    demand grows by 5% of its average level per bucket. Both are None for
-    an all-zero series (indeterminate=True).
+    demand grows by 5% of its average level per bucket. None for an
+    all-zero series (indeterminate=True).
     """
 
-    slope: float | None
     relative_slope: float | None
-    mean: float
-    buckets: int
 
     @property
     def indeterminate(self) -> bool:
@@ -60,7 +57,6 @@ class Dynamics:
     label: str | None
     declining: bool
     indeterminate: bool
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ def demand_trend(series: DemandSeries) -> TrendResult:
     """Fit count = a + slope * bucket_index by ordinary least squares.
 
     Needs at least 2 buckets. An all-zero series has no level to measure
-    change against: both slopes come back None.
+    change against: its relative slope comes back None.
     """
     counts = series.counts()
     if len(counts) < 2:
@@ -101,12 +97,10 @@ def demand_trend(series: DemandSeries) -> TrendResult:
         raise DomainError("visit counts cannot be negative")
     mean = statistics.fmean(counts)
     if mean == 0:
-        return TrendResult(slope=None, relative_slope=None, mean=0.0,
-                           buckets=len(counts))
+        return TrendResult(relative_slope=None)
     xs = list(range(len(counts)))
     slope = statistics.linear_regression(xs, counts).slope
-    return TrendResult(slope=slope, relative_slope=slope / mean, mean=mean,
-                       buckets=len(counts))
+    return TrendResult(relative_slope=slope / mean)
 
 
 def dynamics_class(relative_slope: float | None,
@@ -119,13 +113,11 @@ def dynamics_class(relative_slope: float | None,
     if threshold <= 0:
         raise DomainError("growth threshold must be positive")
     if relative_slope is None:
-        return Dynamics(label=None, declining=False, indeterminate=True,
-                        threshold=threshold)
+        return Dynamics(label=None, declining=False, indeterminate=True)
     if relative_slope > threshold:
-        return Dynamics(label=GROWING, declining=False, indeterminate=False,
-                        threshold=threshold)
+        return Dynamics(label=GROWING, declining=False, indeterminate=False)
     return Dynamics(label=STABLE, declining=relative_slope < 0,
-                    indeterminate=False, threshold=threshold)
+                    indeterminate=False)
 
 
 def relative_size(portal_counts: dict, network_total: int | None = None) -> dict:

@@ -20,31 +20,35 @@ def _series(counts):
     return usage.DemandSeries(buckets=tuple(zip(starts, counts)), period=period)
 
 
+def _oracle_relative_slope(counts):
+    return ols_slope(counts) / (sum(counts) / len(counts))
+
+
 class TestDemandTrend:
     def test_flat_series_zero_slope(self):
         result = segmentation.demand_trend(_series([10, 10, 10]))
-        assert result.slope == 0.0
         assert result.relative_slope == 0.0
         assert not result.indeterminate
 
     def test_linear_growth(self):
         result = segmentation.demand_trend(_series([10, 20, 30]))
-        assert result.slope == pytest.approx(10.0, abs=1e-9)
+        # slope 10 over a mean of 20
         assert result.relative_slope == pytest.approx(0.5, abs=1e-9)
-        assert result.mean == 20.0
+        assert result.relative_slope == pytest.approx(
+            _oracle_relative_slope([10, 20, 30]), abs=1e-12)
 
     def test_against_closed_form_oracle(self):
         counts = [5, 9, 6, 12, 10]
         result = segmentation.demand_trend(_series(counts))
-        expected = ols_slope(counts)
-        assert result.slope == pytest.approx(expected, abs=1e-12)
         assert result.relative_slope == pytest.approx(
-            expected / (sum(counts) / len(counts)), abs=1e-12)
+            _oracle_relative_slope(counts), abs=1e-12)
 
     def test_declining_series(self):
         result = segmentation.demand_trend(_series([30, 20, 10]))
-        assert result.slope == pytest.approx(-10.0)
-        assert result.relative_slope < 0
+        # slope -10 over a mean of 20
+        assert result.relative_slope == pytest.approx(-0.5)
+        assert result.relative_slope == pytest.approx(
+            _oracle_relative_slope([30, 20, 10]), abs=1e-12)
 
     def test_needs_two_buckets(self):
         with pytest.raises(DomainError):
@@ -56,10 +60,8 @@ class TestDemandTrend:
 
     def test_all_zero_is_indeterminate(self):
         result = segmentation.demand_trend(_series([0, 0, 0]))
-        assert result.slope is None
         assert result.relative_slope is None
         assert result.indeterminate
-        assert result.mean == 0.0
 
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=2,
                     max_size=30).filter(lambda c: sum(c) > 0),
@@ -69,7 +71,8 @@ class TestDemandTrend:
         scaled = segmentation.demand_trend(_series([c * k for c in counts]))
         assert scaled.relative_slope == pytest.approx(base.relative_slope,
                                                       abs=1e-9)
-        assert base.slope == pytest.approx(ols_slope(counts), abs=1e-9)
+        assert base.relative_slope == pytest.approx(
+            _oracle_relative_slope(counts), abs=1e-9)
 
 
 class TestDynamicsClass:
