@@ -249,23 +249,61 @@ class TestConvertedDistances:
         assert matrix.d[3][0] == matrix.K
 
 
-class TestOracleAgreement:
-    """The bitset sweep must agree exactly with the matrix-power oracle."""
+# Random digraphs of 2 to 40 pages, from edgeless to dense: about half of
+# them have more reachable pairs than sweep steps, so both out-sum paths
+# of _shape_summary run.
+shape_digraphs = st.builds(
+    _graph,
+    st.just("random-digraph"),
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=0, max_value=10_000),
+    st.floats(min_value=0.0, max_value=6.0),
+)
 
-    @given(digraphs)
-    @settings(max_examples=40)
-    def test_summary_matches_oracle(self, g):
-        order, edges = indexed_edges(g)
-        d = matrix_power_distances(len(order), edges)
-        finite = np.where(d < 0, 0, d)
+
+def _assert_summary_matches_oracle(g) -> int:
+    """Check the distance summary of ``g`` against the matrix-power
+    distances; return how many sweeps it ran: 1 when the bit walk gave
+    contrastatus, 2 when the reversed sweep did."""
+    order, edges = indexed_edges(g)
+    d = matrix_power_distances(len(order), edges)
+    finite = np.where(d < 0, 0, d)
+    with mock.patch.object(structure, "_sweep", wraps=structure._sweep) as spy:
         summary = structure._distance_summary(g)
-        assert summary.n == g.n
-        assert summary.K == g.n
-        assert summary.sum_converted == float(np.where(d < 0, g.n, d).sum())
-        assert np.array_equal(summary.status, finite.sum(axis=0))
-        assert np.array_equal(summary.contrastatus, finite.sum(axis=1))
-        assert np.array_equal(summary.root_distances,
-                              d[order.index(g.root)])
+    assert summary.n == summary.K == g.n
+    assert summary.sum_converted == float(np.where(d < 0, g.n, d).sum())
+    assert summary.status == finite.sum(axis=0).tolist()
+    assert summary.contrastatus == finite.sum(axis=1).tolist()
+    assert summary.root_distances == d[order.index(g.root)].tolist()
+    return spy.call_count
+
+
+class TestOracleAgreement:
+    """The bitset sweep must agree exactly with the matrix-power oracle,
+    whether contrastatus comes from the forward sweep's bits or from the
+    reversed sweep."""
+
+    @given(shape_digraphs)
+    @settings(max_examples=150, deadline=None)
+    def test_summary_matches_oracle(self, g):
+        assert _assert_summary_matches_oracle(g) in (1, 2)
+
+    @pytest.mark.parametrize("n, seed, edge_factor",
+                             [(200, 3, 4.0), (300, 7, 2.5)])
+    def test_dense_reachability_takes_the_reversed_sweep(self, n, seed,
+                                                          edge_factor):
+        g = _graph("random-digraph", n, seed=seed, edge_factor=edge_factor)
+        assert _assert_summary_matches_oracle(g) == 2
+
+    @pytest.mark.parametrize("kind", ["chain", "cycle", "star"])
+    def test_session_sized_graphs_take_the_bit_walk(self, kind):
+        assert _assert_summary_matches_oracle(_graph(kind, 24)) == 1
+
+    def test_sparse_walks_and_dense_falls_back_at_thirty_pages(self):
+        sweeps = [_assert_summary_matches_oracle(
+                      _graph("random-digraph", 30, seed=11, edge_factor=f))
+                  for f in (0.5, 1.5, 2.0, 6.0)]
+        assert sweeps == [1, 1, 2, 2]
 
     def test_profile_above_old_threshold_matches_oracle(self):
         # 300 nodes: above 256, the size at which the code once switched
@@ -281,67 +319,6 @@ class TestOracleAgreement:
         assert profile.linearity == pytest.approx(oracle_stratum(g),
                                                   abs=1e-12)
 
-
-
-# Random digraphs of 2 to 40 pages, from edgeless to dense: about half of
-# them have more reachable pairs than sweep steps, so both out-sum paths
-# of _shape_summary run.
-shape_digraphs = st.builds(
-    _graph,
-    st.just("random-digraph"),
-    st.integers(min_value=2, max_value=40),
-    st.integers(min_value=0, max_value=10_000),
-    st.floats(min_value=0.0, max_value=6.0),
-)
-
-
-def _summary_and_sweeps(n, edges, root):
-    """_shape_summary's result and how many sweeps it ran: 1 when the bit
-    walk gave contrastatus, 2 when the reversed sweep did."""
-    with mock.patch.object(structure, "_sweep", wraps=structure._sweep) as spy:
-        summary = structure._shape_summary(n, edges, root)
-    return summary, spy.call_count
-
-
-def _assert_shape_summary_matches_oracle(g) -> int:
-    order, edges = indexed_edges(g)
-    n = len(order)
-    root = order.index(g.root)
-    d = matrix_power_distances(n, edges)
-    finite = np.where(d < 0, 0, d)
-    summary, sweeps = _summary_and_sweeps(n, edges, root)
-    assert summary.status == finite.sum(axis=0).tolist()
-    assert summary.contrastatus == finite.sum(axis=1).tolist()
-    assert summary.sum_converted == float(np.where(d < 0, n, d).sum())
-    assert summary.root_distances == d[root].tolist()
-    return sweeps
-
-
-class TestShapeSummaryOutSums:
-    """Contrastatus from the forward sweep's bits and from the reversed
-    sweep both equal the row sums of the matrix-power distances."""
-
-    @given(shape_digraphs)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_oracle(self, g):
-        assert _assert_shape_summary_matches_oracle(g) in (1, 2)
-
-    @pytest.mark.parametrize("n, seed, edge_factor",
-                             [(200, 3, 4.0), (300, 7, 2.5)])
-    def test_dense_reachability_takes_the_reversed_sweep(self, n, seed,
-                                                          edge_factor):
-        g = _graph("random-digraph", n, seed=seed, edge_factor=edge_factor)
-        assert _assert_shape_summary_matches_oracle(g) == 2
-
-    @pytest.mark.parametrize("kind", ["chain", "cycle", "star"])
-    def test_session_sized_graphs_take_the_bit_walk(self, kind):
-        assert _assert_shape_summary_matches_oracle(_graph(kind, 24)) == 1
-
-    def test_sparse_walks_and_dense_falls_back_at_thirty_pages(self):
-        sweeps = [_assert_shape_summary_matches_oracle(
-                      _graph("random-digraph", 30, seed=11, edge_factor=f))
-                  for f in (0.5, 1.5, 2.0, 6.0)]
-        assert sweeps == [1, 1, 2, 2]
 
 class TestConversionConstant:
     def test_below_longest_distance_rejected(self):
