@@ -4,6 +4,12 @@ Reads delimited catalog exports (one row per catalogued educational
 resource), deduplicates them on the portal-scoped identifier, and computes
 the provision metrics: topic diversity (Shannon entropy, in nats), taxonomy
 richness, average content age, and the offered-vs-accessed gap analysis.
+
+Every row of every catalog passes one row checker, so a portal's own
+catalog and the network catalogs follow the same rules. The own catalog
+becomes records (:func:`parse_catalog`); a network catalog only gives the
+(portal_id, identifier) pairs that network sizes are counted from
+(:func:`content_keys`, :func:`content_counts`).
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .errors import DomainError, FormatError
 
@@ -150,6 +157,66 @@ def _parse_date(text: str) -> date:
     return datetime.strptime(text.strip(), "%Y-%m-%d").date()
 
 
+def _checked_rows(stream, row_errors: list[tuple[int, str]]):
+    """The checked fields of each catalog row, as
+    (portal_id, identifier, resource_type, topic, published).
+
+    This is the one place the row rules live. The delimiter is sniffed
+    from the header row, whose names are resolved through the alias
+    table. A blank or whitespace-only row is skipped silently. A row too
+    short for the mandatory columns, with an empty identifier or with a
+    date that is not ISO-8601 (YYYY-MM-DD) is skipped and appended to
+    ``row_errors`` as (line number, message). Each distinct date string is
+    parsed once. A missing header, a missing mandatory column and a row
+    the csv module cannot read (such as a field over its size limit)
+    raise FormatError.
+    """
+    if isinstance(stream, (str, bytes)):
+        stream = io.StringIO(stream if isinstance(stream, str) else stream.decode())
+    lines = iter(stream)
+    try:
+        header_line = next(lines)
+    except StopIteration:
+        raise FormatError("catalog stream is empty (no header row)")
+    delimiter = "\t" if "\t" in header_line else ","
+    try:
+        header = next(csv.reader([header_line], delimiter=delimiter))
+    except csv.Error as exc:
+        raise FormatError(f"line 1: {exc}") from None
+    columns = _resolve_header(header)
+    i_id, i_type, i_topic = (columns["identifier"], columns["resource_type"],
+                             columns["topic"])
+    i_published, i_portal = columns["published"], columns["portal_id"]
+    last = max(columns.values())
+    dates: dict[str, date] = {}
+    reader = csv.reader(lines, delimiter=delimiter)
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) <= last:
+                error = f"expected {len(header)} columns, got {len(row)}"
+            elif not (identifier := row[i_id].strip()):
+                error = "empty identifier"
+            else:
+                text = row[i_published]
+                published = dates.get(text)
+                if published is None:
+                    try:
+                        published = dates[text] = _parse_date(text)
+                    except ValueError as exc:
+                        row_errors.append((line_no, str(exc)))
+                        continue
+                yield (row[i_portal].strip(), identifier, row[i_type].strip(),
+                       row[i_topic].strip(), published)
+                continue
+            # A row that passed has an identifier, so only a failed row can
+            # be blank.
+            if "".join(row).strip():
+                row_errors.append((line_no, error))
+    except csv.Error as exc:
+        # The physical line, counting the header the reader did not read.
+        raise FormatError(f"line {reader.line_num + 1}: {exc}") from None
+
+
 def parse_catalog(stream) -> ParsedCatalog:
     """Parse a delimited catalog stream into deduplicated records.
 
@@ -160,57 +227,32 @@ def parse_catalog(stream) -> ParsedCatalog:
 
     Duplicate identifiers within one portal are collapsed to the first
     occurrence and tallied. Malformed rows are skipped and tallied with
-    their line number; a missing mandatory column is fatal. Each distinct
-    date string is parsed once.
+    their line number; a missing mandatory column, or a row the csv
+    module cannot read, is fatal.
     """
-    if isinstance(stream, (str, bytes)):
-        stream = io.StringIO(stream if isinstance(stream, str) else stream.decode())
-    lines = iter(stream)
-    try:
-        header_line = next(lines)
-    except StopIteration:
-        raise FormatError("catalog stream is empty (no header row)")
-    delimiter = "\t" if "\t" in header_line else ","
-    header = next(csv.reader([header_line], delimiter=delimiter))
-    columns = _resolve_header(header)
-
     records: list[ContentRecord] = []
     seen: set[tuple[str, str]] = set()
     duplicates = 0
     row_errors: list[tuple[int, str]] = []
-    dates: dict[str, date] = {}
-    reader = csv.reader(lines, delimiter=delimiter)
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        try:
-            if max(columns.values()) >= len(row):
-                raise ValueError(f"expected {len(header)} columns, got {len(row)}")
-            identifier = row[columns["identifier"]].strip()
-            if not identifier:
-                raise ValueError("empty identifier")
-            published_text = row[columns["published"]]
-            published = dates.get(published_text)
-            if published is None:
-                published = dates[published_text] = _parse_date(published_text)
-            record = ContentRecord(
-                identifier=identifier,
-                resource_type=row[columns["resource_type"]].strip(),
-                topic=row[columns["topic"]].strip(),
-                published=published,
-                portal_id=row[columns["portal_id"]].strip(),
-            )
-        except ValueError as exc:
-            row_errors.append((line_no, str(exc)))
-            continue
-        key = (record.portal_id, record.identifier)
+    for portal_id, identifier, resource_type, topic, published in \
+            _checked_rows(stream, row_errors):
+        key = (portal_id, identifier)
         if key in seen:
             duplicates += 1
             continue
         seen.add(key)
-        records.append(record)
+        records.append(ContentRecord(identifier, resource_type, topic,
+                                     published, portal_id))
     return ParsedCatalog(records=records, duplicates_dropped=duplicates,
                          row_errors=row_errors)
+
+
+def content_keys(stream) -> Iterator[tuple[str, str]]:
+    """(portal_id, identifier) of each row of a catalog stream that
+    :func:`parse_catalog` keeps or tallies as a duplicate, with no record
+    built. Read lazily; reading raises the FormatErrors parse_catalog
+    raises."""
+    return map(itemgetter(0, 1), _checked_rows(stream, []))
 
 
 def shannon_diversity(dist: TopicDistribution,
@@ -304,17 +346,18 @@ def demand_offer_gap(offer: TopicDistribution, accessed: TopicDistribution,
                      high_offer_low_demand=tuple(high_offer))
 
 
-def content_counts(records: Iterable[ContentRecord]) -> tuple[dict[str, int], int]:
-    """Deduplicated content counts per portal plus the network-wide total.
+def content_counts(keys: Iterable[tuple[str, str]]) -> tuple[dict[str, int], int]:
+    """Content counts per portal plus the network-wide total, from the
+    (portal_id, identifier) pairs of every catalog in the network.
 
-    Per-portal counts keep identifiers that several portals share; the
-    network total collapses them, so it can be smaller than the sum of the
-    per-portal counts. ``records`` is read once, so it may be a stream
-    over several catalogs.
+    A pair seen again counts once. Per-portal counts keep identifiers that
+    several portals share; the network total collapses them, so it can be
+    smaller than the sum of the per-portal counts. ``keys`` is read once,
+    so it may be a stream over several catalogs (see :func:`content_keys`).
     """
     per_portal: dict[str, set[str]] = {}
     network: set[str] = set()
-    for r in records:
-        per_portal.setdefault(r.portal_id, set()).add(r.identifier)
-        network.add(r.identifier)
+    for portal_id, identifier in keys:
+        per_portal.setdefault(portal_id, set()).add(identifier)
+        network.add(identifier)
     return {p: len(ids) for p, ids in sorted(per_portal.items())}, len(network)

@@ -20,7 +20,7 @@ from . import report as report_mod
 from . import segmentation as segmentation_mod
 from . import structure as structure_mod
 from . import usage as usage_mod
-from .config import RunConfig, _FIELD_PARSERS, build_config
+from .config import RunConfig, _FIELD_PARSERS, build_config, parse_flags
 from .errors import (ConfigError, DomainError, FormatError,
                      ReportValidationError)
 
@@ -54,10 +54,13 @@ def _require(cfg: RunConfig, field: str):
 
 
 def _write_output(cfg: RunConfig, name: str, data: bytes) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, name)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror}")
     return path
 
 
@@ -66,8 +69,12 @@ def _emit(document) -> None:
 
 
 def _load_catalog(cfg: RunConfig) -> catalog_mod.ParsedCatalog:
-    text = _read_text(_require(cfg, "catalog"), "catalog")
-    return catalog_mod.parse_catalog(text)
+    path = _require(cfg, "catalog")
+    text = _read_text(path, "catalog")
+    try:
+        return catalog_mod.parse_catalog(text)
+    except FormatError as exc:
+        raise FormatError(f"catalog file {path}: {exc}") from None
 
 
 def _load_taxonomy(cfg: RunConfig) -> catalog_mod.TopicTaxonomy | None:
@@ -265,22 +272,27 @@ def cmd_position(cfg: RunConfig) -> int:
 
 
 def _network_sizes(cfg: RunConfig, parsed=None):
-    """Relative sizes over every portal catalog in the network, counted one
-    catalog at a time: each catalog's records are dropped once counted.
+    """Relative sizes over every portal catalog in the network, counted
+    from the (portal_id, identifier) pair of each row the catalog parser
+    would keep, one file at a time; no record is built for them.
 
     ``parsed``, when given, is the portal's own catalog, already parsed; a
-    network catalog at the same path reuses it instead of parsing again.
+    network catalog at the same path is counted from its records instead
+    of being read again. A catalog format error names its file.
     """
     own = os.path.abspath(cfg.catalog) if parsed is not None else None
 
-    def records():
+    def keys():
         for path in _require(cfg, "network_catalogs"):
             if os.path.abspath(path) == own:
-                yield from parsed.records
+                yield from ((r.portal_id, r.identifier) for r in parsed.records)
                 continue
-            yield from catalog_mod.parse_catalog(
-                _read_text(path, "network catalog")).records
-    per_portal, network_total = catalog_mod.content_counts(records())
+            text = _read_text(path, "network catalog")
+            try:
+                yield from catalog_mod.content_keys(text)
+            except FormatError as exc:
+                raise FormatError(f"network catalog file {path}: {exc}") from None
+    per_portal, network_total = catalog_mod.content_counts(keys())
     ratios = segmentation_mod.relative_size(per_portal, network_total)
     return ratios, segmentation_mod.size_class(ratios)
 
@@ -423,10 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value settings file")
-        for field_name, field_parser in _FIELD_PARSERS.items():
+        for field_name in _FIELD_PARSERS:
             flag = "--" + field_name.replace("_", "-")
-            p.add_argument(flag, dest=field_name, type=field_parser,
-                           default=None, metavar="VALUE")
+            p.add_argument(flag, dest=field_name, metavar="VALUE")
         if name == "compare":
             p.add_argument("reports", nargs="+",
                            help="shareable report JSON files")
@@ -439,9 +450,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = {name: getattr(args, name) for name in _FIELD_PARSERS
-                     if getattr(args, name, None) is not None}
-        cfg = build_config(args.config, overrides)
+        flags = {name: getattr(args, name) for name in _FIELD_PARSERS
+                 if getattr(args, name) is not None}
+        cfg = build_config(args.config, parse_flags(flags))
         if args.command == "catalog":
             return cmd_catalog(cfg)
         if args.command == "structure":

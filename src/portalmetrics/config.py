@@ -9,6 +9,7 @@ reports comparable at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from datetime import date, datetime, timedelta, timezone
 
@@ -22,8 +23,21 @@ MAX_BUCKETS = 1_000_000
 _MICROSECOND = timedelta(microseconds=1)
 
 
+def _parse_text(text: str) -> str:
+    if not text:
+        raise ConfigError("empty value")
+    return text
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
@@ -33,7 +47,7 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_datetime(text: str) -> datetime:
     try:
-        value = datetime.fromisoformat(text.strip())
+        value = datetime.fromisoformat(text)
     except ValueError:
         raise ConfigError(f"not an ISO date-time: {text!r}")
     if value.tzinfo is None:
@@ -43,13 +57,16 @@ def _parse_datetime(text: str) -> datetime:
 
 def _parse_date(text: str) -> date:
     try:
-        return date.fromisoformat(text.strip())
+        return date.fromisoformat(text)
     except ValueError:
         raise ConfigError(f"not an ISO date: {text!r}")
 
 
 def _parse_paths(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+    paths = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not paths:
+        raise ConfigError(f"no path given: {text!r}")
+    return paths
 
 
 @dataclass(frozen=True)
@@ -178,37 +195,49 @@ class RunConfig:
 
 
 _FIELD_PARSERS = {
-    "catalog": str,
+    "catalog": _parse_text,
     "network_catalogs": _parse_paths,
-    "edges": str,
+    "edges": _parse_text,
     "logs": _parse_paths,
-    "link_map": str,
-    "cross_links": str,
-    "site_map": str,
-    "taxonomy": str,
-    "bot_list": str,
-    "output_dir": str,
-    "portal_id": str,
-    "site": str,
+    "link_map": _parse_text,
+    "cross_links": _parse_text,
+    "site_map": _parse_text,
+    "taxonomy": _parse_text,
+    "bot_list": _parse_text,
+    "output_dir": _parse_text,
+    "portal_id": _parse_text,
+    "site": _parse_text,
     "period_start": _parse_datetime,
     "period_end": _parse_datetime,
-    "bucket_days": float,
+    "bucket_days": _parse_float,
     "reference_date": _parse_date,
-    "session_timeout_minutes": float,
-    "gap_threshold": float,
-    "growth_threshold": float,
-    "bridge_score_threshold": float,
+    "session_timeout_minutes": _parse_float,
+    "gap_threshold": _parse_float,
+    "growth_threshold": _parse_float,
+    "bridge_score_threshold": _parse_float,
     "bridge_min_communities": int,
-    "authority_percentile": float,
-    "hub_percentile": float,
+    "authority_percentile": _parse_float,
+    "hub_percentile": _parse_float,
     "distance_k": int,
-    "linearity_band": float,
-    "compare_margin": float,
+    "linearity_band": _parse_float,
+    "compare_margin": _parse_float,
     "seed": int,
     "use_auth_user": _parse_bool,
 }
 
 assert set(_FIELD_PARSERS) == {f.name for f in fields(RunConfig)}
+
+
+def _parse_value(key: str, text: str, where: str):
+    """One setting's text, stripped, as its typed value; an error names
+    ``where``."""
+    text = text.strip()
+    try:
+        return _FIELD_PARSERS[key](text)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    except (ValueError, TypeError):
+        raise ConfigError(f"{where}: bad value for {key}: {text!r}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -222,16 +251,18 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"{source}:{lineno}: unknown setting {key!r}")
-        try:
-            values[key] = _FIELD_PARSERS[key](value)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError):
-            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {value!r}")
+        values[key] = _parse_value(key, value, f"{source}:{lineno}")
     return values
+
+
+def parse_flags(flags: dict[str, str]) -> dict:
+    """Command-line flag values, as text keyed by setting name, into a
+    typed mapping; each value is parsed as the same line in a config file
+    would be, and an error names the flag."""
+    return {key: _parse_value(key, text, "--" + key.replace("_", "-"))
+            for key, text in flags.items()}
 
 
 def load_config(path) -> dict:

@@ -187,11 +187,10 @@ def _sweep(n: int, edges):
     Bit s of reach[v] is set once source s has reached v; each level pushes
     the bits that arrived at a node on the previous level on to its
     successors (multi-source BFS after Then et al., "The More the Merrier",
-    VLDB 2014). Yields (level, fresh, steps) where fresh maps each node v
-    to the sources whose shortest distance to v is exactly ``level``, so
-    the last level yielded is the longest finite distance, and steps is
-    the sweep's own work so far: its edge pushes plus n per level.
-    Reversed edges turn fresh[v] into the targets at that distance from v.
+    VLDB 2014). Yields (level, fresh) where fresh maps each node v to the
+    sources whose shortest distance to v is exactly ``level``, so the last
+    level yielded is the longest finite distance. Reversed edges turn
+    fresh[v] into the targets at that distance from v.
     """
     successors: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
@@ -199,16 +198,12 @@ def _sweep(n: int, edges):
     reach = [1 << v for v in range(n)]
     fresh = dict(enumerate(reach))
     level = 0
-    steps = 0
     while True:
         level += 1
         pushed = [0] * n
         for u, sources in fresh.items():
-            targets = successors[u]
-            steps += len(targets)
-            for v in targets:
+            for v in successors[u]:
                 pushed[v] |= sources
-        steps += n
         fresh = {}
         for v, sources in enumerate(pushed):
             sources &= ~reach[v]
@@ -217,7 +212,7 @@ def _sweep(n: int, edges):
                 fresh[v] = sources
         if not fresh:
             return
-        yield level, fresh, steps
+        yield level, fresh
 
 
 def _check_conversion_constant(k: int, least: int, longest: int) -> None:
@@ -236,11 +231,13 @@ def _shape_summary(n: int, edges, root: int = 0,
     Status comes from a sweep along the edges. So does contrastatus while
     the reachable pairs found so far do not outnumber the sweep's own
     steps: each source bit of a level's fresh sets then adds the level to
-    that source's sum. On a graph with more pairs than that, such as a
-    large site, walking the bits would cost more than the sweep, and
-    contrastatus comes from a second sweep against the edges. K defaults
-    to n and must be at least 2, the least K for which compactness has
-    Max > Min.
+    that source's sum. A level's steps are n plus the out-degrees of the
+    nodes it pushes from, the previous level's fresh nodes; they are
+    counted only while the walk goes on. On a graph with more pairs than
+    that, such as a large site, walking the bits would cost more than the
+    sweep, and contrastatus comes from a second sweep against the edges.
+    K defaults to n and must be at least 2, the least K for which
+    compactness has Max > Min.
     """
     k = n if K is None else K
     status = [0] * n
@@ -249,8 +246,12 @@ def _shape_summary(n: int, edges, root: int = 0,
     root_distances[root] = 0
     reached = n  # every node reaches itself at distance 0
     longest = 0
+    out_degree = [0] * n
+    for a, _ in edges:
+        out_degree[a] += 1
+    steps = n + len(edges)  # level 1 pushes from every node
     walking = True
-    for level, fresh, steps in _sweep(n, edges):
+    for level, fresh in _sweep(n, edges):
         for v, sources in fresh.items():
             count = sources.bit_count()
             status[v] += level * count
@@ -265,10 +266,11 @@ def _shape_summary(n: int, edges, root: int = 0,
                     s = sources.bit_length() - 1
                     contrastatus[s] += level
                     sources ^= 1 << s
+            steps += n + sum(out_degree[u] for u in fresh)
     _check_conversion_constant(k, 2, longest)
     if not walking:
         contrastatus = [0] * n
-        for level, fresh, _ in _sweep(n, [(b, a) for a, b in edges]):
+        for level, fresh in _sweep(n, [(b, a) for a, b in edges]):
             for v, targets in fresh.items():
                 contrastatus[v] += level * targets.bit_count()
     return _DistanceSummary(
@@ -300,7 +302,7 @@ def converted_distances(g: SiteGraph, K: int | None = None) -> ConvertedDistance
     for i in range(n):
         d[i][i] = 0
     longest = 0
-    for level, fresh, _ in _sweep(n, edges):
+    for level, fresh in _sweep(n, edges):
         for v, sources in fresh.items():
             while sources:
                 low = sources & -sources

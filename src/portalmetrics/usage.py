@@ -121,6 +121,10 @@ class AnalysisPeriod:
     _start_us: int = field(init=False, repr=False, compare=False)
     _span_us: int = field(init=False, repr=False, compare=False)
     _bucket_us: int = field(init=False, repr=False, compare=False)
+    # The first and last whole epoch second inside [start, end); the first
+    # exceeds the last when the window holds no whole second.
+    _first_s: int = field(init=False, repr=False, compare=False)
+    _last_s: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.start.utcoffset() is None or self.end.utcoffset() is None:
@@ -132,6 +136,9 @@ class AnalysisPeriod:
         object.__setattr__(self, "_start_us", (self.start - _EPOCH) // _MICROSECOND)
         object.__setattr__(self, "_span_us", (self.end - self.start) // _MICROSECOND)
         object.__setattr__(self, "_bucket_us", self.bucket // _MICROSECOND)
+        end_us = self._start_us + self._span_us
+        object.__setattr__(self, "_first_s", -(-self._start_us // 1_000_000))
+        object.__setattr__(self, "_last_s", -(-end_us // 1_000_000) - 1)
 
     @property
     def bucket_count(self) -> int:
@@ -483,11 +490,11 @@ def accessed_distribution(sessions, records: list[ContentRecord],
     visitors: dict[str, set[str]] = {}
     uncatalogued = 0
     labels: dict[str, str | None] = {}  # path -> label; None: uncatalogued
-    bucket_index = period.bucket_index
+    first, last = period._first_s, period._last_s
     for session in sessions:
         visitor = session.visitor_key
         for seconds, path in session.views:
-            if bucket_index(seconds) is None:
+            if seconds < first or seconds > last:
                 continue
             try:
                 label = labels[path]

@@ -5,7 +5,8 @@ boolean matrix powers rather than BFS or sparse shortest-path, session
 grouping via per-visitor scans, log parsing into one ``LogEntry`` per line
 with aware ``datetime`` timestamps and no value cached between lines, bot
 filtering with no verdict cached between entries, bucket placement by
-``datetime`` arithmetic, regression via the closed-form normal equations.
+``datetime`` arithmetic, regression via the closed-form normal equations,
+content counts from whole parsed records rather than from row keys.
 Slow is fine here; disagreement is the signal.
 """
 
@@ -370,3 +371,15 @@ def ols_slope(ys) -> float:
 def shannon(counts) -> float:
     total = sum(counts)
     return -sum((c / total) * math.log(c / total) for c in counts if c > 0)
+
+
+def reference_content_counts(records) -> tuple[dict[str, int], int]:
+    """Per-portal and network-wide content counts from whole parsed
+    records: distinct identifiers per portal, and distinct identifiers
+    over every portal."""
+    per_portal: dict[str, set[str]] = {}
+    network: set[str] = set()
+    for r in records:
+        per_portal.setdefault(r.portal_id, set()).add(r.identifier)
+        network.add(r.identifier)
+    return {p: len(ids) for p, ids in sorted(per_portal.items())}, len(network)

@@ -1,16 +1,17 @@
 """Content provision metrics: parsing, diversity, richness, age, gaps."""
 
+import csv
 import io
 import math
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from portalmetrics import catalog
 from portalmetrics.errors import DomainError, FormatError
 
-from oracles import shannon
+from oracles import reference_content_counts, shannon
 
 REF = date(2026, 3, 1)
 
@@ -27,6 +28,65 @@ r1,text,algebra,2026-01-01,p
 r2,video,biology,2026-02-01,p
 r3,text,algebra,2025-12-15,p
 """
+
+
+_COLUMNS = tuple(catalog._COLUMN_ALIASES)
+_IDENTIFIERS = ("r1", " r1 ", "r2", "shared", "x,y", 'say "hi"', "two\nlines")
+_PORTALS = ("A", " A", "B")
+_GOOD_DATES = ("2026-01-01", " 2025-12-31 ", "2026-3-1")
+_BAD_DATES = ("not-a-date", "2026-02-30", "", "01/02/2026")
+
+
+@st.composite
+def _catalog_texts(draw):
+    """A catalog as (text, kept keys, error lines): the (portal_id,
+    identifier) of every row the parser must keep, duplicates included,
+    and the line numbers of the rows it must report as malformed. Rows are
+    good, short, without identifier, with a bad date or blank; the header
+    uses random aliases, case, order and delimiter, and one header in ten
+    misses a mandatory column (kept keys None)."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    names = {c: draw(st.sampled_from(catalog._COLUMN_ALIASES[c]))
+             for c in _COLUMNS}
+    order = draw(st.permutations(_COLUMNS + ("notes",)))
+    missing = draw(st.sampled_from((None,) * 9 + _COLUMNS))
+    order = [c for c in order if c != missing]
+    header = [names.get(c, c) for c in order]
+    if draw(st.booleans()):
+        header = [h.upper() for h in header]
+    last = max(order.index(c) for c in _COLUMNS if c != missing)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n",
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL,
+                                                      csv.QUOTE_ALL])))
+    writer.writerow(header)
+    kept, error_lines = [], []
+    kinds = draw(st.lists(st.sampled_from(
+        ["good"] * 4 + ["short", "no-id", "bad-date", "blank"]), max_size=12))
+    for line_no, kind in enumerate(kinds, start=2):
+        identifier = draw(st.sampled_from(_IDENTIFIERS))
+        portal = draw(st.sampled_from(_PORTALS))
+        dates = _BAD_DATES if kind == "bad-date" else _GOOD_DATES
+        values = {"identifier": "  " if kind == "no-id" else identifier,
+                  "resource_type": "text", "topic": "algebra",
+                  "published": draw(st.sampled_from(dates)),
+                  "portal_id": portal, "notes": ""}
+        row = [values[c] for c in order]
+        if kind == "short":
+            row = row[:draw(st.integers(1, last))]
+        if kind == "blank":
+            row = [draw(st.sampled_from(["", " ", "\t "])) for _ in row]
+            if draw(st.booleans()):
+                row = []
+        if row:
+            writer.writerow(row)
+        else:
+            buffer.write("\n")
+        if kind == "good":
+            kept.append((portal.strip(), identifier.strip()))
+        elif kind != "blank" and any(cell.strip() for cell in row):
+            error_lines.append(line_no)
+    return buffer.getvalue(), None if missing else kept, error_lines
 
 
 class TestParseCatalog:
@@ -296,21 +356,43 @@ class TestDemandOfferGap:
 
 class TestContentCounts:
     def test_shared_identifier_counted_once_network_wide(self):
-        records = [
-            _rec(ident="shared", portal="A"),
-            _rec(ident="shared", portal="B"),
-            _rec(ident="only-a", portal="A"),
-        ]
-        per_portal, network_total = catalog.content_counts(records)
+        keys = [("A", "shared"), ("B", "shared"), ("A", "only-a"),
+                ("A", "shared")]
+        per_portal, network_total = catalog.content_counts(keys)
         assert per_portal == {"A": 2, "B": 1}
         assert network_total == 2
 
     def test_disjoint_identifiers(self):
-        records = [_rec(ident=f"r{i}", portal="A" if i < 3 else "B")
-                   for i in range(5)]
-        per_portal, network_total = catalog.content_counts(records)
+        keys = [("A" if i < 3 else "B", f"r{i}") for i in range(5)]
+        per_portal, network_total = catalog.content_counts(keys)
         assert per_portal == {"A": 3, "B": 2}
         assert network_total == 5
+
+    @given(st.lists(_catalog_texts(), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_from_keys_match_the_record_oracle(self, catalogs):
+        texts = [text for text, _, _ in catalogs]
+        try:
+            expected = reference_content_counts(
+                r for text in texts for r in catalog.parse_catalog(text).records)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as raised:
+                catalog.content_counts(
+                    k for text in texts for k in catalog.content_keys(text))
+            assert str(raised.value) == str(exc)
+            assert any(kept is None for _, kept, _ in catalogs)
+            return
+        got = catalog.content_counts(
+            k for text in texts for k in catalog.content_keys(text))
+        assert got == expected
+        # The generator knows which rows are kept: the row rules hold
+        # in both readers, not just the same in both.
+        assert got == reference_content_counts(
+            catalog.ContentRecord(identifier, "", "", REF, portal)
+            for _, kept, _ in catalogs for portal, identifier in kept)
+        for text, _, error_lines in catalogs:
+            parsed = catalog.parse_catalog(text)
+            assert [line for line, _ in parsed.row_errors] == error_lines
 
 
 class TestTaxonomyFile:

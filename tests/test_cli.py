@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gzip
 import hashlib
 import json
@@ -17,12 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from portalmetrics import catalog, cli, segmentation, usage
+from portalmetrics import config as config_mod
 from portalmetrics import fixtures as fx
 from portalmetrics.config import RunConfig, build_config
 from portalmetrics.errors import FormatError
 from portalmetrics.report import canonical_json, deserialize
 
-from oracles import reference_ingest, sessions_as_set
+from oracles import reference_content_counts, reference_ingest, sessions_as_set
 
 START = "2026-03-02T00:00:00+00:00"
 END = "2026-03-05T00:00:00+00:00"
@@ -458,7 +460,7 @@ class TestNetworkCatalogs:
         records = []
         for path in (first, second):
             records += catalog.parse_catalog(path.read_text("utf-8")).records
-        per_portal, network_total = catalog.content_counts(records)
+        per_portal, network_total = reference_content_counts(records)
         assert (per_portal, network_total) == ({"alpha": 3, "beta": 2}, 4)
         ratios = segmentation.relative_size(per_portal, network_total)
 
@@ -477,42 +479,126 @@ class TestNetworkCatalogs:
     def test_own_catalog_is_parsed_once(self, demo, tmp_path, capsys,
                                         monkeypatch):
         # The demo configs list each portal's own catalog again among the
-        # network catalogs; report parses each distinct file once.
+        # network catalogs; report reads each distinct file once and runs
+        # the row checker over it once.
         config = demo["portals"]["alpha"]["config"]
         cfg = build_config(config)
         own = cfg.catalog
         others = [p for p in cfg.network_catalogs
                   if os.path.abspath(p) != os.path.abspath(own)]
         assert len(others) == len(cfg.network_catalogs) - 1
-        calls = []
-        parse_catalog = catalog.parse_catalog
+        passes, reads = [], []
+        checked_rows = catalog._checked_rows
+        read_text = cli._read_text
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return parse_catalog(*args, **kwargs)
-        monkeypatch.setattr(catalog, "parse_catalog", counting)
+        def counting_passes(*args, **kwargs):
+            passes.append(1)
+            return checked_rows(*args, **kwargs)
+
+        def counting_reads(path, what):
+            if "catalog" in what:
+                reads.append(os.path.abspath(path))
+            return read_text(path, what)
+        monkeypatch.setattr(catalog, "_checked_rows", counting_passes)
+        monkeypatch.setattr(cli, "_read_text", counting_reads)
 
         def report(name, *network):
-            calls.clear()
+            passes.clear()
+            reads.clear()
             out = tmp_path / name
             args = ["report", "--config", config, "--output-dir", str(out)]
             if network:
                 args += ["--network-catalogs", ",".join(network)]
             assert cli.main(args) == 0
             capsys.readouterr()
-            return len(calls), (out / "alpha.report.json").read_bytes()
+            assert len(reads) == len(set(reads)) == len(passes)
+            return len(passes), (out / "alpha.report.json").read_bytes()
 
-        calls_listed, listed = report("listed")
-        assert calls_listed == 1 + len(others)
+        passes_listed, listed = report("listed")
+        assert passes_listed == 1 + len(others)
         # The same file under another spelling of its path is still reused.
         respelled = os.path.join(os.path.dirname(own), ".",
                                  os.path.basename(own))
-        assert report("respelled", respelled, *others) == (calls_listed, listed)
-        # A copy is another file: parsed again, to the same report.
+        assert report("respelled", respelled, *others) == (passes_listed,
+                                                           listed)
+        # A copy is another file: read and checked again, to the same report.
         copy = tmp_path / "copy.csv"
         shutil.copyfile(own, copy)
-        assert report("copied", str(copy), *others) == (calls_listed + 1,
+        assert report("copied", str(copy), *others) == (passes_listed + 1,
                                                         listed)
+
+
+class TestCatalogFormatErrors:
+    """A catalog that cannot be read as a catalog exits 2 with a message
+    that names its file, whether it is the portal's own catalog or one of
+    the network catalogs."""
+
+    HEADER = "identifier,resource_type,topic,published,portal_id"
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured.err
+
+    @staticmethod
+    def _oversized(demo, tmp_path):
+        # One quoted field past the csv module's field size limit.
+        path = tmp_path / "oversized.csv"
+        shutil.copyfile(build_config(demo["portals"]["alpha"]["config"]).catalog,
+                        path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('big,text,"' + "a" * (csv.field_size_limit() + 1)
+                     + '",2025-01-01,alpha\n')
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["catalog", "report"])
+    def test_oversized_field_in_own_catalog(self, demo, tmp_path, capsys,
+                                            command):
+        bad = self._oversized(demo, tmp_path)
+        code, err = self._run([command, "--config",
+                               demo["portals"]["alpha"]["config"],
+                               "--catalog", bad,
+                               "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert f"catalog file {bad}: line " in err
+        assert "field larger than field limit" in err
+
+    @pytest.mark.parametrize("command", ["segment", "report"])
+    def test_oversized_field_in_network_catalog(self, demo, tmp_path, capsys,
+                                                command):
+        cfg = build_config(demo["portals"]["alpha"]["config"])
+        bad = self._oversized(demo, tmp_path)
+        code, err = self._run([command, "--config",
+                               demo["portals"]["alpha"]["config"],
+                               "--network-catalogs", f"{cfg.catalog},{bad}",
+                               "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert f"network catalog file {bad}: line " in err
+        assert "field larger than field limit" in err
+
+    @pytest.mark.parametrize("lines,message", [
+        ([], "catalog stream is empty"),
+        (["identifier,topic,published,portal_id"],
+         "missing mandatory column(s): resource_type"),
+    ])
+    def test_unreadable_network_catalog_is_named(self, demo, tmp_path,
+                                                 capsys, lines, message):
+        cfg = build_config(demo["portals"]["alpha"]["config"])
+        good = tmp_path / "good.csv"
+        fx.write_lines(good, [self.HEADER, "y1,text,biology,2025-01-01,beta"])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(line + "\n" for line in lines),
+                       encoding="utf-8")
+        code, err = self._run(["report", "--config",
+                               demo["portals"]["alpha"]["config"],
+                               "--network-catalogs",
+                               f"{cfg.catalog},{good},{bad}",
+                               "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert f"network catalog file {bad}: " in err
+        assert message in err
 
 
 # sha256 of the demo network's outputs: both portals' report and
@@ -715,6 +801,74 @@ class TestNonUtf8Input:
                         + args)
         assert code == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+
+# Values that each kind of setting must refuse. Every field of
+# _FIELD_PARSERS is run with the values of its parser, as a flag and as a
+# config-file line.
+_BAD_VALUES = {
+    config_mod._parse_text: ("", "  "),
+    config_mod._parse_paths: ("", " ", ",", " , "),
+    config_mod._parse_float: ("", "x", "nan", "inf", "-inf", "1e400", "1,5"),
+    int: ("", "x", "1.5", "1e3", "nan"),
+    config_mod._parse_datetime: ("", "x", "nan", "2026-02-30T00:00:00"),
+    config_mod._parse_date: ("", "x", "2026-02-30", "03/01/2026"),
+    config_mod._parse_bool: ("", "x", "maybe", "2"),
+}
+_BAD_FLAGS = [(field, value)
+              for field, parser in config_mod._FIELD_PARSERS.items()
+              for value in _BAD_VALUES[parser]]
+
+
+class TestFlagValues:
+    def test_every_field_has_bad_values(self):
+        assert {field for field, _ in _BAD_FLAGS} == set(
+            config_mod._FIELD_PARSERS)
+
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    def test_bad_value_exits_2_and_names_the_flag(self, demo, tmp_path,
+                                                  capsys, command):
+        alpha = demo["portals"]["alpha"]["config"]
+        for field, value in _BAD_FLAGS:
+            flag = "--" + field.replace("_", "-")
+            # --flag=value: argparse reads a bare "-inf" as an option.
+            args = [command, "--output-dir", str(tmp_path / "out"),
+                    f"{flag}={value}"]
+            args += ["--config", alpha] if command == "report" else [alpha]
+            code = cli.main(args)
+            err = capsys.readouterr().err
+            assert (code, err.count("\n")) == (2, 1), (flag, value, err)
+            assert err.startswith(f"error: {flag}: "), (flag, value, err)
+            # The same value on a config-file line gives the same message.
+            line = tmp_path / "line.config"
+            line.write_text(f"{field} = {value}\n", encoding="utf-8")
+            assert cli.main([command, "--config", str(line)]
+                            + ([] if command == "report" else [alpha])) == 2
+            assert capsys.readouterr().err == err.replace(
+                f"{flag}: ", f"{line}:1: ", 1)
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_value_is_stripped_like_a_file_value(self, demo, tmp_path,
+                                                      capsys):
+        alpha = demo["portals"]["alpha"]["config"]
+        outputs = []
+        for seed in ("0", " 0 "):
+            out = tmp_path / f"seed-{len(outputs)}"
+            assert cli.main(["report", "--config", alpha, "--seed", seed,
+                             "--output-dir", str(out)]) == 0
+            outputs.append((out / "alpha.report.json").read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = cli.main(["usage", "--logs", str(blocker),
+                         "--period-start", START, "--period-end", END,
+                         "--output-dir", str(blocker)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"cannot write output file {blocker}" in err
 
 
 def _src_dir():

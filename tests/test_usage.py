@@ -696,6 +696,30 @@ class TestAccessedDistribution:
             sessions, self.RECORDS, self.PATH_MAP, "topic", period)
         assert result.views_total.counts == {"algebra": 3, "biology": 1}
 
+    @pytest.mark.parametrize("start_us,end_us", [
+        (0, 600_000_000), (250_000, 600_000_000), (0, 600_750_000),
+        (999_999, 600_000_001), (250_000, 750_000), (0, 1)])
+    def test_sub_second_period_bounds_match_bucket_index(self, start_us,
+                                                         end_us):
+        # Views at the whole seconds around both bounds count exactly when
+        # bucket_index places them; (250_000, 750_000) holds no whole second.
+        period = usage.AnalysisPeriod(
+            start=T0 + timedelta(microseconds=start_us),
+            end=T0 + timedelta(microseconds=end_us),
+            bucket=timedelta(minutes=7))
+        end_s = T0_S + end_us // 1_000_000
+        for seconds in (T0_S - 1, T0_S, T0_S + 1, end_s - 1, end_s, end_s + 1):
+            sessions = [usage.Session(visitor_key="user:x",
+                                      views=((seconds, "/a"),))]
+            if period.bucket_index(seconds) is None:
+                with pytest.raises(DomainError):
+                    usage.accessed_distribution(sessions, self.RECORDS,
+                                                self.PATH_MAP, "topic", period)
+            else:
+                result = usage.accessed_distribution(
+                    sessions, self.RECORDS, self.PATH_MAP, "topic", period)
+                assert result.views_total.counts == {"algebra": 1}
+
     def test_unmapped_views_tallied(self):
         sessions = [_session(["/a", "/nope"], visitor="user:x")]
         result = usage.accessed_distribution(
