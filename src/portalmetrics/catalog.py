@@ -64,20 +64,20 @@ class TopicTaxonomy:
             raise DomainError("taxonomy labels must be unique")
 
     @classmethod
-    def from_file(cls, path) -> "TopicTaxonomy":
-        """Load a taxonomy from a plain-text file, one label per line."""
+    def from_text(cls, text: str) -> "TopicTaxonomy":
+        """A taxonomy from the text of a taxonomy file: one label per line,
+        lines split only at newlines, # starts a comment."""
         labels = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    labels.append(line)
+        for line in text.split("\n"):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                labels.append(line)
         return cls(tuple(labels))
 
 
 @dataclass(frozen=True)
 class TopicDistribution:
-    """Counts of content per label (topic or resource type)."""
+    """Counts of content per topic."""
 
     counts: dict[str, int]
     total: int
@@ -100,7 +100,8 @@ class ParsedCatalog:
 
 @dataclass(frozen=True)
 class DiversityResult:
-    """Shannon entropy of a distribution plus its taxonomy-size-free evenness."""
+    """Shannon entropy of a distribution plus its evenness over the labels
+    present."""
 
     entropy_nats: float
     evenness: float
@@ -115,25 +116,6 @@ class AverageAgeResult:
 class GapReport:
     high_demand_low_offer: tuple[str, ...]
     high_offer_low_demand: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ProvisionSummary:
-    """Provision section of a portal report.
-
-    Accessed diversity is carried twice, weighted by views and by unique
-    visitors, because both readings of "resources accessed" are defensible.
-    Fields are None when the underlying data was not supplied.
-    """
-
-    diversity_offered_nats: float | None
-    evenness_offered: float | None
-    diversity_accessed_by_visits_nats: float | None
-    diversity_accessed_by_visitors_nats: float | None
-    richness: float | None
-    average_age_days: float | None
-    high_demand_low_offer: tuple[str, ...] = ()
-    high_offer_low_demand: tuple[str, ...] = ()
 
 
 def _resolve_header(header: list[str]) -> dict[str, int]:
@@ -166,13 +148,13 @@ def _checked_rows(stream, row_errors: list[tuple[int, str]]):
     table. A blank or whitespace-only row is skipped silently. A row too
     short for the mandatory columns, with an empty identifier or with a
     date that is not ISO-8601 (YYYY-MM-DD) is skipped and appended to
-    ``row_errors`` as (line number, message). Each distinct date string is
-    parsed once. A missing header, a missing mandatory column and a row
-    the csv module cannot read (such as a field over its size limit)
-    raise FormatError.
+    ``row_errors`` as (the physical line it starts on, message). Each
+    distinct date string is parsed once. A missing header, a missing
+    mandatory column and a row the csv module cannot read (such as a field
+    over its size limit) raise FormatError.
     """
-    if isinstance(stream, (str, bytes)):
-        stream = io.StringIO(stream if isinstance(stream, str) else stream.decode())
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
     lines = iter(stream)
     try:
         header_line = next(lines)
@@ -190,8 +172,10 @@ def _checked_rows(stream, row_errors: list[tuple[int, str]]):
     last = max(columns.values())
     dates: dict[str, date] = {}
     reader = csv.reader(lines, delimiter=delimiter)
+    next_line = 2  # the physical line the next row starts on
     try:
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no, next_line = next_line, reader.line_num + 2
             if len(row) <= last:
                 error = f"expected {len(header)} columns, got {len(row)}"
             elif not (identifier := row[i_id].strip()):
@@ -255,13 +239,12 @@ def content_keys(stream) -> Iterator[tuple[str, str]]:
     return map(itemgetter(0, 1), _checked_rows(stream, []))
 
 
-def shannon_diversity(dist: TopicDistribution,
-                      taxonomy_size: int | None = None) -> DiversityResult:
+def shannon_diversity(dist: TopicDistribution) -> DiversityResult:
     """Shannon entropy H = -sum(p_i * ln p_i) over labels with positive count.
 
-    Natural log, so the value is in nats; 0 <= H <= ln(S+) where S+ is the
-    number of positive labels. Evenness divides by ln(S) with S the taxonomy
-    size (defaults to S+), and is defined as 0.0 when S == 1.
+    Natural log, so the value is in nats; 0 <= H <= ln(S) where S is the
+    number of positive labels. Evenness divides by ln(S), so it is taken
+    over the labels present, and is defined as 0.0 when S == 1.
     """
     if dist.total <= 0:
         raise DomainError("no content: cannot compute diversity of an "
@@ -272,9 +255,7 @@ def shannon_diversity(dist: TopicDistribution,
         p = count / dist.total
         entropy -= p * math.log(p)
     entropy = max(entropy, 0.0)
-    s = taxonomy_size if taxonomy_size is not None else len(positive)
-    if s < 1:
-        raise DomainError("taxonomy size must be >= 1")
+    s = len(positive)
     evenness = 0.0 if s == 1 else entropy / math.log(s)
     return DiversityResult(entropy_nats=entropy, evenness=evenness)
 
@@ -310,15 +291,11 @@ def average_age(records: list[ContentRecord],
     return AverageAgeResult(mean_age_days=sum(ages) / len(ages))
 
 
-def offer_distribution(records: list[ContentRecord],
-                       axis: str = "topic") -> TopicDistribution:
-    """Count records per label along ``axis`` ('topic' or 'resource_type')."""
-    if axis not in ("topic", "resource_type"):
-        raise DomainError(f"unknown distribution axis {axis!r}")
+def offer_distribution(records: list[ContentRecord]) -> TopicDistribution:
+    """Count records per topic."""
     counts: dict[str, int] = {}
     for r in records:
-        label = r.topic if axis == "topic" else r.resource_type
-        counts[label] = counts.get(label, 0) + 1
+        counts[r.topic] = counts.get(r.topic, 0) + 1
     return TopicDistribution.from_counts(counts)
 
 

@@ -25,24 +25,19 @@ from .errors import (ConfigError, DomainError, FormatError,
                      ReportValidationError)
 
 
-def _load_file(loader, path, what: str):
-    """``loader(path)``, with a failure to read the file reported as an
-    error that names it: unreadable -> ConfigError, not UTF-8 -> FormatError."""
+def _read_text(path, what: str) -> str:
+    """The whole of a UTF-8 text file, with a failure to read it reported
+    as an error that names it: unreadable -> ConfigError, not UTF-8 ->
+    FormatError. Every input but the logs and the config file is read
+    here."""
     try:
-        return loader(path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{what} file {path} is not UTF-8 text: {exc.reason} "
                           f"at byte {exc.start}")
-
-
-def _read_text(path, what: str) -> str:
-    """The whole of a UTF-8 text file, read through ``_load_file``."""
-    def read(p) -> str:
-        with open(p, encoding="utf-8") as fh:
-            return fh.read()
-    return _load_file(read, path, what)
 
 
 def _require(cfg: RunConfig, field: str):
@@ -80,13 +75,13 @@ def _load_catalog(cfg: RunConfig) -> catalog_mod.ParsedCatalog:
 def _load_taxonomy(cfg: RunConfig) -> catalog_mod.TopicTaxonomy | None:
     if cfg.taxonomy is None:
         return None
-    return _load_file(catalog_mod.TopicTaxonomy.from_file, cfg.taxonomy,
-                      "taxonomy")
+    return catalog_mod.TopicTaxonomy.from_text(
+        _read_text(cfg.taxonomy, "taxonomy"))
 
 
 def _load_site_graph(cfg: RunConfig):
-    text = _read_text(_require(cfg, "edges"), "edge list")
-    return structure_mod.build_site_graph(text.splitlines())
+    return structure_mod.build_site_graph(
+        _read_text(_require(cfg, "edges"), "edge list"))
 
 
 def _log_lines(paths):
@@ -108,8 +103,8 @@ def _load_sessions(cfg: RunConfig):
     """
     signatures = None
     if cfg.bot_list is not None:
-        signatures = _load_file(usage_mod.load_signatures, cfg.bot_list,
-                                "bot signature list")
+        signatures = usage_mod.parse_signatures(
+            _read_text(cfg.bot_list, "bot signature list"))
     tally = usage_mod.IngestTally()
     views = usage_mod.ingest(_log_lines(_require(cfg, "logs")), tally,
                              use_auth_user=cfg.use_auth_user,
@@ -126,72 +121,72 @@ def _load_sessions(cfg: RunConfig):
 
 
 def _provision_summary(cfg: RunConfig, parsed, taxonomy, sessions, period):
-    """Provision metrics plus the flags explaining whatever is absent.
+    """The provision section of a report, plus the flags explaining
+    whatever it lacks.
 
-    ``period`` is read only when ``sessions`` is given.
+    Accessed diversity is given twice, weighted by views and by unique
+    visitors, because both readings of "resources accessed" are
+    defensible. A field is None, or a list empty, when its data was not
+    supplied. ``period`` is read only when ``sessions`` is given.
     """
     flags: list[str] = []
     records = parsed.records
-    offered = catalog_mod.offer_distribution(records, axis="topic")
+    offered = catalog_mod.offer_distribution(records)
     diversity = catalog_mod.shannon_diversity(offered)
-    richness_value = None
+    section = {
+        "diversity_offered_nats": diversity.entropy_nats,
+        "evenness_offered": diversity.evenness,
+        "diversity_accessed_by_visits_nats": None,
+        "diversity_accessed_by_visitors_nats": None,
+        "richness": None,
+        "average_age_days": None,
+        "high_demand_low_offer": [],
+        "high_offer_low_demand": [],
+    }
     if taxonomy is not None:
-        richness_value, unknown = catalog_mod.richness(records, taxonomy)
+        section["richness"], unknown = catalog_mod.richness(records, taxonomy)
         if unknown:
             flags.append("topics_outside_taxonomy")
     else:
         flags.append("no_taxonomy")
-    age = catalog_mod.average_age(records, cfg.reference())
+    section["average_age_days"] = catalog_mod.average_age(
+        records, cfg.reference()).mean_age_days
 
-    by_visits = by_visitors = None
-    gap_high_demand: tuple = ()
-    gap_high_offer: tuple = ()
     if sessions is not None and cfg.link_map is not None:
-        path_map = _load_file(usage_mod.load_link_map, cfg.link_map,
-                              "link map")
+        path_map = usage_mod.parse_link_map(_read_text(cfg.link_map,
+                                                       "link map"))
         try:
-            accessed = usage_mod.accessed_distribution(
-                sessions, records, path_map, "topic", period)
+            accessed = usage_mod.accessed_distribution(sessions, records,
+                                                       path_map, period)
         except DomainError:
             flags.append("accessed_join_empty")
         else:
             by_visits = catalog_mod.shannon_diversity(accessed.views_total)
             by_visitors = catalog_mod.shannon_diversity(accessed.visitors_total)
+            section["diversity_accessed_by_visits_nats"] = by_visits.entropy_nats
+            section["diversity_accessed_by_visitors_nats"] = by_visitors.entropy_nats
             gaps = catalog_mod.demand_offer_gap(offered, accessed.views_total,
                                                 cfg.gap_threshold)
-            gap_high_demand = gaps.high_demand_low_offer
-            gap_high_offer = gaps.high_offer_low_demand
+            section["high_demand_low_offer"] = list(gaps.high_demand_low_offer)
+            section["high_offer_low_demand"] = list(gaps.high_offer_low_demand)
             if accessed.uncatalogued_views:
                 flags.append("uncatalogued_views_present")
     else:
         flags.append("no_accessed_distribution")
-
-    summary = catalog_mod.ProvisionSummary(
-        diversity_offered_nats=diversity.entropy_nats,
-        evenness_offered=diversity.evenness,
-        diversity_accessed_by_visits_nats=(
-            by_visits.entropy_nats if by_visits else None),
-        diversity_accessed_by_visitors_nats=(
-            by_visitors.entropy_nats if by_visitors else None),
-        richness=richness_value,
-        average_age_days=age.mean_age_days,
-        high_demand_low_offer=gap_high_demand,
-        high_offer_low_demand=gap_high_offer,
-    )
-    return summary, flags
+    return section, flags
 
 
 def cmd_catalog(cfg: RunConfig) -> int:
     parsed = _load_catalog(cfg)
     taxonomy = _load_taxonomy(cfg)
-    summary, flags = _provision_summary(cfg, parsed, taxonomy, None, None)
+    provision, flags = _provision_summary(cfg, parsed, taxonomy, None, None)
     _emit({
         "kind": "catalog-metrics",
         "portal_id": cfg.portal_id,
         "records": len(parsed.records),
         "duplicates_dropped": parsed.duplicates_dropped,
         "malformed_rows": len(parsed.row_errors),
-        "provision": report_mod.provision_section(summary),
+        "provision": provision,
         "flags": sorted(flags),
     })
     return 0
@@ -242,9 +237,9 @@ def _position_profile(cfg: RunConfig):
     text = _read_text(_require(cfg, "cross_links"), "cross-site link")
     site_map = None
     if cfg.site_map is not None:
-        site_map = _load_file(usage_mod.load_link_map, cfg.site_map, "site map")
-    graph, tally = position_mod.build_cross_site_graph(text.splitlines(),
-                                                       site_map)
+        site_map = usage_mod.parse_link_map(_read_text(cfg.site_map,
+                                                       "site map"))
+    graph, tally = position_mod.build_cross_site_graph(text, site_map)
     site = _require(cfg, "site")
     communities = position_mod.detect_communities(graph, seed=cfg.seed)
     profile = position_mod.position_profile(graph, site, communities,
@@ -341,9 +336,8 @@ def cmd_report(cfg: RunConfig) -> int:
     if cfg.catalog is not None:
         parsed = _load_catalog(cfg)
         taxonomy = _load_taxonomy(cfg)
-        summary, provision_flags = _provision_summary(cfg, parsed, taxonomy,
-                                                      sessions, period)
-        provision = report_mod.provision_section(summary)
+        provision, provision_flags = _provision_summary(cfg, parsed, taxonomy,
+                                                        sessions, period)
         flags.extend(provision_flags)
 
     if cfg.edges is not None:

@@ -194,38 +194,22 @@ class RunConfig:
         }
 
 
-_FIELD_PARSERS = {
-    "catalog": _parse_text,
-    "network_catalogs": _parse_paths,
-    "edges": _parse_text,
-    "logs": _parse_paths,
-    "link_map": _parse_text,
-    "cross_links": _parse_text,
-    "site_map": _parse_text,
-    "taxonomy": _parse_text,
-    "bot_list": _parse_text,
-    "output_dir": _parse_text,
-    "portal_id": _parse_text,
-    "site": _parse_text,
-    "period_start": _parse_datetime,
-    "period_end": _parse_datetime,
-    "bucket_days": _parse_float,
-    "reference_date": _parse_date,
-    "session_timeout_minutes": _parse_float,
-    "gap_threshold": _parse_float,
-    "growth_threshold": _parse_float,
-    "bridge_score_threshold": _parse_float,
-    "bridge_min_communities": int,
-    "authority_percentile": _parse_float,
-    "hub_percentile": _parse_float,
-    "distance_k": int,
-    "linearity_band": _parse_float,
-    "compare_margin": _parse_float,
-    "seed": int,
-    "use_auth_user": _parse_bool,
+# The parser of each field type of RunConfig, by its annotation.
+_TYPE_PARSERS = {
+    "str": _parse_text,
+    "str | None": _parse_text,
+    "tuple[str, ...]": _parse_paths,
+    "datetime | None": _parse_datetime,
+    "date | None": _parse_date,
+    "float": _parse_float,
+    "int": int,
+    "int | None": int,
+    "bool": _parse_bool,
 }
 
-assert set(_FIELD_PARSERS) == {f.name for f in fields(RunConfig)}
+# Each setting's parser, in field order; a field type with no parser
+# fails here, at import.
+_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, text: str, where: str):
@@ -243,7 +227,7 @@ def _parse_value(key: str, text: str, where: str):
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """key = value lines into a typed mapping; # starts a comment."""
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

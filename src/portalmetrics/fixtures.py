@@ -391,7 +391,7 @@ DEMO_PERIOD_END = "2026-03-05T00:00:00+00:00"
 DEMO_REFERENCE = "2026-03-01"
 
 
-def write_demo_network(root, records_per_topic: int = 25) -> dict:
+def write_demo_network(root) -> dict:
     """A complete two-portal workspace under ``root``.
 
     Both portals are planted to land in the same typology quadrant
@@ -425,7 +425,7 @@ def write_demo_network(root, records_per_topic: int = 25) -> dict:
         records = gen_catalog(GeneratorSpec(
             kind="synthetic-catalog",
             portal_id=portal,
-            topic_counts=tuple((t, records_per_topic) for t in plan["topics"]),
+            topic_counts=tuple((t, 25) for t in plan["topics"]),
             ages_days=plan["ages"],
             reference=date.fromisoformat(DEMO_REFERENCE),
         ))

@@ -138,18 +138,17 @@ def build_cross_site_graph(page_links, site_map=None
                            ) -> tuple[CrossSiteGraph, CrossBuildTally]:
     """Aggregate page-level links into a site-level weighted digraph.
 
-    ``page_links`` yields delimited "from_url, to_url" lines (tab wins over
-    comma, # starts a comment). ``site_map`` maps URL prefixes to site ids,
-    longest prefix first; URLs matching no prefix fall back to their
-    registrable domain and are tallied. Intra-site links are dropped and
-    tallied. An empty result is fatal.
+    ``page_links`` is the text of a cross-link file, split only at
+    newlines, or its lines: delimited "from_url, to_url" pairs (tab wins
+    over comma, # starts a comment). ``site_map`` maps URL prefixes to
+    site ids, longest prefix first; URLs matching no prefix fall back to
+    their registrable domain and are tallied. Intra-site links are dropped
+    and tallied. An empty result is fatal.
     """
     if isinstance(page_links, str):
-        page_links = page_links.splitlines()
-    prefixes: list[tuple[str, str]] = []
-    if site_map:
-        items = site_map.items() if isinstance(site_map, dict) else site_map
-        prefixes = sorted(items, key=lambda kv: len(kv[0]), reverse=True)
+        page_links = page_links.split("\n")
+    prefixes = sorted((site_map or {}).items(), key=lambda kv: len(kv[0]),
+                      reverse=True)
     tally = CrossBuildTally()
     sites: set = set()
     weights: dict = {}

@@ -33,7 +33,6 @@ import operator
 from dataclasses import asdict, dataclass
 from datetime import datetime
 
-from .catalog import ProvisionSummary
 from .errors import ComparabilityError, DomainError, ReportValidationError
 from .position import PositionProfile
 from .segmentation import TrendResult, SegmentLabel, GROWING, STABLE, LARGE, SMALL, QUADRANT_NAMES
@@ -295,19 +294,6 @@ def period_section(period: AnalysisPeriod) -> dict:
     }
 
 
-def provision_section(summary: ProvisionSummary) -> dict:
-    return {
-        "diversity_offered_nats": summary.diversity_offered_nats,
-        "evenness_offered": summary.evenness_offered,
-        "diversity_accessed_by_visits_nats": summary.diversity_accessed_by_visits_nats,
-        "diversity_accessed_by_visitors_nats": summary.diversity_accessed_by_visitors_nats,
-        "richness": summary.richness,
-        "average_age_days": summary.average_age_days,
-        "high_demand_low_offer": list(summary.high_demand_low_offer),
-        "high_offer_low_demand": list(summary.high_offer_low_demand),
-    }
-
-
 def organization_section(profile: OrganizationProfile,
                          navigation: NavigationSummary | None = None) -> dict:
     nav = None
@@ -368,7 +354,7 @@ def assemble_report(portal_id: str, period: AnalysisPeriod, *,
                     thresholds: dict | None = None,
                     algorithms: dict | None = None,
                     flags=()) -> PortalReport:
-    """Bundle section dicts (from the *_section builders) into a report.
+    """Bundle section dicts into a report.
 
     Sections may be absent; their names land in metadata.missing_sections.
     At least one section must be present. Thresholds and algorithm choices
@@ -400,32 +386,17 @@ def assemble_report(portal_id: str, period: AnalysisPeriod, *,
 
 
 def build_diagnostics(portal_id: str, period: AnalysisPeriod, *,
-                      demand=None, recency_result=None, activity=None,
-                      session_count=None, navigation=None,
-                      tallies=None) -> dict:
+                      demand, recency_result, session_count, tallies,
+                      activity=None, navigation=None) -> dict:
     """Local-only companion document holding the sensitive raw numbers.
 
     This is the file that stays on the portal operator's machine: visit
     counts per bucket, recency, views per session. Never ship it; the
     shareable report schema rejects these fields by construction.
     """
-    demand_block = None
-    if demand is not None:
-        demand_block = {
-            "bucket_starts": [start.isoformat() for start, _ in demand.buckets],
-            "visit_counts": [count for _, count in demand.buckets],
-            "total_visits": demand.total,
-        }
-    recency_block = None
-    if recency_result is not None:
-        seconds = None
-        if recency_result.mean_between_visits is not None:
-            seconds = recency_result.mean_between_visits.total_seconds()
-        recency_block = {
-            "mean_seconds_between_visits": seconds,
-            "eligible_visitors": recency_result.eligible_visitors,
-            "single_visit_visitors": recency_result.single_visit_visitors,
-        }
+    seconds = None
+    if recency_result.mean_between_visits is not None:
+        seconds = recency_result.mean_between_visits.total_seconds()
     navigation_block = None
     if navigation is not None:
         navigation_block = {
@@ -436,12 +407,20 @@ def build_diagnostics(portal_id: str, period: AnalysisPeriod, *,
         "kind": "local-diagnostics",
         "portal_id": portal_id,
         "period": period_section(period),
-        "demand": demand_block,
-        "recency": recency_block,
+        "demand": {
+            "bucket_starts": [start.isoformat() for start, _ in demand.buckets],
+            "visit_counts": [count for _, count in demand.buckets],
+            "total_visits": demand.total,
+        },
+        "recency": {
+            "mean_seconds_between_visits": seconds,
+            "eligible_visitors": recency_result.eligible_visitors,
+            "single_visit_visitors": recency_result.single_visit_visitors,
+        },
         "views_per_session": activity,
         "session_count": session_count,
         "navigation_sessions": navigation_block,
-        "tallies": dict(tallies or {}),
+        "tallies": dict(tallies),
     }
 
 

@@ -120,21 +120,20 @@ def dynamics_class(relative_slope: float | None,
                     indeterminate=False)
 
 
-def relative_size(portal_counts: dict, network_total: int | None = None) -> dict:
+def relative_size(portal_counts: dict, network_total: int) -> dict:
     """Each portal's share of the network's deduplicated content.
 
     ``portal_counts`` maps portal id to its distinct-identifier count.
     ``network_total`` is the distinct-identifier count over the whole
     network; identifiers shared between portals count once there, so the
-    shares can sum to more than 1. Defaults to the plain sum, which is
-    exact when no identifier is shared.
+    shares can sum to more than 1.
     """
     if not portal_counts:
         raise DomainError("no portals to size")
-    total = sum(portal_counts.values()) if network_total is None else network_total
-    if total <= 0:
+    if network_total <= 0:
         raise DomainError("network content total must be positive")
-    return {portal: count / total for portal, count in portal_counts.items()}
+    return {portal: count / network_total
+            for portal, count in portal_counts.items()}
 
 
 def size_class(ratios: dict) -> SizeClassification:

@@ -25,7 +25,6 @@ larger site comes from a second sweep against the edges. Only
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from .errors import DomainError, FormatError
@@ -119,17 +118,17 @@ class _DistanceSummary:
     root_distances: list[int]  # finite distances from root, -1 unreachable
 
 
-def build_site_graph(edge_stream, root: str | None = None) -> tuple[SiteGraph, BuildTally]:
-    """Build a normalized SiteGraph from a delimited (from, to) edge stream.
+def build_site_graph(edge_stream) -> tuple[SiteGraph, BuildTally]:
+    """Build a normalized SiteGraph from a delimited (from, to) edge stream:
+    the text of an edge list, split only at newlines, or its lines.
 
     Lines are comma- or tab-separated pairs; blank lines and ``#`` comments
     are skipped, except ``# node: X`` lines which declare isolated nodes.
     Self-loops are dropped and parallel edges collapsed, both tallied.
-    ``root`` defaults to the first node seen.
+    The first node seen is the homepage (root).
     """
-    if isinstance(edge_stream, (str, bytes)):
-        edge_stream = io.StringIO(
-            edge_stream if isinstance(edge_stream, str) else edge_stream.decode())
+    if isinstance(edge_stream, str):
+        edge_stream = edge_stream.split("\n")
     nodes: list[str] = []
     seen_nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
@@ -167,11 +166,8 @@ def build_site_graph(edge_stream, root: str | None = None) -> tuple[SiteGraph, B
 
     if not nodes:
         raise DomainError("edge stream is empty: no nodes found")
-    if root is None:
-        root = nodes[0]
-    if root not in seen_nodes:
-        raise FormatError(f"root {root!r} does not appear in the graph")
-    return SiteGraph(nodes=frozenset(nodes), edges=frozenset(edges), root=root), tally
+    return SiteGraph(nodes=frozenset(nodes), edges=frozenset(edges),
+                     root=nodes[0]), tally
 
 
 def _indexed(g: SiteGraph) -> tuple[list[str], list[tuple[int, int]], int]:

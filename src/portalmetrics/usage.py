@@ -42,8 +42,8 @@ from .errors import DomainError, FormatError
 DEFAULT_SESSION_TIMEOUT = timedelta(minutes=30)
 DEFAULT_LINEARITY_BAND = 0.8
 
-# Case-insensitive substrings that mark an automated agent. User-extendable
-# via ingest(signatures=...) or a signature file.
+# Case-insensitive substrings that mark an automated agent. Replaced by
+# ingest(signatures=...), as from a signature file (parse_signatures).
 DEFAULT_BOT_SIGNATURES = (
     "bot",
     "crawler",
@@ -79,11 +79,6 @@ _MIN_SECONDS = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _SECOND
 _MAX_SECONDS = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _SECOND
 
 
-def instant(seconds: int) -> datetime:
-    """The UTC datetime of a view's epoch seconds."""
-    return _EPOCH + timedelta(seconds=seconds)
-
-
 @dataclass(frozen=True)
 class Session:
     """A visit: one visitor's page views with no gap above the timeout.
@@ -93,14 +88,6 @@ class Session:
 
     visitor_key: str
     views: tuple[tuple[int, str], ...]
-
-    @property
-    def start(self) -> datetime:
-        return instant(self.views[0][0])
-
-    @property
-    def end(self) -> datetime:
-        return instant(self.views[-1][0])
 
     def __len__(self) -> int:
         return len(self.views)
@@ -369,30 +356,31 @@ def read_log_lines(paths):
             yield from fh
 
 
-def load_link_map(path) -> dict:
-    """Join table from request path to catalog identifier, one delimited
-    pair per line (tab wins over comma, # starts a comment)."""
+def parse_link_map(text: str) -> dict:
+    """Join table from request path to catalog identifier, from the text
+    of a link-map file: one delimited pair per line, lines split only at
+    newlines (tab wins over comma, # starts a comment)."""
     mapping: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            sep = "\t" if "\t" in line else ","
-            parts = [p.strip() for p in line.split(sep)]
-            if len(parts) == 2 and parts[0] and parts[1]:
-                mapping[parts[0]] = parts[1]
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        sep = "\t" if "\t" in line else ","
+        parts = [p.strip() for p in line.split(sep)]
+        if len(parts) == 2 and parts[0] and parts[1]:
+            mapping[parts[0]] = parts[1]
     return mapping
 
 
-def load_signatures(path) -> tuple[str, ...]:
-    """Bot signature file: one case-insensitive substring per line."""
+def parse_signatures(text: str) -> tuple[str, ...]:
+    """Bot signatures from the text of a signature file: one
+    case-insensitive substring per line, lines split only at newlines,
+    # starts a comment."""
     signatures = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                signatures.append(line.lower())
+    for line in text.split("\n"):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            signatures.append(line.lower())
     return tuple(signatures)
 
 
@@ -473,9 +461,9 @@ def activity_level(sessions) -> float:
 
 
 def accessed_distribution(sessions, records: list[ContentRecord],
-                          path_map: dict[str, str], axis: str,
+                          path_map: dict[str, str],
                           period: AnalysisPeriod) -> AccessedContent:
-    """Accessed-content distributions over the period, by views and by
+    """Accessed-topic distributions over the period, by views and by
     unique visitors.
 
     Only views inside the period count. ``path_map`` joins request paths
@@ -483,8 +471,6 @@ def accessed_distribution(sessions, records: list[ContentRecord],
     record are tallied as uncatalogued. Raises DomainError when nothing
     joins at all. Each distinct path is joined once.
     """
-    if axis not in ("topic", "resource_type"):
-        raise DomainError(f"unknown distribution axis {axis!r}")
     by_id = {r.identifier: r for r in records}
     total_views: dict[str, int] = {}  # labels in order of first view
     visitors: dict[str, set[str]] = {}
@@ -501,11 +487,7 @@ def accessed_distribution(sessions, records: list[ContentRecord],
             except KeyError:
                 identifier = path_map.get(path)
                 record = by_id.get(identifier) if identifier else None
-                if record is None:
-                    label = None
-                else:
-                    label = record.topic if axis == "topic" else record.resource_type
-                labels[path] = label
+                label = labels[path] = None if record is None else record.topic
             if label is None:
                 uncatalogued += 1
                 continue

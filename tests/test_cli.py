@@ -412,7 +412,8 @@ class TestStreamingIngest:
             if custom_bots:
                 bot_list = os.path.join(tmp, "bots.txt")
                 fx.write_lines(bot_list, ["# custom", "AgentX"])
-                signatures = usage.load_signatures(bot_list)
+                with open(bot_list, encoding="utf-8") as fh:
+                    signatures = usage.parse_signatures(fh.read())
             cfg = RunConfig(logs=(log,), bot_list=bot_list,
                             use_auth_user=use_auth_user)
             try:
@@ -803,6 +804,73 @@ class TestNonUtf8Input:
         assert "not UTF-8" in capsys.readouterr().err
 
 
+# Characters that str.splitlines treats as line breaks but a file read
+# does not; a value that holds one stays on its line in every input.
+_LINE_BREAKS_OF_SPLITLINES = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@pytest.mark.parametrize("char", _LINE_BREAKS_OF_SPLITLINES)
+class TestOneSplitRule:
+    def _run(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        return json.loads(captured.out)
+
+    def test_taxonomy(self, tmp_path, capsys, char):
+        taxonomy = tmp_path / "taxonomy.txt"
+        fx.write_lines(taxonomy, ["algebra", "biology", f"x{char}y"])
+        doc = self._run(capsys, ["catalog", "--catalog", _catalog_file(tmp_path),
+                                 "--taxonomy", str(taxonomy),
+                                 "--reference-date", "2026-03-01"])
+        assert doc["provision"]["richness"] == pytest.approx(2 / 3)
+
+    def test_bot_list(self, demo, tmp_path, capsys, char):
+        tallies = []
+        for signature in ("nomatch", f"nomatch{char}PortalBrowser"):
+            bots = tmp_path / "bots.txt"
+            fx.write_lines(bots, [signature])
+            doc = self._run(capsys, [
+                "usage", "--config", demo["portals"]["alpha"]["config"],
+                "--bot-list", str(bots), "--output-dir", str(tmp_path)])
+            tallies.append(doc["tallies"])
+        assert tallies[0] == tallies[1]
+
+    def test_link_map(self, demo, tmp_path, capsys, char):
+        alpha = demo["portals"]["alpha"]
+        with open(alpha["link_map"], encoding="utf-8") as fh:
+            pairs = fh.read().split("\n")
+        link_map = tmp_path / "link_map.tsv"
+        fx.write_lines(link_map, [f"/nowhere{char}{pair}" for pair in pairs])
+        doc = self._run(capsys, ["report", "--config", alpha["config"],
+                                 "--link-map", str(link_map),
+                                 "--output-dir", str(tmp_path)])
+        assert "accessed_join_empty" in doc["metadata"]["flags"]
+
+    def test_edge_list(self, tmp_path, capsys, char):
+        edges = tmp_path / "edges.tsv"
+        fx.write_lines(edges, [f"/a{char}/b,/c", "/c,/d"])
+        doc = self._run(capsys, ["structure", "--edges", str(edges)])
+        assert (doc["pages"], doc["links"]) == (3, 2)
+
+    def test_cross_links(self, tmp_path, capsys, char):
+        links = tmp_path / "links.tsv"
+        fx.write_lines(links, [
+            f"http://a.example/x{char}http://b.example/y,http://c.example/z",
+            "http://c.example/,http://a.example/"])
+        doc = self._run(capsys, ["position", "--cross-links", str(links),
+                                 "--site", "a.example"])
+        assert (doc["sites"], doc["malformed_lines"]) == (2, 0)
+
+    def test_config_file(self, tmp_path, capsys, char):
+        config = tmp_path / "run.config"
+        fx.write_lines(config, [f"portal_id = p{char}q"])
+        doc = self._run(capsys, ["catalog", "--config", str(config),
+                                 "--catalog", _catalog_file(tmp_path),
+                                 "--reference-date", "2026-03-01"])
+        assert doc["portal_id"] == f"p{char}q"
+
+
 # Values that each kind of setting must refuse. Every field of
 # _FIELD_PARSERS is run with the values of its parser, as a flag and as a
 # config-file line.
@@ -919,3 +987,18 @@ def test_report_and_compare_run_with_test_packages_blocked(tmp_path, capsys):
     for name in ("alpha.report.json", "beta.report.json", "comparison.json"):
         assert ((tmp_path / "blocked" / name).read_bytes()
                 == (tmp_path / "free" / name).read_bytes())
+
+
+def test_readme_quick_start_writes_both_reports_and_the_comparison(tmp_path):
+    script = os.path.join(os.path.dirname(_src_dir()), "scripts",
+                          "run_demo_network.py")
+    root = tmp_path / "demo-workspace"
+    result = subprocess.run(
+        [sys.executable, script, "--dir", str(root)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": _src_dir()})
+    assert result.returncode == 0, result.stderr
+    for path in (root / "portals" / "alpha" / "out" / "alpha.report.json",
+                 root / "portals" / "beta" / "out" / "beta.report.json",
+                 root / "out" / "comparison.json"):
+        assert path.is_file()

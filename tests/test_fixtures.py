@@ -26,8 +26,8 @@ from portalmetrics.usage import (
     AnalysisPeriod,
     IngestTally,
     ingest,
-    load_link_map,
     overall_demand,
+    parse_link_map,
     read_log_lines,
     sessionize,
 )
@@ -442,12 +442,13 @@ class TestWriterRoundTrips:
         pairs = [("/p0000", "rt-00000"), ("/p0001", "rt-00001")]
         path = tmp_path / "map.tsv"
         fx.write_link_map(pairs, path)
-        assert load_link_map(str(path)) == dict(pairs)
+        assert parse_link_map(path.read_text("utf-8")) == dict(pairs)
 
     def test_taxonomy_round_trip(self, tmp_path):
         path = tmp_path / "taxonomy.txt"
         fx.write_taxonomy(("algebra", "biology"), path)
-        assert TopicTaxonomy.from_file(path).topics == ("algebra", "biology")
+        taxonomy = TopicTaxonomy.from_text(path.read_text("utf-8"))
+        assert taxonomy.topics == ("algebra", "biology")
 
     def test_log_file_round_trip(self, tmp_path):
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",

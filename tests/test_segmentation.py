@@ -102,7 +102,7 @@ class TestDynamicsClass:
 
 class TestRelativeSize:
     def test_disjoint_portals(self):
-        shares = segmentation.relative_size({"a": 30, "b": 10})
+        shares = segmentation.relative_size({"a": 30, "b": 10}, 40)
         assert shares == {"a": 0.75, "b": 0.25}
 
     def test_shared_content_uses_network_total(self):
@@ -114,17 +114,17 @@ class TestRelativeSize:
 
     def test_zero_total_rejected(self):
         with pytest.raises(DomainError):
-            segmentation.relative_size({"a": 0, "b": 0})
+            segmentation.relative_size({"a": 0, "b": 0}, 0)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            segmentation.relative_size({})
+            segmentation.relative_size({}, 1)
 
     @given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
                            st.integers(min_value=0, max_value=100),
                            min_size=1).filter(lambda d: sum(d.values()) > 0))
     def test_default_total_shares_sum_to_one(self, counts):
-        shares = segmentation.relative_size(counts)
+        shares = segmentation.relative_size(counts, sum(counts.values()))
         assert sum(shares.values()) == pytest.approx(1.0)
         assert all(0.0 <= s <= 1.0 for s in shares.values())
 

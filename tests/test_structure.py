@@ -76,14 +76,6 @@ class TestBuildSiteGraph:
         # the declaration came first, so it is the default root
         assert g.root == "/orphan"
 
-    def test_explicit_root_overrides_first_seen(self):
-        g, _ = structure.build_site_graph("/a,/b\n/home,/a\n", root="/home")
-        assert g.root == "/home"
-
-    def test_unknown_root_rejected(self):
-        with pytest.raises(FormatError):
-            structure.build_site_graph("/a,/b\n", root="/nope")
-
     def test_empty_stream_rejected(self):
         with pytest.raises(DomainError):
             structure.build_site_graph("\n# just a comment\n")

@@ -16,6 +16,7 @@ from portalmetrics.config import RunConfig
 from portalmetrics.errors import DomainError, FormatError
 
 from oracles import (
+    EPOCH,
     LogEntry,
     brute_sessionize,
     epoch_seconds,
@@ -223,7 +224,7 @@ class TestParseLog:
                 '"GET /a HTTP/1.1" 200 10 "-" "AgentX/1.0"')
         views, _ = _ingest([line])
         [[(seconds, _path)]] = views.values()
-        assert usage.instant(seconds) == datetime(2026, 3, 2, 5, 0, tzinfo=UTC)
+        assert seconds == epoch_seconds(datetime(2026, 3, 2, 5, 0, tzinfo=UTC))
 
     def test_error_status_kept_but_not_page_view(self):
         line = ('198.51.100.9 - - [02/Mar/2026:10:00:00 +0000] '
@@ -470,12 +471,6 @@ class TestSessionize:
         sessions = usage.sessionize(_views(rows))
         assert sum(len(s) for s in sessions) == len(rows)
 
-    def test_session_start_end(self):
-        rows = [("user:alice", 0, "/a"), ("user:alice", 300, "/b")]
-        session = usage.sessionize(_views(rows))[0]
-        assert session.start == T0
-        assert session.end == T0 + timedelta(seconds=300)
-
     @given(st.lists(
         st.tuples(st.sampled_from(["user:a", "user:b", "anon:1"]),
                   st.integers(min_value=0, max_value=12_000),
@@ -535,7 +530,7 @@ class TestAnalysisPeriod:
     @example(0, 500_000, 0.3, 3 * 86_400, [0, 1, -1])
     def test_bucket_index_matches_datetime_rule(self, start_s, start_us,
                                                 bucket_days, span_s, nudges):
-        start = usage.instant(start_s) + timedelta(microseconds=start_us)
+        start = EPOCH + timedelta(seconds=start_s, microseconds=start_us)
         end = start + timedelta(seconds=span_s)
         bucket = timedelta(days=bucket_days)
         period = usage.AnalysisPeriod(start=start, end=end, bucket=bucket)
@@ -548,7 +543,7 @@ class TestAnalysisPeriod:
             for nudge in [0, 1, -1, *nudges]:
                 seconds = epoch_seconds(edge) + nudge
                 assert period.bucket_index(seconds) == reference_bucket_index(
-                    period, usage.instant(seconds))
+                    period, EPOCH + timedelta(seconds=seconds))
 
 
 class TestOverallDemand:
@@ -665,7 +660,7 @@ class TestAccessedDistribution:
             _session(["/a"], visitor="user:y"),
         ]
         result = usage.accessed_distribution(
-            sessions, self.RECORDS, self.PATH_MAP, "topic", self.PERIOD)
+            sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
         assert result.views_total.counts == {"algebra": 3, "biology": 1}
         # user:x viewed /a twice but counts once per topic
         assert result.visitors_total.counts == {"algebra": 2, "biology": 1}
@@ -678,7 +673,7 @@ class TestAccessedDistribution:
             _session(["/a"], visitor="user:y", start=86_400 + 20),
         ]
         result = usage.accessed_distribution(
-            sessions, self.RECORDS, self.PATH_MAP, "topic", self.PERIOD)
+            sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
         assert result.visitors_total.counts == {"algebra": 2, "biology": 1}
 
     def test_unsorted_views_across_a_bucket_edge(self):
@@ -693,7 +688,7 @@ class TestAccessedDistribution:
                  (T0_S - 1, "/b"))              # before the start
         sessions = [usage.Session(visitor_key="user:x", views=views)]
         result = usage.accessed_distribution(
-            sessions, self.RECORDS, self.PATH_MAP, "topic", period)
+            sessions, self.RECORDS, self.PATH_MAP, period)
         assert result.views_total.counts == {"algebra": 3, "biology": 1}
 
     @pytest.mark.parametrize("start_us,end_us", [
@@ -714,41 +709,30 @@ class TestAccessedDistribution:
             if period.bucket_index(seconds) is None:
                 with pytest.raises(DomainError):
                     usage.accessed_distribution(sessions, self.RECORDS,
-                                                self.PATH_MAP, "topic", period)
+                                                self.PATH_MAP, period)
             else:
                 result = usage.accessed_distribution(
-                    sessions, self.RECORDS, self.PATH_MAP, "topic", period)
+                    sessions, self.RECORDS, self.PATH_MAP, period)
                 assert result.views_total.counts == {"algebra": 1}
 
     def test_unmapped_views_tallied(self):
         sessions = [_session(["/a", "/nope"], visitor="user:x")]
         result = usage.accessed_distribution(
-            sessions, self.RECORDS, self.PATH_MAP, "topic", self.PERIOD)
+            sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
         assert result.uncatalogued_views == 1
 
     def test_mapped_but_uncatalogued_identifier_tallied(self):
         sessions = [_session(["/a", "/ghost"], visitor="user:x")]
         path_map = dict(self.PATH_MAP, **{"/ghost": "no-such-id"})
         result = usage.accessed_distribution(
-            sessions, self.RECORDS, path_map, "topic", self.PERIOD)
+            sessions, self.RECORDS, path_map, self.PERIOD)
         assert result.uncatalogued_views == 1
-
-    def test_resource_type_axis(self):
-        sessions = [_session(["/a", "/b"], visitor="user:x")]
-        result = usage.accessed_distribution(
-            sessions, self.RECORDS, self.PATH_MAP, "resource_type", self.PERIOD)
-        assert result.views_total.counts == {"text": 1, "video": 1}
 
     def test_zero_joins_rejected(self):
         sessions = [_session(["/zzz"], visitor="user:x")]
         with pytest.raises(DomainError):
             usage.accessed_distribution(
-                sessions, self.RECORDS, self.PATH_MAP, "topic", self.PERIOD)
-
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(DomainError):
-            usage.accessed_distribution([], self.RECORDS, self.PATH_MAP,
-                                        "color", self.PERIOD)
+                sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
 
 
 class TestNavigationMetrics:
@@ -911,12 +895,14 @@ class TestFileHelpers:
     def test_load_link_map(self, tmp_path):
         path = tmp_path / "map.tsv"
         path.write_text("# comment\n/a\tc1\n/b,c2\n\nbroken-line\n")
-        assert usage.load_link_map(path) == {"/a": "c1", "/b": "c2"}
+        assert usage.parse_link_map(path.read_text("utf-8")) == {
+            "/a": "c1", "/b": "c2"}
 
     def test_load_signatures(self, tmp_path):
         path = tmp_path / "bots.txt"
         path.write_text("# bots\nExampleBot\nscraper\n")
-        assert usage.load_signatures(path) == ("examplebot", "scraper")
+        assert usage.parse_signatures(path.read_text("utf-8")) == (
+            "examplebot", "scraper")
 
     def test_visitor_key_method_labels(self):
         assert usage.visitor_key_method(True) != usage.visitor_key_method(False)
