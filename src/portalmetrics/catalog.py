@@ -15,7 +15,6 @@ becomes records (:func:`parse_catalog`); a network catalog only gives the
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -139,6 +138,19 @@ def _parse_date(text: str) -> date:
     return datetime.strptime(text.strip(), "%Y-%m-%d").date()
 
 
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each with its ``"\\n"``, as iterating
+    ``io.StringIO(text)`` gives them, but sliced one at a time instead of
+    copied whole into a buffer of four bytes per character."""
+    start = 0
+    find = text.find
+    while end := find("\n", start) + 1:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
+
+
 def _checked_rows(stream, row_errors: list[tuple[int, str]]):
     """The checked fields of each catalog row, as
     (portal_id, identifier, resource_type, topic, published).
@@ -153,9 +165,7 @@ def _checked_rows(stream, row_errors: list[tuple[int, str]]):
     mandatory column and a row the csv module cannot read (such as a field
     over its size limit) raise FormatError.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    lines = iter(stream)
+    lines = _text_lines(stream) if isinstance(stream, str) else iter(stream)
     try:
         header_line = next(lines)
     except StopIteration:

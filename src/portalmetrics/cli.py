@@ -409,6 +409,54 @@ def cmd_gen(cfg: RunConfig, demo_dir: str) -> int:
     return 0
 
 
+# Each setting's flag, and every option string a subcommand accepts.
+_FLAGS = {"--" + name.replace("_", "-"): name for name in _FIELD_PARSERS}
+_VALUE_OPTIONS = ("--config", *_FLAGS)
+_OPTIONS = ("-h", "--help", *_VALUE_OPTIONS)
+
+
+def _names_option(token: str) -> bool:
+    """Whether ``token`` spells one of the options above: its name or a
+    prefix of one or more names, with or without an ``=value``."""
+    name = token.split("=", 1)[0]
+    return token.startswith("-") and any(o.startswith(name) for o in _OPTIONS)
+
+
+def _takes_value(token: str) -> bool:
+    """Whether argparse reads ``token``, with no ``=value``, as a flag that
+    takes a value: by its name or by an unambiguous prefix of it."""
+    if not token.startswith("--") or "=" in token:
+        return False
+    if token in _OPTIONS:
+        return token in _VALUE_OPTIONS
+    matches = [o for o in _OPTIONS if o.startswith(token)]
+    return len(matches) == 1 and matches[0] in _VALUE_OPTIONS
+
+
+def _glue_flag_values(argv: list[str]) -> list[str]:
+    """``argv`` with each value-taking flag joined to the value after it as
+    ``flag=value``, unless that value names an option itself.
+
+    argparse reads a token that begins with "-" and is not a plain
+    negative number as an option, so ``--bucket-days -inf`` would end in
+    "expected one argument" before the value reached its parser. Nothing
+    after a bare ``--`` is touched.
+    """
+    glued: list[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token == "--":
+            return glued + argv[i:]
+        i += 1
+        if (_takes_value(token) and i < len(argv)
+                and not _names_option(argv[i])):
+            token = f"{token}={argv[i]}"
+            i += 1
+        glued.append(token)
+    return glued
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="portalmetrics",
@@ -429,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value settings file")
-        for field_name in _FIELD_PARSERS:
-            flag = "--" + field_name.replace("_", "-")
+        for flag, field_name in _FLAGS.items():
             p.add_argument(flag, dest=field_name, metavar="VALUE")
         if name == "compare":
             p.add_argument("reports", nargs="+",
@@ -442,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _glue_flag_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         flags = {name: getattr(args, name) for name in _FIELD_PARSERS
                  if getattr(args, name) is not None}

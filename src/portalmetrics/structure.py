@@ -16,11 +16,11 @@ finite distance. :func:`organization_profile` computes all four metrics;
 they and the matrix come from a breadth-first sweep that starts at all
 pages at once: each page holds the set of pages that have reached it as
 the bits of a Python integer, and status and contrastatus add up level by
-level without an n x n matrix. Status counts each page's new bits;
-contrastatus walks the same bits back to their sources while that costs
-no more than the sweep, as it does on a session's path graph, and on a
-larger site comes from a second sweep against the edges. Only
+level without an n x n matrix. Status counts each page's new bits in a
+sweep along the edges, contrastatus in a second sweep against them. Only
 :func:`converted_distances` builds the matrix, as nested tuples of ints.
+Session path graphs are measured in ``usage`` from the same two
+formulas.
 """
 
 from __future__ import annotations
@@ -220,33 +220,21 @@ def _check_conversion_constant(k: int, least: int, longest: int) -> None:
             f"{least} and at least the longest finite distance, {longest}")
 
 
-def _shape_summary(n: int, edges, root: int = 0,
-                   K: int | None = None) -> _DistanceSummary:
-    """Distance aggregates of the graph on nodes 0..n-1 with these edges.
+def _distance_summary(g: SiteGraph, K: int | None = None) -> _DistanceSummary:
+    """Distance aggregates of ``g`` in its canonical node order.
 
-    Status comes from a sweep along the edges. So does contrastatus while
-    the reachable pairs found so far do not outnumber the sweep's own
-    steps: each source bit of a level's fresh sets then adds the level to
-    that source's sum. A level's steps are n plus the out-degrees of the
-    nodes it pushes from, the previous level's fresh nodes; they are
-    counted only while the walk goes on. On a graph with more pairs than
-    that, such as a large site, walking the bits would cost more than the
-    sweep, and contrastatus comes from a second sweep against the edges.
-    K defaults to n and must be at least 2, the least K for which
-    compactness has Max > Min.
+    Status and root distances come from a sweep along the edges,
+    contrastatus from a second sweep against them. K defaults to n and
+    must be at least 2, the least K for which compactness has Max > Min.
     """
+    order, edges, root = _indexed(g)
+    n = len(order)
     k = n if K is None else K
     status = [0] * n
-    contrastatus = [0] * n
     root_distances = [-1] * n
     root_distances[root] = 0
     reached = n  # every node reaches itself at distance 0
     longest = 0
-    out_degree = [0] * n
-    for a, _ in edges:
-        out_degree[a] += 1
-    steps = n + len(edges)  # level 1 pushes from every node
-    walking = True
     for level, fresh in _sweep(n, edges):
         for v, sources in fresh.items():
             count = sources.bit_count()
@@ -255,20 +243,11 @@ def _shape_summary(n: int, edges, root: int = 0,
             if sources >> root & 1:
                 root_distances[v] = level
         longest = level
-        walking = walking and reached - n <= steps
-        if walking:
-            for sources in fresh.values():
-                while sources:
-                    s = sources.bit_length() - 1
-                    contrastatus[s] += level
-                    sources ^= 1 << s
-            steps += n + sum(out_degree[u] for u in fresh)
     _check_conversion_constant(k, 2, longest)
-    if not walking:
-        contrastatus = [0] * n
-        for level, fresh in _sweep(n, [(b, a) for a, b in edges]):
-            for v, targets in fresh.items():
-                contrastatus[v] += level * targets.bit_count()
+    contrastatus = [0] * n
+    for level, fresh in _sweep(n, [(b, a) for a, b in edges]):
+        for v, targets in fresh.items():
+            contrastatus[v] += level * targets.bit_count()
     return _DistanceSummary(
         n=n, K=k,
         sum_converted=float(sum(status) + (n * n - reached) * k),
@@ -276,11 +255,6 @@ def _shape_summary(n: int, edges, root: int = 0,
         contrastatus=contrastatus,
         root_distances=root_distances,
     )
-
-
-def _distance_summary(g: SiteGraph, K: int | None = None) -> _DistanceSummary:
-    order, edges, root = _indexed(g)
-    return _shape_summary(len(order), edges, root, K)
 
 
 def converted_distances(g: SiteGraph, K: int | None = None) -> ConvertedDistanceMatrix:
@@ -310,21 +284,19 @@ def converted_distances(g: SiteGraph, K: int | None = None) -> ConvertedDistance
                                    K=k)
 
 
-def _navigability_from_summary(summary: _DistanceSummary) -> float:
+def _navigability(n: int, k: int, sum_converted: float) -> float:
     # Compactness Cp = (Max - sum(d_ij)) / (Max - Min) with
     # Max = (n^2 - n) * K and Min = n^2 - n.
-    n, k = summary.n, summary.K
     max_sum = (n * n - n) * k
     min_sum = n * n - n
-    return (max_sum - summary.sum_converted) / (max_sum - min_sum)
+    return (max_sum - sum_converted) / (max_sum - min_sum)
 
 
-def _linearity_from_summary(summary: _DistanceSummary) -> float:
+def _linearity(status: list[int], contrastatus: list[int]) -> float:
     # Absolute prestige sum(|status - contrastatus|) over its value on a
     # directed chain: n^3/4 for even n, (n^3 - n)/4 for odd n.
-    n = summary.n
-    prestige = sum(abs(a - b)
-                   for a, b in zip(summary.status, summary.contrastatus))
+    n = len(status)
+    prestige = sum(abs(a - b) for a, b in zip(status, contrastatus))
     lap = n ** 3 / 4 if n % 2 == 0 else (n ** 3 - n) / 4
     return prestige / lap
 
@@ -352,7 +324,8 @@ def organization_profile(g: SiteGraph, K: int | None = None) -> OrganizationProf
         depth=sum(reach) / len(reach) if reach else 0.0,
         unreachable=dists.count(-1),
         density=len(g.edges) / (g.n * (g.n - 1)),
-        navigability=_navigability_from_summary(summary),
-        linearity=_linearity_from_summary(summary),
+        navigability=_navigability(summary.n, summary.K,
+                                   summary.sum_converted),
+        linearity=_linearity(summary.status, summary.contrastatus),
         flags=() if reach else (DEGENERATE_NO_REACHABLE,),
     )

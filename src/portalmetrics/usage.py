@@ -17,12 +17,19 @@ visitor -- and reports label which method was in effect.
 Ingest is one loop: each log line is matched once, tested for being
 malformed, a bot hit or a non-page-view in that order, and, when kept,
 appended as an ``(epoch seconds, path)`` view to its visitor's list. No
-per-line record or ``datetime`` is built. The UTC midnight of each
+per-line record or ``datetime`` is built. A line in the same minute as
+the last resolved one parses only its seconds; the UTC midnight of each
 distinct date and offset, the hash of each distinct (address, agent)
-pair and the bot verdict of each distinct agent are computed once per
-call and reused for every line that repeats them. Memory follows the
-human page views that sessions keep, not the number of log lines; every
-view of one request path shares one path string.
+pair, the bot verdict of each distinct agent and the page-view verdict
+of each distinct status are computed once per call and reused for every
+line that repeats them. Memory follows the human page views that
+sessions keep, not the number of log lines; every view of one request
+path shares one path string.
+
+Navigation metrics are computed once per session shape: the pages as
+first-visit indices, each with the bitmask of its successors. One
+breadth-first search per page over those masks gives the distance sums
+that both metrics read.
 """
 
 from __future__ import annotations
@@ -61,8 +68,10 @@ DEFAULT_BOT_SIGNATURES = (
 
 ROBOTS_PATH = "/robots.txt"
 
+# The acceptance rule for a log line. It captures only the fields ingest
+# reads: host, authenticated user, timestamp, request, status and agent.
 _COMBINED_RE = re.compile(
-    r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (\S+) "([^"]*)" "([^"]*)"\s*$'
+    r'^(\S+) \S+ (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) \S+ "[^"]*" "([^"]*)"\s*$'
 )
 
 _MONTHS = {
@@ -271,11 +280,13 @@ def ingest(lines, tally: IngestTally, *, use_auth_user: bool = True,
     held. Once they are all read, raises FormatError when more than half
     of them were malformed.
 
-    Each line costs one regex match and its time-of-day arithmetic; the
-    date and offset of the timestamp are resolved once per distinct value,
-    a bot verdict once per distinct agent and the anonymous visitor hash
-    once per distinct (address, agent) pair, and every view of one request
-    path shares one path string.
+    Each line costs one regex match. A timestamp in the same minute as
+    the last one that resolved costs only its seconds; otherwise its hour
+    and minute are parsed and its date and offset are resolved once per
+    distinct value. A bot verdict is found once per distinct agent, a
+    page-view verdict once per distinct status and the anonymous visitor
+    hash once per distinct (address, agent) pair, and every view of one
+    request path shares one path string.
     """
     if signatures is None:
         signatures = DEFAULT_BOT_SIGNATURES
@@ -283,31 +294,49 @@ def ingest(lines, tally: IngestTally, *, use_auth_user: bool = True,
     total = malformed = bots = non_page_views = 0
     bases: dict[str, int] = {}
     verdicts: dict[str, bool] = {}
+    page_views: dict[str, bool] = {}
     anonymous: dict[tuple[str, str], str] = {}
     paths: dict[str, str] = {}
     views_by_visitor: dict[str, list[tuple[int, str]]] = {}
+    # The epoch seconds of the last minute that resolved, keyed by the
+    # timestamp text before and after its seconds. The memo is exact: the
+    # parse reads no position of the text other than the seconds (18-19)
+    # outside the key, and the key's tail pins the text's length. A minute
+    # resolves only with a five-character offset after position 21, so a
+    # stored tail is never empty.
+    memo_head = memo_tail = None
+    memo_minute = 0
+    match = _COMBINED_RE.match
     for raw in lines:
         total += 1
-        m = _COMBINED_RE.match(raw)
+        m = match(raw)
         if m is None:
             malformed += 1
             continue
-        host, authuser, when, request, status, agent = m.group(1, 3, 4, 5, 6, 9)
+        host, authuser, when, request, status, agent = m.groups()
+        head = when[:17]
+        tail = when[20:]
         try:
-            hour = int(when[12:14])
-            minute = int(when[15:17])
             second = int(when[18:20])
-            if not (0 <= hour < 24 and 0 <= minute < 60 and 0 <= second < 60):
+            if not 0 <= second < 60:
                 raise ValueError(f"bad time of day in {when!r}")
-            # Date and offset; the separators between fields are not read.
-            date_key = when[:11] + when[21:]
-            base = bases.get(date_key)
-            if base is None:
-                base = bases[date_key] = _clf_base(when)
+            if head != memo_head or tail != memo_tail:
+                hour = int(when[12:14])
+                minute = int(when[15:17])
+                if not (0 <= hour < 24 and 0 <= minute < 60):
+                    raise ValueError(f"bad time of day in {when!r}")
+                # Date and offset; the separators between fields are not
+                # read.
+                date_key = when[:11] + when[21:]
+                base = bases.get(date_key)
+                if base is None:
+                    base = bases[date_key] = _clf_base(when)
+                memo_head, memo_tail = head, tail
+                memo_minute = base + hour * 3600 + minute * 60
         except (ValueError, KeyError):
             malformed += 1
             continue
-        seconds = base + hour * 3600 + minute * 60 + second
+        seconds = memo_minute + second
         parts = request.split()
         if (not _MIN_SECONDS <= seconds <= _MAX_SECONDS
                 or len(parts) < 2 or not parts[1]):
@@ -321,7 +350,10 @@ def ingest(lines, tally: IngestTally, *, use_auth_user: bool = True,
         if verdict or path == ROBOTS_PATH:
             bots += 1
             continue
-        if not 200 <= int(status) < 400:
+        page_view = page_views.get(status)
+        if page_view is None:
+            page_view = page_views[status] = 200 <= int(status) < 400
+        if not page_view:
             non_page_views += 1
             continue
         if use_auth_user and authuser not in ("-", ""):
@@ -511,12 +543,41 @@ def accessed_distribution(sessions, records: list[ContentRecord],
 
 
 @lru_cache(maxsize=4096)
-def _metrics_for_shape(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[float, float]:
-    # Both metrics are invariant under node relabeling, so sessions sharing
-    # a transition shape share their metrics; the cache exploits that.
-    summary = structure._shape_summary(n, edges)
-    return (structure._navigability_from_summary(summary),
-            structure._linearity_from_summary(summary))
+def _metrics_for_shape(successors: tuple[int, ...]) -> tuple[float, float]:
+    """Navigability and linearity of the graph on pages 0..n-1 in which
+    bit b of ``successors[a]`` marks the edge a -> b.
+
+    Both metrics are invariant under node relabeling, so sessions sharing
+    a transition shape share their metrics; the cache exploits that. One
+    breadth-first search per source page runs over the successor masks:
+    a level's frontier is the union of the previous frontier's successors
+    less the pages already seen. K is n, which no distance reaches.
+    """
+    n = len(successors)
+    status = [0] * n
+    contrastatus = [0] * n
+    reached = 0
+    for source in range(n):
+        seen = frontier = 1 << source
+        level = 0
+        out_sum = 0
+        while frontier:
+            pushed = 0
+            while frontier:
+                low = frontier & -frontier
+                page = low.bit_length() - 1
+                status[page] += level
+                pushed |= successors[page]
+                frontier ^= low
+            level += 1
+            frontier = pushed & ~seen
+            seen |= frontier
+            out_sum += level * frontier.bit_count()
+        contrastatus[source] = out_sum
+        reached += seen.bit_count()
+    return (structure._navigability(
+                n, n, float(sum(status) + (n * n - reached) * n)),
+            structure._linearity(status, contrastatus))
 
 
 def navigation_metrics(session: Session) -> NavigationMetrics:
@@ -526,15 +587,19 @@ def navigation_metrics(session: Session) -> NavigationMetrics:
     graph; linearity is its stratum. Degenerate sessions (fewer than 2
     distinct pages) carry None metrics.
     """
-    # Each view as its page's first-visit index; the shape key is the
-    # page count and the sorted transitions between distinct pages.
+    # Each view as its page's first-visit index; the shape key is each
+    # page's successors as a bitmask over those indices.
     first: dict[str, int] = {}
     visits = [first.setdefault(p, len(first)) for _, p in session.views]
-    if len(first) < 2:
+    n = len(first)
+    if n < 2:
         return NavigationMetrics(complexity=None, linearity=None,
                                  degenerate=True)
-    edges = {(a, b) for a, b in zip(visits, visits[1:]) if a != b}
-    complexity, linearity = _metrics_for_shape(len(first), tuple(sorted(edges)))
+    successors = [0] * n
+    for a, b in zip(visits, visits[1:]):
+        if a != b:
+            successors[a] |= 1 << b
+    complexity, linearity = _metrics_for_shape(tuple(successors))
     return NavigationMetrics(complexity=complexity, linearity=linearity,
                              degenerate=False)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import NamedTuple
@@ -29,13 +30,19 @@ from portalmetrics.position import (
 )
 from portalmetrics.structure import SiteGraph
 from portalmetrics.usage import (
-    _COMBINED_RE,
     _MONTHS,
     DEFAULT_BOT_SIGNATURES,
     ROBOTS_PATH,
 )
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+# The NCSA Combined Log Format line with all nine fields captured: host,
+# ident, authenticated user, timestamp, request, status, size, referrer
+# and agent. ``usage.ingest`` must accept exactly the lines it accepts.
+COMBINED_RE = re.compile(
+    r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (\S+) "([^"]*)" "([^"]*)"\s*$'
+)
 
 
 def matrix_power_distances(n: int, edges) -> np.ndarray:
@@ -235,7 +242,7 @@ def reference_parse_log(line_stream, use_auth_user: bool = True) -> ParsedLog:
     total = 0
     for raw in line_stream:
         total += 1
-        m = _COMBINED_RE.match(raw)
+        m = COMBINED_RE.match(raw)
         if m is None:
             malformed += 1
             continue

@@ -145,6 +145,34 @@ class TestParseCatalog:
         assert [r.identifier for r in parsed.records] == ["a\nb"]
         assert [line for line, _ in parsed.row_errors] == [4, 5, 8]
 
+    @pytest.mark.parametrize("text", [
+        "identifier,resource_type,topic,published,portal_id\r\n"
+        "r1,text,x,2026-01-01,p\r\nr2,text,x,bad,p\r\n",
+        "identifier,resource_type,topic,published,portal_id\n"
+        '"a\nb",text,x,2026-01-01,p\nr2,text,x,bad,p\n',
+        "identifier,resource_type,topic,published,portal_id\n"
+        "r\x0b1,text,x,2026-01-01,p\nr\u20282,text,x,bad,p\n"
+        "r3,te\u2028xt,x,2026-01-01,p\n",
+        "identifier,resource_type,topic,published,portal_id\n"
+        "r1,text,x,2026-01-01,p\nr2,text,x,bad,p",
+        "identifier,resource_type,topic,published,portal_id\r\n"
+        '"a\r\nb",text,x,bad,p\r\nr2\rtext,x,2026-01-01,p\n',
+        "identifier,resource_type,topic,published,portal_id\n"
+        '"r1,text,x,2026-01-01,p\nr2,text,x,bad,p',
+    ])
+    def test_text_and_stream_give_the_same_rows(self, text):
+        # A text is read in slices at each "\n"; an open stream is read
+        # line by line. Both must give the same rows, lines and errors.
+        def parse(source):
+            try:
+                parsed = catalog.parse_catalog(source)
+            except FormatError as exc:
+                return str(exc)
+            return parsed.records, parsed.row_errors
+
+        assert parse(text) == parse(io.StringIO(text))
+        assert list(catalog._text_lines(text)) == list(io.StringIO(text))
+
     def test_tab_separated_with_dublin_core_aliases(self):
         text = ("dc:identifier\tdc:type\tdc:subject\tdc:date\tportal\n"
                 "x1\tguide\thistory\t2025-11-30\tp\n")

@@ -899,7 +899,6 @@ class TestFlagValues:
         alpha = demo["portals"]["alpha"]["config"]
         for field, value in _BAD_FLAGS:
             flag = "--" + field.replace("_", "-")
-            # --flag=value: argparse reads a bare "-inf" as an option.
             args = [command, "--output-dir", str(tmp_path / "out"),
                     f"{flag}={value}"]
             args += ["--config", alpha] if command == "report" else [alpha]
@@ -914,6 +913,25 @@ class TestFlagValues:
                             + ([] if command == "report" else [alpha])) == 2
             assert capsys.readouterr().err == err.replace(
                 f"{flag}: ", f"{line}:1: ", 1)
+        assert not (tmp_path / "out").exists()
+
+    def test_value_after_the_flag_reaches_its_parser(self, demo, tmp_path,
+                                                      capsys):
+        # argparse reads a value such as "-inf" as an option unless it is
+        # glued to its flag; every spelling of the flag must glue it.
+        alpha = demo["portals"]["alpha"]["config"]
+
+        def run(*flag_args):
+            code = cli.main(["report", "--config", alpha, "--output-dir",
+                             str(tmp_path / "out"), *flag_args])
+            return code, capsys.readouterr().err
+
+        for field, value in _BAD_FLAGS:
+            flag = "--" + field.replace("_", "-")
+            assert run(flag, value) == run(f"{flag}={value}"), (flag, value)
+        code, err = run("--bucket", "-inf")
+        assert (code, err) == run("--bucket-days=-inf")
+        assert err.startswith("error: --bucket-days: ")
         assert not (tmp_path / "out").exists()
 
     def test_flag_value_is_stripped_like_a_file_value(self, demo, tmp_path,

@@ -5,13 +5,12 @@ shortest path lengths by repeated adjacency-matrix multiplication.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from portalmetrics import structure
+from portalmetrics import structure, usage
 from portalmetrics.errors import DomainError, FormatError
 from portalmetrics.fixtures import GeneratorSpec, gen_graph
 
@@ -241,9 +240,7 @@ class TestConvertedDistances:
         assert matrix.d[3][0] == matrix.K
 
 
-# Random digraphs of 2 to 40 pages, from edgeless to dense: about half of
-# them have more reachable pairs than sweep steps, so both out-sum paths
-# of _shape_summary run.
+# Random digraphs of 2 to 40 pages, from edgeless to dense.
 shape_digraphs = st.builds(
     _graph,
     st.just("random-digraph"),
@@ -253,49 +250,54 @@ shape_digraphs = st.builds(
 )
 
 
-def _assert_summary_matches_oracle(g) -> int:
+def _assert_summary_matches_oracle(g) -> None:
     """Check the distance summary of ``g`` against the matrix-power
-    distances; return how many sweeps it ran: 1 when the bit walk gave
-    contrastatus, 2 when the reversed sweep did."""
+    distances."""
     order, edges = indexed_edges(g)
     d = matrix_power_distances(len(order), edges)
     finite = np.where(d < 0, 0, d)
-    with mock.patch.object(structure, "_sweep", wraps=structure._sweep) as spy:
-        summary = structure._distance_summary(g)
+    summary = structure._distance_summary(g)
     assert summary.n == summary.K == g.n
     assert summary.sum_converted == float(np.where(d < 0, g.n, d).sum())
     assert summary.status == finite.sum(axis=0).tolist()
     assert summary.contrastatus == finite.sum(axis=1).tolist()
     assert summary.root_distances == d[order.index(g.root)].tolist()
-    return spy.call_count
 
 
 class TestOracleAgreement:
-    """The bitset sweep must agree exactly with the matrix-power oracle,
-    whether contrastatus comes from the forward sweep's bits or from the
-    reversed sweep."""
+    """The bitset sweeps, along and against the edges, must agree exactly
+    with the matrix-power oracle."""
 
     @given(shape_digraphs)
     @settings(max_examples=150, deadline=None)
     def test_summary_matches_oracle(self, g):
-        assert _assert_summary_matches_oracle(g) in (1, 2)
+        _assert_summary_matches_oracle(g)
 
     @pytest.mark.parametrize("n, seed, edge_factor",
                              [(200, 3, 4.0), (300, 7, 2.5)])
     def test_dense_reachability_takes_the_reversed_sweep(self, n, seed,
                                                           edge_factor):
-        g = _graph("random-digraph", n, seed=seed, edge_factor=edge_factor)
-        assert _assert_summary_matches_oracle(g) == 2
+        _assert_summary_matches_oracle(
+            _graph("random-digraph", n, seed=seed, edge_factor=edge_factor))
 
     @pytest.mark.parametrize("kind", ["chain", "cycle", "star"])
     def test_session_sized_graphs_take_the_bit_walk(self, kind):
-        assert _assert_summary_matches_oracle(_graph(kind, 24)) == 1
+        # Session shapes take the per-page bitset search of
+        # usage._metrics_for_shape; it must agree with the sweeps.
+        g = _graph(kind, 24)
+        _assert_summary_matches_oracle(g)
+        order, edges = indexed_edges(g)
+        successors = [0] * len(order)
+        for a, b in edges:
+            successors[a] |= 1 << b
+        profile = structure.organization_profile(g)
+        assert usage._metrics_for_shape(tuple(successors)) == (
+            profile.navigability, profile.linearity)
 
-    def test_sparse_walks_and_dense_falls_back_at_thirty_pages(self):
-        sweeps = [_assert_summary_matches_oracle(
-                      _graph("random-digraph", 30, seed=11, edge_factor=f))
-                  for f in (0.5, 1.5, 2.0, 6.0)]
-        assert sweeps == [1, 1, 2, 2]
+    def test_sparse_to_dense_thirty_page_graphs_match_oracle(self):
+        for edge_factor in (0.5, 1.5, 2.0, 6.0):
+            _assert_summary_matches_oracle(
+                _graph("random-digraph", 30, seed=11, edge_factor=edge_factor))
 
     def test_profile_above_old_threshold_matches_oracle(self):
         # 300 nodes: above 256, the size at which the code once switched

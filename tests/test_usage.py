@@ -6,6 +6,7 @@ import hashlib
 import random
 import weakref
 from datetime import date, datetime, timedelta, timezone
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,8 +15,10 @@ from portalmetrics import usage
 from portalmetrics.catalog import ContentRecord
 from portalmetrics.config import RunConfig
 from portalmetrics.errors import DomainError, FormatError
+from portalmetrics.structure import SiteGraph, organization_profile
 
 from oracles import (
+    COMBINED_RE,
     EPOCH,
     LogEntry,
     brute_sessionize,
@@ -167,6 +170,100 @@ _LOW_REPETITION_ROWS = st.lists(st.tuples(
     st.sampled_from(["198.51.100.9", "203.0.113.7"]),
     st.sampled_from(["-", "-", "alice"]),
     st.booleans()), max_size=30)
+
+
+# Well-formed lines (and one with a short status), and single insertions
+# or deletions of the characters where the line pattern is hard to mirror:
+# quotes, brackets, Unicode whitespace (which \S and \s read) and a
+# non-ASCII digit (which \d reads).
+_GOOD_LOG_LINES = st.builds(
+    _log_line,
+    st.sampled_from(["198.51.100.9", "::1", "h"]),
+    st.sampled_from(["-", "alice"]),
+    st.sampled_from(["02/Mar/2026:10:00:00 +0000",
+                     "10/Oct/2000:13:55:36 -0700"]),
+    st.sampled_from(["GET /a HTTP/1.1", "GET /b", "-", ""]),
+    # A status one digit short: inserting a non-ASCII digit completes it.
+    st.sampled_from(["200", "404", "20"]),
+    st.sampled_from(["-", "http://ref.example/", ""]),
+    st.sampled_from(["AgentX/1.0", "Mozilla/5.0 (X11)", ""]),
+    st.none(),
+) | st.just(GOLDEN_LINE)
+_MUTATION_CHARS = '"[] \t\x0b\xa0\u2028\u0663'
+
+
+@st.composite
+def _mutated_lines(draw):
+    line = draw(_GOOD_LOG_LINES)
+    deletable = [i for i, ch in enumerate(line) if ch in _MUTATION_CHARS]
+    if deletable and draw(st.booleans()):
+        i = draw(st.sampled_from(deletable))
+        return line[:i] + line[i + 1:]
+    i = draw(st.integers(min_value=0, max_value=len(line)))
+    return line[:i] + draw(st.sampled_from(_MUTATION_CHARS)) + line[i:]
+
+
+# Runs of timestamps within a minute, each one field or one character
+# away from the last: the cases where a memo of the last resolved minute
+# could hand a line the wrong instant.
+_MINUTE_STARTS = ("02/Mar/2026:10:59:07 +0000", "31/Dec/9999:23:59:00 -0100",
+                  "01/Jan/0001:00:30:00 +0100", "29/Feb/2024:23:59:59 -2359")
+_BAD_SECONDS = ("60", "99", "6", "-1", " 5", "5 ", "+1", "1_", "\u0663\u0664",
+                "\u0663")
+
+
+@st.composite
+def _minute_runs(draw):
+    current = draw(st.sampled_from(_MINUTE_STARTS))
+    whens = [current]
+    for _ in range(draw(st.integers(min_value=1, max_value=16))):
+        kind = draw(st.sampled_from(
+            ["second", "second", "bad-second", "date", "offset", "time",
+             "separator", "alternate", "cut"]))
+        seconds = draw(st.sampled_from(["00", "01", "30", "59"]))
+        if kind == "second":
+            current = current[:18] + seconds + current[20:]
+        elif kind == "bad-second":
+            # Right after a good line of the same minute.
+            whens.append(current[:18] + draw(st.sampled_from(_BAD_SECONDS))
+                         + current[20:])
+        elif kind == "date":
+            i = draw(st.sampled_from([0, 1, 3, 4, 5, 7, 8, 9, 10]))
+            current = (current[:i] + draw(st.sampled_from("0129JFMDaecn"))
+                       + current[i + 1:])
+        elif kind == "offset":
+            current = current[:21] + draw(st.sampled_from(
+                ["+0000", "+0001", "-0000", "+1400", "+05:30", "+0100 "]))
+        elif kind == "time":
+            i = draw(st.sampled_from([12, 13, 15, 16]))
+            current = (current[:i] + draw(st.sampled_from("01259"))
+                       + current[i + 1:])
+        elif kind == "separator":
+            i = draw(st.sampled_from([11, 14, 17, 20]))
+            current = (current[:i] + draw(st.sampled_from(": /x"))
+                       + current[i + 1:])
+        elif kind == "alternate":
+            other = draw(st.sampled_from(["+0000", "-0700", "+0530"]))
+            for s in ("10", "11", "12", "13"):
+                whens.append(current[:18] + s + current[20:])
+                whens.append(current[:18] + s + " " + other)
+        else:
+            whens.append(current[:draw(st.integers(min_value=15,
+                                                   max_value=22))])
+        whens.append(current)
+    return whens
+
+
+@st.composite
+def _successor_masks(draw):
+    """Shapes of 2 to 40 pages, from edgeless to dense: bit b of mask a
+    marks the edge a -> b."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    return tuple(sum(1 << b for b in range(n)
+                     if b != a and rng.random() < density)
+                 for a in range(n))
 
 
 def _assert_matches_oracle(lines, use_auth_user=True, signatures=None):
@@ -353,6 +450,26 @@ class TestParseLog:
                                               signatures):
         _assert_matches_oracle(_low_repetition_lines(rows), use_auth_user,
                                signatures)
+
+
+    @given(_mutated_lines())
+    @settings(max_examples=500)
+    def test_pattern_accepts_what_the_oracle_accepts(self, line):
+        ours = usage._COMBINED_RE.match(line)
+        reference = COMBINED_RE.match(line)
+        assert (ours is None) == (reference is None)
+        if reference is not None:
+            assert ours.groups() == itemgetter(0, 2, 3, 4, 5, 8)(
+                reference.groups())
+
+    @given(_minute_runs(), st.booleans())
+    @settings(max_examples=300)
+    def test_minute_memo_matches_reference(self, whens, pad):
+        lines = [_line(when=when, path=f"/p{i % 3}")
+                 for i, when in enumerate(whens)]
+        if pad:
+            lines += [GOLDEN_LINE] * len(lines)
+        _assert_matches_oracle(lines)
 
 
 class TestAgentFiltering:
@@ -780,6 +897,22 @@ class TestNavigationMetrics:
                                                    abs=1e-12)
         assert metrics.linearity == pytest.approx(oracle_stratum(graph),
                                                   abs=1e-12)
+
+    @given(_successor_masks())
+    @settings(max_examples=150, deadline=None)
+    def test_shape_kernel_matches_oracle_and_profile(self, masks):
+        n = len(masks)
+        # Zero-padded names keep the canonical node order the index order.
+        names = [f"/p{i:02d}" for i in range(n)]
+        graph = SiteGraph(
+            nodes=frozenset(names),
+            edges=frozenset((names[a], names[b]) for a in range(n)
+                            for b in range(n) if masks[a] >> b & 1),
+            root=names[0])
+        metrics = usage._metrics_for_shape(masks)
+        assert metrics == (oracle_compactness(graph), oracle_stratum(graph))
+        profile = organization_profile(graph)
+        assert metrics == (profile.navigability, profile.linearity)
 
     def test_path_graph_root_is_entry_page(self):
         graph = session_path_graph(_session(["/b", "/a", "/c"]))
