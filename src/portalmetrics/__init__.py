@@ -8,7 +8,11 @@ Submodules:
   segmentation  growth/size typology quadrants
   report        shareable reports and within-segment comparison
   fixtures      deterministic synthetic inputs with planted ground truth
+  inputs        opening side files, and the line rules they share
   config, cli   configuration and the command-line driver
+
+Every input file but the access logs is opened by ``inputs.opened`` and
+parsed line by line; the parsers take lines, not whole texts.
 """
 
 from .errors import (

@@ -22,6 +22,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import DomainError, FormatError
+from .inputs import data_lines, delimiter
 
 # Accepted header aliases, Dublin Core names included.
 _COLUMN_ALIASES = {
@@ -63,15 +64,10 @@ class TopicTaxonomy:
             raise DomainError("taxonomy labels must be unique")
 
     @classmethod
-    def from_text(cls, text: str) -> "TopicTaxonomy":
-        """A taxonomy from the text of a taxonomy file: one label per line,
-        lines split only at newlines, # starts a comment."""
-        labels = []
-        for line in text.split("\n"):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                labels.append(line)
-        return cls(tuple(labels))
+    def from_lines(cls, lines) -> "TopicTaxonomy":
+        """A taxonomy from the lines of a taxonomy file: one label per
+        line, # starts a comment."""
+        return cls(tuple(label for _, label in data_lines(lines)))
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ class TopicDistribution:
 
 @dataclass
 class ParsedCatalog:
-    """Result of parsing one catalog stream."""
+    """Result of parsing one catalog."""
 
     records: list[ContentRecord]
     duplicates_dropped: int
@@ -138,20 +134,7 @@ def _parse_date(text: str) -> date:
     return datetime.strptime(text.strip(), "%Y-%m-%d").date()
 
 
-def _text_lines(text: str) -> Iterator[str]:
-    """The lines of ``text``, each with its ``"\\n"``, as iterating
-    ``io.StringIO(text)`` gives them, but sliced one at a time instead of
-    copied whole into a buffer of four bytes per character."""
-    start = 0
-    find = text.find
-    while end := find("\n", start) + 1:
-        yield text[start:end]
-        start = end
-    if start < len(text):
-        yield text[start:]
-
-
-def _checked_rows(stream, row_errors: list[tuple[int, str]]):
+def _checked_rows(lines, row_errors: list[tuple[int, str]]):
     """The checked fields of each catalog row, as
     (portal_id, identifier, resource_type, topic, published).
 
@@ -165,14 +148,14 @@ def _checked_rows(stream, row_errors: list[tuple[int, str]]):
     mandatory column and a row the csv module cannot read (such as a field
     over its size limit) raise FormatError.
     """
-    lines = _text_lines(stream) if isinstance(stream, str) else iter(stream)
+    lines = iter(lines)
     try:
         header_line = next(lines)
     except StopIteration:
         raise FormatError("catalog stream is empty (no header row)")
-    delimiter = "\t" if "\t" in header_line else ","
+    separator = delimiter(header_line)
     try:
-        header = next(csv.reader([header_line], delimiter=delimiter))
+        header = next(csv.reader([header_line], delimiter=separator))
     except csv.Error as exc:
         raise FormatError(f"line 1: {exc}") from None
     columns = _resolve_header(header)
@@ -181,7 +164,7 @@ def _checked_rows(stream, row_errors: list[tuple[int, str]]):
     i_published, i_portal = columns["published"], columns["portal_id"]
     last = max(columns.values())
     dates: dict[str, date] = {}
-    reader = csv.reader(lines, delimiter=delimiter)
+    reader = csv.reader(lines, delimiter=separator)
     next_line = 2  # the physical line the next row starts on
     try:
         for row in reader:
@@ -211,13 +194,14 @@ def _checked_rows(stream, row_errors: list[tuple[int, str]]):
         raise FormatError(f"line {reader.line_num + 1}: {exc}") from None
 
 
-def parse_catalog(stream) -> ParsedCatalog:
-    """Parse a delimited catalog stream into deduplicated records.
+def parse_catalog(lines) -> ParsedCatalog:
+    """Parse the lines of a delimited catalog into deduplicated records.
 
-    The stream must be line-oriented text (comma- or tab-separated, sniffed
-    from the header row) with a header naming at least identifier,
-    resource_type, topic, published and portal_id; Dublin Core aliases are
-    accepted. Dates must be ISO-8601 (YYYY-MM-DD).
+    The lines, each with its newline as an open file gives them, are
+    comma- or tab-separated (sniffed from the header row), with a header
+    naming at least identifier, resource_type, topic, published and
+    portal_id; Dublin Core aliases are accepted. Dates must be ISO-8601
+    (YYYY-MM-DD).
 
     Duplicate identifiers within one portal are collapsed to the first
     occurrence and tallied. Malformed rows are skipped and tallied with
@@ -229,7 +213,7 @@ def parse_catalog(stream) -> ParsedCatalog:
     duplicates = 0
     row_errors: list[tuple[int, str]] = []
     for portal_id, identifier, resource_type, topic, published in \
-            _checked_rows(stream, row_errors):
+            _checked_rows(lines, row_errors):
         key = (portal_id, identifier)
         if key in seen:
             duplicates += 1
@@ -241,12 +225,12 @@ def parse_catalog(stream) -> ParsedCatalog:
                          row_errors=row_errors)
 
 
-def content_keys(stream) -> Iterator[tuple[str, str]]:
-    """(portal_id, identifier) of each row of a catalog stream that
+def content_keys(lines) -> Iterator[tuple[str, str]]:
+    """(portal_id, identifier) of each row of a catalog's lines that
     :func:`parse_catalog` keeps or tallies as a duplicate, with no record
     built. Read lazily; reading raises the FormatErrors parse_catalog
     raises."""
-    return map(itemgetter(0, 1), _checked_rows(stream, []))
+    return map(itemgetter(0, 1), _checked_rows(lines, []))
 
 
 def shannon_diversity(dist: TopicDistribution) -> DiversityResult:

@@ -21,23 +21,8 @@ from . import segmentation as segmentation_mod
 from . import structure as structure_mod
 from . import usage as usage_mod
 from .config import RunConfig, _FIELD_PARSERS, build_config, parse_flags
-from .errors import (ConfigError, DomainError, FormatError,
-                     ReportValidationError)
-
-
-def _read_text(path, what: str) -> str:
-    """The whole of a UTF-8 text file, with a failure to read it reported
-    as an error that names it: unreadable -> ConfigError, not UTF-8 ->
-    FormatError. Every input but the logs and the config file is read
-    here."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{what} file {path} is not UTF-8 text: {exc.reason} "
-                          f"at byte {exc.start}")
+from .errors import ConfigError, DomainError, FormatError
+from .inputs import opened
 
 
 def _require(cfg: RunConfig, field: str):
@@ -64,24 +49,20 @@ def _emit(document) -> None:
 
 
 def _load_catalog(cfg: RunConfig) -> catalog_mod.ParsedCatalog:
-    path = _require(cfg, "catalog")
-    text = _read_text(path, "catalog")
-    try:
-        return catalog_mod.parse_catalog(text)
-    except FormatError as exc:
-        raise FormatError(f"catalog file {path}: {exc}") from None
+    with opened(_require(cfg, "catalog"), "catalog") as lines:
+        return catalog_mod.parse_catalog(lines)
 
 
 def _load_taxonomy(cfg: RunConfig) -> catalog_mod.TopicTaxonomy | None:
     if cfg.taxonomy is None:
         return None
-    return catalog_mod.TopicTaxonomy.from_text(
-        _read_text(cfg.taxonomy, "taxonomy"))
+    with opened(cfg.taxonomy, "taxonomy") as lines:
+        return catalog_mod.TopicTaxonomy.from_lines(lines)
 
 
 def _load_site_graph(cfg: RunConfig):
-    return structure_mod.build_site_graph(
-        _read_text(_require(cfg, "edges"), "edge list"))
+    with opened(_require(cfg, "edges"), "edge list") as lines:
+        return structure_mod.build_site_graph(lines)
 
 
 def _log_lines(paths):
@@ -103,8 +84,8 @@ def _load_sessions(cfg: RunConfig):
     """
     signatures = None
     if cfg.bot_list is not None:
-        signatures = usage_mod.parse_signatures(
-            _read_text(cfg.bot_list, "bot signature list"))
+        with opened(cfg.bot_list, "bot signature list") as lines:
+            signatures = usage_mod.parse_signatures(lines)
     tally = usage_mod.IngestTally()
     views = usage_mod.ingest(_log_lines(_require(cfg, "logs")), tally,
                              use_auth_user=cfg.use_auth_user,
@@ -153,8 +134,8 @@ def _provision_summary(cfg: RunConfig, parsed, taxonomy, sessions, period):
         records, cfg.reference()).mean_age_days
 
     if sessions is not None and cfg.link_map is not None:
-        path_map = usage_mod.parse_link_map(_read_text(cfg.link_map,
-                                                       "link map"))
+        with opened(cfg.link_map, "link map") as lines:
+            path_map = usage_mod.parse_link_map(lines)
         try:
             accessed = usage_mod.accessed_distribution(sessions, records,
                                                        path_map, period)
@@ -234,12 +215,12 @@ def cmd_usage(cfg: RunConfig) -> int:
 
 
 def _position_profile(cfg: RunConfig):
-    text = _read_text(_require(cfg, "cross_links"), "cross-site link")
     site_map = None
     if cfg.site_map is not None:
-        site_map = usage_mod.parse_link_map(_read_text(cfg.site_map,
-                                                       "site map"))
-    graph, tally = position_mod.build_cross_site_graph(text, site_map)
+        with opened(cfg.site_map, "site map") as lines:
+            site_map = usage_mod.parse_link_map(lines)
+    with opened(_require(cfg, "cross_links"), "cross-site link") as lines:
+        graph, tally = position_mod.build_cross_site_graph(lines, site_map)
     site = _require(cfg, "site")
     communities = position_mod.detect_communities(graph, seed=cfg.seed)
     profile = position_mod.position_profile(graph, site, communities,
@@ -282,11 +263,8 @@ def _network_sizes(cfg: RunConfig, parsed=None):
             if os.path.abspath(path) == own:
                 yield from ((r.portal_id, r.identifier) for r in parsed.records)
                 continue
-            text = _read_text(path, "network catalog")
-            try:
-                yield from catalog_mod.content_keys(text)
-            except FormatError as exc:
-                raise FormatError(f"network catalog file {path}: {exc}") from None
+            with opened(path, "network catalog") as lines:
+                yield from catalog_mod.content_keys(lines)
     per_portal, network_total = catalog_mod.content_counts(keys())
     ratios = segmentation_mod.relative_size(per_portal, network_total)
     return ratios, segmentation_mod.size_class(ratios)
@@ -384,11 +362,8 @@ def cmd_report(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig, report_paths) -> int:
     reports = []
     for path in report_paths:
-        text = _read_text(path, "report")
-        try:
-            reports.append(report_mod.deserialize(text))
-        except ReportValidationError as exc:
-            raise ReportValidationError(f"report file {path}: {exc}") from None
+        with opened(path, "report") as lines:
+            reports.append(report_mod.deserialize("".join(lines)))
     comparison = report_mod.compare_within_segment(reports, cfg.compare_margin)
     _write_output(cfg, "comparison.json", comparison.to_json())
     sys.stdout.write(comparison.to_text())

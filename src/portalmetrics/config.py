@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date, datetime, timedelta, timezone
 
 from .errors import ConfigError
+from .inputs import data_lines, opened
 from .position import PositionThresholds
 from .usage import AnalysisPeriod
 
@@ -224,20 +225,19 @@ def _parse_value(key: str, text: str, where: str):
         raise ConfigError(f"{where}: bad value for {key}: {text!r}") from None
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """key = value lines into a typed mapping; # starts a comment."""
+def parse_config_lines(lines) -> dict:
+    """key = value lines into a typed mapping; # starts a comment. An
+    error names its line."""
     values: dict = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(lines):
+        where = f"line {lineno}"
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{where}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _FIELD_PARSERS:
-            raise ConfigError(f"{source}:{lineno}: unknown setting {key!r}")
-        values[key] = _parse_value(key, value, f"{source}:{lineno}")
+            raise ConfigError(f"{where}: unknown setting {key!r}")
+        values[key] = _parse_value(key, value, where)
     return values
 
 
@@ -250,15 +250,9 @@ def parse_flags(flags: dict[str, str]) -> dict:
 
 
 def load_config(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} "
-                          f"at byte {exc.start}")
-    return parse_config_text(text, source=str(path))
+    """The typed settings of the config file at ``path``."""
+    with opened(path, "config") as lines:
+        return parse_config_lines(lines)
 
 
 def build_config(file_path=None, overrides: dict | None = None) -> RunConfig:

@@ -18,7 +18,8 @@ import statistics
 from dataclasses import dataclass
 from urllib.parse import urlparse
 
-from .errors import DomainError, FormatError
+from .errors import DomainError
+from .inputs import data_lines, delimiter
 
 DEFAULT_BRIDGE_SCORE_THRESHOLD = 0.5
 DEFAULT_BRIDGE_MIN_COMMUNITIES = 2
@@ -134,30 +135,23 @@ def _resolve_site(url: str, prefixes: list[tuple[str, str]],
     return domain
 
 
-def build_cross_site_graph(page_links, site_map=None
+def build_cross_site_graph(lines, site_map=None
                            ) -> tuple[CrossSiteGraph, CrossBuildTally]:
     """Aggregate page-level links into a site-level weighted digraph.
 
-    ``page_links`` is the text of a cross-link file, split only at
-    newlines, or its lines: delimited "from_url, to_url" pairs (tab wins
-    over comma, # starts a comment). ``site_map`` maps URL prefixes to
-    site ids, longest prefix first; URLs matching no prefix fall back to
-    their registrable domain and are tallied. Intra-site links are dropped
+    ``lines`` are the lines of a cross-link file: delimited "from_url,
+    to_url" pairs (tab wins over comma, # starts a comment). ``site_map``
+    maps URL prefixes to site ids, longest prefix first; URLs matching no
+    prefix fall back to their registrable domain and are tallied. Intra-site links are dropped
     and tallied. An empty result is fatal.
     """
-    if isinstance(page_links, str):
-        page_links = page_links.split("\n")
     prefixes = sorted((site_map or {}).items(), key=lambda kv: len(kv[0]),
                       reverse=True)
     tally = CrossBuildTally()
     sites: set = set()
     weights: dict = {}
-    for raw in page_links:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        sep = "\t" if "\t" in line else ","
-        parts = [p.strip() for p in line.split(sep)]
+    for _, line in data_lines(lines):
+        parts = [p.strip() for p in line.split(delimiter(line))]
         if len(parts) != 2 or not parts[0] or not parts[1]:
             tally.malformed_lines += 1
             continue

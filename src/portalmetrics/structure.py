@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, FormatError
+from .inputs import delimiter
 
 DEGENERATE_SINGLE_NODE = "single_node_graph"
 DEGENERATE_NO_REACHABLE = "no_page_reachable_from_root"
@@ -118,17 +119,15 @@ class _DistanceSummary:
     root_distances: list[int]  # finite distances from root, -1 unreachable
 
 
-def build_site_graph(edge_stream) -> tuple[SiteGraph, BuildTally]:
-    """Build a normalized SiteGraph from a delimited (from, to) edge stream:
-    the text of an edge list, split only at newlines, or its lines.
+def build_site_graph(lines) -> tuple[SiteGraph, BuildTally]:
+    """Build a normalized SiteGraph from the lines of a delimited
+    (from, to) edge list.
 
     Lines are comma- or tab-separated pairs; blank lines and ``#`` comments
     are skipped, except ``# node: X`` lines which declare isolated nodes.
     Self-loops are dropped and parallel edges collapsed, both tallied.
     The first node seen is the homepage (root).
     """
-    if isinstance(edge_stream, str):
-        edge_stream = edge_stream.split("\n")
     nodes: list[str] = []
     seen_nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
@@ -139,7 +138,7 @@ def build_site_graph(edge_stream) -> tuple[SiteGraph, BuildTally]:
             seen_nodes.add(node)
             nodes.append(node)
 
-    for line_no, raw in enumerate(edge_stream, start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -148,8 +147,9 @@ def build_site_graph(edge_stream) -> tuple[SiteGraph, BuildTally]:
             if body.lower().startswith("node:"):
                 note(body[5:].strip())
             continue
-        parts = line.split("\t") if "\t" in line else line.split(",")
+        parts = line.split(delimiter(line))
         if len(parts) != 2:
+            raw = raw.rstrip("\n")
             raise FormatError(f"edge line {line_no} is not a (from, to) pair: {raw!r}")
         a, b = parts[0].strip(), parts[1].strip()
         if not a or not b:

@@ -45,6 +45,7 @@ from functools import lru_cache
 from . import structure
 from .catalog import ContentRecord, TopicDistribution
 from .errors import DomainError, FormatError
+from .inputs import data_lines, delimiter
 
 DEFAULT_SESSION_TIMEOUT = timedelta(minutes=30)
 DEFAULT_LINEARITY_BAND = 0.8
@@ -388,32 +389,22 @@ def read_log_lines(paths):
             yield from fh
 
 
-def parse_link_map(text: str) -> dict:
-    """Join table from request path to catalog identifier, from the text
-    of a link-map file: one delimited pair per line, lines split only at
-    newlines (tab wins over comma, # starts a comment)."""
+def parse_link_map(lines) -> dict:
+    """Join table from request path to catalog identifier, from the lines
+    of a link-map file: one delimited pair per line (tab wins over comma,
+    # starts a comment)."""
     mapping: dict = {}
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        sep = "\t" if "\t" in line else ","
-        parts = [p.strip() for p in line.split(sep)]
+    for _, line in data_lines(lines):
+        parts = [p.strip() for p in line.split(delimiter(line))]
         if len(parts) == 2 and parts[0] and parts[1]:
             mapping[parts[0]] = parts[1]
     return mapping
 
 
-def parse_signatures(text: str) -> tuple[str, ...]:
-    """Bot signatures from the text of a signature file: one
-    case-insensitive substring per line, lines split only at newlines,
-    # starts a comment."""
-    signatures = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            signatures.append(line.lower())
-    return tuple(signatures)
+def parse_signatures(lines) -> tuple[str, ...]:
+    """Bot signatures from the lines of a signature file: one
+    case-insensitive substring per line, # starts a comment."""
+    return tuple(line.lower() for _, line in data_lines(lines))
 
 
 def sessionize(views_by_visitor,
@@ -542,7 +533,7 @@ def accessed_distribution(sessions, records: list[ContentRecord],
     )
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=None)
 def _metrics_for_shape(successors: tuple[int, ...]) -> tuple[float, float]:
     """Navigability and linearity of the graph on pages 0..n-1 in which
     bit b of ``successors[a]`` marks the edge a -> b.
@@ -611,7 +602,9 @@ def summarize_navigation(sessions,
 
     ``high_linearity_share`` is the share of measured sessions whose
     linearity exceeds ``linearity_band`` -- tediously linear navigation.
+    Each call starts with an empty shape cache.
     """
+    _metrics_for_shape.cache_clear()
     complexities: list[float] = []
     linearities: list[float] = []
     skipped = 0

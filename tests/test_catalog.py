@@ -8,7 +8,7 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from portalmetrics import catalog
+from portalmetrics import catalog, inputs
 from portalmetrics.errors import DomainError, FormatError
 
 from oracles import reference_content_counts, shannon
@@ -141,7 +141,7 @@ class TestParseCatalog:
                 "r2,text,x,bad,p\n"
                 '"c\n\nd",text,x,bad,p\n'
                 "r3,text,x,bad,p\n")
-        parsed = catalog.parse_catalog(text)
+        parsed = catalog.parse_catalog(io.StringIO(text))
         assert [r.identifier for r in parsed.records] == ["a\nb"]
         assert [line for line, _ in parsed.row_errors] == [4, 5, 8]
 
@@ -160,18 +160,28 @@ class TestParseCatalog:
         "identifier,resource_type,topic,published,portal_id\n"
         '"r1,text,x,2026-01-01,p\nr2,text,x,bad,p',
     ])
-    def test_text_and_stream_give_the_same_rows(self, text):
-        # A text is read in slices at each "\n"; an open stream is read
-        # line by line. Both must give the same rows, lines and errors.
-        def parse(source):
-            try:
-                parsed = catalog.parse_catalog(source)
-            except FormatError as exc:
-                return str(exc)
+    def test_text_and_stream_give_the_same_rows(self, tmp_path, text):
+        # A file is read through the one opener, an in-memory stream
+        # directly; both split lines with universal newlines. Both must
+        # give the same rows, lines and errors, and the file's error also
+        # names the file.
+        path = tmp_path / "catalog.csv"
+        path.write_bytes(text.encode("utf-8"))
+
+        def parse(lines):
+            parsed = catalog.parse_catalog(lines)
             return parsed.records, parsed.row_errors
 
-        assert parse(text) == parse(io.StringIO(text))
-        assert list(catalog._text_lines(text)) == list(io.StringIO(text))
+        try:
+            expected = parse(io.StringIO(text, newline=None))
+        except FormatError as exc:
+            expected = f"catalog file {path}: {exc}"
+        try:
+            with inputs.opened(path, "catalog") as lines:
+                got = parse(lines)
+        except FormatError as exc:
+            got = str(exc)
+        assert got == expected
 
     def test_tab_separated_with_dublin_core_aliases(self):
         text = ("dc:identifier\tdc:type\tdc:subject\tdc:date\tportal\n"
@@ -399,16 +409,19 @@ class TestContentCounts:
         texts = [text for text, _, _ in catalogs]
         try:
             expected = reference_content_counts(
-                r for text in texts for r in catalog.parse_catalog(text).records)
+                r for text in texts
+                for r in catalog.parse_catalog(io.StringIO(text)).records)
         except FormatError as exc:
             with pytest.raises(FormatError) as raised:
                 catalog.content_counts(
-                    k for text in texts for k in catalog.content_keys(text))
+                    k for text in texts
+                    for k in catalog.content_keys(io.StringIO(text)))
             assert str(raised.value) == str(exc)
             assert any(kept is None for _, kept, _ in catalogs)
             return
         got = catalog.content_counts(
-            k for text in texts for k in catalog.content_keys(text))
+            k for text in texts
+            for k in catalog.content_keys(io.StringIO(text)))
         assert got == expected
         # The generator knows which rows are kept: the row rules hold
         # in both readers, not just the same in both.
@@ -416,7 +429,7 @@ class TestContentCounts:
             catalog.ContentRecord(identifier, "", "", REF, portal)
             for _, kept, _ in catalogs for portal, identifier in kept)
         for text, _, error_lines in catalogs:
-            parsed = catalog.parse_catalog(text)
+            parsed = catalog.parse_catalog(io.StringIO(text))
             assert [line for line, _ in parsed.row_errors] == error_lines
 
 
@@ -424,5 +437,6 @@ class TestTaxonomyFile:
     def test_from_file(self, tmp_path):
         path = tmp_path / "taxonomy.txt"
         path.write_text("algebra\nbiology\n# comment\n\nchemistry\n")
-        taxonomy = catalog.TopicTaxonomy.from_text(path.read_text("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            taxonomy = catalog.TopicTaxonomy.from_lines(fh)
         assert taxonomy.topics == ("algebra", "biology", "chemistry")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gzip
 import hashlib
@@ -413,7 +414,7 @@ class TestStreamingIngest:
                 bot_list = os.path.join(tmp, "bots.txt")
                 fx.write_lines(bot_list, ["# custom", "AgentX"])
                 with open(bot_list, encoding="utf-8") as fh:
-                    signatures = usage.parse_signatures(fh.read())
+                    signatures = usage.parse_signatures(fh)
             cfg = RunConfig(logs=(log,), bot_list=bot_list,
                             use_auth_user=use_auth_user)
             try:
@@ -460,7 +461,8 @@ class TestNetworkCatalogs:
                                 "x1,text,algebra,2025-01-01,alpha"])
         records = []
         for path in (first, second):
-            records += catalog.parse_catalog(path.read_text("utf-8")).records
+            with open(path, encoding="utf-8") as fh:
+                records += catalog.parse_catalog(fh).records
         per_portal, network_total = reference_content_counts(records)
         assert (per_portal, network_total) == ({"alpha": 3, "beta": 2}, 4)
         ratios = segmentation.relative_size(per_portal, network_total)
@@ -490,18 +492,18 @@ class TestNetworkCatalogs:
         assert len(others) == len(cfg.network_catalogs) - 1
         passes, reads = [], []
         checked_rows = catalog._checked_rows
-        read_text = cli._read_text
+        opened = cli.opened
 
         def counting_passes(*args, **kwargs):
             passes.append(1)
             return checked_rows(*args, **kwargs)
 
-        def counting_reads(path, what):
+        def counting_opens(path, what):
             if "catalog" in what:
                 reads.append(os.path.abspath(path))
-            return read_text(path, what)
+            return opened(path, what)
         monkeypatch.setattr(catalog, "_checked_rows", counting_passes)
-        monkeypatch.setattr(cli, "_read_text", counting_reads)
+        monkeypatch.setattr(cli, "opened", counting_opens)
 
         def report(name, *network):
             passes.clear()
@@ -804,6 +806,112 @@ class TestNonUtf8Input:
         assert "not UTF-8" in capsys.readouterr().err
 
 
+class TestErrorsNameTheirFile:
+    """A side file that cannot be read, decoded or parsed, or whose
+    content is outside the domain, ends in one stderr line that names
+    the file."""
+
+    @staticmethod
+    def _bad_catalog(path):
+        # A byte that is not UTF-8 past the first 8 KiB of the file.
+        fx.write_catalog(fx.gen_catalog(fx.GeneratorSpec(
+            kind="synthetic-catalog", portal_id="p1",
+            topic_counts=(("algebra", 400),))), path)
+        assert path.stat().st_size > 8192
+        with open(path, "ab") as fh:
+            fh.write(b"r\xff,text,algebra,2026-01-01,p1\n")
+
+    @pytest.mark.parametrize("flag,content,code,message", [
+        ("--edges", "/a,/b\nnot-an-edge\n", 2,
+         "edge list file {path}: edge line 2 is not a (from, to) pair: "
+         "'not-an-edge'"),
+        ("--taxonomy", "algebra\nalgebra\n", 1,
+         "taxonomy file {path}: taxonomy labels must be unique"),
+        ("--taxonomy", "# no labels\n\n", 1,
+         "taxonomy file {path}: taxonomy must contain at least one topic"),
+        ("--cross-links", "# no links\n", 1,
+         "cross-site link file {path}: no cross-site links found; the "
+         "graph is empty"),
+        ("--config", "nope = 1\n", 2,
+         "config file {path}: line 1: unknown setting 'nope'"),
+        ("--catalog", None, 2,
+         "catalog file {path} is not UTF-8 text: invalid start byte"),
+    ], ids=["edge-line", "duplicate-taxonomy", "empty-taxonomy",
+            "no-cross-links", "config-key", "catalog-decode"])
+    def test_one_line_names_the_file(self, tmp_path, capsys, flag, content,
+                                     code, message):
+        path = tmp_path / "side.txt"
+        if content is None:
+            self._bad_catalog(path)
+        else:
+            path.write_text(content, encoding="utf-8")
+        command = {"--edges": ["structure"],
+                   "--cross-links": ["position", "--site", "a.example"]}.get(
+            flag, ["catalog", "--catalog", _catalog_file(tmp_path),
+                   "--reference-date", "2026-03-01"])
+        assert cli.main(command + [flag, str(path)]) == code
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(path=path)}\n"
+
+
+class TestByteOrderMark:
+    """A side file saved with a leading UTF-8 byte-order mark gives the
+    same outputs as the same file saved without it."""
+
+    @staticmethod
+    def _copies(tmp_path, data: bytes):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(data)
+        marked.write_bytes(codecs.BOM_UTF8 + data)
+        return str(plain), str(marked)
+
+    @staticmethod
+    def _outputs(capsys, out, argv):
+        code = cli.main(argv + ["--output-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        return captured.out, {p.name: p.read_bytes()
+                              for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("flag", [
+        "--catalog", "--network-catalogs", "--taxonomy", "--edges",
+        "--link-map", "--bot-list", "--site-map", "--cross-links",
+        "--config"])
+    def test_report_side_file(self, demo, tmp_path, capsys, flag):
+        alpha = demo["portals"]["alpha"]
+        cfg = build_config(alpha["config"])
+        if flag == "--bot-list":
+            data = "\n".join(usage.DEFAULT_BOT_SIGNATURES).encode()
+        elif flag == "--site-map":
+            # Its first line merges two sites, so a misread first line
+            # moves the portal's position.
+            data = b"https://hub2.example\thub1.example\n"
+        else:
+            source = {"--catalog": cfg.catalog,
+                      "--network-catalogs": cfg.network_catalogs[-1],
+                      "--taxonomy": cfg.taxonomy, "--edges": cfg.edges,
+                      "--link-map": cfg.link_map,
+                      "--cross-links": cfg.cross_links,
+                      "--config": alpha["config"]}[flag]
+            with open(source, "rb") as fh:
+                data = fh.read()
+        outputs = []
+        for i, path in enumerate(self._copies(tmp_path, data)):
+            if flag == "--network-catalogs":
+                path = f"{cfg.catalog},{path}"
+            argv = ["report", "--config", alpha["config"], flag, path]
+            outputs.append(self._outputs(capsys, tmp_path / f"out{i}", argv))
+        assert outputs[0] == outputs[1]
+
+    def test_compared_report(self, reports, tmp_path, capsys):
+        with open(reports["beta"], "rb") as fh:
+            plain, marked = self._copies(tmp_path, fh.read())
+        outputs = [self._outputs(capsys, tmp_path / f"out{i}",
+                                 ["compare", reports["alpha"], path])
+                   for i, path in enumerate((plain, marked))]
+        assert outputs[0] == outputs[1]
+
+
 # Characters that str.splitlines treats as line breaks but a file read
 # does not; a value that holds one stays on its line in every input.
 _LINE_BREAKS_OF_SPLITLINES = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
@@ -912,7 +1020,7 @@ class TestFlagValues:
             assert cli.main([command, "--config", str(line)]
                             + ([] if command == "report" else [alpha])) == 2
             assert capsys.readouterr().err == err.replace(
-                f"{flag}: ", f"{line}:1: ", 1)
+                f"{flag}: ", f"config file {line}: line 1: ", 1)
         assert not (tmp_path / "out").exists()
 
     def test_value_after_the_flag_reaches_its_parser(self, demo, tmp_path,

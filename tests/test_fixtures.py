@@ -442,12 +442,14 @@ class TestWriterRoundTrips:
         pairs = [("/p0000", "rt-00000"), ("/p0001", "rt-00001")]
         path = tmp_path / "map.tsv"
         fx.write_link_map(pairs, path)
-        assert parse_link_map(path.read_text("utf-8")) == dict(pairs)
+        with open(path, encoding="utf-8") as fh:
+            assert parse_link_map(fh) == dict(pairs)
 
     def test_taxonomy_round_trip(self, tmp_path):
         path = tmp_path / "taxonomy.txt"
         fx.write_taxonomy(("algebra", "biology"), path)
-        taxonomy = TopicTaxonomy.from_text(path.read_text("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            taxonomy = TopicTaxonomy.from_lines(fh)
         assert taxonomy.topics == ("algebra", "biology")
 
     def test_log_file_round_trip(self, tmp_path):

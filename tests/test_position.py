@@ -1,5 +1,7 @@
 """Cross-site graph aggregation, communities, and network-role flags."""
 
+import io
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -40,7 +42,7 @@ class TestBuildCrossSiteGraph:
             "https://a.example/p3\thttps://b.example/q2",
             "https://b.example/r\thttps://a.example/p1",
         ])
-        g, tally = position.build_cross_site_graph(lines)
+        g, tally = position.build_cross_site_graph(io.StringIO(lines))
         assert g.weights == {("a.example", "b.example"): 3,
                              ("b.example", "a.example"): 1}
         assert tally.intra_site_dropped == 0
@@ -48,37 +50,39 @@ class TestBuildCrossSiteGraph:
     def test_intra_site_links_dropped_and_tallied(self):
         lines = ("https://a.example/p1,https://a.example/p2\n"
                  "https://a.example/p1,https://b.example/q\n")
-        g, tally = position.build_cross_site_graph(lines)
+        g, tally = position.build_cross_site_graph(io.StringIO(lines))
         assert tally.intra_site_dropped == 1
         assert g.edge_count == 1
 
     def test_domain_fallback_tallied_per_url(self):
         lines = "https://a.example/p\thttps://b.example/q\n"
-        _, tally = position.build_cross_site_graph(lines)
+        _, tally = position.build_cross_site_graph(io.StringIO(lines))
         assert tally.domain_fallbacks == 2
 
     def test_site_map_longest_prefix_wins(self):
         site_map = {"https://a.example/hub": "HUB", "https://a.example": "A"}
         lines = ("https://a.example/hub/page\thttps://a.example/other\n")
-        g, tally = position.build_cross_site_graph(lines, site_map=site_map)
+        g, tally = position.build_cross_site_graph(io.StringIO(lines),
+                                                  site_map=site_map)
         assert g.weights == {("HUB", "A"): 1}
         assert tally.domain_fallbacks == 0
 
     def test_mixed_mapped_and_fallback(self):
         site_map = {"https://portal.example": "portal"}
         lines = "https://portal.example/p\thttps://other.example/q\n"
-        g, _ = position.build_cross_site_graph(lines, site_map=site_map)
+        g, _ = position.build_cross_site_graph(io.StringIO(lines),
+                                               site_map=site_map)
         assert ("portal", "other.example") in g.weights
 
     def test_malformed_lines_tallied(self):
         lines = ("just-one-field\n"
                  "https://a.example/p\thttps://b.example/q\n")
-        _, tally = position.build_cross_site_graph(lines)
+        _, tally = position.build_cross_site_graph(io.StringIO(lines))
         assert tally.malformed_lines == 1
 
     def test_empty_graph_is_fatal(self):
         with pytest.raises(DomainError):
-            position.build_cross_site_graph("# nothing\n")
+            position.build_cross_site_graph(io.StringIO("# nothing\n"))
 
     def test_self_link_rejected_in_constructor(self):
         with pytest.raises(DomainError):

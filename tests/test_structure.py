@@ -4,6 +4,7 @@ Converted distances are checked against an independent oracle that finds
 shortest path lengths by repeated adjacency-matrix multiplication.
 """
 
+import io
 import math
 
 import numpy as np
@@ -48,7 +49,7 @@ digraphs = st.builds(
 
 class TestBuildSiteGraph:
     def test_basic_edges_and_default_root(self):
-        g, tally = structure.build_site_graph("/home,/a\n/a,/b\n")
+        g, tally = structure.build_site_graph(io.StringIO("/home,/a\n/a,/b\n"))
         assert g.root == "/home"
         assert g.nodes == {"/home", "/a", "/b"}
         assert g.edges == {("/home", "/a"), ("/a", "/b")}
@@ -56,32 +57,32 @@ class TestBuildSiteGraph:
         assert tally.parallel_edges_collapsed == 0
 
     def test_tab_separated(self):
-        g, _ = structure.build_site_graph("/home\t/a\n")
+        g, _ = structure.build_site_graph(io.StringIO("/home\t/a\n"))
         assert g.edges == {("/home", "/a")}
 
     def test_self_loop_dropped_and_tallied(self):
-        g, tally = structure.build_site_graph("/home,/home\n/home,/a\n")
+        g, tally = structure.build_site_graph(io.StringIO("/home,/home\n/home,/a\n"))
         assert g.edges == {("/home", "/a")}
         assert tally.self_loops_dropped == 1
 
     def test_parallel_edges_collapsed_and_tallied(self):
-        g, tally = structure.build_site_graph("/home,/a\n/home,/a\n/home,/a\n")
+        g, tally = structure.build_site_graph(io.StringIO("/home,/a\n/home,/a\n/home,/a\n"))
         assert g.edges == {("/home", "/a")}
         assert tally.parallel_edges_collapsed == 2
 
     def test_isolated_node_declaration(self):
-        g, _ = structure.build_site_graph("# node: /orphan\n/home,/a\n")
+        g, _ = structure.build_site_graph(io.StringIO("# node: /orphan\n/home,/a\n"))
         assert "/orphan" in g.nodes
         # the declaration came first, so it is the default root
         assert g.root == "/orphan"
 
     def test_empty_stream_rejected(self):
         with pytest.raises(DomainError):
-            structure.build_site_graph("\n# just a comment\n")
+            structure.build_site_graph(io.StringIO("\n# just a comment\n"))
 
     def test_malformed_line_rejected_with_line_number(self):
         with pytest.raises(FormatError, match="line 2"):
-            structure.build_site_graph("/a,/b\nnot-an-edge\n")
+            structure.build_site_graph(io.StringIO("/a,/b\nnot-an-edge\n"))
 
     def test_self_loop_in_constructor_rejected(self):
         with pytest.raises(DomainError):

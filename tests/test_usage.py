@@ -1028,14 +1028,14 @@ class TestFileHelpers:
     def test_load_link_map(self, tmp_path):
         path = tmp_path / "map.tsv"
         path.write_text("# comment\n/a\tc1\n/b,c2\n\nbroken-line\n")
-        assert usage.parse_link_map(path.read_text("utf-8")) == {
-            "/a": "c1", "/b": "c2"}
+        with open(path, encoding="utf-8") as fh:
+            assert usage.parse_link_map(fh) == {"/a": "c1", "/b": "c2"}
 
     def test_load_signatures(self, tmp_path):
         path = tmp_path / "bots.txt"
         path.write_text("# bots\nExampleBot\nscraper\n")
-        assert usage.parse_signatures(path.read_text("utf-8")) == (
-            "examplebot", "scraper")
+        with open(path, encoding="utf-8") as fh:
+            assert usage.parse_signatures(fh) == ("examplebot", "scraper")
 
     def test_visitor_key_method_labels(self):
         assert usage.visitor_key_method(True) != usage.visitor_key_method(False)
