@@ -93,26 +93,6 @@ class ParsedCatalog:
     row_errors: list[tuple[int, str]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class DiversityResult:
-    """Shannon entropy of a distribution plus its evenness over the labels
-    present."""
-
-    entropy_nats: float
-    evenness: float
-
-
-@dataclass(frozen=True)
-class AverageAgeResult:
-    mean_age_days: float
-
-
-@dataclass(frozen=True)
-class GapReport:
-    high_demand_low_offer: tuple[str, ...]
-    high_offer_low_demand: tuple[str, ...]
-
-
 def _resolve_header(header: list[str]) -> dict[str, int]:
     """Map canonical column names to indices, honoring the alias table."""
     lowered = [h.strip().lower() for h in header]
@@ -233,8 +213,9 @@ def content_keys(lines) -> Iterator[tuple[str, str]]:
     return map(itemgetter(0, 1), _checked_rows(lines, []))
 
 
-def shannon_diversity(dist: TopicDistribution) -> DiversityResult:
-    """Shannon entropy H = -sum(p_i * ln p_i) over labels with positive count.
+def shannon_diversity(dist: TopicDistribution) -> tuple[float, float]:
+    """(entropy in nats, evenness) of a distribution: Shannon entropy
+    H = -sum(p_i * ln p_i) over labels with positive count.
 
     Natural log, so the value is in nats; 0 <= H <= ln(S) where S is the
     number of positive labels. Evenness divides by ln(S), so it is taken
@@ -251,7 +232,7 @@ def shannon_diversity(dist: TopicDistribution) -> DiversityResult:
     entropy = max(entropy, 0.0)
     s = len(positive)
     evenness = 0.0 if s == 1 else entropy / math.log(s)
-    return DiversityResult(entropy_nats=entropy, evenness=evenness)
+    return entropy, evenness
 
 
 def richness(records: list[ContentRecord],
@@ -269,8 +250,7 @@ def richness(records: list[ContentRecord],
     return len(covered) / len(taxonomy.topics), unknown
 
 
-def average_age(records: list[ContentRecord],
-                reference: date) -> AverageAgeResult:
+def average_age(records: list[ContentRecord], reference: date) -> float:
     """Mean age of the catalog's records in days at the reference date;
     a record published after it is refused."""
     if not records:
@@ -282,7 +262,7 @@ def average_age(records: list[ContentRecord],
                 f"than the reference date {reference}"
             )
     ages = [(reference - r.published).days for r in records]
-    return AverageAgeResult(mean_age_days=sum(ages) / len(ages))
+    return sum(ages) / len(ages)
 
 
 def offer_distribution(records: list[ContentRecord]) -> TopicDistribution:
@@ -294,8 +274,11 @@ def offer_distribution(records: list[ContentRecord]) -> TopicDistribution:
 
 
 def demand_offer_gap(offer: TopicDistribution, accessed: TopicDistribution,
-                     threshold: float = DEFAULT_GAP_THRESHOLD) -> GapReport:
-    """Per-topic comparison of offered share vs accessed (demanded) share.
+                     threshold: float = DEFAULT_GAP_THRESHOLD
+                     ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Per-topic comparison of offered share vs accessed (demanded) share:
+    (high-demand/low-offer topics, high-offer/low-demand topics), each
+    sorted.
 
     gap = demand share - offer share. Topics with gap above ``threshold``
     are flagged high-demand/low-offer; below ``-threshold``, the reverse.
@@ -313,8 +296,7 @@ def demand_offer_gap(offer: TopicDistribution, accessed: TopicDistribution,
             high_demand.append(label)
         elif gap < -threshold:
             high_offer.append(label)
-    return GapReport(high_demand_low_offer=tuple(high_demand),
-                     high_offer_low_demand=tuple(high_offer))
+    return tuple(high_demand), tuple(high_offer)
 
 
 def content_counts(keys: Iterable[tuple[str, str]]) -> tuple[dict[str, int], int]:

@@ -113,10 +113,10 @@ def _provision_summary(cfg: RunConfig, parsed, taxonomy, sessions, period):
     flags: list[str] = []
     records = parsed.records
     offered = catalog_mod.offer_distribution(records)
-    diversity = catalog_mod.shannon_diversity(offered)
+    entropy, evenness = catalog_mod.shannon_diversity(offered)
     section = {
-        "diversity_offered_nats": diversity.entropy_nats,
-        "evenness_offered": diversity.evenness,
+        "diversity_offered_nats": entropy,
+        "evenness_offered": evenness,
         "diversity_accessed_by_visits_nats": None,
         "diversity_accessed_by_visitors_nats": None,
         "richness": None,
@@ -130,27 +130,28 @@ def _provision_summary(cfg: RunConfig, parsed, taxonomy, sessions, period):
             flags.append("topics_outside_taxonomy")
     else:
         flags.append("no_taxonomy")
-    section["average_age_days"] = catalog_mod.average_age(
-        records, cfg.reference()).mean_age_days
+    section["average_age_days"] = catalog_mod.average_age(records,
+                                                          cfg.reference())
 
     if sessions is not None and cfg.link_map is not None:
         with opened(cfg.link_map, "link map") as lines:
             path_map = usage_mod.parse_link_map(lines)
         try:
-            accessed = usage_mod.accessed_distribution(sessions, records,
-                                                       path_map, period)
+            by_views, by_visitors, uncatalogued = \
+                usage_mod.accessed_distribution(sessions, records, path_map,
+                                                period)
         except DomainError:
             flags.append("accessed_join_empty")
         else:
-            by_visits = catalog_mod.shannon_diversity(accessed.views_total)
-            by_visitors = catalog_mod.shannon_diversity(accessed.visitors_total)
-            section["diversity_accessed_by_visits_nats"] = by_visits.entropy_nats
-            section["diversity_accessed_by_visitors_nats"] = by_visitors.entropy_nats
-            gaps = catalog_mod.demand_offer_gap(offered, accessed.views_total,
-                                                cfg.gap_threshold)
-            section["high_demand_low_offer"] = list(gaps.high_demand_low_offer)
-            section["high_offer_low_demand"] = list(gaps.high_offer_low_demand)
-            if accessed.uncatalogued_views:
+            section["diversity_accessed_by_visits_nats"] = \
+                catalog_mod.shannon_diversity(by_views)[0]
+            section["diversity_accessed_by_visitors_nats"] = \
+                catalog_mod.shannon_diversity(by_visitors)[0]
+            high_demand, high_offer = catalog_mod.demand_offer_gap(
+                offered, by_views, cfg.gap_threshold)
+            section["high_demand_low_offer"] = list(high_demand)
+            section["high_offer_low_demand"] = list(high_offer)
+            if uncatalogued:
                 flags.append("uncatalogued_views_present")
     else:
         flags.append("no_accessed_distribution")
@@ -267,33 +268,36 @@ def _network_sizes(cfg: RunConfig, parsed=None):
                 yield from catalog_mod.content_keys(lines)
     per_portal, network_total = catalog_mod.content_counts(keys())
     ratios = segmentation_mod.relative_size(per_portal, network_total)
-    return ratios, segmentation_mod.size_class(ratios)
+    return ratios, *segmentation_mod.size_class(ratios)
 
 
 def _segmentation_parts(cfg: RunConfig, demand, parsed=None):
-    trend = segmentation_mod.demand_trend(demand)
-    dynamics = segmentation_mod.dynamics_class(trend.relative_slope,
-                                               cfg.growth_threshold)
-    ratios, sizes = _network_sizes(cfg, parsed)
+    """The portal's segmentation section, plus the size class of every
+    portal in the network and the network's flags."""
+    slope = segmentation_mod.demand_trend(demand)
+    dynamics = segmentation_mod.dynamics_class(slope, cfg.growth_threshold)
+    ratios, classes, network_flags = _network_sizes(cfg, parsed)
     if cfg.portal_id not in ratios:
         raise ConfigError(
             f"portal {cfg.portal_id!r} does not appear in the network "
             "catalogs; cannot compute its relative size"
         )
-    label = segmentation_mod.segment(dynamics, sizes.classes[cfg.portal_id])
-    return trend, ratios[cfg.portal_id], label, sizes
+    label = segmentation_mod.segment(dynamics, classes[cfg.portal_id])
+    section = report_mod.segmentation_section(slope, ratios[cfg.portal_id],
+                                              label)
+    return section, classes, network_flags
 
 
 def cmd_segment(cfg: RunConfig) -> int:
     sessions, _tallies = _load_sessions(cfg)
     demand = usage_mod.overall_demand(sessions, cfg.period())
-    trend, ratio, label, sizes = _segmentation_parts(cfg, demand)
+    section, classes, network_flags = _segmentation_parts(cfg, demand)
     _emit({
         "kind": "segmentation",
         "portal_id": cfg.portal_id,
-        "segmentation": report_mod.segmentation_section(trend, ratio, label),
-        "network_size_classes": sizes.classes,
-        "network_flags": list(sizes.flags),
+        "segmentation": section,
+        "network_size_classes": classes,
+        "network_flags": list(network_flags),
     })
     return 0
 
@@ -332,8 +336,8 @@ def cmd_report(cfg: RunConfig) -> int:
         position = report_mod.position_section(profile)
 
     if sessions is not None and cfg.network_catalogs:
-        trend, ratio, label, _sizes = _segmentation_parts(cfg, demand, parsed)
-        segmentation = report_mod.segmentation_section(trend, ratio, label)
+        segmentation, _classes, _flags = _segmentation_parts(cfg, demand,
+                                                             parsed)
 
     algorithms = {
         "visitor_key": usage_mod.visitor_key_method(cfg.use_auth_user),
@@ -386,36 +390,20 @@ def cmd_gen(cfg: RunConfig, demo_dir: str) -> int:
 
 # Each setting's flag, and every option string a subcommand accepts.
 _FLAGS = {"--" + name.replace("_", "-"): name for name in _FIELD_PARSERS}
-_VALUE_OPTIONS = ("--config", *_FLAGS)
-_OPTIONS = ("-h", "--help", *_VALUE_OPTIONS)
-
-
-def _names_option(token: str) -> bool:
-    """Whether ``token`` spells one of the options above: its name or a
-    prefix of one or more names, with or without an ``=value``."""
-    name = token.split("=", 1)[0]
-    return token.startswith("-") and any(o.startswith(name) for o in _OPTIONS)
-
-
-def _takes_value(token: str) -> bool:
-    """Whether argparse reads ``token``, with no ``=value``, as a flag that
-    takes a value: by its name or by an unambiguous prefix of it."""
-    if not token.startswith("--") or "=" in token:
-        return False
-    if token in _OPTIONS:
-        return token in _VALUE_OPTIONS
-    matches = [o for o in _OPTIONS if o.startswith(token)]
-    return len(matches) == 1 and matches[0] in _VALUE_OPTIONS
+_VALUE_OPTIONS = frozenset(("--config", *_FLAGS))
+_OPTIONS = frozenset(("-h", "--help", *_VALUE_OPTIONS))
 
 
 def _glue_flag_values(argv: list[str]) -> list[str]:
     """``argv`` with each value-taking flag joined to the value after it as
-    ``flag=value``, unless that value names an option itself.
+    ``flag=value``, unless that value is a bare ``--`` or an option itself,
+    with or without an ``=value``.
 
     argparse reads a token that begins with "-" and is not a plain
     negative number as an option, so ``--bucket-days -inf`` would end in
-    "expected one argument" before the value reached its parser. Nothing
-    after a bare ``--`` is touched.
+    "expected one argument" before the value reached its parser. Flags are
+    matched by their full names only; the parsers accept no abbreviation.
+    Nothing after a bare ``--`` is touched.
     """
     glued: list[str] = []
     i = 0
@@ -424,8 +412,8 @@ def _glue_flag_values(argv: list[str]) -> list[str]:
         if token == "--":
             return glued + argv[i:]
         i += 1
-        if (_takes_value(token) and i < len(argv)
-                and not _names_option(argv[i])):
+        if (token in _VALUE_OPTIONS and i < len(argv) and argv[i] != "--"
+                and argv[i].split("=", 1)[0] not in _OPTIONS):
             token = f"{token}={argv[i]}"
             i += 1
         glued.append(token)
@@ -434,7 +422,7 @@ def _glue_flag_values(argv: list[str]) -> list[str]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="portalmetrics",
+        prog="portalmetrics", allow_abbrev=False,
         description="Management and segmentation metrics for networks of "
                     "educational web portals.",
     )
@@ -450,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gen": "generate the synthetic two-portal demo workspace",
     }
     for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="key = value settings file")
         for flag, field_name in _FLAGS.items():
             p.add_argument(flag, dest=field_name, metavar="VALUE")

@@ -13,20 +13,34 @@ import math
 from dataclasses import dataclass, fields, replace
 from datetime import date, datetime, timedelta, timezone
 
+from .catalog import DEFAULT_GAP_THRESHOLD
 from .errors import ConfigError
 from .inputs import data_lines, opened
-from .position import PositionThresholds
-from .usage import AnalysisPeriod
+from .position import (DEFAULT_BRIDGE_MIN_COMMUNITIES,
+                       DEFAULT_BRIDGE_SCORE_THRESHOLD, DEFAULT_DEGREE_PERCENTILE,
+                       PositionThresholds)
+from .report import DEFAULT_COMPARE_MARGIN
+from .segmentation import DEFAULT_GROWTH_THRESHOLD
+from .usage import (DEFAULT_LINEARITY_BAND, DEFAULT_SESSION_TIMEOUT,
+                    AnalysisPeriod)
 
 # The most buckets a period may be cut into; a year of one-minute buckets
 # is 525,600. Demand keeps one count per bucket.
 MAX_BUCKETS = 1_000_000
 _MICROSECOND = timedelta(microseconds=1)
+_MINUTE = timedelta(minutes=1)
+
+
+def _refuse_nul(text: str) -> None:
+    # A path with a NUL byte cannot be opened, and portal_id names files.
+    if "\x00" in text:
+        raise ConfigError(f"a NUL byte is not allowed: {text!r}")
 
 
 def _parse_text(text: str) -> str:
     if not text:
         raise ConfigError("empty value")
+    _refuse_nul(text)
     return text
 
 
@@ -64,6 +78,7 @@ def _parse_date(text: str) -> date:
 
 
 def _parse_paths(text: str) -> tuple[str, ...]:
+    _refuse_nul(text)
     paths = tuple(p.strip() for p in text.split(",") if p.strip())
     if not paths:
         raise ConfigError(f"no path given: {text!r}")
@@ -93,16 +108,16 @@ class RunConfig:
     bucket_days: float = 1.0
     reference_date: date | None = None
     # thresholds
-    session_timeout_minutes: float = 30.0
-    gap_threshold: float = 0.10
-    growth_threshold: float = 0.05
-    bridge_score_threshold: float = 0.5
-    bridge_min_communities: int = 2
-    authority_percentile: float = 75.0
-    hub_percentile: float = 75.0
+    session_timeout_minutes: float = DEFAULT_SESSION_TIMEOUT / _MINUTE
+    gap_threshold: float = DEFAULT_GAP_THRESHOLD
+    growth_threshold: float = DEFAULT_GROWTH_THRESHOLD
+    bridge_score_threshold: float = DEFAULT_BRIDGE_SCORE_THRESHOLD
+    bridge_min_communities: int = DEFAULT_BRIDGE_MIN_COMMUNITIES
+    authority_percentile: float = DEFAULT_DEGREE_PERCENTILE
+    hub_percentile: float = DEFAULT_DEGREE_PERCENTILE
     distance_k: int | None = None
-    linearity_band: float = 0.8
-    compare_margin: float = 0.05
+    linearity_band: float = DEFAULT_LINEARITY_BAND
+    compare_margin: float = DEFAULT_COMPARE_MARGIN
     # reproducibility
     seed: int = 0
     use_auth_user: bool = True

@@ -35,7 +35,7 @@ from datetime import datetime
 
 from .errors import ComparabilityError, DomainError, ReportValidationError
 from .position import PositionProfile
-from .segmentation import TrendResult, SegmentLabel, GROWING, STABLE, LARGE, SMALL, QUADRANT_NAMES
+from .segmentation import SegmentLabel, GROWING, STABLE, LARGE, SMALL, QUADRANT_NAMES
 from .structure import OrganizationProfile
 from .usage import AnalysisPeriod, NavigationSummary
 
@@ -334,10 +334,10 @@ def position_section(profile: PositionProfile) -> dict:
     }
 
 
-def segmentation_section(trend: TrendResult, relative_size: float,
+def segmentation_section(relative_slope: float | None, relative_size: float,
                          label: SegmentLabel) -> dict:
     return {
-        "relative_slope": trend.relative_slope,
+        "relative_slope": relative_slope,
         "relative_size": relative_size,
         "dynamics": label.dynamics,
         "size": label.size,

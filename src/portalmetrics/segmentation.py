@@ -37,32 +37,10 @@ UNSEGMENTED = "unsegmented"
 
 
 @dataclass(frozen=True)
-class TrendResult:
-    """Least-squares slope of visits per bucket relative to their mean.
-
-    relative_slope = slope / mean visit count, so a value of 0.05 means
-    demand grows by 5% of its average level per bucket. None for an
-    all-zero series (indeterminate=True).
-    """
-
-    relative_slope: float | None
-
-    @property
-    def indeterminate(self) -> bool:
-        return self.relative_slope is None
-
-
-@dataclass(frozen=True)
 class Dynamics:
     label: str | None
     declining: bool
     indeterminate: bool
-
-
-@dataclass(frozen=True)
-class SizeClassification:
-    classes: dict
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -84,11 +62,13 @@ class SegmentLabel:
                 )
 
 
-def demand_trend(series: DemandSeries) -> TrendResult:
-    """Fit count = a + slope * bucket_index by ordinary least squares.
+def demand_trend(series: DemandSeries) -> float | None:
+    """The least-squares slope of visits per bucket relative to their mean.
 
-    Needs at least 2 buckets. An all-zero series has no level to measure
-    change against: its relative slope comes back None.
+    Fits count = a + slope * bucket_index by ordinary least squares and
+    returns slope / mean visit count, so 0.05 means demand grows by 5% of
+    its average level per bucket. Needs at least 2 buckets. An all-zero
+    series has no level to measure change against: it gives None.
     """
     counts = series.counts()
     if len(counts) < 2:
@@ -97,10 +77,9 @@ def demand_trend(series: DemandSeries) -> TrendResult:
         raise DomainError("visit counts cannot be negative")
     mean = statistics.fmean(counts)
     if mean == 0:
-        return TrendResult(relative_slope=None)
+        return None
     xs = list(range(len(counts)))
-    slope = statistics.linear_regression(xs, counts).slope
-    return TrendResult(relative_slope=slope / mean)
+    return statistics.linear_regression(xs, counts).slope / mean
 
 
 def dynamics_class(relative_slope: float | None,
@@ -136,8 +115,9 @@ def relative_size(portal_counts: dict, network_total: int) -> dict:
             for portal, count in portal_counts.items()}
 
 
-def size_class(ratios: dict) -> SizeClassification:
-    """Median split: Large at or above the network median, ties Large.
+def size_class(ratios: dict) -> tuple[dict, tuple[str, ...]]:
+    """(size class per portal, network flags) by a median split: Large at
+    or above the network median, ties Large.
 
     A single-portal network is Large by convention and flagged, since a
     median over one value says nothing.
@@ -149,7 +129,7 @@ def size_class(ratios: dict) -> SizeClassification:
     flags = (SINGLE_PORTAL_FLAG,) if len(values) == 1 else ()
     classes = {portal: (LARGE if ratio >= median else SMALL)
                for portal, ratio in ratios.items()}
-    return SizeClassification(classes=classes, flags=flags)
+    return classes, flags
 
 
 def segment(dynamics: Dynamics, size: str) -> SegmentLabel:

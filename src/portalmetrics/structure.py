@@ -107,18 +107,6 @@ class OrganizationProfile:
     flags: tuple[str, ...] = ()
 
 
-@dataclass
-class _DistanceSummary:
-    # Aggregates of one all-pairs pass; enough for all four metrics without
-    # materializing the full n x n matrix.
-    n: int
-    K: int
-    sum_converted: float
-    status: list[int]        # per node: sum of finite distances INTO it
-    contrastatus: list[int]  # per node: sum of finite distances OUT of it
-    root_distances: list[int]  # finite distances from root, -1 unreachable
-
-
 def build_site_graph(lines) -> tuple[SiteGraph, BuildTally]:
     """Build a normalized SiteGraph from the lines of a delimited
     (from, to) edge list.
@@ -220,16 +208,20 @@ def _check_conversion_constant(k: int, least: int, longest: int) -> None:
             f"{least} and at least the longest finite distance, {longest}")
 
 
-def _distance_summary(g: SiteGraph, K: int | None = None) -> _DistanceSummary:
-    """Distance aggregates of ``g`` in its canonical node order.
+def _distance_summary(g: SiteGraph, k: int
+                      ) -> tuple[float, list[int], list[int], list[int]]:
+    """Distance aggregates of ``g`` in its canonical node order, enough for
+    all four metrics without the n x n matrix: the sum of converted
+    distances with unreachable pairs at ``k``; per node, the sum of finite
+    distances into it (status) and out of it (contrastatus); and the
+    distance from the root to each node, -1 when unreachable.
 
     Status and root distances come from a sweep along the edges,
-    contrastatus from a second sweep against them. K defaults to n and
-    must be at least 2, the least K for which compactness has Max > Min.
+    contrastatus from a second sweep against them. k must be at least 2,
+    the least K for which compactness has Max > Min.
     """
     order, edges, root = _indexed(g)
     n = len(order)
-    k = n if K is None else K
     status = [0] * n
     root_distances = [-1] * n
     root_distances[root] = 0
@@ -248,13 +240,8 @@ def _distance_summary(g: SiteGraph, K: int | None = None) -> _DistanceSummary:
     for level, fresh in _sweep(n, [(b, a) for a, b in edges]):
         for v, targets in fresh.items():
             contrastatus[v] += level * targets.bit_count()
-    return _DistanceSummary(
-        n=n, K=k,
-        sum_converted=float(sum(status) + (n * n - reached) * k),
-        status=status,
-        contrastatus=contrastatus,
-        root_distances=root_distances,
-    )
+    return (float(sum(status) + (n * n - reached) * k), status, contrastatus,
+            root_distances)
 
 
 def converted_distances(g: SiteGraph, K: int | None = None) -> ConvertedDistanceMatrix:
@@ -316,16 +303,15 @@ def organization_profile(g: SiteGraph, K: int | None = None) -> OrganizationProf
             navigability=None, linearity=None,
             flags=(DEGENERATE_SINGLE_NODE,),
         )
-    summary = _distance_summary(g, K)
-    dists = summary.root_distances
+    k = g.n if K is None else K
+    sum_converted, status, contrastatus, dists = _distance_summary(g, k)
     # Excludes the root (0) and unreachable pages (-1).
     reach = [d for d in dists if d > 0]
     return OrganizationProfile(
         depth=sum(reach) / len(reach) if reach else 0.0,
         unreachable=dists.count(-1),
         density=len(g.edges) / (g.n * (g.n - 1)),
-        navigability=_navigability(summary.n, summary.K,
-                                   summary.sum_converted),
-        linearity=_linearity(summary.status, summary.contrastatus),
+        navigability=_navigability(g.n, k, sum_converted),
+        linearity=_linearity(status, contrastatus),
         flags=() if reach else (DEGENERATE_NO_REACHABLE,),
     )

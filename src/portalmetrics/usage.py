@@ -158,7 +158,6 @@ class DemandSeries:
     """Visit counts per bucket over one analysis period."""
 
     buckets: tuple[tuple[datetime, int], ...]
-    period: AnalysisPeriod
 
     @property
     def total(self) -> int:
@@ -172,41 +171,13 @@ class DemandSeries:
 class RecencyResult:
     """Mean time between visits by the same visitor within a period.
 
-    ``mean_between_visits`` is None (with defined=False) when no visitor
-    had two or more visits in the period; single-visit visitors are never
-    imputed, only counted.
+    ``mean_between_visits`` is None when no visitor had two or more visits
+    in the period; single-visit visitors are never imputed, only counted.
     """
 
     mean_between_visits: timedelta | None
     eligible_visitors: int
     single_visit_visitors: int
-
-    @property
-    def defined(self) -> bool:
-        return self.mean_between_visits is not None
-
-
-@dataclass(frozen=True)
-class AccessedContent:
-    """Accessed-content distributions over the period, by views and by
-    unique visitors."""
-
-    views_total: TopicDistribution
-    visitors_total: TopicDistribution
-    uncatalogued_views: int
-
-
-@dataclass(frozen=True)
-class NavigationMetrics:
-    """Complexity and linearity of one session's path graph.
-
-    Sessions visiting fewer than 2 distinct pages carry None metrics and
-    the degenerate flag; summaries skip them.
-    """
-
-    complexity: float | None
-    linearity: float | None
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -443,7 +414,7 @@ def overall_demand(sessions, period: AnalysisPeriod) -> DemandSeries:
         if idx is not None:
             counts[idx] += 1
     starts = period.bucket_starts()
-    return DemandSeries(buckets=tuple(zip(starts, counts)), period=period)
+    return DemandSeries(buckets=tuple(zip(starts, counts)))
 
 
 def recency(sessions, period: AnalysisPeriod) -> RecencyResult:
@@ -484,10 +455,11 @@ def activity_level(sessions) -> float:
 
 
 def accessed_distribution(sessions, records: list[ContentRecord],
-                          path_map: dict[str, str],
-                          period: AnalysisPeriod) -> AccessedContent:
+                          path_map: dict[str, str], period: AnalysisPeriod
+                          ) -> tuple[TopicDistribution, TopicDistribution, int]:
     """Accessed-topic distributions over the period, by views and by
-    unique visitors.
+    unique visitors, and the count of uncatalogued views:
+    ``(by_views, by_visitors, uncatalogued)``.
 
     Only views inside the period count. ``path_map`` joins request paths
     to catalog identifiers; views whose path or identifier has no catalog
@@ -525,12 +497,10 @@ def accessed_distribution(sessions, records: list[ContentRecord],
         raise DomainError(
             f"no page view joined the catalog ({uncatalogued} uncatalogued views)"
         )
-    return AccessedContent(
-        views_total=TopicDistribution.from_counts(total_views),
-        visitors_total=TopicDistribution.from_counts(
-            {label: len(visitors[label]) for label in total_views}),
-        uncatalogued_views=uncatalogued,
-    )
+    return (TopicDistribution.from_counts(total_views),
+            TopicDistribution.from_counts(
+                {label: len(visitors[label]) for label in total_views}),
+            uncatalogued)
 
 
 @lru_cache(maxsize=None)
@@ -571,12 +541,12 @@ def _metrics_for_shape(successors: tuple[int, ...]) -> tuple[float, float]:
             structure._linearity(status, contrastatus))
 
 
-def navigation_metrics(session: Session) -> NavigationMetrics:
-    """Complexity and linearity of one session.
+def navigation_metrics(session: Session) -> tuple[float, float] | None:
+    """(complexity, linearity) of one session, or None for a degenerate
+    session (fewer than 2 distinct pages).
 
     Complexity is the structure-module navigability of the session's path
-    graph; linearity is its stratum. Degenerate sessions (fewer than 2
-    distinct pages) carry None metrics.
+    graph; linearity is its stratum.
     """
     # Each view as its page's first-visit index; the shape key is each
     # page's successors as a bitmask over those indices.
@@ -584,15 +554,12 @@ def navigation_metrics(session: Session) -> NavigationMetrics:
     visits = [first.setdefault(p, len(first)) for _, p in session.views]
     n = len(first)
     if n < 2:
-        return NavigationMetrics(complexity=None, linearity=None,
-                                 degenerate=True)
+        return None
     successors = [0] * n
     for a, b in zip(visits, visits[1:]):
         if a != b:
             successors[a] |= 1 << b
-    complexity, linearity = _metrics_for_shape(tuple(successors))
-    return NavigationMetrics(complexity=complexity, linearity=linearity,
-                             degenerate=False)
+    return _metrics_for_shape(tuple(successors))
 
 
 def summarize_navigation(sessions,
@@ -610,11 +577,12 @@ def summarize_navigation(sessions,
     skipped = 0
     for session in sessions:
         metrics = navigation_metrics(session)
-        if metrics.degenerate:
+        if metrics is None:
             skipped += 1
             continue
-        complexities.append(metrics.complexity)
-        linearities.append(metrics.linearity)
+        complexity, linearity = metrics
+        complexities.append(complexity)
+        linearities.append(linearity)
     if not complexities:
         return NavigationSummary(
             complexity_mean=None, complexity_median=None,

@@ -208,23 +208,23 @@ class TestParseCatalog:
 class TestShannonDiversity:
     def test_single_topic_is_zero(self):
         dist = catalog.TopicDistribution.from_counts({"math": 10})
-        result = catalog.shannon_diversity(dist)
-        assert result.entropy_nats == 0.0
-        assert result.evenness == 0.0
+        entropy, evenness = catalog.shannon_diversity(dist)
+        assert entropy == 0.0
+        assert evenness == 0.0
 
     def test_uniform_four_topics(self):
         dist = catalog.TopicDistribution.from_counts(
             {"a": 5, "b": 5, "c": 5, "d": 5})
-        result = catalog.shannon_diversity(dist)
-        assert result.entropy_nats == pytest.approx(math.log(4), abs=1e-12)
-        assert result.evenness == pytest.approx(1.0, abs=1e-12)
+        entropy, evenness = catalog.shannon_diversity(dist)
+        assert entropy == pytest.approx(math.log(4), abs=1e-12)
+        assert evenness == pytest.approx(1.0, abs=1e-12)
 
     def test_eighty_twenty_split(self):
         dist = catalog.TopicDistribution.from_counts({"a": 8, "b": 2})
-        result = catalog.shannon_diversity(dist)
-        assert result.entropy_nats == pytest.approx(
+        entropy, _ = catalog.shannon_diversity(dist)
+        assert entropy == pytest.approx(
             -(0.8 * math.log(0.8) + 0.2 * math.log(0.2)), abs=1e-12)
-        assert result.entropy_nats == pytest.approx(0.500402, abs=1e-6)
+        assert entropy == pytest.approx(0.500402, abs=1e-6)
 
     def test_empty_distribution_rejected(self):
         dist = catalog.TopicDistribution.from_counts({})
@@ -239,13 +239,12 @@ class TestShannonDiversity:
         dist = catalog.TopicDistribution.from_counts(counts)
         scaled = catalog.TopicDistribution.from_counts(
             {t: c * k for t, c in counts.items()})
-        base = catalog.shannon_diversity(dist)
-        result = catalog.shannon_diversity(scaled)
-        assert result.entropy_nats == pytest.approx(base.entropy_nats, abs=1e-9)
-        assert 0.0 <= base.entropy_nats <= math.log(len(counts)) + 1e-12
-        assert 0.0 <= base.evenness <= 1.0 + 1e-12
-        assert base.entropy_nats == pytest.approx(
-            shannon(counts.values()), abs=1e-9)
+        base, evenness = catalog.shannon_diversity(dist)
+        result, _ = catalog.shannon_diversity(scaled)
+        assert result == pytest.approx(base, abs=1e-9)
+        assert 0.0 <= base <= math.log(len(counts)) + 1e-12
+        assert 0.0 <= evenness <= 1.0 + 1e-12
+        assert base == pytest.approx(shannon(counts.values()), abs=1e-9)
 
 
 class TestRichness:
@@ -292,15 +291,14 @@ class TestRichness:
 class TestAverageAge:
     def test_published_on_reference_is_zero(self):
         records = [_rec(published=REF)]
-        assert catalog.average_age(records, REF).mean_age_days == 0.0
+        assert catalog.average_age(records, REF) == 0.0
 
     def test_ten_and_twenty_days(self):
         records = [
             _rec(ident="r1", published=date(2026, 2, 19)),
             _rec(ident="r2", published=date(2026, 2, 9)),
         ]
-        result = catalog.average_age(records, REF)
-        assert result.mean_age_days == 15.0
+        assert catalog.average_age(records, REF) == 15.0
 
     def test_future_publication_rejected(self):
         records = [_rec(published=date(2026, 3, 2))]
@@ -321,9 +319,9 @@ class TestAverageAge:
                   for i, d in enumerate(ages_a)]
         part_b = [_rec(ident=f"b{i}", published=REF - timedelta(days=d))
                   for i, d in enumerate(ages_b)]
-        mean_a = catalog.average_age(part_a, REF).mean_age_days
-        mean_b = catalog.average_age(part_b, REF).mean_age_days
-        union = catalog.average_age(part_a + part_b, REF).mean_age_days
+        mean_a = catalog.average_age(part_a, REF)
+        mean_b = catalog.average_age(part_b, REF)
+        union = catalog.average_age(part_a + part_b, REF)
         assert min(mean_a, mean_b) - 1e-9 <= union <= max(mean_a, mean_b) + 1e-9
 
 
@@ -344,16 +342,14 @@ class TestOfferDistribution:
 class TestDemandOfferGap:
     def test_identical_distributions_no_flags(self):
         dist = catalog.TopicDistribution.from_counts({"a": 3, "b": 7})
-        result = catalog.demand_offer_gap(dist, dist)
-        assert result.high_demand_low_offer == ()
-        assert result.high_offer_low_demand == ()
+        assert catalog.demand_offer_gap(dist, dist) == ((), ())
 
     def test_inverted_shares_flag_both_sides(self):
         offer = catalog.TopicDistribution.from_counts({"a": 9, "b": 1})
         demand = catalog.TopicDistribution.from_counts({"a": 1, "b": 9})
-        result = catalog.demand_offer_gap(offer, demand)
-        assert result.high_demand_low_offer == ("b",)
-        assert result.high_offer_low_demand == ("a",)
+        high_demand, high_offer = catalog.demand_offer_gap(offer, demand)
+        assert high_demand == ("b",)
+        assert high_offer == ("a",)
 
     def test_zero_total_rejected(self):
         offer = catalog.TopicDistribution.from_counts({"a": 9})
@@ -364,9 +360,8 @@ class TestDemandOfferGap:
     def test_gap_equal_to_threshold_not_flagged(self):
         offer = catalog.TopicDistribution.from_counts({"a": 5, "b": 5})
         demand = catalog.TopicDistribution.from_counts({"a": 6, "b": 4})
-        result = catalog.demand_offer_gap(offer, demand, threshold=0.10)
-        assert result.high_demand_low_offer == ()
-        assert result.high_offer_low_demand == ()
+        assert catalog.demand_offer_gap(offer, demand,
+                                        threshold=0.10) == ((), ())
 
     @given(st.dictionaries(st.sampled_from("abcdef"),
                            st.integers(min_value=0, max_value=50)),
@@ -379,13 +374,13 @@ class TestDemandOfferGap:
             with pytest.raises(DomainError):
                 catalog.demand_offer_gap(offer, demand)
             return
-        result = catalog.demand_offer_gap(offer, demand)
+        high_demand, high_offer = catalog.demand_offer_gap(offer, demand)
         gaps = {label: demand_counts.get(label, 0) / demand.total
                 - offer_counts.get(label, 0) / offer.total
                 for label in sorted(set(offer_counts) | set(demand_counts))}
-        assert result.high_demand_low_offer == tuple(
+        assert high_demand == tuple(
             label for label, gap in gaps.items() if gap > 0.10)
-        assert result.high_offer_low_demand == tuple(
+        assert high_offer == tuple(
             label for label, gap in gaps.items() if gap < -0.10)
 
 

@@ -241,8 +241,7 @@ class TestSensitivityGuard:
     def test_diagnostics_hold_the_raw_numbers_instead(self):
         from portalmetrics.usage import DemandSeries, RecencyResult
         starts = PERIOD.bucket_starts()
-        demand = DemandSeries(buckets=tuple(zip(starts, [10, 20, 30])),
-                              period=PERIOD)
+        demand = DemandSeries(buckets=tuple(zip(starts, [10, 20, 30])))
         rec = RecencyResult(mean_between_visits=timedelta(days=2),
                             eligible_visitors=4, single_visit_visitors=1)
         diag = report.build_diagnostics(

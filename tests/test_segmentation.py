@@ -17,7 +17,7 @@ def _series(counts):
     period = usage.AnalysisPeriod(start=T0,
                                   end=T0 + timedelta(days=len(counts)))
     starts = period.bucket_starts()
-    return usage.DemandSeries(buckets=tuple(zip(starts, counts)), period=period)
+    return usage.DemandSeries(buckets=tuple(zip(starts, counts)))
 
 
 def _oracle_relative_slope(counts):
@@ -26,28 +26,26 @@ def _oracle_relative_slope(counts):
 
 class TestDemandTrend:
     def test_flat_series_zero_slope(self):
-        result = segmentation.demand_trend(_series([10, 10, 10]))
-        assert result.relative_slope == 0.0
-        assert not result.indeterminate
+        assert segmentation.demand_trend(_series([10, 10, 10])) == 0.0
 
     def test_linear_growth(self):
         result = segmentation.demand_trend(_series([10, 20, 30]))
         # slope 10 over a mean of 20
-        assert result.relative_slope == pytest.approx(0.5, abs=1e-9)
-        assert result.relative_slope == pytest.approx(
+        assert result == pytest.approx(0.5, abs=1e-9)
+        assert result == pytest.approx(
             _oracle_relative_slope([10, 20, 30]), abs=1e-12)
 
     def test_against_closed_form_oracle(self):
         counts = [5, 9, 6, 12, 10]
         result = segmentation.demand_trend(_series(counts))
-        assert result.relative_slope == pytest.approx(
+        assert result == pytest.approx(
             _oracle_relative_slope(counts), abs=1e-12)
 
     def test_declining_series(self):
         result = segmentation.demand_trend(_series([30, 20, 10]))
         # slope -10 over a mean of 20
-        assert result.relative_slope == pytest.approx(-0.5)
-        assert result.relative_slope == pytest.approx(
+        assert result == pytest.approx(-0.5)
+        assert result == pytest.approx(
             _oracle_relative_slope([30, 20, 10]), abs=1e-12)
 
     def test_needs_two_buckets(self):
@@ -59,9 +57,7 @@ class TestDemandTrend:
             segmentation.demand_trend(_series([5, -1, 5]))
 
     def test_all_zero_is_indeterminate(self):
-        result = segmentation.demand_trend(_series([0, 0, 0]))
-        assert result.relative_slope is None
-        assert result.indeterminate
+        assert segmentation.demand_trend(_series([0, 0, 0])) is None
 
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=2,
                     max_size=30).filter(lambda c: sum(c) > 0),
@@ -69,9 +65,8 @@ class TestDemandTrend:
     def test_relative_slope_scale_invariant(self, counts, k):
         base = segmentation.demand_trend(_series(counts))
         scaled = segmentation.demand_trend(_series([c * k for c in counts]))
-        assert scaled.relative_slope == pytest.approx(base.relative_slope,
-                                                      abs=1e-9)
-        assert base.relative_slope == pytest.approx(
+        assert scaled == pytest.approx(base, abs=1e-9)
+        assert base == pytest.approx(
             _oracle_relative_slope(counts), abs=1e-9)
 
 
@@ -131,25 +126,24 @@ class TestRelativeSize:
 
 class TestSizeClass:
     def test_median_split(self):
-        result = segmentation.size_class({"a": 0.25, "b": 0.75})
-        assert result.classes == {"a": segmentation.SMALL,
-                                  "b": segmentation.LARGE}
+        classes, _ = segmentation.size_class({"a": 0.25, "b": 0.75})
+        assert classes == {"a": segmentation.SMALL, "b": segmentation.LARGE}
 
     def test_ties_go_large(self):
-        result = segmentation.size_class({"a": 0.5, "b": 0.5})
-        assert result.classes["a"] == segmentation.LARGE
-        assert result.classes["b"] == segmentation.LARGE
+        classes, _ = segmentation.size_class({"a": 0.5, "b": 0.5})
+        assert classes["a"] == segmentation.LARGE
+        assert classes["b"] == segmentation.LARGE
 
     def test_three_portals(self):
-        result = segmentation.size_class({"a": 0.1, "b": 0.2, "c": 0.7})
-        assert result.classes == {"a": segmentation.SMALL,
-                                  "b": segmentation.LARGE,
-                                  "c": segmentation.LARGE}
+        classes, _ = segmentation.size_class({"a": 0.1, "b": 0.2, "c": 0.7})
+        assert classes == {"a": segmentation.SMALL,
+                           "b": segmentation.LARGE,
+                           "c": segmentation.LARGE}
 
     def test_single_portal_large_with_flag(self):
-        result = segmentation.size_class({"solo": 1.0})
-        assert result.classes["solo"] == segmentation.LARGE
-        assert segmentation.SINGLE_PORTAL_FLAG in result.flags
+        classes, flags = segmentation.size_class({"solo": 1.0})
+        assert classes["solo"] == segmentation.LARGE
+        assert segmentation.SINGLE_PORTAL_FLAG in flags
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -161,17 +155,17 @@ class TestSizeClass:
                            min_size=1, max_size=9),
            st.floats(min_value=0.1, max_value=10.0))
     def test_classification_scale_invariant(self, ratios, scale):
-        base = segmentation.size_class(ratios)
-        scaled = segmentation.size_class(
+        base, _ = segmentation.size_class(ratios)
+        scaled, _ = segmentation.size_class(
             {p: r * scale for p, r in ratios.items()})
-        assert scaled.classes == base.classes
+        assert scaled == base
 
     @given(st.dictionaries(st.text(min_size=1, max_size=3),
                            st.floats(min_value=0.0, max_value=1.0),
                            min_size=2, max_size=9))
     def test_at_least_one_large(self, ratios):
-        result = segmentation.size_class(ratios)
-        assert segmentation.LARGE in result.classes.values()
+        classes, _ = segmentation.size_class(ratios)
+        assert segmentation.LARGE in classes.values()
 
 
 class TestSegment:
@@ -214,10 +208,10 @@ class TestSegment:
 
 class TestEndToEnd:
     def test_planted_growth_pipeline(self):
-        trend = segmentation.demand_trend(_series([10, 20, 30]))
-        dynamics = segmentation.dynamics_class(trend.relative_slope)
+        slope = segmentation.demand_trend(_series([10, 20, 30]))
+        dynamics = segmentation.dynamics_class(slope)
         shares = segmentation.relative_size({"p": 40, "q": 40},
                                             network_total=80)
-        sizes = segmentation.size_class(shares)
-        label = segmentation.segment(dynamics, sizes.classes["p"])
+        classes, _ = segmentation.size_class(shares)
+        label = segmentation.segment(dynamics, classes["p"])
         assert label.quadrant == "Growing portals with large relative size"

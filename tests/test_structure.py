@@ -257,12 +257,12 @@ def _assert_summary_matches_oracle(g) -> None:
     order, edges = indexed_edges(g)
     d = matrix_power_distances(len(order), edges)
     finite = np.where(d < 0, 0, d)
-    summary = structure._distance_summary(g)
-    assert summary.n == summary.K == g.n
-    assert summary.sum_converted == float(np.where(d < 0, g.n, d).sum())
-    assert summary.status == finite.sum(axis=0).tolist()
-    assert summary.contrastatus == finite.sum(axis=1).tolist()
-    assert summary.root_distances == d[order.index(g.root)].tolist()
+    sum_converted, status, contrastatus, root_distances = \
+        structure._distance_summary(g, g.n)
+    assert sum_converted == float(np.where(d < 0, g.n, d).sum())
+    assert status == finite.sum(axis=0).tolist()
+    assert contrastatus == finite.sum(axis=1).tolist()
+    assert root_distances == d[order.index(g.root)].tolist()
 
 
 class TestOracleAgreement:

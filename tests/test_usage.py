@@ -719,7 +719,6 @@ class TestRecency:
         sessions = [_session(["/a"], visitor="user:a", start=0)]
         result = usage.recency(sessions, self.PERIOD)
         assert result.mean_between_visits is None
-        assert not result.defined
 
     def test_sessions_outside_period_excluded(self):
         day = 86_400
@@ -776,12 +775,12 @@ class TestAccessedDistribution:
             _session(["/a", "/a", "/b"], visitor="user:x"),
             _session(["/a"], visitor="user:y"),
         ]
-        result = usage.accessed_distribution(
+        by_views, by_visitors, uncatalogued = usage.accessed_distribution(
             sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
-        assert result.views_total.counts == {"algebra": 3, "biology": 1}
+        assert by_views.counts == {"algebra": 3, "biology": 1}
         # user:x viewed /a twice but counts once per topic
-        assert result.visitors_total.counts == {"algebra": 2, "biology": 1}
-        assert result.uncatalogued_views == 0
+        assert by_visitors.counts == {"algebra": 2, "biology": 1}
+        assert uncatalogued == 0
 
     def test_visitor_counts_once_in_total_across_buckets(self):
         sessions = [
@@ -789,9 +788,9 @@ class TestAccessedDistribution:
             _session(["/a"], visitor="user:x", start=86_400 + 10),
             _session(["/a"], visitor="user:y", start=86_400 + 20),
         ]
-        result = usage.accessed_distribution(
+        _, by_visitors, _ = usage.accessed_distribution(
             sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
-        assert result.visitors_total.counts == {"algebra": 2, "biology": 1}
+        assert by_visitors.counts == {"algebra": 2, "biology": 1}
 
     def test_unsorted_views_across_a_bucket_edge(self):
         # The last bucket is cut short by the period's end at 36 h.
@@ -804,9 +803,9 @@ class TestAccessedDistribution:
                  (T0_S + 24 * hour - 1, "/a"),
                  (T0_S - 1, "/b"))              # before the start
         sessions = [usage.Session(visitor_key="user:x", views=views)]
-        result = usage.accessed_distribution(
+        by_views, _, _ = usage.accessed_distribution(
             sessions, self.RECORDS, self.PATH_MAP, period)
-        assert result.views_total.counts == {"algebra": 3, "biology": 1}
+        assert by_views.counts == {"algebra": 3, "biology": 1}
 
     @pytest.mark.parametrize("start_us,end_us", [
         (0, 600_000_000), (250_000, 600_000_000), (0, 600_750_000),
@@ -828,22 +827,22 @@ class TestAccessedDistribution:
                     usage.accessed_distribution(sessions, self.RECORDS,
                                                 self.PATH_MAP, period)
             else:
-                result = usage.accessed_distribution(
+                by_views, _, _ = usage.accessed_distribution(
                     sessions, self.RECORDS, self.PATH_MAP, period)
-                assert result.views_total.counts == {"algebra": 1}
+                assert by_views.counts == {"algebra": 1}
 
     def test_unmapped_views_tallied(self):
         sessions = [_session(["/a", "/nope"], visitor="user:x")]
-        result = usage.accessed_distribution(
+        _, _, uncatalogued = usage.accessed_distribution(
             sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
-        assert result.uncatalogued_views == 1
+        assert uncatalogued == 1
 
     def test_mapped_but_uncatalogued_identifier_tallied(self):
         sessions = [_session(["/a", "/ghost"], visitor="user:x")]
         path_map = dict(self.PATH_MAP, **{"/ghost": "no-such-id"})
-        result = usage.accessed_distribution(
+        _, _, uncatalogued = usage.accessed_distribution(
             sessions, self.RECORDS, path_map, self.PERIOD)
-        assert result.uncatalogued_views == 1
+        assert uncatalogued == 1
 
     def test_zero_joins_rejected(self):
         sessions = [_session(["/zzz"], visitor="user:x")]
@@ -855,33 +854,30 @@ class TestAccessedDistribution:
 class TestNavigationMetrics:
     def test_chain_session(self):
         metrics = usage.navigation_metrics(_session(["/a", "/b", "/c"]))
-        assert not metrics.degenerate
+        assert metrics is not None
+        complexity, linearity = metrics
         # 3-node directed chain: compactness 5/12, stratum 1
-        assert metrics.complexity == pytest.approx(5 / 12, abs=1e-12)
-        assert metrics.linearity == pytest.approx(1.0, abs=1e-12)
+        assert complexity == pytest.approx(5 / 12, abs=1e-12)
+        assert linearity == pytest.approx(1.0, abs=1e-12)
 
     def test_reloads_do_not_create_self_loops(self):
         plain = usage.navigation_metrics(_session(["/a", "/b", "/c"]))
         reloaded = usage.navigation_metrics(
             _session(["/a", "/a", "/b", "/b", "/c"]))
-        assert reloaded.complexity == plain.complexity
-        assert reloaded.linearity == plain.linearity
+        assert reloaded == plain
 
     def test_single_page_session_degenerate(self):
-        metrics = usage.navigation_metrics(_session(["/a", "/a", "/a"]))
-        assert metrics.degenerate
-        assert metrics.complexity is None
-        assert metrics.linearity is None
+        assert usage.navigation_metrics(_session(["/a", "/a", "/a"])) is None
 
     def test_back_and_forth_is_symmetric(self):
-        metrics = usage.navigation_metrics(_session(["/a", "/b", "/a", "/b"]))
-        assert metrics.linearity == pytest.approx(0.0, abs=1e-12)
+        _, linearity = usage.navigation_metrics(
+            _session(["/a", "/b", "/a", "/b"]))
+        assert linearity == pytest.approx(0.0, abs=1e-12)
 
     def test_metrics_depend_only_on_shape(self):
         a = usage.navigation_metrics(_session(["/x", "/y", "/z"]))
         b = usage.navigation_metrics(_session(["/q1", "/q2", "/q3"]))
-        assert a.complexity == b.complexity
-        assert a.linearity == b.linearity
+        assert a == b
 
     @given(st.lists(st.sampled_from(["/a", "/b", "/c", "/d", "/e", "/f"]),
                     min_size=2, max_size=16))
@@ -891,12 +887,12 @@ class TestNavigationMetrics:
         metrics = usage.navigation_metrics(session)
         graph = session_path_graph(session)
         if graph is None:
-            assert metrics.degenerate
+            assert metrics is None
             return
-        assert metrics.complexity == pytest.approx(oracle_compactness(graph),
-                                                   abs=1e-12)
-        assert metrics.linearity == pytest.approx(oracle_stratum(graph),
-                                                  abs=1e-12)
+        complexity, linearity = metrics
+        assert complexity == pytest.approx(oracle_compactness(graph),
+                                           abs=1e-12)
+        assert linearity == pytest.approx(oracle_stratum(graph), abs=1e-12)
 
     @given(_successor_masks())
     @settings(max_examples=150, deadline=None)
