@@ -176,7 +176,8 @@ def cmd_catalog(cfg: RunConfig) -> int:
 
 def cmd_structure(cfg: RunConfig) -> int:
     graph, tally = _load_site_graph(cfg)
-    profile = structure_mod.organization_profile(graph, K=cfg.distance_k)
+    organization = structure_mod.organization_profile(graph, K=cfg.distance_k)
+    organization["navigation"] = None
     _emit({
         "kind": "organization-profile",
         "portal_id": cfg.portal_id,
@@ -184,19 +185,20 @@ def cmd_structure(cfg: RunConfig) -> int:
         "links": len(graph.edges),
         "self_loops_dropped": tally.self_loops_dropped,
         "parallel_links_collapsed": tally.parallel_edges_collapsed,
-        "organization": report_mod.organization_section(profile),
+        "organization": organization,
     })
     return 0
 
 
 def _write_diagnostics(cfg: RunConfig, period, sessions, tallies, demand,
-                       navigation) -> dict:
+                       navigation_sessions) -> dict:
     """Build the local diagnostics, write them and say so on stderr."""
     diagnostics = report_mod.build_diagnostics(
         cfg.portal_id, period, demand=demand,
         recency_result=usage_mod.recency(sessions, period),
         activity=usage_mod.activity_level(sessions) if sessions else None,
-        session_count=len(sessions), navigation=navigation, tallies=tallies,
+        session_count=len(sessions), navigation_sessions=navigation_sessions,
+        tallies=tallies,
     )
     path = _write_output(cfg, f"{cfg.portal_id}.diagnostics.json",
                          report_mod.canonical_json(diagnostics))
@@ -208,10 +210,11 @@ def _write_diagnostics(cfg: RunConfig, period, sessions, tallies, demand,
 def cmd_usage(cfg: RunConfig) -> int:
     period = cfg.period()
     sessions, tallies = _load_sessions(cfg)
+    _navigation, measured, skipped = usage_mod.summarize_navigation(
+        sessions, cfg.linearity_band)
     _emit(_write_diagnostics(
         cfg, period, sessions, tallies,
-        usage_mod.overall_demand(sessions, period),
-        usage_mod.summarize_navigation(sessions, cfg.linearity_band)))
+        usage_mod.overall_demand(sessions, period), (measured, skipped)))
     return 0
 
 
@@ -224,13 +227,13 @@ def _position_profile(cfg: RunConfig):
         graph, tally = position_mod.build_cross_site_graph(lines, site_map)
     site = _require(cfg, "site")
     communities = position_mod.detect_communities(graph, seed=cfg.seed)
-    profile = position_mod.position_profile(graph, site, communities,
+    section = position_mod.position_profile(graph, site, communities,
                                             cfg.position_thresholds())
-    return profile, communities, graph, tally
+    return section, communities, graph, tally
 
 
 def cmd_position(cfg: RunConfig) -> int:
-    profile, communities, graph, tally = _position_profile(cfg)
+    section, communities, graph, tally = _position_profile(cfg)
     _emit({
         "kind": "position-profile",
         "portal_id": cfg.portal_id,
@@ -243,7 +246,7 @@ def cmd_position(cfg: RunConfig) -> int:
         "intra_site_dropped": tally.intra_site_dropped,
         "domain_fallbacks": tally.domain_fallbacks,
         "malformed_lines": tally.malformed_lines,
-        "position": report_mod.position_section(profile),
+        "position": section,
     })
     return 0
 
@@ -275,16 +278,15 @@ def _segmentation_parts(cfg: RunConfig, demand, parsed=None):
     """The portal's segmentation section, plus the size class of every
     portal in the network and the network's flags."""
     slope = segmentation_mod.demand_trend(demand)
-    dynamics = segmentation_mod.dynamics_class(slope, cfg.growth_threshold)
     ratios, classes, network_flags = _network_sizes(cfg, parsed)
     if cfg.portal_id not in ratios:
         raise ConfigError(
             f"portal {cfg.portal_id!r} does not appear in the network "
             "catalogs; cannot compute its relative size"
         )
-    label = segmentation_mod.segment(dynamics, classes[cfg.portal_id])
-    section = report_mod.segmentation_section(slope, ratios[cfg.portal_id],
-                                              label)
+    section = segmentation_mod.segment(slope, ratios[cfg.portal_id],
+                                       classes[cfg.portal_id],
+                                       cfg.growth_threshold)
     return section, classes, network_flags
 
 
@@ -309,7 +311,7 @@ def cmd_report(cfg: RunConfig) -> int:
     provision = organization = position = segmentation = None
     sessions = parsed = None
     tallies: dict = {}
-    navigation = demand = None
+    navigation_sessions = demand = None
 
     if cfg.logs:
         sessions, tallies = _load_sessions(cfg)
@@ -324,16 +326,18 @@ def cmd_report(cfg: RunConfig) -> int:
 
     if cfg.edges is not None:
         graph, _tally = _load_site_graph(cfg)
-        profile = structure_mod.organization_profile(graph, K=cfg.distance_k)
+        organization = structure_mod.organization_profile(graph,
+                                                          K=cfg.distance_k)
+        organization["navigation"] = None
         if sessions is not None:
-            navigation = usage_mod.summarize_navigation(sessions,
-                                                        cfg.linearity_band)
-        organization = report_mod.organization_section(profile, navigation)
+            navigation, measured, skipped = usage_mod.summarize_navigation(
+                sessions, cfg.linearity_band)
+            organization["navigation"] = navigation
+            navigation_sessions = (measured, skipped)
 
     communities = None
     if cfg.cross_links is not None and cfg.site is not None:
-        profile, communities, _graph, _cross_tally = _position_profile(cfg)
-        position = report_mod.position_section(profile)
+        position, communities, _graph, _cross_tally = _position_profile(cfg)
 
     if sessions is not None and cfg.network_catalogs:
         segmentation, _classes, _flags = _segmentation_parts(cfg, demand,
@@ -346,18 +350,19 @@ def cmd_report(cfg: RunConfig) -> int:
         algorithms["community"] = communities.algorithm
         algorithms["community_seed"] = communities.seed
 
-    portal_report = report_mod.assemble_report(
+    document = report_mod.assemble_report(
         cfg.portal_id, period,
         provision=provision, organization=organization,
         position=position, segmentation=segmentation,
         thresholds=cfg.thresholds_metadata(),
         algorithms=algorithms, flags=sorted(set(flags)),
     )
-    data = report_mod.serialize(portal_report)
+    data = report_mod.serialize(document)
     path = _write_output(cfg, f"{cfg.portal_id}.report.json", data)
 
     if sessions is not None:
-        _write_diagnostics(cfg, period, sessions, tallies, demand, navigation)
+        _write_diagnostics(cfg, period, sessions, tallies, demand,
+                           navigation_sessions)
     sys.stdout.write(data.decode("utf-8"))
     sys.stderr.write(f"report written to {path}\n")
     return 0

@@ -90,31 +90,17 @@ class PositionThresholds:
     hub_percentile: float = DEFAULT_DEGREE_PERCENTILE
 
 
-@dataclass(frozen=True)
-class PositionProfile:
-    """A site's degree standing, community adjacency, and role flags."""
-
-    site: str
-    in_degree: int
-    out_degree: int
-    weighted_in_degree: int
-    weighted_out_degree: int
-    degree: int
-    adjacent_communities: int
-    bridge_score: float | None
-    authority: bool
-    hub: bool
-    bridge: bool
-    flags: tuple[str, ...] = ()
-
-
 def registrable_domain(url: str) -> str | None:
     """Two-label host suffix, the fallback site grouping for unmapped URLs.
 
     A heuristic: country-code second-level registries (example.co.uk)
     collapse one label too many. Pass an explicit site map to override.
+    None when the URL has no host that can be read.
     """
-    parsed = urlparse(url if "//" in url else "//" + url)
+    try:
+        parsed = urlparse(url if "//" in url else "//" + url)
+    except ValueError:  # an unbalanced "[" or "]", as in "http://[::1/x"
+        return None
     host = (parsed.hostname or "").strip(".").lower()
     if not host:
         return None
@@ -291,9 +277,9 @@ def _percentile_cut(values: list[int], percentile: float) -> float:
 def position_profile(g: CrossSiteGraph, site: str,
                      communities: CommunityAssignment,
                      thresholds: PositionThresholds = PositionThresholds()
-                     ) -> PositionProfile:
+                     ) -> dict:
     """All position measures for one site, with role flags: the one entry
-    point to them.
+    point to them. Returns the report's position section.
 
     Degrees count distinct sites linking in and linked to; weighted
     degrees count page links. adjacent_communities counts distinct labels
@@ -316,7 +302,7 @@ def position_profile(g: CrossSiteGraph, site: str,
     in_degree, weighted_in, out_degree, weighted_out = degrees[site]
     degree = in_degree + out_degree
     adjacent, score, is_bridge = 0, None, False
-    flags: tuple[str, ...] = (ISOLATED_SITE_FLAG,)
+    flags = [ISOLATED_SITE_FLAG]
     if linked:
         adjacent = len({communities.labels[other] for other in linked})
         score = adjacent / len(linked)
@@ -324,22 +310,22 @@ def position_profile(g: CrossSiteGraph, site: str,
         is_bridge = (adjacent >= thresholds.bridge_min_communities
                      and score >= thresholds.bridge_score_threshold
                      and degree <= median_degree)
-        flags = (SINGLE_COMMUNITY_FLAG,) if communities.community_count < 2 else ()
+        flags = [SINGLE_COMMUNITY_FLAG] if communities.community_count < 2 else []
     authority_cut = _percentile_cut([c[0] for c in degrees.values()],
                                     thresholds.authority_percentile)
     hub_cut = _percentile_cut([c[2] for c in degrees.values()],
                               thresholds.hub_percentile)
-    return PositionProfile(
-        site=site,
-        in_degree=in_degree,
-        out_degree=out_degree,
-        weighted_in_degree=weighted_in,
-        weighted_out_degree=weighted_out,
-        degree=degree,
-        adjacent_communities=adjacent,
-        bridge_score=score,
-        authority=in_degree > 0 and in_degree >= authority_cut,
-        hub=out_degree > 0 and out_degree >= hub_cut,
-        bridge=is_bridge,
-        flags=flags,
-    )
+    return {
+        "site": site,
+        "in_degree": in_degree,
+        "out_degree": out_degree,
+        "weighted_in_degree": weighted_in,
+        "weighted_out_degree": weighted_out,
+        "degree": degree,
+        "adjacent_communities": adjacent,
+        "bridge_score": score,
+        "authority": in_degree > 0 and in_degree >= authority_cut,
+        "hub": out_degree > 0 and out_degree >= hub_cut,
+        "bridge": is_bridge,
+        "flags": flags,
+    }

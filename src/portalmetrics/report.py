@@ -30,14 +30,12 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime
 
 from .errors import ComparabilityError, DomainError, ReportValidationError
-from .position import PositionProfile
-from .segmentation import SegmentLabel, GROWING, STABLE, LARGE, SMALL, QUADRANT_NAMES
-from .structure import OrganizationProfile
-from .usage import AnalysisPeriod, NavigationSummary
+from .segmentation import GROWING, STABLE, LARGE, SMALL, QUADRANT_NAMES
+from .usage import AnalysisPeriod
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = "1"
@@ -140,26 +138,6 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class PortalReport:
-    """One portal's shareable metric bundle; sections are plain dicts so
-    the in-memory form and the JSON form coincide."""
-
-    schema_version: str
-    portal_id: str
-    period: dict
-    provision: dict | None
-    organization: dict | None
-    position: dict | None
-    segmentation: dict | None
-    metadata: dict
-
-    def section(self, name: str) -> dict | None:
-        if name not in _SECTION_NAMES:
-            raise DomainError(f"unknown report section {name!r}")
-        return getattr(self, name)
-
-
 def canonical_json(document) -> bytes:
     """Canonical byte encoding: sorted keys, no spaces, UTF-8, newline."""
     try:
@@ -260,9 +238,9 @@ def validate_document(document) -> None:
         )
 
 
-def serialize(report: PortalReport) -> bytes:
-    """Canonical bytes of a report; validates against the schema first."""
-    document = asdict(report)
+def serialize(document: dict) -> bytes:
+    """Canonical bytes of a report document; validates it against the
+    schema first."""
     validate_document(document)
     return canonical_json(document)
 
@@ -272,8 +250,9 @@ def _reject_constant(name: str):
                                 "number")
 
 
-def deserialize(data) -> PortalReport:
-    """Parse and validate canonical report bytes back into a PortalReport."""
+def deserialize(data) -> dict:
+    """Parse and validate canonical report bytes back into a report
+    document."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -283,7 +262,7 @@ def deserialize(data) -> PortalReport:
     if not isinstance(document, dict):
         raise ReportValidationError("report document must be a JSON object")
     validate_document(document)
-    return PortalReport(**document)
+    return document
 
 
 def period_section(period: AnalysisPeriod) -> dict:
@@ -294,58 +273,6 @@ def period_section(period: AnalysisPeriod) -> dict:
     }
 
 
-def organization_section(profile: OrganizationProfile,
-                         navigation: NavigationSummary | None = None) -> dict:
-    nav = None
-    if navigation is not None:
-        nav = {
-            "complexity_mean": navigation.complexity_mean,
-            "complexity_median": navigation.complexity_median,
-            "linearity_mean": navigation.linearity_mean,
-            "linearity_median": navigation.linearity_median,
-            "high_linearity_share": navigation.high_linearity_share,
-            "linearity_band": navigation.linearity_band,
-        }
-    return {
-        "depth": profile.depth,
-        "unreachable_pages": profile.unreachable,
-        "density": profile.density,
-        "navigability": profile.navigability,
-        "linearity": profile.linearity,
-        "navigation": nav,
-        "flags": list(profile.flags),
-    }
-
-
-def position_section(profile: PositionProfile) -> dict:
-    return {
-        "site": profile.site,
-        "in_degree": profile.in_degree,
-        "out_degree": profile.out_degree,
-        "weighted_in_degree": profile.weighted_in_degree,
-        "weighted_out_degree": profile.weighted_out_degree,
-        "degree": profile.degree,
-        "adjacent_communities": profile.adjacent_communities,
-        "bridge_score": profile.bridge_score,
-        "authority": profile.authority,
-        "hub": profile.hub,
-        "bridge": profile.bridge,
-        "flags": list(profile.flags),
-    }
-
-
-def segmentation_section(relative_slope: float | None, relative_size: float,
-                         label: SegmentLabel) -> dict:
-    return {
-        "relative_slope": relative_slope,
-        "relative_size": relative_size,
-        "dynamics": label.dynamics,
-        "size": label.size,
-        "quadrant": label.quadrant,
-        "annotations": list(label.annotations),
-    }
-
-
 def assemble_report(portal_id: str, period: AnalysisPeriod, *,
                     provision: dict | None = None,
                     organization: dict | None = None,
@@ -353,8 +280,8 @@ def assemble_report(portal_id: str, period: AnalysisPeriod, *,
                     segmentation: dict | None = None,
                     thresholds: dict | None = None,
                     algorithms: dict | None = None,
-                    flags=()) -> PortalReport:
-    """Bundle section dicts into a report.
+                    flags=()) -> dict:
+    """Bundle section dicts into a report document.
 
     Sections may be absent; their names land in metadata.missing_sections.
     At least one section must be present. Thresholds and algorithm choices
@@ -367,42 +294,40 @@ def assemble_report(portal_id: str, period: AnalysisPeriod, *,
     if len(missing) == len(_SECTION_NAMES):
         raise DomainError("refusing to assemble an empty report: "
                           "no module produced output")
-    return PortalReport(
-        schema_version=SCHEMA_VERSION,
-        portal_id=portal_id,
-        period=period_section(period),
-        provision=provision,
-        organization=organization,
-        position=position,
-        segmentation=segmentation,
-        metadata={
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "portal_id": portal_id,
+        "period": period_section(period),
+        **sections,
+        "metadata": {
             "tool_version": TOOL_VERSION,
             "thresholds": dict(thresholds or {}),
             "algorithms": dict(algorithms or {}),
             "flags": list(flags),
             "missing_sections": missing,
         },
-    )
+    }
 
 
 def build_diagnostics(portal_id: str, period: AnalysisPeriod, *,
                       demand, recency_result, session_count, tallies,
-                      activity=None, navigation=None) -> dict:
+                      activity=None, navigation_sessions=None) -> dict:
     """Local-only companion document holding the sensitive raw numbers.
 
     This is the file that stays on the portal operator's machine: visit
-    counts per bucket, recency, views per session. Never ship it; the
-    shareable report schema rejects these fields by construction.
+    counts per bucket, recency, views per session, and the
+    ``(measured, skipped)`` session counts behind the navigation section.
+    Never ship it; the shareable report schema rejects these fields by
+    construction.
     """
     seconds = None
     if recency_result.mean_between_visits is not None:
         seconds = recency_result.mean_between_visits.total_seconds()
     navigation_block = None
-    if navigation is not None:
-        navigation_block = {
-            "sessions_measured": navigation.sessions_measured,
-            "sessions_skipped": navigation.sessions_skipped,
-        }
+    if navigation_sessions is not None:
+        measured, skipped = navigation_sessions
+        navigation_block = {"sessions_measured": measured,
+                            "sessions_skipped": skipped}
     return {
         "kind": "local-diagnostics",
         "portal_id": portal_id,
@@ -499,35 +424,33 @@ def _parse_period(section: dict) -> tuple[datetime, datetime]:
             datetime.fromisoformat(section["end"]))
 
 
-def _guard_group(quadrant: str, reports: list[PortalReport]) -> None:
+def _guard_group(quadrant: str, reports: list[dict]) -> None:
     first = reports[0]
     for other in reports[1:]:
-        if other.metadata["thresholds"] != first.metadata["thresholds"]:
-            differing = sorted(
-                k for k in set(first.metadata["thresholds"])
-                | set(other.metadata["thresholds"])
-                if first.metadata["thresholds"].get(k)
-                != other.metadata["thresholds"].get(k)
-            )
+        ours = first["metadata"]["thresholds"]
+        theirs = other["metadata"]["thresholds"]
+        if theirs != ours:
+            differing = sorted(k for k in set(ours) | set(theirs)
+                               if ours.get(k) != theirs.get(k))
             raise ComparabilityError(
-                f"refusing to compare {first.portal_id!r} and "
-                f"{other.portal_id!r} in segment {quadrant!r}: threshold "
+                f"refusing to compare {first['portal_id']!r} and "
+                f"{other['portal_id']!r} in segment {quadrant!r}: threshold "
                 f"metadata differs on {', '.join(differing)}"
             )
-        if other.metadata["algorithms"] != first.metadata["algorithms"]:
+        if other["metadata"]["algorithms"] != first["metadata"]["algorithms"]:
             raise ComparabilityError(
-                f"refusing to compare {first.portal_id!r} and "
-                f"{other.portal_id!r} in segment {quadrant!r}: algorithm "
+                f"refusing to compare {first['portal_id']!r} and "
+                f"{other['portal_id']!r} in segment {quadrant!r}: algorithm "
                 f"metadata differs"
             )
     for i, a in enumerate(reports):
-        a_start, a_end = _parse_period(a.period)
+        a_start, a_end = _parse_period(a["period"])
         for b in reports[i + 1:]:
-            b_start, b_end = _parse_period(b.period)
+            b_start, b_end = _parse_period(b["period"])
             if max(a_start, b_start) >= min(a_end, b_end):
                 raise ComparabilityError(
-                    f"refusing to compare {a.portal_id!r} and "
-                    f"{b.portal_id!r}: analysis periods do not overlap"
+                    f"refusing to compare {a['portal_id']!r} and "
+                    f"{b['portal_id']!r}: analysis periods do not overlap"
                 )
 
 
@@ -549,19 +472,19 @@ def compare_within_segment(reports,
         raise DomainError("comparison margin cannot be negative")
     seen = set()
     for r in reports:
-        if r.portal_id in seen:
-            raise DomainError(f"duplicate report for portal {r.portal_id!r}")
-        seen.add(r.portal_id)
+        if r["portal_id"] in seen:
+            raise DomainError(f"duplicate report for portal {r['portal_id']!r}")
+        seen.add(r["portal_id"])
 
     by_quadrant: dict = {}
     skipped: list[str] = []
     for r in reports:
-        quadrant = (r.segmentation or {}).get("quadrant")
+        quadrant = (r["segmentation"] or {}).get("quadrant")
         if quadrant is None:
-            skipped.append(r.portal_id)
+            skipped.append(r["portal_id"])
         else:
             by_quadrant.setdefault(quadrant, []).append(r)
-    groups = {q: sorted(rs, key=lambda r: r.portal_id)
+    groups = {q: sorted(rs, key=lambda r: r["portal_id"])
               for q, rs in by_quadrant.items() if len(rs) >= 2}
     if not groups:
         raise DomainError("no two reports share a segment; nothing to compare")
@@ -573,7 +496,7 @@ def compare_within_segment(reports,
     for quadrant in sorted(groups):
         members = groups[quadrant]
         _guard_group(quadrant, members)
-        group_names[quadrant] = [r.portal_id for r in members]
+        group_names[quadrant] = [r["portal_id"] for r in members]
         rankings[quadrant] = {}
         deltas[quadrant] = []
         pointers[quadrant] = []
@@ -581,12 +504,12 @@ def compare_within_segment(reports,
             metric = f"{section_name}.{key}"
             values = []
             for r in members:
-                section = r.section(section_name)
+                section = r[section_name]
                 if section is None:
                     continue
                 value = section.get(key)
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    values.append((r.portal_id, float(value)))
+                    values.append((r["portal_id"], float(value)))
             if len(values) < 2:
                 continue
             for i, (pa, va) in enumerate(values):

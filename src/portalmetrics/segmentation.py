@@ -11,7 +11,6 @@ comparison always states the rules it was made under.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .usage import DemandSeries
@@ -33,33 +32,6 @@ QUADRANT_NAMES = {
 DECLINING_ANNOTATION = "declining"
 INDETERMINATE_FLAG = "dynamics_indeterminate"
 SINGLE_PORTAL_FLAG = "single_portal_network"
-UNSEGMENTED = "unsegmented"
-
-
-@dataclass(frozen=True)
-class Dynamics:
-    label: str | None
-    declining: bool
-    indeterminate: bool
-
-
-@dataclass(frozen=True)
-class SegmentLabel:
-    """One portal's quadrant; quadrant is None when dynamics is unknown."""
-
-    dynamics: str | None
-    size: str
-    quadrant: str | None
-    annotations: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.dynamics is not None:
-            expected = QUADRANT_NAMES[(self.dynamics, self.size)]
-            if self.quadrant != expected:
-                raise DomainError(
-                    f"quadrant {self.quadrant!r} does not match "
-                    f"({self.dynamics}, {self.size})"
-                )
 
 
 def demand_trend(series: DemandSeries) -> float | None:
@@ -80,23 +52,6 @@ def demand_trend(series: DemandSeries) -> float | None:
         return None
     xs = list(range(len(counts)))
     return statistics.linear_regression(xs, counts).slope / mean
-
-
-def dynamics_class(relative_slope: float | None,
-                   threshold: float = DEFAULT_GROWTH_THRESHOLD) -> Dynamics:
-    """Growing when relative slope exceeds the threshold, else Stable.
-
-    Negative slopes are Stable too (the typology is binary) but carry a
-    declining annotation. None propagates as indeterminate.
-    """
-    if threshold <= 0:
-        raise DomainError("growth threshold must be positive")
-    if relative_slope is None:
-        return Dynamics(label=None, declining=False, indeterminate=True)
-    if relative_slope > threshold:
-        return Dynamics(label=GROWING, declining=False, indeterminate=False)
-    return Dynamics(label=STABLE, declining=relative_slope < 0,
-                    indeterminate=False)
 
 
 def relative_size(portal_counts: dict, network_total: int) -> dict:
@@ -132,20 +87,30 @@ def size_class(ratios: dict) -> tuple[dict, tuple[str, ...]]:
     return classes, flags
 
 
-def segment(dynamics: Dynamics, size: str) -> SegmentLabel:
-    """Combine the two classifications into the four-group typology."""
+def segment(relative_slope: float | None, relative_size: float, size: str,
+            threshold: float = DEFAULT_GROWTH_THRESHOLD) -> dict:
+    """The report's segmentation section: growth dynamics crossed with the
+    portal's size class into the four-group typology.
+
+    Dynamics are Growing when the relative slope exceeds the threshold,
+    else Stable. Negative slopes are Stable too (the typology is binary)
+    but carry a declining annotation. A slope of None leaves dynamics and
+    quadrant None, annotated as indeterminate.
+    """
+    if threshold <= 0:
+        raise DomainError("growth threshold must be positive")
     if size not in (LARGE, SMALL):
         raise DomainError(f"unknown size class {size!r}")
-    annotations = []
-    if dynamics.declining:
-        annotations.append(DECLINING_ANNOTATION)
-    if dynamics.indeterminate:
-        annotations.append(INDETERMINATE_FLAG)
-        return SegmentLabel(dynamics=None, size=size, quadrant=None,
-                            annotations=tuple(annotations))
-    return SegmentLabel(
-        dynamics=dynamics.label,
-        size=size,
-        quadrant=QUADRANT_NAMES[(dynamics.label, size)],
-        annotations=tuple(annotations),
-    )
+    if relative_slope is None:
+        dynamics, annotations = None, [INDETERMINATE_FLAG]
+    else:
+        dynamics = GROWING if relative_slope > threshold else STABLE
+        annotations = [DECLINING_ANNOTATION] if relative_slope < 0 else []
+    return {
+        "relative_slope": relative_slope,
+        "relative_size": relative_size,
+        "dynamics": dynamics,
+        "size": size,
+        "quadrant": QUADRANT_NAMES.get((dynamics, size)),
+        "annotations": annotations,
+    }

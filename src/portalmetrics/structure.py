@@ -91,22 +91,6 @@ class ConvertedDistanceMatrix:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class OrganizationProfile:
-    """The four organization metrics of one site, with degeneracy flags.
-
-    navigability and linearity are None (absent, not 0) when the graph is
-    degenerate (fewer than 2 nodes).
-    """
-
-    depth: float
-    unreachable: int
-    density: float
-    navigability: float | None
-    linearity: float | None
-    flags: tuple[str, ...] = ()
-
-
 def build_site_graph(lines) -> tuple[SiteGraph, BuildTally]:
     """Build a normalized SiteGraph from the lines of a delimited
     (from, to) edge list.
@@ -133,7 +117,10 @@ def build_site_graph(lines) -> tuple[SiteGraph, BuildTally]:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.lower().startswith("node:"):
-                note(body[5:].strip())
+                node = body[5:].strip()
+                if not node:
+                    raise FormatError(f"edge line {line_no} has an empty endpoint")
+                note(node)
             continue
         parts = line.split(delimiter(line))
         if len(parts) != 2:
@@ -288,30 +275,29 @@ def _linearity(status: list[int], contrastatus: list[int]) -> float:
     return prestige / lap
 
 
-def organization_profile(g: SiteGraph, K: int | None = None) -> OrganizationProfile:
+def organization_profile(g: SiteGraph, K: int | None = None) -> dict:
     """All four organization metrics from a single all-pairs distance pass:
-    the one entry point to them.
+    the one entry point to them. Returns the report's organization section
+    without its ``navigation`` entry, which comes from the logs.
 
     Pages the root does not reach are left out of the mean depth and
-    counted in ``unreachable``; a root that reaches nothing has depth 0.0
-    and a flag. A single-node graph has depth and density 0.0,
+    counted in ``unreachable_pages``; a root that reaches nothing has depth
+    0.0 and a flag. A single-node graph has depth and density 0.0,
     navigability and linearity None (absent, not 0), and a flag.
     """
     if g.n == 1:
-        return OrganizationProfile(
-            depth=0.0, unreachable=0, density=0.0,
-            navigability=None, linearity=None,
-            flags=(DEGENERATE_SINGLE_NODE,),
-        )
+        return {"depth": 0.0, "unreachable_pages": 0, "density": 0.0,
+                "navigability": None, "linearity": None,
+                "flags": [DEGENERATE_SINGLE_NODE]}
     k = g.n if K is None else K
     sum_converted, status, contrastatus, dists = _distance_summary(g, k)
     # Excludes the root (0) and unreachable pages (-1).
     reach = [d for d in dists if d > 0]
-    return OrganizationProfile(
-        depth=sum(reach) / len(reach) if reach else 0.0,
-        unreachable=dists.count(-1),
-        density=len(g.edges) / (g.n * (g.n - 1)),
-        navigability=_navigability(g.n, k, sum_converted),
-        linearity=_linearity(status, contrastatus),
-        flags=() if reach else (DEGENERATE_NO_REACHABLE,),
-    )
+    return {
+        "depth": sum(reach) / len(reach) if reach else 0.0,
+        "unreachable_pages": dists.count(-1),
+        "density": len(g.edges) / (g.n * (g.n - 1)),
+        "navigability": _navigability(g.n, k, sum_converted),
+        "linearity": _linearity(status, contrastatus),
+        "flags": [] if reach else [DEGENERATE_NO_REACHABLE],
+    }

@@ -180,18 +180,6 @@ class RecencyResult:
     single_visit_visitors: int
 
 
-@dataclass(frozen=True)
-class NavigationSummary:
-    complexity_mean: float | None
-    complexity_median: float | None
-    linearity_mean: float | None
-    linearity_median: float | None
-    high_linearity_share: float | None
-    linearity_band: float
-    sessions_measured: int
-    sessions_skipped: int
-
-
 def _clf_base(text: str) -> int:
     """UTC epoch seconds of a CLF timestamp's local midnight: the UTC
     midnight of its calendar date minus its offset east of UTC.
@@ -564,11 +552,14 @@ def navigation_metrics(session: Session) -> tuple[float, float] | None:
 
 def summarize_navigation(sessions,
                          linearity_band: float = DEFAULT_LINEARITY_BAND
-                         ) -> NavigationSummary:
-    """Portal-level distribution of per-session navigation metrics.
+                         ) -> tuple[dict, int, int]:
+    """Portal-level distribution of per-session navigation metrics: the
+    report's navigation section, the number of sessions measured and the
+    number skipped as degenerate.
 
     ``high_linearity_share`` is the share of measured sessions whose
     linearity exceeds ``linearity_band`` -- tediously linear navigation.
+    The means, medians and share are None when no session was measured.
     Each call starts with an empty shape cache.
     """
     _metrics_for_shape.cache_clear()
@@ -583,21 +574,17 @@ def summarize_navigation(sessions,
         complexity, linearity = metrics
         complexities.append(complexity)
         linearities.append(linearity)
-    if not complexities:
-        return NavigationSummary(
-            complexity_mean=None, complexity_median=None,
-            linearity_mean=None, linearity_median=None,
-            high_linearity_share=None, linearity_band=linearity_band,
-            sessions_measured=0, sessions_skipped=skipped,
+    section = dict.fromkeys(("complexity_mean", "complexity_median",
+                             "linearity_mean", "linearity_median",
+                             "high_linearity_share"))
+    section["linearity_band"] = linearity_band
+    if complexities:
+        high = sum(1 for v in linearities if v > linearity_band)
+        section.update(
+            complexity_mean=statistics.fmean(complexities),
+            complexity_median=statistics.median(complexities),
+            linearity_mean=statistics.fmean(linearities),
+            linearity_median=statistics.median(linearities),
+            high_linearity_share=high / len(linearities),
         )
-    high = sum(1 for v in linearities if v > linearity_band)
-    return NavigationSummary(
-        complexity_mean=statistics.fmean(complexities),
-        complexity_median=statistics.median(complexities),
-        linearity_mean=statistics.fmean(linearities),
-        linearity_median=statistics.median(linearities),
-        high_linearity_share=high / len(linearities),
-        linearity_band=linearity_band,
-        sessions_measured=len(complexities),
-        sessions_skipped=skipped,
-    )
+    return section, len(complexities), skipped

@@ -93,22 +93,22 @@ def test_criterion_2_structure_extremes(capsys):
     profile = structure.organization_profile
     for n in range(3, 9):
         complete = fx.gen_graph(fx.GeneratorSpec(kind="complete", size=n))
-        if profile(complete).navigability != 1.0:
+        if profile(complete)["navigability"] != 1.0:
             failures.append(f"complete n={n} navigability != 1.0")
         edgeless = SiteGraph(
             nodes=frozenset(f"/p{i:04d}" for i in range(n)),
             edges=frozenset(), root="/p0000")
-        if profile(edgeless).navigability != 0.0:
+        if profile(edgeless)["navigability"] != 0.0:
             failures.append(f"edgeless n={n} navigability != 0.0")
         chain = fx.gen_graph(fx.GeneratorSpec(kind="chain", size=n))
-        if profile(chain).linearity != 1.0:
+        if profile(chain)["linearity"] != 1.0:
             failures.append(f"chain n={n} linearity != 1.0")
         cycle = fx.gen_graph(fx.GeneratorSpec(kind="cycle", size=n))
-        if profile(cycle).linearity != 0.0:
+        if profile(cycle)["linearity"] != 0.0:
             failures.append(f"cycle n={n} linearity != 0.0")
 
     chain3 = fx.gen_graph(fx.GeneratorSpec(kind="chain", size=3))
-    got = profile(chain3).navigability
+    got = profile(chain3)["navigability"]
     if abs(got - 5 / 12) > 1e-12:
         failures.append(f"chain-3 navigability {got} != 5/12")
     _verdict(capsys, 2, failures,
@@ -138,15 +138,13 @@ def test_criterion_3_graph_oracle(capsys):
             failures.append(f"distances differ from oracle at seed {seed}")
             break
         profile = structure.organization_profile(g)
-        for name, value in (("density", profile.density),
-                            ("navigability", profile.navigability),
-                            ("linearity", profile.linearity)):
+        for name in ("density", "navigability", "linearity"):
+            value = profile[name]
             if value is not None and not 0.0 <= value <= 1.0:
                 failures.append(f"{name}={value} outside [0,1] at seed {seed}")
         if seed % 10 == 0:
             twin = structure.organization_profile(_relabeled(g))
-            if (twin.density, twin.navigability, twin.linearity) != (
-                    profile.density, profile.navigability, profile.linearity):
+            if twin != profile:
                 failures.append(f"relabeling moved metrics at seed {seed}")
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -208,6 +206,10 @@ def test_criterion_4_sessionize_oracle(capsys):
              f"timeout boundary in {elapsed:.1f}s")
 
 
+def _dynamics(slope):
+    return segmentation.segment(slope, 0.5, segmentation.LARGE)["dynamics"]
+
+
 def test_criterion_5_planted_recovery(capsys):
     failures: list[str] = []
     lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
@@ -228,8 +230,7 @@ def test_criterion_5_planted_recovery(capsys):
     slope = segmentation.demand_trend(demand)
     if abs(slope - 0.5) > 1e-9:
         failures.append(f"relative slope {slope} != 0.5")
-    if segmentation.dynamics_class(slope).label != (
-            segmentation.GROWING):
+    if _dynamics(slope) != segmentation.GROWING:
         failures.append("growing series not labeled Growing")
 
     flat_lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
@@ -239,8 +240,7 @@ def test_criterion_5_planted_recovery(capsys):
         usage_mod.ingest(flat_lines, usage_mod.IngestTally()))
     flat = segmentation.demand_trend(
         usage_mod.overall_demand(flat_sessions, period))
-    if segmentation.dynamics_class(flat).label != (
-            segmentation.STABLE):
+    if _dynamics(flat) != segmentation.STABLE:
         failures.append("constant series not labeled Stable")
     _verdict(capsys, 5, failures,
              "slope 0.5 from [10,20,30], Stable from [7,7,7], "
@@ -256,26 +256,27 @@ def test_criterion_6_position_suite(capsys):
         communities = position_mod.detect_communities(g)
         profiles = [position_mod.position_profile(g, s, communities)
                     for s in g.site_order()]
-        if sum(p.in_degree for p in profiles) != sum(p.out_degree
-                                                     for p in profiles):
+        if sum(p["in_degree"] for p in profiles) != sum(p["out_degree"]
+                                                        for p in profiles):
             failures.append(f"distinct handshake broke at seed {seed}")
-        if sum(p.weighted_in_degree for p in profiles) != sum(
-                p.weighted_out_degree for p in profiles):
+        if sum(p["weighted_in_degree"] for p in profiles) != sum(
+                p["weighted_out_degree"] for p in profiles):
             failures.append(f"weighted handshake broke at seed {seed}")
 
     bridged = fx.gen_graph(fx.GeneratorSpec(kind="two-community", size=8,
                                             bridge_node=True))
     communities = position_mod.detect_communities(bridged)
     got = position_mod.position_profile(bridged, "x0.example", communities)
-    if got.adjacent_communities != 2:
-        failures.append(f"bridge adjacent_communities {got.adjacent_communities}")
-    if got.bridge_score != 1.0:
-        failures.append(f"bridge score {got.bridge_score} != 1.0")
-    if not got.bridge:
+    if got["adjacent_communities"] != 2:
+        failures.append("bridge adjacent_communities "
+                        f"{got['adjacent_communities']}")
+    if got["bridge_score"] != 1.0:
+        failures.append(f"bridge score {got['bridge_score']} != 1.0")
+    if not got["bridge"]:
         failures.append("bridge node not flagged as bridge")
     for site in sorted(bridged.sites - {"x0.example"}):
         interior = position_mod.position_profile(bridged, site, communities)
-        if interior.bridge:
+        if interior["bridge"]:
             failures.append(f"clique site {site} wrongly flagged as bridge")
 
     for seed in (0, 3):
@@ -290,8 +291,7 @@ def test_criterion_6_position_suite(capsys):
 
 def test_criterion_7_segmentation_totality(capsys):
     failures: list[str] = []
-    growing = segmentation.dynamics_class(0.5)
-    stable = segmentation.dynamics_class(0.0)
+    growing, stable = 0.5, 0.0
     expected = {
         (growing, segmentation.LARGE): "Growing portals with large relative size",
         (growing, segmentation.SMALL): "Growing portals with low relative size",
@@ -299,12 +299,11 @@ def test_criterion_7_segmentation_totality(capsys):
         (stable, segmentation.SMALL): "Stable portals with small relative size",
     }
     seen = set()
-    for (dynamics, size), name in expected.items():
-        label = segmentation.segment(dynamics, size)
-        if label.quadrant != name:
-            failures.append(f"quadrant {name!r} came back as "
-                            f"{label.quadrant!r}")
-        seen.add(label.quadrant)
+    for (slope, size), name in expected.items():
+        quadrant = segmentation.segment(slope, 0.5, size)["quadrant"]
+        if quadrant != name:
+            failures.append(f"quadrant {name!r} came back as {quadrant!r}")
+        seen.add(quadrant)
     if len(seen) != 4:
         failures.append(f"only {len(seen)} quadrants reachable")
 
@@ -318,8 +317,7 @@ def test_criterion_7_segmentation_totality(capsys):
         scaled = segmentation.demand_trend(_series([c * 13 for c in counts]))
         if abs(base - scaled) > 1e-12:
             failures.append(f"demand scaling moved the slope for {counts}")
-        if segmentation.dynamics_class(base).label != (
-                segmentation.dynamics_class(scaled).label):
+        if _dynamics(base) != _dynamics(scaled):
             failures.append(f"demand scaling moved the class for {counts}")
 
     sizes = {"a": 120, "b": 30, "c": 50}

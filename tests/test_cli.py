@@ -8,6 +8,7 @@ import gzip
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -24,7 +25,8 @@ from portalmetrics import config as config_mod
 from portalmetrics import fixtures as fx
 from portalmetrics.config import RunConfig, build_config
 from portalmetrics.errors import FormatError
-from portalmetrics.report import canonical_json, deserialize
+from portalmetrics.report import (REPORT_SCHEMA, _check, canonical_json,
+                                  deserialize)
 
 from oracles import reference_content_counts, reference_ingest, sessions_as_set
 
@@ -202,6 +204,30 @@ class TestPositionCommand:
         assert doc["position"]["adjacent_communities"] == 2
         assert doc["position"]["bridge"] is True
 
+    def test_unbalanced_bracket_url_is_a_malformed_line(self, demo, tmp_path,
+                                                        capsys):
+        # urlparse raises on the unbalanced "[" of "http://[::1/x": the
+        # line has no site, so it is malformed and the run goes on.
+        config = demo["portals"]["alpha"]["config"]
+        links = tmp_path / "cross_links.tsv"
+        links.write_text(
+            Path(build_config(config).cross_links).read_text(encoding="utf-8")
+            + "http://[::1/x\thttps://alpha.example/landing\n",
+            encoding="utf-8")
+        outputs = {}
+        for name, extra in (("plain", []),
+                            ("bracket", ["--cross-links", str(links)])):
+            for command in ("position", "report"):
+                code = cli.main([command, "--config", config, *extra,
+                                 "--output-dir", str(tmp_path / name)])
+                captured = capsys.readouterr()
+                assert code == 0, captured.err
+                assert "Traceback" not in captured.err
+                outputs[name, command] = json.loads(captured.out)
+        assert outputs["plain", "position"]["malformed_lines"] == 0
+        assert outputs["bracket", "position"]["malformed_lines"] == 1
+        assert outputs["bracket", "report"] == outputs["plain", "report"]
+
     def test_site_flag_required(self, tmp_path, capsys):
         g = fx.gen_graph(fx.GeneratorSpec(kind="two-community", size=4))
         path = tmp_path / "links.tsv"
@@ -234,6 +260,39 @@ class TestSegmentCommand:
         assert seg["quadrant"] == "Growing portals with large relative size"
 
 
+@pytest.mark.parametrize("edges,flags", [
+    ("# node: /h\n", ["single_node_graph"]),
+    ("# node: /h\n/a,/h\n", ["no_page_reachable_from_root"]),
+    (None, [segmentation.INDETERMINATE_FLAG]),
+], ids=["single-node", "root-reaches-nothing", "all-zero-demand"])
+def test_degenerate_sections_fit_the_report_schema(demo, tmp_path, capsys,
+                                                   edges, flags):
+    if edges is None:
+        # Bot hits only, so every demand bucket is zero.
+        section, key = "segmentation", "annotations"
+        log = tmp_path / "bots.log"
+        log.write_text(_clf_line("198.51.100.7", "-", 0, 0, "/robots.txt",
+                                 200, "ExampleBot/2.1") + "\n",
+                       encoding="utf-8")
+        argv = ["segment", "--config", demo["portals"]["alpha"]["config"],
+                "--logs", str(log)]
+    else:
+        section, key = "organization", "flags"
+        path = tmp_path / "edges.tsv"
+        path.write_text(edges, encoding="utf-8")
+        argv = ["structure", "--edges", str(path)]
+    code = cli.main(argv)
+    document = json.loads(capsys.readouterr().out)[section]
+    assert code == 0
+    assert document[key] == flags
+    subschema = REPORT_SCHEMA["properties"][section]
+    found: list = []
+    _check(subschema, document, (), found)
+    assert found == []
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.Draft202012Validator(subschema).validate(document)
+
+
 class TestReportCommand:
     def test_full_report_all_sections(self, demo, capsys):
         code = cli.main(["report", "--config",
@@ -241,11 +300,11 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert code == 0
         report = deserialize(captured.out)
-        assert report.portal_id == "alpha"
-        assert report.metadata["missing_sections"] == []
+        assert report["portal_id"] == "alpha"
+        assert report["metadata"]["missing_sections"] == []
         for section in ("provision", "organization", "position",
                         "segmentation"):
-            assert report.section(section) is not None
+            assert report[section] is not None
         assert "report written to" in captured.err
         assert "not for sharing" in captured.err
         out_dir = os.path.join(demo["portals"]["alpha"]["dir"], "out")
@@ -911,6 +970,99 @@ class TestByteOrderMark:
                                  ["compare", reports["alpha"], path])
                    for i, path in enumerate((plain, marked))]
         assert outputs[0] == outputs[1]
+
+
+class TestInputsThatCarryNoInformation:
+    """Demo alpha's report and diagnostics keep their bytes when its inputs
+    change only in line order, in how the log is split into files, or in
+    line ends."""
+
+    @staticmethod
+    def _outputs(capsys, out, argv):
+        code = cli.main(["report", *argv, "--output-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.fixture
+    def alpha(self, demo, tmp_path, capsys):
+        config = demo["portals"]["alpha"]["config"]
+        baseline = self._outputs(capsys, tmp_path / "baseline",
+                                 ["--config", config])
+        assert sorted(baseline) == ["alpha.diagnostics.json",
+                                    "alpha.report.json"]
+        return config, build_config(config), baseline
+
+    @staticmethod
+    def _shuffled(lines, seed=7):
+        shuffled = list(lines)
+        random.Random(seed).shuffle(shuffled)
+        assert shuffled != list(lines)
+        return shuffled
+
+    def test_log_lines_shuffled_and_split_across_two_files(self, alpha,
+                                                           tmp_path, capsys):
+        config, cfg, baseline = alpha
+        lines = self._shuffled(Path(cfg.logs[0]).read_bytes()
+                               .splitlines(keepends=True))
+        half = len(lines) // 2
+        first, second = tmp_path / "first.log", tmp_path / "second.log"
+        first.write_bytes(b"".join(lines[:half]))
+        second.write_bytes(b"".join(lines[half:]))
+        assert self._outputs(capsys, tmp_path / "out",
+                             ["--config", config,
+                              "--logs", f"{first},{second}"]) == baseline
+
+    def test_cross_link_lines_shuffled(self, alpha, tmp_path, capsys):
+        config, cfg, baseline = alpha
+        lines = Path(cfg.cross_links).read_bytes().splitlines(keepends=True)
+        shuffled = tmp_path / "cross_links.tsv"
+        shuffled.write_bytes(b"".join(self._shuffled(lines)))
+        assert self._outputs(capsys, tmp_path / "out",
+                             ["--config", config,
+                              "--cross-links", str(shuffled)]) == baseline
+
+    def test_catalog_rows_shuffled(self, alpha, tmp_path, capsys):
+        # Order matters only between rows that share an identifier, where
+        # the first one wins; alpha's catalog has no such rows.
+        config, cfg, baseline = alpha
+        header, *rows = Path(cfg.catalog).read_bytes().splitlines(
+            keepends=True)
+        identifiers = [row.split(b",", 1)[0] for row in rows]
+        assert len(set(identifiers)) == len(identifiers)
+        shuffled = tmp_path / "catalog.csv"
+        shuffled.write_bytes(header + b"".join(self._shuffled(rows)))
+        others = [path for path in cfg.network_catalogs
+                  if path != cfg.catalog]
+        assert self._outputs(capsys, tmp_path / "out",
+                             ["--config", config, "--catalog", str(shuffled),
+                              "--network-catalogs",
+                              ",".join([str(shuffled), *others])]) == baseline
+
+    def test_crlf_line_ends_in_every_input(self, alpha, tmp_path, capsys):
+        config, _cfg, baseline = alpha
+        copies: dict = {}
+
+        def crlf(path):
+            if path not in copies:
+                copy = tmp_path / f"{len(copies)}-{os.path.basename(path)}"
+                copy.write_bytes(Path(path).read_bytes()
+                                 .replace(b"\n", b"\r\n"))
+                copies[path] = str(copy)
+            return copies[path]
+
+        lines = []
+        for line in Path(config).read_text(encoding="utf-8").splitlines():
+            key, sep, value = line.partition(" = ")
+            if key in ("catalog", "network_catalogs", "edges", "logs",
+                       "link_map", "cross_links", "taxonomy"):
+                value = ",".join(map(crlf, value.split(",")))
+            lines.append(f"{key}{sep}{value}\r\n")
+        assert len(copies) == 7
+        crlf_config = tmp_path / "alpha.config"
+        crlf_config.write_bytes("".join(lines).encode("utf-8"))
+        assert self._outputs(capsys, tmp_path / "out",
+                             ["--config", str(crlf_config)]) == baseline
 
 
 # Characters that str.splitlines treats as line breaks but a file read

@@ -117,10 +117,10 @@ class TestDegrees:
     def test_in_and_out_degree(self):
         g = _cross({("a", "c"): 2, ("b", "c"): 5, ("c", "a"): 1})
         c = _profile(g, "c")
-        assert c.in_degree == 2
-        assert c.weighted_in_degree == 7
-        assert c.out_degree == 1
-        assert c.weighted_out_degree == 1
+        assert c["in_degree"] == 2
+        assert c["weighted_in_degree"] == 7
+        assert c["out_degree"] == 1
+        assert c["weighted_out_degree"] == 1
 
     def test_unknown_site_rejected(self):
         g = _cross({("a", "b"): 1})
@@ -130,11 +130,11 @@ class TestDegrees:
     @given(cross_graphs)
     def test_handshake_sums(self, g):
         profiles = [_profile(g, s) for s in g.site_order()]
-        total_in_distinct = sum(p.in_degree for p in profiles)
-        total_out_distinct = sum(p.out_degree for p in profiles)
+        total_in_distinct = sum(p["in_degree"] for p in profiles)
+        total_out_distinct = sum(p["out_degree"] for p in profiles)
         assert total_in_distinct == total_out_distinct == g.edge_count
-        total_in_weight = sum(p.weighted_in_degree for p in profiles)
-        total_out_weight = sum(p.weighted_out_degree for p in profiles)
+        total_in_weight = sum(p["weighted_in_degree"] for p in profiles)
+        total_out_weight = sum(p["weighted_out_degree"] for p in profiles)
         assert total_in_weight == total_out_weight == sum(g.weights.values())
 
 
@@ -238,33 +238,33 @@ class TestBridging:
         g = _bridged()
         communities = position.detect_communities(g)
         assessment = position.position_profile(g, "x0.example", communities)
-        assert assessment.adjacent_communities == 2
-        assert assessment.bridge_score == 1.0
-        assert assessment.degree == 2
-        assert assessment.bridge
+        assert assessment["adjacent_communities"] == 2
+        assert assessment["bridge_score"] == 1.0
+        assert assessment["degree"] == 2
+        assert assessment["bridge"]
 
     def test_clique_interior_is_not_bridge(self):
         g = _bridged()
         communities = position.detect_communities(g)
         assessment = position.position_profile(g, "c1.example", communities)
-        assert assessment.adjacent_communities == 1
-        assert not assessment.bridge
+        assert assessment["adjacent_communities"] == 1
+        assert not assessment["bridge"]
 
     def test_isolated_site_flagged(self):
         g = _cross({("a", "b"): 1}, extra_sites=("lonely",))
         communities = position.detect_communities(g)
         assessment = position.position_profile(g, "lonely", communities)
-        assert assessment.bridge_score is None
-        assert not assessment.bridge
-        assert position.ISOLATED_SITE_FLAG in assessment.flags
+        assert assessment["bridge_score"] is None
+        assert not assessment["bridge"]
+        assert position.ISOLATED_SITE_FLAG in assessment["flags"]
 
     def test_single_community_graph_flagged(self):
         weights = {(a, b): 1 for a in "abc" for b in "abc" if a != b}
         g = _cross(weights)
         communities = position.detect_communities(g)
         assessment = position.position_profile(g, "a", communities)
-        assert position.SINGLE_COMMUNITY_FLAG in assessment.flags
-        assert not assessment.bridge
+        assert position.SINGLE_COMMUNITY_FLAG in assessment["flags"]
+        assert not assessment["bridge"]
 
     def test_mismatched_assignment_rejected(self):
         g = _cross({("a", "b"): 1})
@@ -282,7 +282,7 @@ class TestBridging:
         communities = position.detect_communities(busy)
         if communities.community_count >= 2:
             assessment = position.position_profile(busy, "x0.example", communities)
-            assert not assessment.bridge
+            assert not assessment["bridge"]
 
 
 class TestPositionProfile:
@@ -290,13 +290,13 @@ class TestPositionProfile:
         g = _bridged()
         communities = position.detect_communities(g)
         profile = position.position_profile(g, "x0.example", communities)
-        assert profile.in_degree == 0
-        assert profile.out_degree == 2
-        assert profile.weighted_out_degree == 2
-        assert profile.degree == 2
-        assert profile.adjacent_communities == 2
-        assert profile.bridge
-        assert not profile.authority  # zero in-links can never be authority
+        assert profile["in_degree"] == 0
+        assert profile["out_degree"] == 2
+        assert profile["weighted_out_degree"] == 2
+        assert profile["degree"] == 2
+        assert profile["adjacent_communities"] == 2
+        assert profile["bridge"]
+        assert not profile["authority"]  # zero in-links can never be authority
 
     def test_authority_requires_positive_inlinks(self):
         g = _cross({("a", "b"): 1}, extra_sites=("c",))
@@ -304,18 +304,18 @@ class TestPositionProfile:
         # in-degrees: a 0, b 1, c 0; only b clears the cut
         for site, expected in (("a", False), ("b", True), ("c", False)):
             profile = position.position_profile(g, site, communities)
-            assert profile.authority is expected
+            assert profile["authority"] is expected
 
     def test_star_center_is_authority(self):
         weights = {(f"leaf{i}", "hub"): 1 for i in range(5)}
         g = _cross(weights)
         communities = position.detect_communities(g)
         hub_profile = position.position_profile(g, "hub", communities)
-        assert hub_profile.authority
-        assert not hub_profile.hub
+        assert hub_profile["authority"]
+        assert not hub_profile["hub"]
         leaf = position.position_profile(g, "leaf0", communities)
-        assert not leaf.authority
-        assert leaf.hub  # every leaf shares the top out-degree
+        assert not leaf["authority"]
+        assert leaf["hub"]  # every leaf shares the top out-degree
 
     def test_uniform_degrees_flag_everyone(self):
         # directed 4-cycle: all in/out degrees equal -> cut equals the value
@@ -324,8 +324,8 @@ class TestPositionProfile:
         communities = position.detect_communities(g)
         for site in g.site_order():
             profile = position.position_profile(g, site, communities)
-            assert profile.authority
-            assert profile.hub
+            assert profile["authority"]
+            assert profile["hub"]
 
     @pytest.mark.parametrize("percentile", [-1.0, 150.0])
     def test_percentile_outside_range_rejected(self, percentile):

@@ -70,29 +70,33 @@ class TestDemandTrend:
             _oracle_relative_slope(counts), abs=1e-9)
 
 
+def _segment(slope, size=segmentation.LARGE, **kwargs):
+    return segmentation.segment(slope, 0.5, size, **kwargs)
+
+
 class TestDynamicsClass:
     def test_above_threshold_grows(self):
-        result = segmentation.dynamics_class(0.0501, threshold=0.05)
-        assert result.label == segmentation.GROWING
-        assert not result.declining
+        result = _segment(0.0501, threshold=0.05)
+        assert result["dynamics"] == segmentation.GROWING
+        assert result["annotations"] == []
 
     def test_exactly_at_threshold_is_stable(self):
-        result = segmentation.dynamics_class(0.05, threshold=0.05)
-        assert result.label == segmentation.STABLE
+        result = _segment(0.05, threshold=0.05)
+        assert result["dynamics"] == segmentation.STABLE
 
     def test_negative_slope_stable_and_declining(self):
-        result = segmentation.dynamics_class(-0.2)
-        assert result.label == segmentation.STABLE
-        assert result.declining
+        result = _segment(-0.2)
+        assert result["dynamics"] == segmentation.STABLE
+        assert result["annotations"] == [segmentation.DECLINING_ANNOTATION]
 
     def test_none_propagates_indeterminate(self):
-        result = segmentation.dynamics_class(None)
-        assert result.label is None
-        assert result.indeterminate
+        result = _segment(None)
+        assert result["dynamics"] is None
+        assert result["annotations"] == [segmentation.INDETERMINATE_FLAG]
 
     def test_threshold_must_be_positive(self):
-        with pytest.raises(DomainError):
-            segmentation.dynamics_class(0.1, threshold=0.0)
+        with pytest.raises(DomainError, match="growth threshold"):
+            _segment(0.1, threshold=0.0)
 
 
 class TestRelativeSize:
@@ -177,41 +181,30 @@ class TestSegment:
             (0.0, segmentation.SMALL, "Stable portals with small relative size"),
         ]
         for slope, size, expected in cases:
-            dynamics = segmentation.dynamics_class(slope)
-            label = segmentation.segment(dynamics, size)
-            assert label.quadrant == expected
+            assert _segment(slope, size)["quadrant"] == expected
 
     def test_declining_annotation_carried(self):
-        dynamics = segmentation.dynamics_class(-0.3)
-        label = segmentation.segment(dynamics, segmentation.LARGE)
-        assert label.quadrant == "Stable portals with large relative size"
-        assert segmentation.DECLINING_ANNOTATION in label.annotations
+        section = _segment(-0.3, segmentation.LARGE)
+        assert section["quadrant"] == "Stable portals with large relative size"
+        assert segmentation.DECLINING_ANNOTATION in section["annotations"]
 
     def test_indeterminate_is_unsegmented(self):
-        dynamics = segmentation.dynamics_class(None)
-        label = segmentation.segment(dynamics, segmentation.SMALL)
-        assert label.quadrant is None
-        assert label.dynamics is None
-        assert segmentation.INDETERMINATE_FLAG in label.annotations
+        section = _segment(None, segmentation.SMALL)
+        assert section["quadrant"] is None
+        assert section["dynamics"] is None
+        assert segmentation.INDETERMINATE_FLAG in section["annotations"]
 
     def test_unknown_size_rejected(self):
-        dynamics = segmentation.dynamics_class(0.5)
-        with pytest.raises(DomainError):
-            segmentation.segment(dynamics, "Medium")
-
-    def test_mismatched_quadrant_rejected(self):
-        with pytest.raises(DomainError):
-            segmentation.SegmentLabel(
-                dynamics=segmentation.GROWING, size=segmentation.LARGE,
-                quadrant="Stable portals with large relative size")
+        with pytest.raises(DomainError, match="unknown size class"):
+            _segment(0.5, "Medium")
 
 
 class TestEndToEnd:
     def test_planted_growth_pipeline(self):
         slope = segmentation.demand_trend(_series([10, 20, 30]))
-        dynamics = segmentation.dynamics_class(slope)
         shares = segmentation.relative_size({"p": 40, "q": 40},
                                             network_total=80)
         classes, _ = segmentation.size_class(shares)
-        label = segmentation.segment(dynamics, classes["p"])
-        assert label.quadrant == "Growing portals with large relative size"
+        section = segmentation.segment(slope, shares["p"], classes["p"])
+        assert section["quadrant"] == (
+            "Growing portals with large relative size")

@@ -76,6 +76,17 @@ class TestBuildSiteGraph:
         # the declaration came first, so it is the default root
         assert g.root == "/orphan"
 
+    @pytest.mark.parametrize("lines,line_no", [
+        (["# node:\n", "a,b\n"], 1),
+        (["a,b\n", "#node:   \n"], 2),
+        (["a,b\n", ",c\n"], 2),
+    ])
+    def test_nameless_node_rejected_like_an_empty_endpoint(self, lines,
+                                                           line_no):
+        with pytest.raises(FormatError,
+                           match=f"edge line {line_no} has an empty endpoint"):
+            structure.build_site_graph(lines)
+
     def test_empty_stream_rejected(self):
         with pytest.raises(DomainError):
             structure.build_site_graph(io.StringIO("\n# just a comment\n"))
@@ -94,64 +105,64 @@ class TestDepth:
     def test_chain_of_four(self):
         g = _graph("chain", 4)
         result = structure.organization_profile(g)
-        assert result.depth == 2.0
-        assert result.unreachable == 0
+        assert result["depth"] == 2.0
+        assert result["unreachable_pages"] == 0
 
     def test_unreachable_excluded_and_counted(self):
         g = _from_edges([("/h", "/a")], root="/h")
         g = structure.SiteGraph(nodes=g.nodes | {"/lost"}, edges=g.edges,
                                 root="/h")
         result = structure.organization_profile(g)
-        assert result.depth == 1.0
-        assert result.unreachable == 1
+        assert result["depth"] == 1.0
+        assert result["unreachable_pages"] == 1
 
     def test_single_node_flagged(self):
         g = structure.SiteGraph(nodes=frozenset({"/h"}), edges=frozenset(),
                                 root="/h")
         result = structure.organization_profile(g)
-        assert result.depth == 0.0
-        assert structure.DEGENERATE_SINGLE_NODE in result.flags
+        assert result["depth"] == 0.0
+        assert structure.DEGENERATE_SINGLE_NODE in result["flags"]
 
     def test_root_reaching_nothing_flagged(self):
         g = _from_edges([("/a", "/h")], root="/h")
         result = structure.organization_profile(g)
-        assert result.depth == 0.0
-        assert result.unreachable == 1
-        assert structure.DEGENERATE_NO_REACHABLE in result.flags
+        assert result["depth"] == 0.0
+        assert result["unreachable_pages"] == 1
+        assert structure.DEGENERATE_NO_REACHABLE in result["flags"]
 
     @given(digraphs)
     def test_matches_oracle(self, g):
         result = structure.organization_profile(g)
         mean, unreachable = oracle_depth(g)
-        assert result.depth == pytest.approx(mean, abs=1e-12)
-        assert result.unreachable == unreachable
+        assert result["depth"] == pytest.approx(mean, abs=1e-12)
+        assert result["unreachable_pages"] == unreachable
 
 
 class TestDensity:
     def test_quarter(self):
         g = _from_edges([("/h", "/a"), ("/a", "/b"), ("/b", "/c")], root="/h")
         profile = structure.organization_profile(g)
-        assert profile.density == 0.25
-        assert profile.flags == ()
+        assert profile["density"] == 0.25
+        assert profile["flags"] == []
 
     def test_complete_graph_is_one(self):
         assert structure.organization_profile(
-            _graph("complete", 4)).density == 1.0
+            _graph("complete", 4))["density"] == 1.0
 
     def test_single_node_flagged(self):
         g = structure.SiteGraph(nodes=frozenset({"/h"}), edges=frozenset(),
                                 root="/h")
         profile = structure.organization_profile(g)
-        assert profile.density == 0.0
-        assert structure.DEGENERATE_SINGLE_NODE in profile.flags
+        assert profile["density"] == 0.0
+        assert structure.DEGENERATE_SINGLE_NODE in profile["flags"]
 
 
 def _navigability(g, K=None):
-    return structure.organization_profile(g, K).navigability
+    return structure.organization_profile(g, K)["navigability"]
 
 
 def _linearity(g):
-    return structure.organization_profile(g).linearity
+    return structure.organization_profile(g)["linearity"]
 
 
 class TestNavigability:
@@ -293,7 +304,7 @@ class TestOracleAgreement:
             successors[a] |= 1 << b
         profile = structure.organization_profile(g)
         assert usage._metrics_for_shape(tuple(successors)) == (
-            profile.navigability, profile.linearity)
+            profile["navigability"], profile["linearity"])
 
     def test_sparse_to_dense_thirty_page_graphs_match_oracle(self):
         for edge_factor in (0.5, 1.5, 2.0, 6.0):
@@ -306,12 +317,12 @@ class TestOracleAgreement:
         g = _graph("random-digraph", 300, seed=7, edge_factor=2.5)
         profile = structure.organization_profile(g)
         mean, unreachable = oracle_depth(g)
-        assert profile.depth == pytest.approx(mean, abs=1e-12)
-        assert profile.unreachable == unreachable
-        assert profile.density == len(g.edges) / (300 * 299)
-        assert profile.navigability == pytest.approx(oracle_compactness(g),
+        assert profile["depth"] == pytest.approx(mean, abs=1e-12)
+        assert profile["unreachable_pages"] == unreachable
+        assert profile["density"] == len(g.edges) / (300 * 299)
+        assert profile["navigability"] == pytest.approx(oracle_compactness(g),
                                                      abs=1e-12)
-        assert profile.linearity == pytest.approx(oracle_stratum(g),
+        assert profile["linearity"] == pytest.approx(oracle_stratum(g),
                                                   abs=1e-12)
 
 
@@ -341,9 +352,9 @@ class TestOrganizationProfile:
         g = structure.SiteGraph(nodes=frozenset({"/h"}), edges=frozenset(),
                                 root="/h")
         profile = structure.organization_profile(g)
-        assert profile.navigability is None
-        assert profile.linearity is None
-        assert structure.DEGENERATE_SINGLE_NODE in profile.flags
+        assert profile["navigability"] is None
+        assert profile["linearity"] is None
+        assert structure.DEGENERATE_SINGLE_NODE in profile["flags"]
 
     @given(digraphs)
     @settings(max_examples=60)
@@ -357,8 +368,8 @@ class TestOrganizationProfile:
         )
         a = structure.organization_profile(g)
         b = structure.organization_profile(relabeled)
-        assert b.depth == pytest.approx(a.depth, abs=1e-9)
-        assert b.unreachable == a.unreachable
-        assert b.density == pytest.approx(a.density, abs=1e-12)
-        assert b.navigability == pytest.approx(a.navigability, abs=1e-9)
-        assert b.linearity == pytest.approx(a.linearity, abs=1e-9)
+        assert b["depth"] == pytest.approx(a["depth"], abs=1e-9)
+        assert b["unreachable_pages"] == a["unreachable_pages"]
+        assert b["density"] == pytest.approx(a["density"], abs=1e-12)
+        assert b["navigability"] == pytest.approx(a["navigability"], abs=1e-9)
+        assert b["linearity"] == pytest.approx(a["linearity"], abs=1e-9)

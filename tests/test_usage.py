@@ -908,7 +908,7 @@ class TestNavigationMetrics:
         metrics = usage._metrics_for_shape(masks)
         assert metrics == (oracle_compactness(graph), oracle_stratum(graph))
         profile = organization_profile(graph)
-        assert metrics == (profile.navigability, profile.linearity)
+        assert metrics == (profile["navigability"], profile["linearity"])
 
     def test_path_graph_root_is_entry_page(self):
         graph = session_path_graph(_session(["/b", "/a", "/c"]))
@@ -925,22 +925,23 @@ class TestSummarizeNavigation:
             _session(["/a", "/b", "/a", "/b"]),      # linearity 0.0
             _session(["/a"]),                        # degenerate, skipped
         ]
-        summary = usage.summarize_navigation(sessions, linearity_band=0.8)
-        assert summary.sessions_measured == 2
-        assert summary.sessions_skipped == 1
-        assert summary.linearity_mean == pytest.approx(0.5)
-        assert summary.high_linearity_share == pytest.approx(0.5)
+        summary, measured, skipped = usage.summarize_navigation(
+            sessions, linearity_band=0.8)
+        assert (measured, skipped) == (2, 1)
+        assert summary["linearity_mean"] == pytest.approx(0.5)
+        assert summary["high_linearity_share"] == pytest.approx(0.5)
 
     def test_band_is_strict(self):
         sessions = [_session(["/a", "/b", "/c"])]  # linearity exactly 1.0
-        summary = usage.summarize_navigation(sessions, linearity_band=1.0)
-        assert summary.high_linearity_share == 0.0
+        summary, _, _ = usage.summarize_navigation(sessions,
+                                                   linearity_band=1.0)
+        assert summary["high_linearity_share"] == 0.0
 
     def test_all_degenerate(self):
-        summary = usage.summarize_navigation([_session(["/a"])])
-        assert summary.sessions_measured == 0
-        assert summary.complexity_mean is None
-        assert summary.high_linearity_share is None
+        summary, measured, _ = usage.summarize_navigation([_session(["/a"])])
+        assert measured == 0
+        assert summary["complexity_mean"] is None
+        assert summary["high_linearity_share"] is None
 
     def test_median_is_positional(self):
         sessions = [
@@ -948,8 +949,8 @@ class TestSummarizeNavigation:
             _session(["/a", "/b", "/c", "/d"]),
             _session(["/a", "/b", "/a", "/b"]),
         ]
-        summary = usage.summarize_navigation(sessions)
-        assert summary.linearity_median == pytest.approx(1.0, abs=1e-12)
+        summary, _, _ = usage.summarize_navigation(sessions)
+        assert summary["linearity_median"] == pytest.approx(1.0, abs=1e-12)
 
 
 
@@ -982,7 +983,7 @@ def _walk_sessions(seed=20261018, pages=400, count=6000):
     return sessions
 
 
-# The NavigationSummary of _walk_sessions(), floats by repr. A change that
+# The navigation summary of _walk_sessions(), floats by repr. A change that
 # moves any value must update it and say why.
 WALK_NAVIGATION = {
     "complexity_mean": "0.5163154166188093",
@@ -1007,8 +1008,10 @@ def test_walk_sessions_navigation_summary_is_pinned():
         shapes.add(frozenset((first[a], first[b])
                              for a, b in zip(paths, paths[1:]) if a != b))
     assert len(shapes - {frozenset()}) == 2887
-    summary = usage.summarize_navigation(sessions)
-    assert {name: repr(value) for name, value in vars(summary).items()} \
+    summary, measured, skipped = usage.summarize_navigation(sessions)
+    summary = {**summary, "sessions_measured": measured,
+               "sessions_skipped": skipped}
+    assert {name: repr(value) for name, value in summary.items()} \
         == WALK_NAVIGATION
 
 class TestFileHelpers:
