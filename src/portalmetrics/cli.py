@@ -6,6 +6,13 @@ missing files, invalid settings). Every tunable comes from defaults, then
 an optional key = value config file, then command-line flags, in that
 order of precedence. Outputs are canonical JSON with no timestamps, so
 identical inputs and settings give byte-identical files.
+
+``report`` uses up to two cores. One worker process parses the catalog and
+the taxonomy, the edge list, the cross links and the network catalogs, and
+computes the offered provision, organization, position and network sizes.
+Meanwhile this process reads the logs and measures demand and navigation;
+it then joins the logs to the catalog, segments the portal and writes the
+outputs. The other commands run in one process.
 """
 
 from __future__ import annotations
@@ -101,14 +108,12 @@ def _load_sessions(cfg: RunConfig):
     return sessions, tallies
 
 
-def _provision_summary(cfg: RunConfig, parsed, taxonomy, sessions, period):
-    """The provision section of a report, plus the flags explaining
-    whatever it lacks.
+def _offer_provision(cfg: RunConfig, parsed, taxonomy):
+    """The provision section of a report as far as the catalog alone
+    gives it, the flags explaining whatever it lacks so far, and the
+    offer distribution that :func:`_add_accessed` sets demand against.
 
-    Accessed diversity is given twice, weighted by views and by unique
-    visitors, because both readings of "resources accessed" are
-    defensible. A field is None, or a list empty, when its data was not
-    supplied. ``period`` is read only when ``sessions`` is given.
+    A field is None, or a list empty, when its data was not supplied.
     """
     flags: list[str] = []
     records = parsed.records
@@ -132,36 +137,48 @@ def _provision_summary(cfg: RunConfig, parsed, taxonomy, sessions, period):
         flags.append("no_taxonomy")
     section["average_age_days"] = catalog_mod.average_age(records,
                                                           cfg.reference())
+    return section, flags, offered
 
-    if sessions is not None and cfg.link_map is not None:
-        with opened(cfg.link_map, "link map") as lines:
-            path_map = usage_mod.parse_link_map(lines)
-        try:
-            by_views, by_visitors, uncatalogued = \
-                usage_mod.accessed_distribution(sessions, records, path_map,
-                                                period)
-        except DomainError:
-            flags.append("accessed_join_empty")
-        else:
-            section["diversity_accessed_by_visits_nats"] = \
-                catalog_mod.shannon_diversity(by_views)[0]
-            section["diversity_accessed_by_visitors_nats"] = \
-                catalog_mod.shannon_diversity(by_visitors)[0]
-            high_demand, high_offer = catalog_mod.demand_offer_gap(
-                offered, by_views, cfg.gap_threshold)
-            section["high_demand_low_offer"] = list(high_demand)
-            section["high_offer_low_demand"] = list(high_offer)
-            if uncatalogued:
-                flags.append("uncatalogued_views_present")
-    else:
+
+def _add_accessed(cfg: RunConfig, section: dict, flags: list, offered,
+                  records, sessions, period) -> None:
+    """Fill in the accessed fields of a provision section from the
+    sessions and the link map, or add the flag that says why they stay
+    empty.
+
+    Accessed diversity is given twice, weighted by views and by unique
+    visitors, because both readings of "resources accessed" are
+    defensible. ``period`` is read only when ``sessions`` is given.
+    """
+    if sessions is None or cfg.link_map is None:
         flags.append("no_accessed_distribution")
-    return section, flags
+        return
+    with opened(cfg.link_map, "link map") as lines:
+        path_map = usage_mod.parse_link_map(lines)
+    try:
+        by_views, by_visitors, uncatalogued = \
+            usage_mod.accessed_distribution(sessions, records, path_map,
+                                            period)
+    except DomainError:
+        flags.append("accessed_join_empty")
+        return
+    section["diversity_accessed_by_visits_nats"] = \
+        catalog_mod.shannon_diversity(by_views)[0]
+    section["diversity_accessed_by_visitors_nats"] = \
+        catalog_mod.shannon_diversity(by_visitors)[0]
+    high_demand, high_offer = catalog_mod.demand_offer_gap(
+        offered, by_views, cfg.gap_threshold)
+    section["high_demand_low_offer"] = list(high_demand)
+    section["high_offer_low_demand"] = list(high_offer)
+    if uncatalogued:
+        flags.append("uncatalogued_views_present")
 
 
 def cmd_catalog(cfg: RunConfig) -> int:
     parsed = _load_catalog(cfg)
-    taxonomy = _load_taxonomy(cfg)
-    provision, flags = _provision_summary(cfg, parsed, taxonomy, None, None)
+    provision, flags, offered = _offer_provision(cfg, parsed,
+                                                 _load_taxonomy(cfg))
+    _add_accessed(cfg, provision, flags, offered, parsed.records, None, None)
     _emit({
         "kind": "catalog-metrics",
         "portal_id": cfg.portal_id,
@@ -274,11 +291,11 @@ def _network_sizes(cfg: RunConfig, parsed=None):
     return ratios, *segmentation_mod.size_class(ratios)
 
 
-def _segmentation_parts(cfg: RunConfig, demand, parsed=None):
+def _segmentation_parts(cfg: RunConfig, slope, sizes):
     """The portal's segmentation section, plus the size class of every
-    portal in the network and the network's flags."""
-    slope = segmentation_mod.demand_trend(demand)
-    ratios, classes, network_flags = _network_sizes(cfg, parsed)
+    portal in the network and the network's flags, from the relative
+    demand ``slope`` and the network ``sizes`` of :func:`_network_sizes`."""
+    ratios, classes, network_flags = sizes
     if cfg.portal_id not in ratios:
         raise ConfigError(
             f"portal {cfg.portal_id!r} does not appear in the network "
@@ -293,7 +310,9 @@ def _segmentation_parts(cfg: RunConfig, demand, parsed=None):
 def cmd_segment(cfg: RunConfig) -> int:
     sessions, _tallies = _load_sessions(cfg)
     demand = usage_mod.overall_demand(sessions, cfg.period())
-    section, classes, network_flags = _segmentation_parts(cfg, demand)
+    slope = segmentation_mod.demand_trend(demand)
+    section, classes, network_flags = _segmentation_parts(
+        cfg, slope, _network_sizes(cfg))
     _emit({
         "kind": "segmentation",
         "portal_id": cfg.portal_id,
@@ -304,44 +323,87 @@ def cmd_segment(cfg: RunConfig) -> int:
     return 0
 
 
+def _sections_without_logs(cfg: RunConfig, with_network: bool):
+    """Every report section that reads no log, in the order ``report``
+    checks them: (the sections computed, by name; the package error that
+    stopped the rest, or None).
+
+    ``report`` runs this in a worker process while it reads the logs, and
+    raises the error where its order of sections puts it. The network
+    catalogs are counted only ``with_network``, reusing the own catalog's
+    records, so that file is parsed once.
+    """
+    sections: dict = {}
+    parsed = None
+    try:
+        if cfg.catalog is not None:
+            parsed = _load_catalog(cfg)
+            sections["provision"] = (parsed.records, *_offer_provision(
+                cfg, parsed, _load_taxonomy(cfg)))
+        if cfg.edges is not None:
+            graph, _tally = _load_site_graph(cfg)
+            sections["organization"] = structure_mod.organization_profile(
+                graph, K=cfg.distance_k)
+        if cfg.cross_links is not None and cfg.site is not None:
+            sections["position"] = _position_profile(cfg)[:2]
+        if with_network:
+            sections["network"] = _network_sizes(cfg, parsed)
+    except (FormatError, DomainError) as exc:
+        return sections, exc
+    return sections, None
+
+
 def cmd_report(cfg: RunConfig) -> int:
-    """Full pipeline for one portal; writes report + local diagnostics."""
+    """Full pipeline for one portal; writes report + local diagnostics.
+
+    One worker process computes the sections that read no log
+    (:func:`_sections_without_logs`) while this one reads the logs and
+    measures demand and navigation. An error is raised in the order of
+    sections below, whichever process met it: logs, catalog, taxonomy,
+    link map, edges, position, demand trend, network catalogs,
+    segmentation.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
     period = cfg.period()  # the report needs it even without logs
-    flags: list[str] = []
-    provision = organization = position = segmentation = None
-    sessions = parsed = None
+    sessions = demand = navigation = navigation_sessions = None
     tallies: dict = {}
-    navigation_sessions = demand = None
+    with ProcessPoolExecutor(max_workers=1) as worker:
+        # Submitted before the logs are read, so the fork copies no view.
+        pending = worker.submit(_sections_without_logs, cfg,
+                                bool(cfg.logs and cfg.network_catalogs))
+        if cfg.logs:
+            sessions, tallies = _load_sessions(cfg)
+            demand = usage_mod.overall_demand(sessions, period)
+            if cfg.edges is not None:
+                navigation, measured, skipped = \
+                    usage_mod.summarize_navigation(sessions,
+                                                   cfg.linearity_band)
+                navigation_sessions = (measured, skipped)
+        sections, error = pending.result()
 
-    if cfg.logs:
-        sessions, tallies = _load_sessions(cfg)
-        demand = usage_mod.overall_demand(sessions, period)
+    def section(name):
+        if name not in sections:
+            raise error
+        return sections[name]
 
+    flags: list[str] = []
+    provision = organization = position = segmentation = communities = None
     if cfg.catalog is not None:
-        parsed = _load_catalog(cfg)
-        taxonomy = _load_taxonomy(cfg)
-        provision, provision_flags = _provision_summary(cfg, parsed, taxonomy,
-                                                        sessions, period)
-        flags.extend(provision_flags)
+        records, provision, flags, offered = section("provision")
+        _add_accessed(cfg, provision, flags, offered, records, sessions,
+                      period)
 
     if cfg.edges is not None:
-        graph, _tally = _load_site_graph(cfg)
-        organization = structure_mod.organization_profile(graph,
-                                                          K=cfg.distance_k)
-        organization["navigation"] = None
-        if sessions is not None:
-            navigation, measured, skipped = usage_mod.summarize_navigation(
-                sessions, cfg.linearity_band)
-            organization["navigation"] = navigation
-            navigation_sessions = (measured, skipped)
+        organization = section("organization")
+        organization["navigation"] = navigation
 
-    communities = None
     if cfg.cross_links is not None and cfg.site is not None:
-        position, communities, _graph, _cross_tally = _position_profile(cfg)
+        position, communities = section("position")
 
     if sessions is not None and cfg.network_catalogs:
-        segmentation, _classes, _flags = _segmentation_parts(cfg, demand,
-                                                             parsed)
+        slope = segmentation_mod.demand_trend(demand)
+        segmentation = _segmentation_parts(cfg, slope, section("network"))[0]
 
     algorithms = {
         "visitor_key": usage_mod.visitor_key_method(cfg.use_auth_user),

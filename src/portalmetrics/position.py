@@ -13,7 +13,9 @@ of links therefore moves the weighted value only.
 
 from __future__ import annotations
 
+import ipaddress
 import random
+import re
 import statistics
 from dataclasses import dataclass
 from urllib.parse import urlparse
@@ -26,6 +28,8 @@ DEFAULT_BRIDGE_MIN_COMMUNITIES = 2
 DEFAULT_DEGREE_PERCENTILE = 75.0
 LPA_MAX_ROUNDS = 100
 COMMUNITY_ALGORITHM = "synchronous-label-propagation"
+
+_IPVFUTURE_RE = re.compile(r"\Av[a-fA-F0-9]+\..+\Z")
 
 ISOLATED_SITE_FLAG = "isolated_site"
 SINGLE_COMMUNITY_FLAG = "single_community_graph"
@@ -99,7 +103,12 @@ def registrable_domain(url: str) -> str | None:
     """
     try:
         parsed = urlparse(url if "//" in url else "//" + url)
-    except ValueError:  # an unbalanced "[" or "]", as in "http://[::1/x"
+    except ValueError:
+        # An unbalanced "[" or "]", as in "http://[::1/x", or, from Python
+        # 3.11 on, a bracketed host that the check below refuses as well.
+        return None
+    if "[" in parsed.netloc and not _bracketed_host_is_valid(
+            parsed.netloc.partition("[")[2].partition("]")[0]):
         return None
     host = (parsed.hostname or "").strip(".").lower()
     if not host:
@@ -108,6 +117,22 @@ def registrable_domain(url: str) -> str | None:
     if len(labels) >= 2:
         return ".".join(labels[-2:])
     return host
+
+
+def _bracketed_host_is_valid(text: str) -> bool:
+    """Whether the text between the brackets of a URL's network location
+    is an IPv6 address or an IPvFuture literal (``v<hex>.<text>``).
+
+    The rule ``urlsplit`` applies from Python 3.11 on, where it raises
+    ValueError otherwise; Python 3.10 reads any bracketed text as a host.
+    """
+    if text.startswith("v"):
+        return _IPVFUTURE_RE.match(text) is not None
+    try:
+        ipaddress.IPv6Address(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _resolve_site(url: str, prefixes: list[tuple[str, str]],

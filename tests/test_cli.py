@@ -228,6 +228,21 @@ class TestPositionCommand:
         assert outputs["bracket", "position"]["malformed_lines"] == 1
         assert outputs["bracket", "report"] == outputs["plain", "report"]
 
+    def test_bracketed_non_ipv6_host_is_a_malformed_line(self, tmp_path,
+                                                         capsys):
+        # Python 3.10 read "[x]" as host x, a third site, while 3.11
+        # refused the URL; now both versions count the line as malformed.
+        links = tmp_path / "cross_links.tsv"
+        links.write_text("https://a.example/x\thttp://[x]/y\n"
+                         "https://a.example/x\thttps://b.example/z\n",
+                         encoding="utf-8")
+        code = cli.main(["position", "--cross-links", str(links),
+                         "--site", "a.example"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (doc["sites"], doc["malformed_lines"]) == (2, 1)
+        assert doc["position"]["out_degree"] == 1
+
     def test_site_flag_required(self, tmp_path, capsys):
         g = fx.gen_graph(fx.GeneratorSpec(kind="two-community", size=4))
         path = tmp_path / "links.tsv"
@@ -550,30 +565,40 @@ class TestNetworkCatalogs:
         others = [p for p in cfg.network_catalogs
                   if os.path.abspath(p) != os.path.abspath(own)]
         assert len(others) == len(cfg.network_catalogs) - 1
-        passes, reads = [], []
+        # report reads catalogs in a worker process, so the counters log
+        # to files, which every process appends to.
+        passes_log, reads_log = tmp_path / "passes", tmp_path / "reads"
         checked_rows = catalog._checked_rows
         opened = cli.opened
 
+        def log(path, line):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+
+        def logged(path):
+            return path.read_text(encoding="utf-8").splitlines()
+
         def counting_passes(*args, **kwargs):
-            passes.append(1)
+            log(passes_log, "1")
             return checked_rows(*args, **kwargs)
 
         def counting_opens(path, what):
             if "catalog" in what:
-                reads.append(os.path.abspath(path))
+                log(reads_log, os.path.abspath(path))
             return opened(path, what)
         monkeypatch.setattr(catalog, "_checked_rows", counting_passes)
         monkeypatch.setattr(cli, "opened", counting_opens)
 
         def report(name, *network):
-            passes.clear()
-            reads.clear()
+            passes_log.write_text("")
+            reads_log.write_text("")
             out = tmp_path / name
             args = ["report", "--config", config, "--output-dir", str(out)]
             if network:
                 args += ["--network-catalogs", ",".join(network)]
             assert cli.main(args) == 0
             capsys.readouterr()
+            passes, reads = logged(passes_log), logged(reads_log)
             assert len(reads) == len(set(reads)) == len(passes)
             return len(passes), (out / "alpha.report.json").read_bytes()
 
@@ -1254,6 +1279,19 @@ def test_cli_import_loads_only_the_standard_library():
          "print(sorted({name.split('.')[0] for name in sys.modules}"
          " - {name.split('.')[0] for name in before}"
          " - set(sys.stdlib_module_names) - {'portalmetrics'}))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": _src_dir()})
+    assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # report imports its process pool when it runs, so no other command
+    # pays for the import at start-up.
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import portalmetrics.cli; "
+         "print(sorted(name for name in sys.modules"
+         " if name.split('.')[0] in ('concurrent', 'multiprocessing')))"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": _src_dir()})
     assert result.stdout.strip() == "[]"

@@ -108,6 +108,20 @@ class TestRegistrableDomain:
     def test_empty_is_none(self):
         assert position.registrable_domain("") is None
 
+    @pytest.mark.parametrize("url,domain", [
+        ("http://[x]/y", None),
+        ("http://[::1]/y", "::1"),
+        ("http://[1.2.3.4]/y", None),
+        ("http://[2001:db8::1]:8080/y", "2001:db8::1"),
+        ("http://[v1.x]/y", "v1.x"),
+        ("http://[vg.x]/y", None),
+        ("http://[x]@b.example/y", None),
+    ])
+    def test_bracketed_host_must_be_ipv6_or_ipvfuture(self, url, domain):
+        # Python 3.10's urlparse reads any bracketed text as a host and
+        # 3.11's refuses all but these two forms; both give the same here.
+        assert position.registrable_domain(url) == domain
+
 
 def _profile(g, site):
     return position.position_profile(g, site, position.detect_communities(g))
