@@ -114,6 +114,13 @@ def _parse_date(text: str) -> date:
     return datetime.strptime(text.strip(), "%Y-%m-%d").date()
 
 
+def _without_nul(lines):
+    for line_no, line in enumerate(lines, start=1):
+        if "\x00" in line:
+            raise FormatError(f"line {line_no}: line contains NUL")
+        yield line
+
+
 def _checked_rows(lines, row_errors: list[tuple[int, str]]):
     """The checked fields of each catalog row, as
     (portal_id, identifier, resource_type, topic, published).
@@ -126,9 +133,11 @@ def _checked_rows(lines, row_errors: list[tuple[int, str]]):
     ``row_errors`` as (the physical line it starts on, message). Each
     distinct date string is parsed once. A missing header, a missing
     mandatory column and a row the csv module cannot read (such as a field
-    over its size limit) raise FormatError.
+    over its size limit) raise FormatError, as does a line holding a NUL
+    byte, which the csv module reads on some Python versions and refuses
+    on others.
     """
-    lines = iter(lines)
+    lines = _without_nul(lines)
     try:
         header_line = next(lines)
     except StopIteration:

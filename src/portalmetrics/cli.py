@@ -12,7 +12,11 @@ the taxonomy, the edge list, the cross links and the network catalogs, and
 computes the offered provision, organization, position and network sizes.
 Meanwhile this process reads the logs and measures demand and navigation;
 it then joins the logs to the catalog, segments the portal and writes the
-outputs. The other commands run in one process.
+outputs. The worker is a plain ``multiprocessing.Process``, started before
+any log is read, with a one-way pipe back: no helper thread runs here to
+compete with ingest for the interpreter lock, and the worker's result is
+read from the pipe only after this process's log work. The other commands
+run in one process.
 """
 
 from __future__ import annotations
@@ -353,34 +357,85 @@ def _sections_without_logs(cfg: RunConfig, with_network: bool):
     return sections, None
 
 
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception raised in ``report``'s worker
+    process, chained as the cause of that exception when it is raised
+    again in this one."""
+
+
+def _report_worker(cfg: RunConfig, with_network: bool, sender) -> None:
+    """What ``report``'s worker process runs. It sends (sections, error,
+    None) from :func:`_sections_without_logs`, or (None, the exception,
+    its traceback text) if that raised any other exception, and exits.
+    An exception that does not survive pickling is sent as a RuntimeError
+    naming its type and message."""
+    import pickle
+    import traceback
+
+    try:
+        message = (*_sections_without_logs(cfg, with_network), None)
+    except Exception as exc:
+        trace = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"report's worker raised {type(exc).__name__}:"
+                               f" {exc} (the exception cannot be pickled)")
+        message = (None, exc, trace)
+    with sender:
+        sender.send(message)
+
+
 def cmd_report(cfg: RunConfig) -> int:
     """Full pipeline for one portal; writes report + local diagnostics.
 
-    One worker process computes the sections that read no log
-    (:func:`_sections_without_logs`) while this one reads the logs and
-    measures demand and navigation. An error is raised in the order of
+    One worker process, started before any log is read, computes the
+    sections that read no log (:func:`_sections_without_logs`) while this
+    one reads the logs and measures demand and navigation. It is a plain
+    process with a one-way pipe, so no helper thread in this process
+    competes with ingest; its result is read from the pipe only once this
+    process's log work is done. An error is raised in the order of
     sections below, whichever process met it: logs, catalog, taxonomy,
     link map, edges, position, demand trend, network catalogs,
-    segmentation.
+    segmentation. Any other exception in the worker is raised here with
+    the worker's traceback as its cause, and a worker that exits without
+    a result raises a RuntimeError; no worker outlives this call.
     """
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
     period = cfg.period()  # the report needs it even without logs
     sessions = demand = navigation = navigation_sessions = None
     tallies: dict = {}
-    with ProcessPoolExecutor(max_workers=1) as worker:
-        # Submitted before the logs are read, so the fork copies no view.
-        pending = worker.submit(_sections_without_logs, cfg,
-                                bool(cfg.logs and cfg.network_catalogs))
-        if cfg.logs:
-            sessions, tallies = _load_sessions(cfg)
-            demand = usage_mod.overall_demand(sessions, period)
-            if cfg.edges is not None:
-                navigation, measured, skipped = \
-                    usage_mod.summarize_navigation(sessions,
-                                                   cfg.linearity_band)
-                navigation_sessions = (measured, skipped)
-        sections, error = pending.result()
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    worker = multiprocessing.Process(
+        target=_report_worker,
+        args=(cfg, bool(cfg.logs and cfg.network_catalogs), sender))
+    with receiver:
+        with sender:
+            # Started before the logs are read, so the fork copies no view.
+            worker.start()
+        try:
+            if cfg.logs:
+                sessions, tallies = _load_sessions(cfg)
+                demand = usage_mod.overall_demand(sessions, period)
+                if cfg.edges is not None:
+                    navigation, measured, skipped = \
+                        usage_mod.summarize_navigation(sessions,
+                                                       cfg.linearity_band)
+                    navigation_sessions = (measured, skipped)
+            try:
+                sections, error, trace = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"report's worker process exited with code "
+                    f"{worker.exitcode} before sending its result") from None
+            if trace is not None:
+                raise error from _WorkerTraceback(trace)
+        finally:
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
 
     def section(name):
         if name not in sections:

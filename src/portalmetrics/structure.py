@@ -158,10 +158,10 @@ def _sweep(n: int, edges):
     Bit s of reach[v] is set once source s has reached v; each level pushes
     the bits that arrived at a node on the previous level on to its
     successors (multi-source BFS after Then et al., "The More the Merrier",
-    VLDB 2014). Yields (level, fresh) where fresh maps each node v to the
-    sources whose shortest distance to v is exactly ``level``, so the last
-    level yielded is the longest finite distance. Reversed edges turn
-    fresh[v] into the targets at that distance from v.
+    VLDB 2014). Yields (level, fresh) where fresh maps each node v, in no
+    set order, to the sources whose shortest distance to v is exactly
+    ``level``, so the last level yielded is the longest finite distance.
+    Reversed edges turn fresh[v] into the targets at that distance from v.
     """
     successors: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
@@ -171,15 +171,21 @@ def _sweep(n: int, edges):
     level = 0
     while True:
         level += 1
-        pushed = [0] * n
+        pushed: dict[int, int] = {}
         for u, sources in fresh.items():
             for v in successors[u]:
-                pushed[v] |= sources
+                if v in pushed:
+                    pushed[v] |= sources
+                else:
+                    pushed[v] = sources
         fresh = {}
-        for v, sources in enumerate(pushed):
-            sources &= ~reach[v]
+        for v, sources in pushed.items():
+            # The bits of sources not yet in reach[v], without the
+            # negative big integer that sources & ~reach[v] would build.
+            r = reach[v]
+            sources = (sources | r) ^ r
             if sources:
-                reach[v] |= sources
+                reach[v] = r | sources
                 fresh[v] = sources
         if not fresh:
             return

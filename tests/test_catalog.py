@@ -183,6 +183,22 @@ class TestParseCatalog:
             got = str(exc)
         assert got == expected
 
+    @pytest.mark.parametrize("reader", [
+        catalog.parse_catalog, lambda lines: list(catalog.content_keys(lines))
+    ], ids=["parse_catalog", "content_keys"])
+    @pytest.mark.parametrize("text,line", [
+        (CSV_BASIC + "r9,text,alg\x00ebra,2026-01-01,p\n", 5),
+        ('identifier,resource_type,topic,published,portal_id\n'
+         '"r1\n\x00",text,x,2026-01-01,p\n', 3),
+        ("identifier,resource_type,topic,published,portal_id\x00\n", 1),
+    ], ids=["in a field", "in a quoted newline", "in the header"])
+    def test_nul_byte_is_refused_on_every_python(self, reader, text, line):
+        # The csv module reads a NUL byte on some Python versions and
+        # refuses it on others; the catalog readers refuse it on all.
+        with pytest.raises(FormatError,
+                           match=f"^line {line}: line contains NUL$"):
+            reader(io.StringIO(text))
+
     def test_tab_separated_with_dublin_core_aliases(self):
         text = ("dc:identifier\tdc:type\tdc:subject\tdc:date\tportal\n"
                 "x1\tguide\thistory\t2025-11-30\tp\n")

@@ -554,6 +554,24 @@ class TestNetworkCatalogs:
                 segmentation.size_class(ratios)[0]
 
 
+    @pytest.mark.parametrize("flag", ["--catalog", "--network-catalogs"])
+    def test_nul_byte_in_a_catalog_exits_2(self, demo, tmp_path, capsys,
+                                           flag):
+        # The own catalog is parsed into records, a network catalog only
+        # counted through content_keys; both refuse the NUL byte and name
+        # the file.
+        path = tmp_path / "nul.csv"
+        fx.write_lines(path, [self.HEADER, "x1,text,algebra,2025-01-01,alpha",
+                              "x\x002,text,algebra,2025-01-01,alpha"])
+        out = tmp_path / "out"
+        code = cli.main(["report", "--config",
+                         demo["portals"]["alpha"]["config"], flag, str(path),
+                         "--output-dir", str(out)])
+        what = "catalog" if flag == "--catalog" else "network catalog"
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: {what} file {path}: line 3: line contains NUL\n")
+        assert not out.exists()
+
     def test_own_catalog_is_parsed_once(self, demo, tmp_path, capsys,
                                         monkeypatch):
         # The demo configs list each portal's own catalog again among the

@@ -5,7 +5,9 @@ files that must each end in a report or in one error line."""
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
+import threading
 
 import pytest
 
@@ -131,6 +133,64 @@ def test_no_process_outlives_an_unexpected_error(alpha, tmp_path, capsys,
     with pytest.raises(RuntimeError, match=f"{function} broke"):
         _report(capsys, alpha, tmp_path / "out")
     assert multiprocessing.active_children() == []
+
+
+def test_worker_error_carries_the_worker_traceback(alpha, tmp_path, capsys,
+                                                   monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("organization_profile broke")
+    monkeypatch.setattr(structure, "organization_profile", broken)
+    with pytest.raises(ValueError, match="organization_profile broke") as info:
+        _report(capsys, alpha, tmp_path / "out")
+    trace = str(info.value.__cause__)
+    assert trace.startswith("Traceback (most recent call last):")
+    assert "in _sections_without_logs" in trace
+    assert trace.endswith("ValueError: organization_profile broke\n")
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_that_cannot_be_pickled(alpha, tmp_path, capsys,
+                                             monkeypatch):
+    class Unpicklable(Exception):  # a local class cannot be pickled
+        pass
+
+    def broken(*args, **kwargs):
+        raise Unpicklable("organization_profile broke")
+    monkeypatch.setattr(structure, "organization_profile", broken)
+    with pytest.raises(RuntimeError) as info:
+        _report(capsys, alpha, tmp_path / "out")
+    assert str(info.value) == (
+        "report's worker raised Unpicklable: organization_profile broke "
+        "(the exception cannot be pickled)")
+    trace = str(info.value.__cause__)
+    assert "in _sections_without_logs" in trace
+    assert trace.endswith("Unpicklable: organization_profile broke\n")
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_exits_without_a_result(alpha, tmp_path, capsys,
+                                            monkeypatch):
+    monkeypatch.setattr(structure, "organization_profile",
+                        lambda *args, **kwargs: os._exit(3))
+    with pytest.raises(RuntimeError, match="^report's worker process exited "
+                       "with code 3 before sending its result$"):
+        _report(capsys, alpha, tmp_path / "out")
+    assert multiprocessing.active_children() == []
+
+
+def test_no_thread_shares_this_process_while_report_reads_logs(
+        alpha, tmp_path, capsys, monkeypatch):
+    """The worker is a plain process with a pipe: no helper thread here
+    competes with ingest and navigation for the interpreter lock."""
+    counts = []
+    summarize = usage.summarize_navigation
+
+    def counted(*args, **kwargs):
+        counts.append(threading.active_count())
+        return summarize(*args, **kwargs)
+    monkeypatch.setattr(usage, "summarize_navigation", counted)
+    code, _out, _err = _report(capsys, alpha, tmp_path / "out")
+    assert (code, counts) == (0, [1])
 
 
 TOKENS = [b'"', b",", b"\t", b"[", b"]", b"#", b"=", b" ", b"\n", b"\r",
