@@ -76,16 +76,6 @@ def _load_site_graph(cfg: RunConfig):
         return structure_mod.build_site_graph(lines)
 
 
-def _log_lines(paths):
-    """Lines of every log in turn; a read failure names its file."""
-    for path in paths:
-        try:
-            yield from usage_mod.read_log_lines([path])
-        except (OSError, EOFError) as exc:  # EOFError: a truncated .gz log
-            reason = getattr(exc, "strerror", None) or exc
-            raise ConfigError(f"cannot read log file {path}: {reason}")
-
-
 def _load_sessions(cfg: RunConfig):
     """Ingest the logs line by line, keeping only human page views, and
     sessionize them.
@@ -98,8 +88,8 @@ def _load_sessions(cfg: RunConfig):
         with opened(cfg.bot_list, "bot signature list") as lines:
             signatures = usage_mod.parse_signatures(lines)
     tally = usage_mod.IngestTally()
-    views = usage_mod.ingest(_log_lines(_require(cfg, "logs")), tally,
-                             use_auth_user=cfg.use_auth_user,
+    views = usage_mod.ingest(usage_mod.read_log_lines(_require(cfg, "logs")),
+                             tally, use_auth_user=cfg.use_auth_user,
                              signatures=signatures)
     sessions = usage_mod.sessionize(views, cfg.session_timeout())
     tallies = {
@@ -216,7 +206,7 @@ def _write_diagnostics(cfg: RunConfig, period, sessions, tallies, demand,
     """Build the local diagnostics, write them and say so on stderr."""
     diagnostics = report_mod.build_diagnostics(
         cfg.portal_id, period, demand=demand,
-        recency_result=usage_mod.recency(sessions, period),
+        recency=usage_mod.recency(sessions, period),
         activity=usage_mod.activity_level(sessions) if sessions else None,
         session_count=len(sessions), navigation_sessions=navigation_sessions,
         tallies=tallies,
@@ -248,8 +238,12 @@ def _position_profile(cfg: RunConfig):
         graph, tally = position_mod.build_cross_site_graph(lines, site_map)
     site = _require(cfg, "site")
     communities = position_mod.detect_communities(graph, seed=cfg.seed)
-    section = position_mod.position_profile(graph, site, communities,
-                                            cfg.position_thresholds())
+    section = position_mod.position_profile(
+        graph, site, communities,
+        bridge_score_threshold=cfg.bridge_score_threshold,
+        bridge_min_communities=cfg.bridge_min_communities,
+        authority_percentile=cfg.authority_percentile,
+        hub_percentile=cfg.hub_percentile)
     return section, communities, graph, tally
 
 
@@ -490,9 +484,9 @@ def cmd_compare(cfg: RunConfig, report_paths) -> int:
     for path in report_paths:
         with opened(path, "report") as lines:
             reports.append(report_mod.deserialize("".join(lines)))
-    comparison = report_mod.compare_within_segment(reports, cfg.compare_margin)
-    _write_output(cfg, "comparison.json", comparison.to_json())
-    sys.stdout.write(comparison.to_text())
+    document = report_mod.compare_within_segment(reports, cfg.compare_margin)
+    _write_output(cfg, "comparison.json", report_mod.canonical_json(document))
+    sys.stdout.write(report_mod.comparison_text(document))
     return 0
 
 

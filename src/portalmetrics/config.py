@@ -17,8 +17,7 @@ from .catalog import DEFAULT_GAP_THRESHOLD
 from .errors import ConfigError
 from .inputs import data_lines, opened
 from .position import (DEFAULT_BRIDGE_MIN_COMMUNITIES,
-                       DEFAULT_BRIDGE_SCORE_THRESHOLD, DEFAULT_DEGREE_PERCENTILE,
-                       PositionThresholds)
+                       DEFAULT_BRIDGE_SCORE_THRESHOLD, DEFAULT_DEGREE_PERCENTILE)
 from .report import DEFAULT_COMPARE_MARGIN
 from .segmentation import DEFAULT_GROWTH_THRESHOLD
 from .usage import (DEFAULT_LINEARITY_BAND, DEFAULT_SESSION_TIMEOUT,
@@ -177,14 +176,6 @@ class RunConfig:
 
     def session_timeout(self) -> timedelta:
         return timedelta(minutes=self.session_timeout_minutes)
-
-    def position_thresholds(self) -> PositionThresholds:
-        return PositionThresholds(
-            bridge_score_threshold=self.bridge_score_threshold,
-            bridge_min_communities=self.bridge_min_communities,
-            authority_percentile=self.authority_percentile,
-            hub_percentile=self.hub_percentile,
-        )
 
     def reference(self) -> date:
         if self.reference_date is not None:

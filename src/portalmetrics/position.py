@@ -86,14 +86,6 @@ class CommunityAssignment:
         return len(set(self.labels.values()))
 
 
-@dataclass(frozen=True)
-class PositionThresholds:
-    bridge_score_threshold: float = DEFAULT_BRIDGE_SCORE_THRESHOLD
-    bridge_min_communities: int = DEFAULT_BRIDGE_MIN_COMMUNITIES
-    authority_percentile: float = DEFAULT_DEGREE_PERCENTILE
-    hub_percentile: float = DEFAULT_DEGREE_PERCENTILE
-
-
 def registrable_domain(url: str) -> str | None:
     """Two-label host suffix, the fallback site grouping for unmapped URLs.
 
@@ -300,9 +292,11 @@ def _percentile_cut(values: list[int], percentile: float) -> float:
 
 
 def position_profile(g: CrossSiteGraph, site: str,
-                     communities: CommunityAssignment,
-                     thresholds: PositionThresholds = PositionThresholds()
-                     ) -> dict:
+                     communities: CommunityAssignment, *,
+                     bridge_score_threshold=DEFAULT_BRIDGE_SCORE_THRESHOLD,
+                     bridge_min_communities=DEFAULT_BRIDGE_MIN_COMMUNITIES,
+                     authority_percentile=DEFAULT_DEGREE_PERCENTILE,
+                     hub_percentile=DEFAULT_DEGREE_PERCENTILE) -> dict:
     """All position measures for one site, with role flags: the one entry
     point to them. Returns the report's position section.
 
@@ -311,13 +305,14 @@ def position_profile(g: CrossSiteGraph, site: str,
     among the neighbor sites (the site's own label only counts if a
     neighbor carries it), and the bridge score is that count over the
     distinct-neighbor count. A site is a bridge when it touches at least
-    ``bridge_min_communities`` communities, its score clears the
-    threshold, and its degree is at most the graph's median degree. An
-    isolated site has no score and a flag.
+    ``bridge_min_communities`` communities, its score is at least
+    ``bridge_score_threshold``, and its degree is at most the graph's
+    median degree. An isolated site has no score and a flag.
 
-    Authority / hub flags require the degree to be positive and at or
-    above the graph-wide percentile cut (default 75th); a graph where most
-    sites have zero in-links must not flag them all.
+    Authority / hub flags require the in- / out-degree to be positive and
+    at or above the graph-wide ``authority_percentile`` /
+    ``hub_percentile`` cut (default 75th); a graph where most sites have
+    zero in-links must not flag them all.
     """
     if site not in g.sites:
         raise DomainError(f"unknown site {site!r}")
@@ -332,14 +327,14 @@ def position_profile(g: CrossSiteGraph, site: str,
         adjacent = len({communities.labels[other] for other in linked})
         score = adjacent / len(linked)
         median_degree = statistics.median(c[0] + c[2] for c in degrees.values())
-        is_bridge = (adjacent >= thresholds.bridge_min_communities
-                     and score >= thresholds.bridge_score_threshold
+        is_bridge = (adjacent >= bridge_min_communities
+                     and score >= bridge_score_threshold
                      and degree <= median_degree)
         flags = [SINGLE_COMMUNITY_FLAG] if communities.community_count < 2 else []
     authority_cut = _percentile_cut([c[0] for c in degrees.values()],
-                                    thresholds.authority_percentile)
+                                    authority_percentile)
     hub_cut = _percentile_cut([c[2] for c in degrees.values()],
-                              thresholds.hub_percentile)
+                              hub_percentile)
     return {
         "site": site,
         "in_degree": in_degree,

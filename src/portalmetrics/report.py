@@ -14,7 +14,9 @@ schema uses and reads them as the draft does; the tests hold it to
 jsonschema's validator. Every violation is reported, each as
 ``"a/b/c: message"`` (``"<root>: ..."`` for the document itself), sorted
 by path. deserialize also refuses the NaN and Infinity tokens that
-Python's json module would accept.
+Python's json module would accept, a number that does not fit a finite
+float, and a period bound that is not an ISO date-time with a UTC offset,
+so a report from another portal either compares or is refused by name.
 
 Serialization is canonical: sorted keys, minimal separators, UTF-8, one
 trailing newline. Equal reports produce identical bytes, and
@@ -23,14 +25,16 @@ deserialize(serialize(r)) == r.
 Comparison is guarded: portals are compared only within the same typology
 quadrant, over overlapping periods, and under identical threshold and
 algorithm metadata. A mismatch refuses loudly rather than producing a
-number that means two different things.
+number that means two different things. The comparison is a plain
+document, written as canonical JSON; comparison_text renders it as the
+text ``compare`` prints.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
-from dataclasses import dataclass
 from datetime import datetime
 
 from .errors import ComparabilityError, DomainError, ReportValidationError
@@ -250,18 +254,40 @@ def _reject_constant(name: str):
                                 "number")
 
 
+def _finite_number(text: str, parse):
+    """``parse(text)`` for a JSON number in a report; raises
+    ReportValidationError when the number does not fit a finite float."""
+    try:
+        value = parse(text)
+        if math.isfinite(value):  # OverflowError for an int beyond floats
+            return value
+    except (ValueError, OverflowError):  # ValueError: too many digits
+        pass
+    shown = text if len(text) <= 24 else text[:20] + "..."
+    raise ReportValidationError(f"report holds the number {shown}, which "
+                                "does not fit a finite float")
+
+
 def deserialize(data) -> dict:
     """Parse and validate canonical report bytes back into a report
-    document."""
+    document.
+
+    Besides the schema, refuses the NaN and Infinity tokens, a number that
+    does not fit a finite float and a period bound that is not an ISO
+    date-time with a UTC offset."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        document = json.loads(data, parse_constant=_reject_constant)
+        document = json.loads(
+            data, parse_constant=_reject_constant,
+            parse_float=lambda text: _finite_number(text, float),
+            parse_int=lambda text: _finite_number(text, int))
     except json.JSONDecodeError as exc:
         raise ReportValidationError(f"report is not valid JSON: {exc}")
     if not isinstance(document, dict):
         raise ReportValidationError("report document must be a JSON object")
     validate_document(document)
+    _parse_period(document["period"])
     return document
 
 
@@ -310,19 +336,16 @@ def assemble_report(portal_id: str, period: AnalysisPeriod, *,
 
 
 def build_diagnostics(portal_id: str, period: AnalysisPeriod, *,
-                      demand, recency_result, session_count, tallies,
+                      demand, recency, session_count, tallies,
                       activity=None, navigation_sessions=None) -> dict:
     """Local-only companion document holding the sensitive raw numbers.
 
     This is the file that stays on the portal operator's machine: visit
-    counts per bucket, recency, views per session, and the
-    ``(measured, skipped)`` session counts behind the navigation section.
-    Never ship it; the shareable report schema rejects these fields by
-    construction.
+    counts per bucket (``demand``, in bucket order), the recency block,
+    views per session, and the ``(measured, skipped)`` session counts
+    behind the navigation section. Never ship it; the shareable report
+    schema rejects these fields by construction.
     """
-    seconds = None
-    if recency_result.mean_between_visits is not None:
-        seconds = recency_result.mean_between_visits.total_seconds()
     navigation_block = None
     if navigation_sessions is not None:
         measured, skipped = navigation_sessions
@@ -333,15 +356,12 @@ def build_diagnostics(portal_id: str, period: AnalysisPeriod, *,
         "portal_id": portal_id,
         "period": period_section(period),
         "demand": {
-            "bucket_starts": [start.isoformat() for start, _ in demand.buckets],
-            "visit_counts": [count for _, count in demand.buckets],
-            "total_visits": demand.total,
+            "bucket_starts": [start.isoformat()
+                              for start in period.bucket_starts()],
+            "visit_counts": demand,
+            "total_visits": sum(demand),
         },
-        "recency": {
-            "mean_seconds_between_visits": seconds,
-            "eligible_visitors": recency_result.eligible_visitors,
-            "single_visit_visitors": recency_result.single_visit_visitors,
-        },
+        "recency": recency,
         "views_per_session": activity,
         "session_count": session_count,
         "navigation_sessions": navigation_block,
@@ -370,58 +390,51 @@ COMPARED_METRICS = (
 )
 
 
-@dataclass(frozen=True)
-class NetworkComparison:
-    """Within-segment rankings, pairwise deltas, and learning pointers."""
-
-    groups: dict
-    rankings: dict
-    deltas: dict
-    pointers: dict
-    skipped: tuple[str, ...]
-    margin: float
-
-    def to_document(self) -> dict:
-        return {
-            "kind": "network-comparison",
-            "margin": self.margin,
-            "groups": self.groups,
-            "rankings": self.rankings,
-            "deltas": self.deltas,
-            "pointers": self.pointers,
-            "skipped": list(self.skipped),
-        }
-
-    def to_json(self) -> bytes:
-        return canonical_json(self.to_document())
-
-    def to_text(self) -> str:
-        lines = [f"Within-segment comparison (margin {self.margin:.1%})"]
-        if self.skipped:
-            lines.append(f"Unsegmented portals skipped: {', '.join(self.skipped)}")
-        for quadrant in sorted(self.groups):
-            lines.append("")
-            lines.append(f"Segment: {quadrant}")
-            lines.append(f"  Portals: {', '.join(self.groups[quadrant])}")
-            for metric, ranked in self.rankings[quadrant].items():
-                shown = " > ".join(f"{r['portal']} ({r['value']:.4g})" for r in ranked)
-                lines.append(f"  {metric}: {shown}")
-            group_pointers = self.pointers[quadrant]
-            if group_pointers:
-                lines.append("  Learning pointers:")
-                for p in group_pointers:
-                    lines.append(
-                        f"    {p['portal']} could study {p['leader']} on "
-                        f"{p['metric']} (trails by {p['relative_gap']:.1%})"
-                    )
-            else:
-                lines.append("  Learning pointers: none above margin")
-        return "\n".join(lines) + "\n"
+def comparison_text(document: dict) -> str:
+    """The plain-text summary of a comparison document from
+    :func:`compare_within_segment`: rankings and learning pointers per
+    segment."""
+    lines = [f"Within-segment comparison (margin {document['margin']:.1%})"]
+    if document["skipped"]:
+        lines.append("Unsegmented portals skipped: "
+                     + ", ".join(document["skipped"]))
+    for quadrant in sorted(document["groups"]):
+        lines.append("")
+        lines.append(f"Segment: {quadrant}")
+        lines.append(f"  Portals: {', '.join(document['groups'][quadrant])}")
+        for metric, ranked in document["rankings"][quadrant].items():
+            shown = " > ".join(f"{r['portal']} ({r['value']:.4g})" for r in ranked)
+            lines.append(f"  {metric}: {shown}")
+        group_pointers = document["pointers"][quadrant]
+        if group_pointers:
+            lines.append("  Learning pointers:")
+            for p in group_pointers:
+                lines.append(
+                    f"    {p['portal']} could study {p['leader']} on "
+                    f"{p['metric']} (trails by {p['relative_gap']:.1%})"
+                )
+        else:
+            lines.append("  Learning pointers: none above margin")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_period(section: dict) -> tuple[datetime, datetime]:
-    return (datetime.fromisoformat(section["start"]),
-            datetime.fromisoformat(section["end"]))
+    """A report period's start and end as timezone-aware datetimes.
+    Raises ReportValidationError for a bound that is not an ISO date-time
+    with a UTC offset."""
+    bounds = []
+    for key in ("start", "end"):
+        text = section[key]
+        try:
+            bound = datetime.fromisoformat(text)
+        except ValueError:
+            bound = None
+        if bound is None or bound.utcoffset() is None:
+            raise ReportValidationError(
+                f"period/{key}: {text!r} is not an ISO date-time with a UTC "
+                "offset")
+        bounds.append(bound)
+    return bounds[0], bounds[1]
 
 
 def _guard_group(quadrant: str, reports: list[dict]) -> None:
@@ -456,8 +469,11 @@ def _guard_group(quadrant: str, reports: list[dict]) -> None:
 
 def compare_within_segment(reports,
                            margin: float = DEFAULT_COMPARE_MARGIN
-                           ) -> NetworkComparison:
-    """Rank same-segment portals per metric and emit learning pointers.
+                           ) -> dict:
+    """Rank same-segment portals per metric and emit learning pointers:
+    the comparison document, with the groups compared, the rankings,
+    pairwise deltas and pointers per segment, and the unsegmented portals
+    skipped, sorted.
 
     A pointer names the segment leader for every portal trailing it by
     more than ``margin`` (relative to the leader's value) on a direction-
@@ -540,6 +556,12 @@ def compare_within_segment(reports,
                         "metric": metric, "portal": portal, "leader": leader,
                         "relative_gap": rel,
                     })
-    return NetworkComparison(groups=group_names, rankings=rankings,
-                             deltas=deltas, pointers=pointers,
-                             skipped=tuple(sorted(skipped)), margin=margin)
+    return {
+        "kind": "network-comparison",
+        "margin": margin,
+        "groups": group_names,
+        "rankings": rankings,
+        "deltas": deltas,
+        "pointers": pointers,
+        "skipped": sorted(skipped),
+    }

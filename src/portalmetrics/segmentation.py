@@ -13,7 +13,6 @@ from __future__ import annotations
 import statistics
 
 from .errors import DomainError
-from .usage import DemandSeries
 
 DEFAULT_GROWTH_THRESHOLD = 0.05
 
@@ -34,15 +33,15 @@ INDETERMINATE_FLAG = "dynamics_indeterminate"
 SINGLE_PORTAL_FLAG = "single_portal_network"
 
 
-def demand_trend(series: DemandSeries) -> float | None:
+def demand_trend(counts: list[int]) -> float | None:
     """The least-squares slope of visits per bucket relative to their mean.
 
-    Fits count = a + slope * bucket_index by ordinary least squares and
-    returns slope / mean visit count, so 0.05 means demand grows by 5% of
-    its average level per bucket. Needs at least 2 buckets. An all-zero
-    series has no level to measure change against: it gives None.
+    ``counts`` are the visits per bucket in bucket order. Fits count = a +
+    slope * bucket_index by ordinary least squares and returns slope /
+    mean visit count, so 0.05 means demand grows by 5% of its average
+    level per bucket. Needs at least 2 buckets. An all-zero series has no
+    level to measure change against: it gives None.
     """
-    counts = series.counts()
     if len(counts) < 2:
         raise DomainError("trend estimation needs at least 2 buckets")
     if any(c < 0 for c in counts):

@@ -18,9 +18,9 @@ pages at once: each page holds the set of pages that have reached it as
 the bits of a Python integer, and status and contrastatus add up level by
 level without an n x n matrix. Status counts each page's new bits in a
 sweep along the edges, contrastatus in a second sweep against them. Only
-:func:`converted_distances` builds the matrix, as nested tuples of ints.
-Session path graphs are measured in ``usage`` from the same two
-formulas.
+:func:`converted_distances` builds the matrix: a tuple of row tuples of
+ints, in the order of ``SiteGraph.node_order()``. Session path graphs
+are measured in ``usage`` from the same two formulas.
 """
 
 from __future__ import annotations
@@ -71,24 +71,6 @@ class SiteGraph:
 class BuildTally:
     self_loops_dropped: int = 0
     parallel_edges_collapsed: int = 0
-
-
-@dataclass(frozen=True)
-class ConvertedDistanceMatrix:
-    """All-pairs shortest directed distances with unreachable pairs at K.
-
-    ``d`` is a tuple of n row tuples of ints. d[i][j] is the shortest path
-    length from node i to node j in the order given by ``nodes``;
-    d[i][i] = 0 and d[i][j] = K exactly when j is not reachable from i.
-    """
-
-    nodes: tuple[str, ...]
-    d: tuple[tuple[int, ...], ...]
-    K: int
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
 
 
 def build_site_graph(lines) -> tuple[SiteGraph, BuildTally]:
@@ -237,13 +219,17 @@ def _distance_summary(g: SiteGraph, k: int
             root_distances)
 
 
-def converted_distances(g: SiteGraph, K: int | None = None) -> ConvertedDistanceMatrix:
-    """All-pairs shortest directed distances with unreachable pairs set to K.
+def converted_distances(g: SiteGraph, K: int | None = None
+                        ) -> tuple[tuple[int, ...], ...]:
+    """All-pairs shortest directed distances with unreachable pairs set to
+    K, as n row tuples of ints in the order of ``g.node_order()``.
 
-    Default K is the node count; K may not be below the longest finite
-    distance. The full n x n matrix is materialized; for metric
-    computation on large graphs prefer :func:`organization_profile`,
-    which only keeps per-node sums.
+    Row i, column j is the shortest path length from node i to node j;
+    the diagonal is 0, and a cell is K exactly when its column is not
+    reachable from its row. Default K is the node count; K may not be
+    below the longest finite distance. The full n x n matrix is
+    materialized; for metric computation on large graphs prefer
+    :func:`organization_profile`, which only keeps per-node sums.
     """
     k = g.n if K is None else K
     order, edges, _ = _indexed(g)
@@ -260,8 +246,7 @@ def converted_distances(g: SiteGraph, K: int | None = None) -> ConvertedDistance
                 sources ^= low
         longest = level
     _check_conversion_constant(k, 1, longest)
-    return ConvertedDistanceMatrix(nodes=tuple(order), d=tuple(map(tuple, d)),
-                                   K=k)
+    return tuple(map(tuple, d))
 
 
 def _navigability(n: int, k: int, sum_converted: float) -> float:

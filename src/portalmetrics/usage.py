@@ -7,7 +7,13 @@ recency (mean time between visits by the same visitor), activity level
 (page views per visit), the accessed-content distributions of the whole
 period (by views and by unique visitors) joined against the catalog, and
 per-session navigation complexity/linearity derived from the structure
-metrics on the session's path graph.
+metrics on the session's path graph. Each returns the plain value its
+one reader needs: demand is a list of visit counts in bucket order, and
+recency is the local diagnostics' recency block as a dict.
+
+:func:`read_log_lines` is the one log reader: plain or gzip files, read
+in turn, and a file that cannot be read or decompressed raises
+ConfigError naming it.
 
 Visitor identity: the authenticated-user field of the log line when
 present, otherwise a stable hash of (client address, user agent). The
@@ -38,13 +44,14 @@ import gzip
 import hashlib
 import re
 import statistics
+import zlib
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 
 from . import structure
 from .catalog import ContentRecord, TopicDistribution
-from .errors import DomainError, FormatError
+from .errors import ConfigError, DomainError, FormatError
 from .inputs import data_lines, delimiter
 
 DEFAULT_SESSION_TIMEOUT = timedelta(minutes=30)
@@ -151,33 +158,6 @@ class AnalysisPeriod:
 
     def bucket_starts(self) -> list[datetime]:
         return [self.start + i * self.bucket for i in range(self.bucket_count)]
-
-
-@dataclass(frozen=True)
-class DemandSeries:
-    """Visit counts per bucket over one analysis period."""
-
-    buckets: tuple[tuple[datetime, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.buckets)
-
-    def counts(self) -> list[int]:
-        return [c for _, c in self.buckets]
-
-
-@dataclass(frozen=True)
-class RecencyResult:
-    """Mean time between visits by the same visitor within a period.
-
-    ``mean_between_visits`` is None when no visitor had two or more visits
-    in the period; single-visit visitors are never imputed, only counted.
-    """
-
-    mean_between_visits: timedelta | None
-    eligible_visitors: int
-    single_visit_visitors: int
 
 
 def _clf_base(text: str) -> int:
@@ -341,11 +321,18 @@ def ingest(lines, tally: IngestTally, *, use_auth_user: bool = True,
 
 
 def read_log_lines(paths):
-    """Iterate lines over several log files; .gz files are decompressed."""
+    """Lines of every log file in turn; .gz files are decompressed. A file
+    that cannot be read or decompressed raises ConfigError naming it."""
     for path in paths:
         opener = gzip.open if str(path).endswith(".gz") else open
-        with opener(path, "rt", encoding="utf-8", errors="replace") as fh:
-            yield from fh
+        try:
+            with opener(path, "rt", encoding="utf-8", errors="replace") as fh:
+                yield from fh
+        # EOFError: a truncated .gz log; zlib.error: a corrupt deflate stream.
+        except (OSError, EOFError, zlib.error) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(
+                f"cannot read log file {path}: {reason}") from None
 
 
 def parse_link_map(lines) -> dict:
@@ -394,22 +381,25 @@ def sessionize(views_by_visitor,
     return sessions
 
 
-def overall_demand(sessions, period: AnalysisPeriod) -> DemandSeries:
-    """Visits per bucket; a session counts in the bucket of its start."""
+def overall_demand(sessions, period: AnalysisPeriod) -> list[int]:
+    """Visits per bucket, in bucket order; a session counts in the bucket
+    of its start."""
     counts = [0] * period.bucket_count
     for session in sessions:
         idx = period.bucket_index(session.views[0][0])
         if idx is not None:
             counts[idx] += 1
-    starts = period.bucket_starts()
-    return DemandSeries(buckets=tuple(zip(starts, counts)))
+    return counts
 
 
-def recency(sessions, period: AnalysisPeriod) -> RecencyResult:
-    """Mean over visitors of their mean gap between consecutive visit starts.
+def recency(sessions, period: AnalysisPeriod) -> dict:
+    """The diagnostics' recency block: the mean over visitors of their mean
+    gap between consecutive visit starts, in seconds, and the visitor
+    counts behind it.
 
     Only sessions starting inside the period count; visitors with a single
-    visit are excluded and tallied, not imputed.
+    visit are excluded and tallied, not imputed. The mean is None when no
+    visitor had two or more visits in the period.
     """
     starts_by_visitor: dict[str, list[int]] = {}
     for session in sessions:
@@ -424,14 +414,16 @@ def recency(sessions, period: AnalysisPeriod) -> RecencyResult:
             continue
         # The consecutive gaps sum to the span from first to last start.
         gaps.append(timedelta(seconds=max(starts) - min(starts)) / (len(starts) - 1))
-    if not gaps:
-        return RecencyResult(mean_between_visits=None, eligible_visitors=0,
-                             single_visit_visitors=single)
-    return RecencyResult(
-        mean_between_visits=sum(gaps, timedelta()) / len(gaps),
-        eligible_visitors=len(gaps),
-        single_visit_visitors=single,
-    )
+    mean = None
+    if gaps:
+        # Averaged as timedeltas and converted last, so the mean rounds
+        # to whole microseconds before it becomes a float.
+        mean = (sum(gaps, timedelta()) / len(gaps)).total_seconds()
+    return {
+        "mean_seconds_between_visits": mean,
+        "eligible_visitors": len(gaps),
+        "single_visit_visitors": single,
+    }
 
 
 def activity_level(sessions) -> float:

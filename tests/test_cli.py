@@ -352,13 +352,21 @@ class TestReportCommand:
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("content",
-                             [None, b"\x1f\x8b\x08\x00", b"plain text\n"],
-                             ids=["missing", "truncated-gzip", "not-gzip"])
+                             [None, b"\x1f\x8b\x08\x00", b"plain text\n",
+                              "corrupt-deflate"],
+                             ids=["missing", "truncated-gzip", "not-gzip",
+                                  "corrupt-deflate"])
     def test_unreadable_log_is_config_error(self, demo, tmp_path, capsys,
                                             content):
         portal = demo["portals"]["alpha"]
         good = os.path.join(portal["dir"], "access.log")
         log = tmp_path / "rotated.log.gz"
+        if content == "corrupt-deflate":
+            # Bytes 40-59 inverted: the deflate stream fails with zlib.error.
+            with open(good, "rb") as fh:
+                data = bytearray(gzip.compress(fh.read(), mtime=0))
+            data[40:60] = bytes(b ^ 0xFF for b in data[40:60])
+            content = bytes(data)
         if content is not None:
             log.write_bytes(content)
         code = cli.main(["report", "--config", portal["config"],
@@ -722,6 +730,11 @@ DEMO_DIGESTS = {
     "comparison.json":
         "73942e2e0d4e5d8145629cf7d1133c1aace8d5ba3562076a24e203ebd46fc15f",
 }
+# sha256 of the text the demo network's comparison prints. Same rule.
+DEMO_STDOUT_DIGESTS = {
+    "comparison.stdout":
+        "e7b9fd34b36189e9a200cfcb194590aa0f4353dc820ece68b99a21187b08b060",
+}
 
 
 def test_demo_network_outputs_match_their_pinned_digests(tmp_path, capsys):
@@ -735,14 +748,17 @@ def test_demo_network_outputs_match_their_pinned_digests(tmp_path, capsys):
                          "--output-dir", str(out)]) == 0
         for kind in ("report", "diagnostics"):
             outputs[f"{name}.{kind}.json"] = out / f"{name}.{kind}.json"
+    capsys.readouterr()
     assert cli.main(["compare", "--output-dir", str(tmp_path / "cmp"),
                      str(outputs["alpha.report.json"]),
                      str(outputs["beta.report.json"])]) == 0
-    capsys.readouterr()
+    stdout = capsys.readouterr().out.encode("utf-8")
     outputs["comparison.json"] = tmp_path / "cmp" / "comparison.json"
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in outputs.items()}
     assert digests == DEMO_DIGESTS
+    stdout_digests = {"comparison.stdout": hashlib.sha256(stdout).hexdigest()}
+    assert stdout_digests == DEMO_STDOUT_DIGESTS
 
 
 # sha256 of what each single-section command writes on the demo network:

@@ -9,6 +9,7 @@ from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
+from portalmetrics import cli, position
 from portalmetrics.config import (
     MAX_BUCKETS,
     RunConfig,
@@ -245,14 +246,30 @@ class TestAccessors:
         cfg = build_config(overrides={"session_timeout_minutes": 45.0})
         assert cfg.session_timeout() == timedelta(minutes=45)
 
-    def test_position_thresholds_mirror_config(self):
-        cfg = build_config(overrides={"bridge_score_threshold": 0.7,
-                                      "authority_percentile": 90.0})
-        got = cfg.position_thresholds()
-        assert got.bridge_score_threshold == 0.7
-        assert got.authority_percentile == 90.0
-        assert got.hub_percentile == 75.0
-        assert got.bridge_min_communities == 2
+    def test_position_thresholds_mirror_config(self, tmp_path, monkeypatch):
+        # Each of the four settings reaches position_profile as its keyword.
+        links = tmp_path / "links.tsv"
+        links.write_text("https://a.example/x\thttps://b.example/y\n")
+        seen = []
+        real = position.position_profile
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(position, "position_profile", spy)
+        inputs = {"cross_links": str(links), "site": "a.example"}
+        cli._position_profile(build_config(overrides={
+            **inputs, "bridge_score_threshold": 0.7,
+            "authority_percentile": 90.0}))
+        cli._position_profile(build_config(overrides={
+            **inputs, "bridge_min_communities": 3, "hub_percentile": 60.0}))
+        assert seen == [
+            {"bridge_score_threshold": 0.7, "bridge_min_communities": 2,
+             "authority_percentile": 90.0, "hub_percentile": 75.0},
+            {"bridge_score_threshold": 0.5, "bridge_min_communities": 3,
+             "authority_percentile": 75.0, "hub_percentile": 60.0},
+        ]
 
     def test_reference_prefers_explicit_date(self):
         cfg = build_config(overrides={

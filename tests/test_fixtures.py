@@ -183,7 +183,7 @@ class TestGenLog:
         assert (tally.malformed, tally.bot_entries) == (0, 0)
         period = AnalysisPeriod(start=START, end=START + timedelta(days=2))
         demand = overall_demand(sessionize(views), period)
-        assert demand.counts() == [3, 2]
+        assert demand == [3, 2]
 
     def test_visits_dealt_round_robin(self):
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
@@ -516,7 +516,7 @@ class TestDemoNetwork:
             start=datetime.fromisoformat(fx.DEMO_PERIOD_START),
             end=datetime.fromisoformat(fx.DEMO_PERIOD_END))
         demand = overall_demand(sessionize(views), period)
-        assert demand.counts() == [10, 20, 30]
+        assert demand == [10, 20, 30]
 
     def test_byte_determinism(self, tmp_path):
         a = fx.write_demo_network(tmp_path / "one")

@@ -345,9 +345,9 @@ class TestPositionProfile:
     def test_percentile_outside_range_rejected(self, percentile):
         g = _bridged()
         communities = position.detect_communities(g)
-        thresholds = position.PositionThresholds(authority_percentile=percentile)
         with pytest.raises(ValueError):
-            position.position_profile(g, "c0.example", communities, thresholds)
+            position.position_profile(g, "c0.example", communities,
+                                      authority_percentile=percentile)
 
 
 class TestPercentileCut:

@@ -200,6 +200,32 @@ class TestSchemaAndRoundTrip:
         with pytest.raises(ReportValidationError, match=token):
             report.deserialize(data)
 
+    @pytest.mark.parametrize("number", [b"1e400", b"-1e400", b"9" * 309,
+                                        b"1" + b"0" * 5000])
+    def test_deserialize_rejects_numbers_beyond_floats(self, number):
+        data = report.serialize(_report())
+        assert b'"depth":2.0' in data
+        data = data.replace(b'"depth":2.0', b'"depth":' + number)
+        with pytest.raises(ReportValidationError,
+                           match="does not fit a finite float"):
+            report.deserialize(data)
+
+    def test_deserialize_keeps_the_largest_floats(self):
+        data = report.serialize(_report()).replace(
+            b'"depth":2.0', b'"depth":' + b"9" * 308)
+        assert report.deserialize(data)["organization"]["depth"] == int(
+            "9" * 308)
+
+    @pytest.mark.parametrize("bound", ["2026-03-02T00:00:00", "2026-03-02",
+                                       "March 2, 2026", ""])
+    def test_deserialize_rejects_period_bounds_without_offset(self, bound):
+        document = json.loads(report.serialize(_report()))
+        document["period"]["start"] = bound
+        with pytest.raises(ReportValidationError,
+                           match="period/start: .* is not an ISO date-time "
+                                 "with a UTC offset"):
+            report.deserialize(json.dumps(document))
+
 
 SENSITIVE_FIELD_NAMES = {
     "visit_counts", "total_visits", "session_count", "views_per_session",
@@ -234,18 +260,17 @@ class TestSensitivityGuard:
             report.validate_document(document)
 
     def test_diagnostics_hold_the_raw_numbers_instead(self):
-        from portalmetrics.usage import DemandSeries, RecencyResult
-        starts = PERIOD.bucket_starts()
-        demand = DemandSeries(buckets=tuple(zip(starts, [10, 20, 30])))
-        rec = RecencyResult(mean_between_visits=timedelta(days=2),
-                            eligible_visitors=4, single_visit_visitors=1)
+        rec = {"mean_seconds_between_visits": 172_800.0,
+               "eligible_visitors": 4, "single_visit_visitors": 1}
         diag = report.build_diagnostics(
-            "alpha", PERIOD, demand=demand, recency_result=rec, activity=3.0,
+            "alpha", PERIOD, demand=[10, 20, 30], recency=rec, activity=3.0,
             session_count=60, tallies={"bot_entries": 45})
         assert diag["kind"] == "local-diagnostics"
+        assert diag["demand"]["bucket_starts"] == [
+            start.isoformat() for start in PERIOD.bucket_starts()]
         assert diag["demand"]["visit_counts"] == [10, 20, 30]
         assert diag["demand"]["total_visits"] == 60
-        assert diag["recency"]["mean_seconds_between_visits"] == 172_800.0
+        assert diag["recency"] == rec
         assert diag["views_per_session"] == 3.0
         assert diag["tallies"] == {"bot_entries": 45}
         # and the shareable schema refuses the whole thing
@@ -258,20 +283,20 @@ class TestComparison:
         strong = _report("alpha", organization=_organization(navigability=0.9))
         weak = _report("beta", organization=_organization(navigability=0.3))
         comparison = report.compare_within_segment([strong, weak])
-        pointers = comparison.pointers[GROW_LARGE]
+        pointers = comparison["pointers"][GROW_LARGE]
         nav = [p for p in pointers if p["metric"] == "organization.navigability"]
         assert len(nav) == 1
         assert nav[0]["portal"] == "beta"
         assert nav[0]["leader"] == "alpha"
         assert nav[0]["relative_gap"] == pytest.approx((0.9 - 0.3) / 0.9)
-        text = comparison.to_text()
+        text = report.comparison_text(comparison)
         assert "beta could study alpha on organization.navigability" in text
 
     def test_rankings_orient_by_direction(self):
         shallow = _report("alpha", organization=_organization(depth=1.5))
         deep = _report("beta", organization=_organization(depth=4.0))
         comparison = report.compare_within_segment([shallow, deep])
-        ranked = comparison.rankings[GROW_LARGE]["organization.depth"]
+        ranked = comparison["rankings"][GROW_LARGE]["organization.depth"]
         assert [r["portal"] for r in ranked] == ["alpha", "beta"]
 
     def test_margin_is_strict_relative_threshold(self):
@@ -279,19 +304,20 @@ class TestComparison:
         near = _report("beta", provision=_provision(richness=0.97))
         wide = report.compare_within_segment([top, near], margin=0.05)
         assert not any(p["metric"] == "provision.richness"
-                       for p in wide.pointers[GROW_LARGE])
+                       for p in wide["pointers"][GROW_LARGE])
         tight = report.compare_within_segment([top, near], margin=0.01)
         assert any(p["metric"] == "provision.richness"
-                   for p in tight.pointers[GROW_LARGE])
+                   for p in tight["pointers"][GROW_LARGE])
 
     def test_linearity_in_deltas_but_never_ranked(self):
         a = _report("alpha", organization=_organization(linearity=0.9))
         b = _report("beta", organization=_organization(linearity=0.1))
         comparison = report.compare_within_segment([a, b])
-        assert "organization.linearity" not in comparison.rankings[GROW_LARGE]
+        rankings = comparison["rankings"][GROW_LARGE]
+        assert "organization.linearity" not in rankings
         assert not any(p["metric"] == "organization.linearity"
-                       for p in comparison.pointers[GROW_LARGE])
-        linearity_deltas = [d for d in comparison.deltas[GROW_LARGE]
+                       for p in comparison["pointers"][GROW_LARGE])
+        linearity_deltas = [d for d in comparison["deltas"][GROW_LARGE]
                             if d["metric"] == "organization.linearity"]
         assert len(linearity_deltas) == 1
         assert linearity_deltas[0]["difference"] == pytest.approx(0.8)
@@ -300,32 +326,32 @@ class TestComparison:
         best = _report("alpha", organization=_organization(depth=0.0))
         worse = _report("beta", organization=_organization(depth=2.0))
         comparison = report.compare_within_segment([best, worse])
-        depth_pointers = [p for p in comparison.pointers[GROW_LARGE]
+        depth_pointers = [p for p in comparison["pointers"][GROW_LARGE]
                           if p["metric"] == "organization.depth"]
         assert depth_pointers[0]["relative_gap"] == pytest.approx(1.0)
-        comparison.to_json()  # must stay JSON-encodable (no infinities)
+        report.canonical_json(comparison)  # JSON-encodable: no infinities
 
     def test_missing_section_metric_skipped(self):
         a = _report("alpha", position=None)
         b = _report("beta", position=None)
         comparison = report.compare_within_segment([a, b])
         assert not any(m.startswith("position.")
-                       for m in comparison.rankings[GROW_LARGE])
+                       for m in comparison["rankings"][GROW_LARGE])
 
     def test_third_portal_in_other_segment_left_out(self):
         a = _report("alpha")
         b = _report("beta")
         c = _report("gamma", quadrant=STABLE_SMALL)
         comparison = report.compare_within_segment([a, b, c])
-        assert comparison.groups == {GROW_LARGE: ["alpha", "beta"]}
-        assert comparison.skipped == ()
+        assert comparison["groups"] == {GROW_LARGE: ["alpha", "beta"]}
+        assert comparison["skipped"] == []
 
     def test_unsegmented_portal_skipped_and_listed(self):
         a = _report("alpha")
         b = _report("beta")
         c = _report("gamma", segmentation=None)
         comparison = report.compare_within_segment([a, b, c])
-        assert comparison.skipped == ("gamma",)
+        assert comparison["skipped"] == ["gamma"]
 
     def test_two_reports_without_shared_segment_refused(self):
         a = _report("alpha")
@@ -377,15 +403,14 @@ class TestComparison:
         a = _report("alpha")
         b = _report("beta", period=shifted)
         comparison = report.compare_within_segment([a, b])
-        assert comparison.groups[GROW_LARGE] == ["alpha", "beta"]
+        assert comparison["groups"][GROW_LARGE] == ["alpha", "beta"]
 
     def test_comparison_document_is_canonical(self):
         a = _report("alpha", organization=_organization(navigability=0.9))
         b = _report("beta", organization=_organization(navigability=0.3))
         comparison = report.compare_within_segment([a, b])
-        document = comparison.to_document()
-        assert json.loads(comparison.to_json()) == document
-        assert document["kind"] == "network-comparison"
+        assert json.loads(report.canonical_json(comparison)) == comparison
+        assert comparison["kind"] == "network-comparison"
 
 
 # sha256 of canonical_json(REPORT_SCHEMA). The schema is the contract

@@ -1,9 +1,11 @@
 """`report` across its two processes: which error it prints when several
 inputs are bad, that no process outlives it, and a sweep of mutated input
-files that must each end in a report or in one error line."""
+files that must each end in a report or in one error line; and the same
+sweep of `compare` over mutated copies of a report."""
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import random
@@ -264,6 +266,87 @@ def test_mutated_input_gives_a_report_or_one_error_line(demo, tmp_path,
         if code == 0:
             deserialize(captured.out)
         else:
-            assert code in (1, 2), case
-            assert len(captured.err.splitlines()) == 1, (case, captured.err)
-            assert captured.err.startswith("error: "), (case, captured.err)
+            _assert_one_error_line(code, captured.err, case)
+
+
+def _assert_one_error_line(code, err, case):
+    assert code in (1, 2), case
+    assert len(err.splitlines()) == 1, (case, err)
+    assert err.startswith("error: "), (case, err)
+
+
+@pytest.fixture(scope="module")
+def reports(demo, tmp_path_factory):
+    """The demo portals' reports; alpha and beta share a segment."""
+    out = tmp_path_factory.mktemp("demo-reports")
+    for name in ("alpha", "beta"):
+        assert cli.main(["report", "--config", demo["portals"][name]["config"],
+                         "--output-dir", str(out)]) == 0
+    return {name: str(out / f"{name}.report.json") for name in ("alpha", "beta")}
+
+
+def _compare(capsys, reports, path, out):
+    """Exit code and stderr of `compare` on alpha's report and ``path``."""
+    capsys.readouterr()
+    code = cli.main(["compare", "--output-dir", str(out), reports["alpha"],
+                     str(path)])
+    return code, capsys.readouterr().err
+
+
+COMPARE_CASES_PER_KIND = 40
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mutated_report_gives_a_comparison_or_one_error_line(
+        reports, tmp_path, capsys, kind):
+    with open(reports["beta"], "rb") as fh:
+        data = fh.read()
+    for case in range(COMPARE_CASES_PER_KIND):
+        rng = random.Random(f"beta report/{kind}/{case}")
+        path = tmp_path / f"case{case}.report.json"
+        path.write_bytes(_mutated(data, kind, rng))
+        out = tmp_path / f"out{case}"
+        try:
+            code, err = _compare(capsys, reports, path, out)
+        except Exception as exc:  # a traceback for the user
+            pytest.fail(f"case {case}: {type(exc).__name__}: {exc}")
+        if code == 0:
+            with open(out / "comparison.json", "rb") as fh:
+                json.loads(fh.read())
+        else:
+            _assert_one_error_line(code, err, case)
+
+
+# Edits of beta's report that keep it valid JSON under the schema, and the
+# error `compare` gives for each, after "error: report file <path>: ".
+REPORT_EDITS = {
+    "naive period start": (
+        b'"start":"2026-03-02T00:00:00+00:00"', b'"start":"2026-03-02T00:00:00"',
+        "period/start: '2026-03-02T00:00:00' is not an ISO date-time with a "
+        "UTC offset"),
+    "period end not ISO": (
+        b'"end":"2026-03-05T00:00:00+00:00"', b'"end":"5 March 2026"',
+        "period/end: '5 March 2026' is not an ISO date-time with a UTC "
+        "offset"),
+    "number beyond floats": (
+        b'"depth":15.0', b'"depth":1e400',
+        "report holds the number 1e400, which does not fit a finite float"),
+    "309-digit integer": (
+        b'"in_degree":2', b'"in_degree":' + b"9" * 309,
+        "report holds the number 99999999999999999999..., which does not "
+        "fit a finite float"),
+}
+
+
+@pytest.mark.parametrize("edit", REPORT_EDITS)
+def test_edited_report_is_refused_by_name(reports, tmp_path, capsys, edit):
+    old, new, message = REPORT_EDITS[edit]
+    with open(reports["beta"], "rb") as fh:
+        data = fh.read()
+    assert data.count(old) == 1
+    path = tmp_path / "beta.report.json"
+    path.write_bytes(data.replace(old, new))
+    out = tmp_path / "out"
+    code, err = _compare(capsys, reports, path, out)
+    assert (code, err) == (2, f"error: report file {path}: {message}\n")
+    assert not out.exists()

@@ -1,23 +1,12 @@
 """Typology of portals: demand trend crossed with relative content size."""
 
-from datetime import datetime, timedelta, timezone
-
 import pytest
 from hypothesis import given, strategies as st
 
-from portalmetrics import segmentation, usage
+from portalmetrics import segmentation
 from portalmetrics.errors import DomainError
 
 from oracles import ols_slope
-
-T0 = datetime(2026, 3, 2, tzinfo=timezone.utc)
-
-
-def _series(counts):
-    period = usage.AnalysisPeriod(start=T0,
-                                  end=T0 + timedelta(days=len(counts)))
-    starts = period.bucket_starts()
-    return usage.DemandSeries(buckets=tuple(zip(starts, counts)))
 
 
 def _oracle_relative_slope(counts):
@@ -26,10 +15,10 @@ def _oracle_relative_slope(counts):
 
 class TestDemandTrend:
     def test_flat_series_zero_slope(self):
-        assert segmentation.demand_trend(_series([10, 10, 10])) == 0.0
+        assert segmentation.demand_trend([10, 10, 10]) == 0.0
 
     def test_linear_growth(self):
-        result = segmentation.demand_trend(_series([10, 20, 30]))
+        result = segmentation.demand_trend([10, 20, 30])
         # slope 10 over a mean of 20
         assert result == pytest.approx(0.5, abs=1e-9)
         assert result == pytest.approx(
@@ -37,12 +26,12 @@ class TestDemandTrend:
 
     def test_against_closed_form_oracle(self):
         counts = [5, 9, 6, 12, 10]
-        result = segmentation.demand_trend(_series(counts))
+        result = segmentation.demand_trend(counts)
         assert result == pytest.approx(
             _oracle_relative_slope(counts), abs=1e-12)
 
     def test_declining_series(self):
-        result = segmentation.demand_trend(_series([30, 20, 10]))
+        result = segmentation.demand_trend([30, 20, 10])
         # slope -10 over a mean of 20
         assert result == pytest.approx(-0.5)
         assert result == pytest.approx(
@@ -50,21 +39,21 @@ class TestDemandTrend:
 
     def test_needs_two_buckets(self):
         with pytest.raises(DomainError):
-            segmentation.demand_trend(_series([10]))
+            segmentation.demand_trend([10])
 
     def test_negative_counts_rejected(self):
         with pytest.raises(DomainError):
-            segmentation.demand_trend(_series([5, -1, 5]))
+            segmentation.demand_trend([5, -1, 5])
 
     def test_all_zero_is_indeterminate(self):
-        assert segmentation.demand_trend(_series([0, 0, 0])) is None
+        assert segmentation.demand_trend([0, 0, 0]) is None
 
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=2,
                     max_size=30).filter(lambda c: sum(c) > 0),
            st.integers(min_value=2, max_value=9))
     def test_relative_slope_scale_invariant(self, counts, k):
-        base = segmentation.demand_trend(_series(counts))
-        scaled = segmentation.demand_trend(_series([c * k for c in counts]))
+        base = segmentation.demand_trend(counts)
+        scaled = segmentation.demand_trend([c * k for c in counts])
         assert scaled == pytest.approx(base, abs=1e-9)
         assert base == pytest.approx(
             _oracle_relative_slope(counts), abs=1e-9)
@@ -201,7 +190,7 @@ class TestSegment:
 
 class TestEndToEnd:
     def test_planted_growth_pipeline(self):
-        slope = segmentation.demand_trend(_series([10, 20, 30]))
+        slope = segmentation.demand_trend([10, 20, 30])
         shares = segmentation.relative_size({"p": 40, "q": 40},
                                             network_total=80)
         classes, _ = segmentation.size_class(shares)

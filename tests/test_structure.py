@@ -234,22 +234,22 @@ class TestConvertedDistances:
     def test_small_graph_exact(self):
         g = _from_edges([("/h", "/a"), ("/a", "/b")], root="/h")
         matrix = structure.converted_distances(g)
-        assert matrix.nodes == ("/a", "/b", "/h")
-        assert matrix.K == 3
+        assert g.node_order() == ["/a", "/b", "/h"]
+        assert matrix[0][2] == 3  # /a cannot reach /h: K is the node count
         expected = oracle_converted(g)
-        assert np.array_equal(matrix.d, expected)
+        assert np.array_equal(matrix, expected)
 
     @given(digraphs)
     @settings(max_examples=60)
     def test_matches_matrix_power_oracle(self, g):
         matrix = structure.converted_distances(g)
-        assert np.array_equal(matrix.d, oracle_converted(g))
+        assert np.array_equal(matrix, oracle_converted(g))
 
     def test_diagonal_is_zero_and_k_marks_unreachable(self):
         g = _graph("chain", 4)
         matrix = structure.converted_distances(g)
-        assert np.array_equal(np.diag(matrix.d), np.zeros(4, dtype=np.int64))
-        assert matrix.d[3][0] == matrix.K
+        assert np.array_equal(np.diag(matrix), np.zeros(4, dtype=np.int64))
+        assert matrix[3][0] == g.n  # K defaults to the node count
 
 
 # Random digraphs of 2 to 40 pages, from edgeless to dense.
@@ -339,7 +339,7 @@ class TestConversionConstant:
         g = _graph("cycle", 5)
         value = _navigability(g, K=4)
         assert value == pytest.approx(oracle_compactness(g, K=4), abs=1e-12)
-        assert max(map(max, structure.converted_distances(g, K=4).d)) == 4
+        assert max(map(max, structure.converted_distances(g, K=4))) == 4
 
     def test_k_of_one_rejected_for_metrics(self):
         # Max equals Min at K=1, so compactness would divide by zero.

@@ -671,21 +671,21 @@ class TestOverallDemand:
             _session(["/a"], start=3600, visitor="user:b"),
             _session(["/a"], start=86_400 + 60, visitor="user:c"),
         ]
-        series = usage.overall_demand(sessions, period)
-        assert series.counts() == [2, 1, 0]
-        assert series.total == 3
+        counts = usage.overall_demand(sessions, period)
+        assert counts == [2, 1, 0]
+        assert sum(counts) == 3
 
     def test_sessions_outside_period_ignored(self):
         period = usage.AnalysisPeriod(start=T0, end=T0 + timedelta(days=1))
         sessions = [_session(["/a"], start=-60),
                     _session(["/a"], start=90_000)]
-        assert usage.overall_demand(sessions, period).counts() == [0]
+        assert usage.overall_demand(sessions, period) == [0]
 
     def test_spanning_session_counts_once_at_its_start(self):
         period = usage.AnalysisPeriod(start=T0, end=T0 + timedelta(days=2))
         late = 86_400 - 60  # starts near the end of bucket 0
         sessions = [_session(["/a", "/b", "/c"], start=late, step=90)]
-        assert usage.overall_demand(sessions, period).counts() == [1, 0]
+        assert usage.overall_demand(sessions, period) == [1, 0]
 
 
 class TestRecency:
@@ -701,9 +701,9 @@ class TestRecency:
         ]
         result = usage.recency(sessions, self.PERIOD)
         # per-visitor means 1d and 3d -> overall 2d
-        assert result.mean_between_visits == timedelta(days=2)
-        assert result.eligible_visitors == 2
-        assert result.single_visit_visitors == 0
+        assert result == {"mean_seconds_between_visits": 2 * 86_400.0,
+                          "eligible_visitors": 2,
+                          "single_visit_visitors": 0}
 
     def test_single_visit_visitors_tallied_not_imputed(self):
         sessions = [
@@ -712,13 +712,15 @@ class TestRecency:
             _session(["/a"], visitor="user:b", start=0),
         ]
         result = usage.recency(sessions, self.PERIOD)
-        assert result.mean_between_visits == timedelta(days=1)
-        assert result.single_visit_visitors == 1
+        assert result["mean_seconds_between_visits"] == 86_400.0
+        assert result["single_visit_visitors"] == 1
 
     def test_undefined_when_no_returning_visitor(self):
         sessions = [_session(["/a"], visitor="user:a", start=0)]
         result = usage.recency(sessions, self.PERIOD)
-        assert result.mean_between_visits is None
+        assert result == {"mean_seconds_between_visits": None,
+                          "eligible_visitors": 0,
+                          "single_visit_visitors": 1}
 
     def test_sessions_outside_period_excluded(self):
         day = 86_400
@@ -728,7 +730,7 @@ class TestRecency:
             _session(["/a"], visitor="user:a", start=30 * day),  # outside
         ]
         result = usage.recency(sessions, self.PERIOD)
-        assert result.mean_between_visits == timedelta(days=2)
+        assert result["mean_seconds_between_visits"] == 2 * 86_400.0
 
     @given(st.lists(st.lists(st.integers(min_value=0, max_value=10 * 86_400 - 1),
                              min_size=1, max_size=6), max_size=6))
@@ -744,9 +746,10 @@ class TestRecency:
             if deltas:
                 gaps.append(sum(deltas, timedelta()) / len(deltas))
         result = usage.recency(sessions, self.PERIOD)
-        assert result.mean_between_visits == (
-            sum(gaps, timedelta()) / len(gaps) if gaps else None)
-        assert result.eligible_visitors == len(gaps)
+        assert result["mean_seconds_between_visits"] == (
+            (sum(gaps, timedelta()) / len(gaps)).total_seconds()
+            if gaps else None)
+        assert result["eligible_visitors"] == len(gaps)
 
 
 class TestActivityLevel:
