@@ -4,6 +4,7 @@ Reads delimited catalog exports (one row per catalogued educational
 resource), deduplicates them on the portal-scoped identifier, and computes
 the provision metrics: topic diversity (Shannon entropy, in nats), taxonomy
 richness, average content age, and the offered-vs-accessed gap analysis.
+Topic distributions are ``{topic: count}`` dicts; a taxonomy is a tuple.
 
 Every row of every catalog passes one row checker, so a portal's own
 catalog and the network catalogs follow the same rules. The own catalog
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from operator import itemgetter
@@ -47,41 +49,16 @@ class ContentRecord:
     portal_id: str
 
 
-@dataclass(frozen=True)
-class TopicTaxonomy:
-    """The network-wide agreed list of topic labels.
-
-    The taxonomy is always an input (file or argument), never hard-coded:
-    there is no canonical list bundled with the package.
-    """
-
-    topics: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.topics:
-            raise DomainError("taxonomy must contain at least one topic")
-        if len(set(self.topics)) != len(self.topics):
-            raise DomainError("taxonomy labels must be unique")
-
-    @classmethod
-    def from_lines(cls, lines) -> "TopicTaxonomy":
-        """A taxonomy from the lines of a taxonomy file: one label per
-        line, # starts a comment."""
-        return cls(tuple(label for _, label in data_lines(lines)))
-
-
-@dataclass(frozen=True)
-class TopicDistribution:
-    """Counts of content per topic."""
-
-    counts: dict[str, int]
-    total: int
-
-    @classmethod
-    def from_counts(cls, counts: dict[str, int]) -> "TopicDistribution":
-        if any(c < 0 for c in counts.values()):
-            raise DomainError("distribution counts must be non-negative")
-        return cls(counts=dict(counts), total=sum(counts.values()))
+def parse_taxonomy(lines) -> tuple[str, ...]:
+    """The network-wide topic labels from the lines of a taxonomy file,
+    one per line (# starts a comment); no list is bundled. Raises
+    DomainError when there is no label or a label repeats."""
+    topics = tuple(label for _, label in data_lines(lines))
+    if not topics:
+        raise DomainError("taxonomy must contain at least one topic")
+    if len(set(topics)) != len(topics):
+        raise DomainError("taxonomy labels must be unique")
+    return topics
 
 
 @dataclass
@@ -222,21 +199,23 @@ def content_keys(lines) -> Iterator[tuple[str, str]]:
     return map(itemgetter(0, 1), _checked_rows(lines, []))
 
 
-def shannon_diversity(dist: TopicDistribution) -> tuple[float, float]:
-    """(entropy in nats, evenness) of a distribution: Shannon entropy
-    H = -sum(p_i * ln p_i) over labels with positive count.
+def shannon_diversity(counts: dict[str, int]) -> tuple[float, float]:
+    """(entropy in nats, evenness) of topic counts: Shannon entropy
+    H = -sum(p_i * ln p_i) over labels with positive count, summed in the
+    dict's order.
 
     Natural log, so the value is in nats; 0 <= H <= ln(S) where S is the
     number of positive labels. Evenness divides by ln(S), so it is taken
     over the labels present, and is defined as 0.0 when S == 1.
     """
-    if dist.total <= 0:
+    total = sum(counts.values())
+    if total <= 0:
         raise DomainError("no content: cannot compute diversity of an "
                           "empty distribution")
-    positive = [c for c in dist.counts.values() if c > 0]
+    positive = [c for c in counts.values() if c > 0]
     entropy = 0.0
     for count in positive:
-        p = count / dist.total
+        p = count / total
         entropy -= p * math.log(p)
     entropy = max(entropy, 0.0)
     s = len(positive)
@@ -245,18 +224,18 @@ def shannon_diversity(dist: TopicDistribution) -> tuple[float, float]:
 
 
 def richness(records: list[ContentRecord],
-             taxonomy: TopicTaxonomy) -> tuple[float, list[str]]:
-    """Fraction of taxonomy topics covered by at least one record.
+             taxonomy: tuple[str, ...]) -> tuple[float, list[str]]:
+    """Fraction of the taxonomy's topics covered by at least one record.
 
     Returns (ratio, warnings) where warnings lists topics that appear in
     records but are absent from the taxonomy; those are excluded from the
     numerator.
     """
     present = {r.topic for r in records}
-    known = set(taxonomy.topics)
+    known = set(taxonomy)
     covered = present & known
     unknown = sorted(present - known)
-    return len(covered) / len(taxonomy.topics), unknown
+    return len(covered) / len(taxonomy), unknown
 
 
 def average_age(records: list[ContentRecord], reference: date) -> float:
@@ -274,15 +253,12 @@ def average_age(records: list[ContentRecord], reference: date) -> float:
     return sum(ages) / len(ages)
 
 
-def offer_distribution(records: list[ContentRecord]) -> TopicDistribution:
-    """Count records per topic."""
-    counts: dict[str, int] = {}
-    for r in records:
-        counts[r.topic] = counts.get(r.topic, 0) + 1
-    return TopicDistribution.from_counts(counts)
+def offer_distribution(records: list[ContentRecord]) -> dict[str, int]:
+    """Count records per topic, topics in record order."""
+    return dict(Counter(r.topic for r in records))
 
 
-def demand_offer_gap(offer: TopicDistribution, accessed: TopicDistribution,
+def demand_offer_gap(offer: dict[str, int], accessed: dict[str, int],
                      threshold: float = DEFAULT_GAP_THRESHOLD
                      ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Per-topic comparison of offered share vs accessed (demanded) share:
@@ -293,14 +269,15 @@ def demand_offer_gap(offer: TopicDistribution, accessed: TopicDistribution,
     are flagged high-demand/low-offer; below ``-threshold``, the reverse.
     Labels missing from one distribution count as zero there.
     """
-    if offer.total == 0 or accessed.total == 0:
+    offer_total, accessed_total = sum(offer.values()), sum(accessed.values())
+    if offer_total == 0 or accessed_total == 0:
         raise DomainError("both distributions must have positive totals")
-    labels = sorted(set(offer.counts) | set(accessed.counts))
+    labels = sorted(set(offer) | set(accessed))
     high_demand = []
     high_offer = []
     for label in labels:
-        gap = (accessed.counts.get(label, 0) / accessed.total
-               - offer.counts.get(label, 0) / offer.total)
+        gap = (accessed.get(label, 0) / accessed_total
+               - offer.get(label, 0) / offer_total)
         if gap > threshold:
             high_demand.append(label)
         elif gap < -threshold:

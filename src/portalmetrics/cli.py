@@ -64,11 +64,11 @@ def _load_catalog(cfg: RunConfig) -> catalog_mod.ParsedCatalog:
         return catalog_mod.parse_catalog(lines)
 
 
-def _load_taxonomy(cfg: RunConfig) -> catalog_mod.TopicTaxonomy | None:
+def _load_taxonomy(cfg: RunConfig) -> tuple[str, ...] | None:
     if cfg.taxonomy is None:
         return None
     with opened(cfg.taxonomy, "taxonomy") as lines:
-        return catalog_mod.TopicTaxonomy.from_lines(lines)
+        return catalog_mod.parse_taxonomy(lines)
 
 
 def _load_site_graph(cfg: RunConfig):
@@ -80,26 +80,18 @@ def _load_sessions(cfg: RunConfig):
     """Ingest the logs line by line, keeping only human page views, and
     sessionize them.
 
-    Returns (sessions, tallies) where tallies records what was dropped on
-    the way; those counts go to local diagnostics only.
+    Returns (sessions, tallies): ingest's counts and the session count,
+    which go to local diagnostics only.
     """
     signatures = None
     if cfg.bot_list is not None:
         with opened(cfg.bot_list, "bot signature list") as lines:
             signatures = usage_mod.parse_signatures(lines)
-    tally = usage_mod.IngestTally()
-    views = usage_mod.ingest(usage_mod.read_log_lines(_require(cfg, "logs")),
-                             tally, use_auth_user=cfg.use_auth_user,
-                             signatures=signatures)
+    views, counts = usage_mod.ingest(
+        usage_mod.read_log_lines(_require(cfg, "logs")),
+        use_auth_user=cfg.use_auth_user, signatures=signatures)
     sessions = usage_mod.sessionize(views, cfg.session_timeout())
-    tallies = {
-        "log_lines": tally.total_lines,
-        "malformed_lines": tally.malformed,
-        "bot_entries": tally.bot_entries,
-        "non_page_view_entries": tally.non_page_view_entries,
-        "sessions": len(sessions),
-    }
-    return sessions, tallies
+    return sessions, {**counts, "sessions": len(sessions)}
 
 
 def _offer_provision(cfg: RunConfig, parsed, taxonomy):
@@ -170,9 +162,8 @@ def _add_accessed(cfg: RunConfig, section: dict, flags: list, offered,
 
 def cmd_catalog(cfg: RunConfig) -> int:
     parsed = _load_catalog(cfg)
-    provision, flags, offered = _offer_provision(cfg, parsed,
-                                                 _load_taxonomy(cfg))
-    _add_accessed(cfg, provision, flags, offered, parsed.records, None, None)
+    provision, flags, _ = _offer_provision(cfg, parsed, _load_taxonomy(cfg))
+    flags.append("no_accessed_distribution")
     _emit({
         "kind": "catalog-metrics",
         "portal_id": cfg.portal_id,
@@ -186,7 +177,7 @@ def cmd_catalog(cfg: RunConfig) -> int:
 
 
 def cmd_structure(cfg: RunConfig) -> int:
-    graph, tally = _load_site_graph(cfg)
+    graph, dropped = _load_site_graph(cfg)
     organization = structure_mod.organization_profile(graph, K=cfg.distance_k)
     organization["navigation"] = None
     _emit({
@@ -194,8 +185,7 @@ def cmd_structure(cfg: RunConfig) -> int:
         "portal_id": cfg.portal_id,
         "pages": graph.n,
         "links": len(graph.edges),
-        "self_loops_dropped": tally.self_loops_dropped,
-        "parallel_links_collapsed": tally.parallel_edges_collapsed,
+        **dropped,
         "organization": organization,
     })
     return 0
@@ -235,7 +225,7 @@ def _position_profile(cfg: RunConfig):
         with opened(cfg.site_map, "site map") as lines:
             site_map = usage_mod.parse_link_map(lines)
     with opened(_require(cfg, "cross_links"), "cross-site link") as lines:
-        graph, tally = position_mod.build_cross_site_graph(lines, site_map)
+        graph, dropped = position_mod.build_cross_site_graph(lines, site_map)
     site = _require(cfg, "site")
     communities = position_mod.detect_communities(graph, seed=cfg.seed)
     section = position_mod.position_profile(
@@ -244,11 +234,11 @@ def _position_profile(cfg: RunConfig):
         bridge_min_communities=cfg.bridge_min_communities,
         authority_percentile=cfg.authority_percentile,
         hub_percentile=cfg.hub_percentile)
-    return section, communities, graph, tally
+    return section, communities, graph, dropped
 
 
 def cmd_position(cfg: RunConfig) -> int:
-    section, communities, graph, tally = _position_profile(cfg)
+    section, communities, graph, dropped = _position_profile(cfg)
     _emit({
         "kind": "position-profile",
         "portal_id": cfg.portal_id,
@@ -258,9 +248,7 @@ def cmd_position(cfg: RunConfig) -> int:
         "community_algorithm": communities.algorithm,
         "community_seed": communities.seed,
         "converged": communities.converged,
-        "intra_site_dropped": tally.intra_site_dropped,
-        "domain_fallbacks": tally.domain_fallbacks,
-        "malformed_lines": tally.malformed_lines,
+        **dropped,
         "position": section,
     })
     return 0
@@ -339,9 +327,8 @@ def _sections_without_logs(cfg: RunConfig, with_network: bool):
             sections["provision"] = (parsed.records, *_offer_provision(
                 cfg, parsed, _load_taxonomy(cfg)))
         if cfg.edges is not None:
-            graph, _tally = _load_site_graph(cfg)
             sections["organization"] = structure_mod.organization_profile(
-                graph, K=cfg.distance_k)
+                _load_site_graph(cfg)[0], K=cfg.distance_k)
         if cfg.cross_links is not None and cfg.site is not None:
             sections["position"] = _position_profile(cfg)[:2]
         if with_network:

@@ -8,7 +8,8 @@ bridges.
 
 Degrees count distinct neighbor sites; raw page-link multiplicities are
 reported separately as weighted degrees. A single page spamming thousands
-of links therefore moves the weighted value only.
+of links therefore moves the weighted value only. The graph build's drop
+counts are a dict keyed as the ``position`` command prints them.
 """
 
 from __future__ import annotations
@@ -62,13 +63,6 @@ class CrossSiteGraph:
 
     def site_order(self) -> list[str]:
         return sorted(self.sites)
-
-
-@dataclass
-class CrossBuildTally:
-    intra_site_dropped: int = 0
-    domain_fallbacks: int = 0
-    malformed_lines: int = 0
 
 
 @dataclass(frozen=True)
@@ -128,50 +122,53 @@ def _bracketed_host_is_valid(text: str) -> bool:
 
 
 def _resolve_site(url: str, prefixes: list[tuple[str, str]],
-                  tally: CrossBuildTally) -> str | None:
+                  counts: dict[str, int]) -> str | None:
     for prefix, site_id in prefixes:
         if url.startswith(prefix):
             return site_id
     domain = registrable_domain(url)
     if domain is not None:
-        tally.domain_fallbacks += 1
+        counts["domain_fallbacks"] += 1
     return domain
 
 
 def build_cross_site_graph(lines, site_map=None
-                           ) -> tuple[CrossSiteGraph, CrossBuildTally]:
-    """Aggregate page-level links into a site-level weighted digraph.
+                           ) -> tuple[CrossSiteGraph, dict[str, int]]:
+    """Aggregate page-level links into a site-level weighted digraph, with
+    the counts ``intra_site_dropped``, ``domain_fallbacks`` and
+    ``malformed_lines``.
 
     ``lines`` are the lines of a cross-link file: delimited "from_url,
     to_url" pairs (tab wins over comma, # starts a comment). ``site_map``
     maps URL prefixes to site ids, longest prefix first; URLs matching no
-    prefix fall back to their registrable domain and are tallied. Intra-site links are dropped
-    and tallied. An empty result is fatal.
+    prefix fall back to their registrable domain and are counted.
+    Intra-site links are dropped and counted. An empty result is fatal.
     """
     prefixes = sorted((site_map or {}).items(), key=lambda kv: len(kv[0]),
                       reverse=True)
-    tally = CrossBuildTally()
+    counts = {"intra_site_dropped": 0, "domain_fallbacks": 0,
+              "malformed_lines": 0}
     sites: set = set()
     weights: dict = {}
     for _, line in data_lines(lines):
         parts = [p.strip() for p in line.split(delimiter(line))]
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            tally.malformed_lines += 1
+            counts["malformed_lines"] += 1
             continue
-        src = _resolve_site(parts[0], prefixes, tally)
-        dst = _resolve_site(parts[1], prefixes, tally)
+        src = _resolve_site(parts[0], prefixes, counts)
+        dst = _resolve_site(parts[1], prefixes, counts)
         if src is None or dst is None:
-            tally.malformed_lines += 1
+            counts["malformed_lines"] += 1
             continue
         if src == dst:
-            tally.intra_site_dropped += 1
+            counts["intra_site_dropped"] += 1
             continue
         sites.add(src)
         sites.add(dst)
         weights[(src, dst)] = weights.get((src, dst), 0) + 1
     if not sites:
         raise DomainError("no cross-site links found; the graph is empty")
-    return CrossSiteGraph(sites=frozenset(sites), weights=weights), tally
+    return CrossSiteGraph(sites=frozenset(sites), weights=weights), counts
 
 
 def _degrees(g: CrossSiteGraph, site: str) -> tuple[dict[str, list[int]], set]:

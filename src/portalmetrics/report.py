@@ -478,8 +478,8 @@ def compare_within_segment(reports,
     A pointer names the segment leader for every portal trailing it by
     more than ``margin`` (relative to the leader's value) on a direction-
     bearing metric. Refuses with ComparabilityError when reports in a
-    shared segment differ in threshold/algorithm metadata or their periods
-    do not overlap.
+    shared segment differ in threshold/algorithm metadata, their periods
+    do not overlap, or a relative gap does not fit a finite float.
     """
     reports = list(reports)
     if len(reports) < 2:
@@ -551,6 +551,11 @@ def compare_within_segment(reports,
                 # trailing value as the scale so the gap stays finite.
                 denom = abs(best) if best != 0 else abs(value)
                 rel = shortfall / denom
+                if not math.isfinite(rel):
+                    raise ComparabilityError(
+                        f"refusing to compare {leader!r} and {portal!r} in "
+                        f"segment {quadrant!r}: the relative gap on {metric} "
+                        f"({value!r} against {best!r}) is not a finite number")
                 if rel > margin:
                     pointers[quadrant].append({
                         "metric": metric, "portal": portal, "leader": leader,

@@ -1,7 +1,8 @@
 """Intra-portal page graph and the four content-organization metrics.
 
-A site is modeled as a directed graph of pages with a designated homepage.
-The module computes:
+A site is modeled as a directed graph of pages with a designated homepage,
+read by :func:`build_site_graph` with its drop counts keyed as the
+``structure`` command prints them. The module computes:
 
 * depth        -- mean shortest click-distance from the homepage,
 * density      -- links over maximum possible directed links, in [0, 1],
@@ -67,25 +68,20 @@ class SiteGraph:
         return sorted(self.nodes)
 
 
-@dataclass
-class BuildTally:
-    self_loops_dropped: int = 0
-    parallel_edges_collapsed: int = 0
-
-
-def build_site_graph(lines) -> tuple[SiteGraph, BuildTally]:
+def build_site_graph(lines) -> tuple[SiteGraph, dict[str, int]]:
     """Build a normalized SiteGraph from the lines of a delimited
-    (from, to) edge list.
+    (from, to) edge list, with the counts ``self_loops_dropped`` and
+    ``parallel_links_collapsed``.
 
     Lines are comma- or tab-separated pairs; blank lines and ``#`` comments
     are skipped, except ``# node: X`` lines which declare isolated nodes.
-    Self-loops are dropped and parallel edges collapsed, both tallied.
+    Self-loops are dropped and parallel edges collapsed, both counted.
     The first node seen is the homepage (root).
     """
     nodes: list[str] = []
     seen_nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
-    tally = BuildTally()
+    counts = {"self_loops_dropped": 0, "parallel_links_collapsed": 0}
 
     def note(node: str):
         if node not in seen_nodes:
@@ -114,17 +110,17 @@ def build_site_graph(lines) -> tuple[SiteGraph, BuildTally]:
         note(a)
         note(b)
         if a == b:
-            tally.self_loops_dropped += 1
+            counts["self_loops_dropped"] += 1
             continue
         if (a, b) in edges:
-            tally.parallel_edges_collapsed += 1
+            counts["parallel_links_collapsed"] += 1
             continue
         edges.add((a, b))
 
     if not nodes:
         raise DomainError("edge stream is empty: no nodes found")
     return SiteGraph(nodes=frozenset(nodes), edges=frozenset(edges),
-                     root=nodes[0]), tally
+                     root=nodes[0]), counts
 
 
 def _indexed(g: SiteGraph) -> tuple[list[str], list[tuple[int, int]], int]:

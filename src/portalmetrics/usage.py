@@ -8,8 +8,9 @@ recency (mean time between visits by the same visitor), activity level
 period (by views and by unique visitors) joined against the catalog, and
 per-session navigation complexity/linearity derived from the structure
 metrics on the session's path graph. Each returns the plain value its
-one reader needs: demand is a list of visit counts in bucket order, and
-recency is the local diagnostics' recency block as a dict.
+one reader needs: demand is visits per bucket, recency the diagnostics'
+recency block, ingest's drop counts a dict keyed as the diagnostics
+print them, and the accessed distributions topic-count dicts.
 
 :func:`read_log_lines` is the one log reader: plain or gzip files, read
 in turn, and a file that cannot be read or decompressed raises
@@ -50,7 +51,7 @@ from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 
 from . import structure
-from .catalog import ContentRecord, TopicDistribution
+from .catalog import ContentRecord
 from .errors import ConfigError, DomainError, FormatError
 from .inputs import data_lines, delimiter
 
@@ -188,25 +189,16 @@ def visitor_key_method(use_auth_user: bool = True) -> str:
     return "address-agent-hash"
 
 
-@dataclass
-class IngestTally:
-    """What an ingest read and dropped; complete once ``ingest`` returns
-    or raises."""
-
-    total_lines: int = 0
-    malformed: int = 0
-    bot_entries: int = 0
-    non_page_view_entries: int = 0
-
-
-def ingest(lines, tally: IngestTally, *, use_auth_user: bool = True,
-           signatures=None) -> dict[str, list[tuple[int, str]]]:
+def ingest(lines, *, use_auth_user: bool = True, signatures=None
+           ) -> tuple[dict[str, list[tuple[int, str]]], dict[str, int]]:
     """The human page views of NCSA Combined Log Format lines, grouped by
-    visitor: ``{visitor: [(UTC epoch seconds, path), ...]}``, each list in
-    line order.
+    visitor as ``{visitor: [(UTC epoch seconds, path), ...]}`` in line
+    order, and the counts of ``log_lines``, ``malformed_lines``,
+    ``bot_entries`` and ``non_page_view_entries``, keyed as the
+    diagnostics print them (two calls' counts merge by summing).
 
-    Each line is counted in ``tally`` under the first of these tests that
-    it meets, in this order:
+    Each line is counted under the first of these tests that it meets, in
+    this order:
 
     - malformed: it fails the line pattern, its timestamp is invalid or
       its UTC instant is outside the datetime range, or its request has
@@ -309,15 +301,13 @@ def ingest(lines, tally: IngestTally, *, use_auth_user: bool = True,
             views_by_visitor[visitor] = [view]
         else:
             views.append(view)
-    tally.total_lines += total
-    tally.malformed += malformed
-    tally.bot_entries += bots
-    tally.non_page_view_entries += non_page_views
     if total > 0 and malformed * 2 > total:
         raise FormatError(
             f"log stream is mostly unparseable: {malformed} of {total} lines malformed"
         )
-    return views_by_visitor
+    return views_by_visitor, {"log_lines": total, "malformed_lines": malformed,
+                              "bot_entries": bots,
+                              "non_page_view_entries": non_page_views}
 
 
 def read_log_lines(paths):
@@ -436,10 +426,10 @@ def activity_level(sessions) -> float:
 
 def accessed_distribution(sessions, records: list[ContentRecord],
                           path_map: dict[str, str], period: AnalysisPeriod
-                          ) -> tuple[TopicDistribution, TopicDistribution, int]:
+                          ) -> tuple[dict[str, int], dict[str, int], int]:
     """Accessed-topic distributions over the period, by views and by
     unique visitors, and the count of uncatalogued views:
-    ``(by_views, by_visitors, uncatalogued)``.
+    ``(by_views, by_visitors, uncatalogued)``, topics in first-view order.
 
     Only views inside the period count. ``path_map`` joins request paths
     to catalog identifiers; views whose path or identifier has no catalog
@@ -477,10 +467,8 @@ def accessed_distribution(sessions, records: list[ContentRecord],
         raise DomainError(
             f"no page view joined the catalog ({uncatalogued} uncatalogued views)"
         )
-    return (TopicDistribution.from_counts(total_views),
-            TopicDistribution.from_counts(
-                {label: len(visitors[label]) for label in total_views}),
-            uncatalogued)
+    by_visitors = {label: len(members) for label, members in visitors.items()}
+    return total_views, by_visitors, uncatalogued
 
 
 @lru_cache(maxsize=None)

@@ -294,12 +294,13 @@ def reference_ingest(lines, timeout: timedelta, use_auth_user: bool = True,
     ``reference_filter_agents`` -> page-view filter -> ``brute_sessionize``.
 
     Returns (sessions as ``brute_sessionize`` gives them, counts keyed as
-    the fields of ``usage.IngestTally``); raises the parser's FormatError.
+    ``usage.ingest`` keys them); raises the parser's FormatError.
     """
     parsed = reference_parse_log(lines, use_auth_user=use_auth_user)
     humans, bots = reference_filter_agents(parsed.entries, signatures)
     views = [e for e in humans if e.is_page_view]
-    counts = {"total_lines": parsed.total_lines, "malformed": parsed.malformed,
+    counts = {"log_lines": parsed.total_lines,
+              "malformed_lines": parsed.malformed,
               "bot_entries": len(bots),
               "non_page_view_entries": len(humans) - len(views)}
     return brute_sessionize(views, timeout), counts

@@ -18,11 +18,7 @@ from portalmetrics import cli, segmentation, structure
 from portalmetrics import fixtures as fx
 from portalmetrics import position as position_mod
 from portalmetrics import usage as usage_mod
-from portalmetrics.catalog import (
-    TopicDistribution,
-    offer_distribution,
-    shannon_diversity,
-)
+from portalmetrics.catalog import offer_distribution, shannon_diversity
 from portalmetrics.report import REPORT_SCHEMA, deserialize
 from portalmetrics.structure import SiteGraph
 
@@ -50,7 +46,7 @@ def test_criterion_1_shannon_suite(capsys):
     t0 = time.perf_counter()
     failures: list[str] = []
 
-    single, _ = shannon_diversity(TopicDistribution.from_counts({"only": 17}))
+    single, _ = shannon_diversity({"only": 17})
     if single != 0.0:
         failures.append(f"single topic gave H={single}")
 
@@ -66,10 +62,10 @@ def test_criterion_1_shannon_suite(capsys):
 
     for counts in ({"a": 3, "b": 5}, {"a": 1, "b": 2, "c": 7},
                    {"a": 10, "b": 1, "c": 1, "d": 5}):
-        base, _ = shannon_diversity(TopicDistribution.from_counts(counts))
+        base, _ = shannon_diversity(counts)
         for m in (2, 5, 97):
-            scaled, _ = shannon_diversity(TopicDistribution.from_counts(
-                {t: c * m for t, c in counts.items()}))
+            scaled, _ = shannon_diversity(
+                {t: c * m for t, c in counts.items()})
             if abs(scaled - base) > 1e-12:
                 failures.append(f"scale {m} moved H for {counts}")
 
@@ -77,7 +73,7 @@ def test_criterion_1_shannon_suite(capsys):
     for _ in range(200):
         counts = {f"t{i}": rng.randint(1, 50)
                   for i in range(rng.randint(1, 9))}
-        _, evenness = shannon_diversity(TopicDistribution.from_counts(counts))
+        _, evenness = shannon_diversity(counts)
         if not 0.0 <= evenness <= 1.0:
             failures.append(f"evenness {evenness} outside [0,1]")
 
@@ -216,12 +212,11 @@ def test_criterion_5_planted_recovery(capsys):
                                         visits_per_bucket=(10, 20, 30),
                                         visitors=5, bot_fraction=0.2,
                                         start=START))
-    tally = usage_mod.IngestTally()
-    views = usage_mod.ingest(lines, tally)
+    views, counts = usage_mod.ingest(lines)
     humans = sum(len(v) for v in views.values())
-    if (humans, tally.bot_entries) != (180, 45):
+    if (humans, counts["bot_entries"]) != (180, 45):
         failures.append(f"bot removal inexact: {humans} human, "
-                        f"{tally.bot_entries} bot")
+                        f"{counts['bot_entries']} bot")
     period = usage_mod.AnalysisPeriod(start=START,
                                       end=START + timedelta(days=3))
     demand = usage_mod.overall_demand(usage_mod.sessionize(views), period)
@@ -237,7 +232,7 @@ def test_criterion_5_planted_recovery(capsys):
                                              visits_per_bucket=(7, 7, 7),
                                              visitors=4, start=START))
     flat_sessions = usage_mod.sessionize(
-        usage_mod.ingest(flat_lines, usage_mod.IngestTally()))
+        usage_mod.ingest(flat_lines)[0])
     flat = segmentation.demand_trend(
         usage_mod.overall_demand(flat_sessions, period))
     if _dynamics(flat) != segmentation.STABLE:

@@ -223,27 +223,26 @@ class TestParseCatalog:
 
 class TestShannonDiversity:
     def test_single_topic_is_zero(self):
-        dist = catalog.TopicDistribution.from_counts({"math": 10})
+        dist = {"math": 10}
         entropy, evenness = catalog.shannon_diversity(dist)
         assert entropy == 0.0
         assert evenness == 0.0
 
     def test_uniform_four_topics(self):
-        dist = catalog.TopicDistribution.from_counts(
-            {"a": 5, "b": 5, "c": 5, "d": 5})
+        dist = {"a": 5, "b": 5, "c": 5, "d": 5}
         entropy, evenness = catalog.shannon_diversity(dist)
         assert entropy == pytest.approx(math.log(4), abs=1e-12)
         assert evenness == pytest.approx(1.0, abs=1e-12)
 
     def test_eighty_twenty_split(self):
-        dist = catalog.TopicDistribution.from_counts({"a": 8, "b": 2})
+        dist = {"a": 8, "b": 2}
         entropy, _ = catalog.shannon_diversity(dist)
         assert entropy == pytest.approx(
             -(0.8 * math.log(0.8) + 0.2 * math.log(0.2)), abs=1e-12)
         assert entropy == pytest.approx(0.500402, abs=1e-6)
 
     def test_empty_distribution_rejected(self):
-        dist = catalog.TopicDistribution.from_counts({})
+        dist = {}
         with pytest.raises(DomainError):
             catalog.shannon_diversity(dist)
 
@@ -252,10 +251,8 @@ class TestShannonDiversity:
                            min_size=1, max_size=12),
            st.integers(min_value=2, max_value=9))
     def test_scale_invariance_and_bounds(self, counts, k):
-        dist = catalog.TopicDistribution.from_counts(counts)
-        scaled = catalog.TopicDistribution.from_counts(
-            {t: c * k for t, c in counts.items()})
-        base, evenness = catalog.shannon_diversity(dist)
+        scaled = {t: c * k for t, c in counts.items()}
+        base, evenness = catalog.shannon_diversity(counts)
         result, _ = catalog.shannon_diversity(scaled)
         assert result == pytest.approx(base, abs=1e-9)
         assert 0.0 <= base <= math.log(len(counts)) + 1e-12
@@ -265,32 +262,32 @@ class TestShannonDiversity:
 
 class TestRichness:
     def test_full_coverage(self):
-        taxonomy = catalog.TopicTaxonomy(topics=tuple(f"t{i}" for i in range(12)))
+        taxonomy = tuple(f"t{i}" for i in range(12))
         records = [_rec(ident=f"r{i}", topic=f"t{i}") for i in range(12)]
         ratio, unknown = catalog.richness(records, taxonomy)
         assert ratio == 1.0
         assert unknown == []
 
     def test_empty_records(self):
-        taxonomy = catalog.TopicTaxonomy(topics=("a", "b"))
+        taxonomy = ("a", "b")
         ratio, unknown = catalog.richness([], taxonomy)
         assert ratio == 0.0
 
     def test_partial_coverage(self):
-        taxonomy = catalog.TopicTaxonomy(topics=tuple(f"t{i}" for i in range(12)))
+        taxonomy = tuple(f"t{i}" for i in range(12))
         records = [_rec(ident=f"r{i}", topic=f"t{i}") for i in range(9)]
         ratio, _ = catalog.richness(records, taxonomy)
         assert ratio == 0.75
 
     def test_unknown_topic_warned_not_counted(self):
-        taxonomy = catalog.TopicTaxonomy(topics=("a", "b"))
+        taxonomy = ("a", "b")
         records = [_rec(ident="r1", topic="a"), _rec(ident="r2", topic="zzz")]
         ratio, unknown = catalog.richness(records, taxonomy)
         assert ratio == 0.5
         assert unknown == ["zzz"]
 
     def test_monotone_under_added_records(self):
-        taxonomy = catalog.TopicTaxonomy(topics=("a", "b", "c"))
+        taxonomy = ("a", "b", "c")
         records = [_rec(ident="r1", topic="a")]
         before, _ = catalog.richness(records, taxonomy)
         records.append(_rec(ident="r2", topic="b"))
@@ -298,10 +295,12 @@ class TestRichness:
         assert after >= before
 
     def test_taxonomy_must_be_valid(self):
-        with pytest.raises(DomainError):
-            catalog.TopicTaxonomy(topics=())
-        with pytest.raises(DomainError):
-            catalog.TopicTaxonomy(topics=("a", "a"))
+        with pytest.raises(DomainError, match="^taxonomy must contain at "
+                           "least one topic$"):
+            catalog.parse_taxonomy(["# only a comment\n", "\n"])
+        with pytest.raises(DomainError,
+                           match="^taxonomy labels must be unique$"):
+            catalog.parse_taxonomy(["a\n", "a\n"])
 
 
 class TestAverageAge:
@@ -346,36 +345,43 @@ class TestOfferDistribution:
         records = [_rec(ident=f"r{i}", topic=t)
                    for i, t in enumerate(["a", "a", "b", "c"])]
         dist = catalog.offer_distribution(records)
-        assert dist.counts == {"a": 2, "b": 1, "c": 1}
-        assert dist.total == 4
+        assert dist == {"a": 2, "b": 1, "c": 1}
+        assert sum(dist.values()) == 4
 
     def test_empty(self):
         dist = catalog.offer_distribution([])
-        assert dist.counts == {}
-        assert dist.total == 0
+        assert dist == {}
+        assert sum(dist.values()) == 0
+
+    def test_topics_in_record_order(self):
+        # Diversity sums its float terms in this order.
+        records = [_rec(ident=f"r{i}", topic=t)
+                   for i, t in enumerate(["c", "a", "c", "b"])]
+        assert list(catalog.offer_distribution(records).items()) == [
+            ("c", 2), ("a", 1), ("b", 1)]
 
 
 class TestDemandOfferGap:
     def test_identical_distributions_no_flags(self):
-        dist = catalog.TopicDistribution.from_counts({"a": 3, "b": 7})
+        dist = {"a": 3, "b": 7}
         assert catalog.demand_offer_gap(dist, dist) == ((), ())
 
     def test_inverted_shares_flag_both_sides(self):
-        offer = catalog.TopicDistribution.from_counts({"a": 9, "b": 1})
-        demand = catalog.TopicDistribution.from_counts({"a": 1, "b": 9})
+        offer = {"a": 9, "b": 1}
+        demand = {"a": 1, "b": 9}
         high_demand, high_offer = catalog.demand_offer_gap(offer, demand)
         assert high_demand == ("b",)
         assert high_offer == ("a",)
 
     def test_zero_total_rejected(self):
-        offer = catalog.TopicDistribution.from_counts({"a": 9})
-        empty = catalog.TopicDistribution.from_counts({})
+        offer = {"a": 9}
+        empty = {}
         with pytest.raises(DomainError):
             catalog.demand_offer_gap(offer, empty)
 
     def test_gap_equal_to_threshold_not_flagged(self):
-        offer = catalog.TopicDistribution.from_counts({"a": 5, "b": 5})
-        demand = catalog.TopicDistribution.from_counts({"a": 6, "b": 4})
+        offer = {"a": 5, "b": 5}
+        demand = {"a": 6, "b": 4}
         assert catalog.demand_offer_gap(offer, demand,
                                         threshold=0.10) == ((), ())
 
@@ -384,15 +390,16 @@ class TestDemandOfferGap:
            st.dictionaries(st.sampled_from("abcdef"),
                            st.integers(min_value=0, max_value=50)))
     def test_flags_follow_the_share_gap(self, offer_counts, demand_counts):
-        offer = catalog.TopicDistribution.from_counts(offer_counts)
-        demand = catalog.TopicDistribution.from_counts(demand_counts)
-        if offer.total == 0 or demand.total == 0:
+        offer_total = sum(offer_counts.values())
+        demand_total = sum(demand_counts.values())
+        if offer_total == 0 or demand_total == 0:
             with pytest.raises(DomainError):
-                catalog.demand_offer_gap(offer, demand)
+                catalog.demand_offer_gap(offer_counts, demand_counts)
             return
-        high_demand, high_offer = catalog.demand_offer_gap(offer, demand)
-        gaps = {label: demand_counts.get(label, 0) / demand.total
-                - offer_counts.get(label, 0) / offer.total
+        high_demand, high_offer = catalog.demand_offer_gap(offer_counts,
+                                                           demand_counts)
+        gaps = {label: demand_counts.get(label, 0) / demand_total
+                - offer_counts.get(label, 0) / offer_total
                 for label in sorted(set(offer_counts) | set(demand_counts))}
         assert high_demand == tuple(
             label for label, gap in gaps.items() if gap > 0.10)
@@ -449,5 +456,5 @@ class TestTaxonomyFile:
         path = tmp_path / "taxonomy.txt"
         path.write_text("algebra\nbiology\n# comment\n\nchemistry\n")
         with open(path, encoding="utf-8") as fh:
-            taxonomy = catalog.TopicTaxonomy.from_lines(fh)
-        assert taxonomy.topics == ("algebra", "biology", "chemistry")
+            taxonomy = catalog.parse_taxonomy(fh)
+        assert taxonomy == ("algebra", "biology", "chemistry")

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from portalmetrics import fixtures as fx
 from portalmetrics.catalog import (
-    TopicTaxonomy,
     average_age,
     offer_distribution,
     parse_catalog,
+    parse_taxonomy,
     shannon_diversity,
 )
 from portalmetrics.config import build_config
@@ -25,7 +25,6 @@ from portalmetrics.position import build_cross_site_graph, detect_communities
 from portalmetrics.structure import SiteGraph, build_site_graph
 from portalmetrics.usage import (
     AnalysisPeriod,
-    IngestTally,
     ingest,
     overall_demand,
     parse_link_map,
@@ -178,9 +177,8 @@ class TestGenLog:
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
                                             visits_per_bucket=(3, 2),
                                             visitors=2, start=START))
-        tally = IngestTally()
-        views = ingest(lines, tally)
-        assert (tally.malformed, tally.bot_entries) == (0, 0)
+        views, counts = ingest(lines)
+        assert (counts["malformed_lines"], counts["bot_entries"]) == (0, 0)
         period = AnalysisPeriod(start=START, end=START + timedelta(days=2))
         demand = overall_demand(sessionize(views), period)
         assert demand == [3, 2]
@@ -189,7 +187,7 @@ class TestGenLog:
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
                                             visits_per_bucket=(5,),
                                             visitors=2, start=START))
-        sessions = sessionize(ingest(lines, IngestTally()))
+        sessions = sessionize(ingest(lines)[0])
         by_visitor: dict = {}
         for s in sessions:
             by_visitor[s.visitor_key] = by_visitor.get(s.visitor_key, 0) + 1
@@ -199,14 +197,14 @@ class TestGenLog:
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
                                             visits_per_bucket=(4,),
                                             views_per_visit=5, start=START))
-        sessions = sessionize(ingest(lines, IngestTally()))
+        sessions = sessionize(ingest(lines)[0])
         assert [len(s) for s in sessions] == [5, 5, 5, 5]
 
     def test_views_one_minute_apart(self):
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
                                             visits_per_bucket=(1,),
                                             start=START))
-        (session,) = sessionize(ingest(lines, IngestTally()))
+        (session,) = sessionize(ingest(lines)[0])
         gaps = [session.views[i + 1][0] - session.views[i][0]
                 for i in range(len(session) - 1)]
         assert gaps == [60] * (len(session) - 1)
@@ -222,18 +220,17 @@ class TestGenLog:
         assert (len(humans), len(bots)) == (12, 4)
         assert sorted(e.path for e in bots) == ["/p0001", "/p0002",
                                                 "/p0003", "/robots.txt"]
-        tally = IngestTally()
-        views = ingest(lines, tally)
-        assert (sum(map(len, views.values())), tally.bot_entries) == (12, 4)
+        views, counts = ingest(lines)
+        assert (sum(map(len, views.values())),
+                counts["bot_entries"]) == (12, 4)
 
     def test_half_bot_traffic(self):
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
                                             visits_per_bucket=(4,),
                                             visitors=2, bot_fraction=0.5,
                                             start=START))
-        tally = IngestTally()
-        views = ingest(lines, tally)
-        assert sum(map(len, views.values())) == tally.bot_entries == 12
+        views, counts = ingest(lines)
+        assert sum(map(len, views.values())) == counts["bot_entries"] == 12
 
     def test_bots_carry_no_auth_user(self):
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
@@ -321,7 +318,7 @@ class TestGenCatalog:
             topic_counts=(("algebra", 2), ("biology", 3))))
         assert len(records) == 5
         dist = offer_distribution(records)
-        assert dist.counts == {"algebra": 2, "biology": 3}
+        assert dist == {"algebra": 2, "biology": 3}
 
     def test_identifiers_sequential_and_unique(self):
         records = fx.gen_catalog(fx.GeneratorSpec(
@@ -377,10 +374,10 @@ class TestWriterRoundTrips:
         path = tmp_path / "edges.tsv"
         fx.write_site_graph(g, path)
         with open(path, encoding="utf-8") as fh:
-            rebuilt, tally = build_site_graph(fh)
+            rebuilt, dropped = build_site_graph(fh)
         assert rebuilt == g
-        assert tally.self_loops_dropped == 0
-        assert tally.parallel_edges_collapsed == 0
+        assert dropped["self_loops_dropped"] == 0
+        assert dropped["parallel_links_collapsed"] == 0
 
     def test_nonsorted_root_survives(self, tmp_path):
         # the root sorts after other nodes, so only the declaration order
@@ -411,10 +408,10 @@ class TestWriterRoundTrips:
         path = tmp_path / "links.tsv"
         fx.write_cross_links(g, path)
         with open(path, encoding="utf-8") as fh:
-            rebuilt, tally = build_cross_site_graph(fh)
+            rebuilt, dropped = build_cross_site_graph(fh)
         assert rebuilt.weights == g.weights
         assert rebuilt.sites == g.sites
-        assert tally.intra_site_dropped == 0
+        assert dropped["intra_site_dropped"] == 0
 
     def test_weighted_cross_links_round_trip(self, tmp_path):
         g = fx.gen_graph(fx.GeneratorSpec(kind="random-cross", size=4,
@@ -449,8 +446,8 @@ class TestWriterRoundTrips:
         path = tmp_path / "taxonomy.txt"
         fx.write_taxonomy(("algebra", "biology"), path)
         with open(path, encoding="utf-8") as fh:
-            taxonomy = TopicTaxonomy.from_lines(fh)
-        assert taxonomy.topics == ("algebra", "biology")
+            taxonomy = parse_taxonomy(fh)
+        assert taxonomy == ("algebra", "biology")
 
     def test_log_file_round_trip(self, tmp_path):
         lines = fx.gen_log(fx.GeneratorSpec(kind="synthetic-log",
@@ -458,10 +455,9 @@ class TestWriterRoundTrips:
                                             start=START))
         path = tmp_path / "access.log"
         fx.write_lines(path, lines)
-        tally = IngestTally()
-        ingest(read_log_lines([str(path)]), tally)
-        assert tally.total_lines == len(lines)
-        assert tally.malformed == 0
+        _, counts = ingest(read_log_lines([str(path)]))
+        assert counts["log_lines"] == len(lines)
+        assert counts["malformed_lines"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -495,7 +491,7 @@ class TestDemoNetwork:
             parsed = parse_catalog(fh)
         assert len(parsed.records) == 100
         dist = offer_distribution(parsed.records)
-        assert sorted(dist.counts.values()) == [25, 25, 25, 25]
+        assert sorted(dist.values()) == [25, 25, 25, 25]
         got = average_age(parsed.records, date.fromisoformat(fx.DEMO_REFERENCE))
         assert got == 15.0
 
@@ -507,11 +503,12 @@ class TestDemoNetwork:
         assert g.weights[("ministry.example", "alpha.example")] == 3
 
     def test_logs_planted(self, demo):
-        tally = IngestTally()
-        views = ingest(read_log_lines([demo["portals"]["alpha"]["log"]]), tally)
-        assert tally.malformed == 0
+        views, counts = ingest(
+            read_log_lines([demo["portals"]["alpha"]["log"]]))
+        assert counts["malformed_lines"] == 0
         # 60 visits of 3 views at bot fraction 0.2: 180 human, 45 bot lines
-        assert (sum(map(len, views.values())), tally.bot_entries) == (180, 45)
+        assert (sum(map(len, views.values())),
+                counts["bot_entries"]) == (180, 45)
         period = AnalysisPeriod(
             start=datetime.fromisoformat(fx.DEMO_PERIOD_START),
             end=datetime.fromisoformat(fx.DEMO_PERIOD_END))

@@ -42,30 +42,30 @@ class TestBuildCrossSiteGraph:
             "https://a.example/p3\thttps://b.example/q2",
             "https://b.example/r\thttps://a.example/p1",
         ])
-        g, tally = position.build_cross_site_graph(io.StringIO(lines))
+        g, dropped = position.build_cross_site_graph(io.StringIO(lines))
         assert g.weights == {("a.example", "b.example"): 3,
                              ("b.example", "a.example"): 1}
-        assert tally.intra_site_dropped == 0
+        assert dropped["intra_site_dropped"] == 0
 
     def test_intra_site_links_dropped_and_tallied(self):
         lines = ("https://a.example/p1,https://a.example/p2\n"
                  "https://a.example/p1,https://b.example/q\n")
-        g, tally = position.build_cross_site_graph(io.StringIO(lines))
-        assert tally.intra_site_dropped == 1
+        g, dropped = position.build_cross_site_graph(io.StringIO(lines))
+        assert dropped["intra_site_dropped"] == 1
         assert g.edge_count == 1
 
     def test_domain_fallback_tallied_per_url(self):
         lines = "https://a.example/p\thttps://b.example/q\n"
-        _, tally = position.build_cross_site_graph(io.StringIO(lines))
-        assert tally.domain_fallbacks == 2
+        _, dropped = position.build_cross_site_graph(io.StringIO(lines))
+        assert dropped["domain_fallbacks"] == 2
 
     def test_site_map_longest_prefix_wins(self):
         site_map = {"https://a.example/hub": "HUB", "https://a.example": "A"}
         lines = ("https://a.example/hub/page\thttps://a.example/other\n")
-        g, tally = position.build_cross_site_graph(io.StringIO(lines),
-                                                  site_map=site_map)
+        g, dropped = position.build_cross_site_graph(io.StringIO(lines),
+                                                     site_map=site_map)
         assert g.weights == {("HUB", "A"): 1}
-        assert tally.domain_fallbacks == 0
+        assert dropped["domain_fallbacks"] == 0
 
     def test_mixed_mapped_and_fallback(self):
         site_map = {"https://portal.example": "portal"}
@@ -77,8 +77,8 @@ class TestBuildCrossSiteGraph:
     def test_malformed_lines_tallied(self):
         lines = ("just-one-field\n"
                  "https://a.example/p\thttps://b.example/q\n")
-        _, tally = position.build_cross_site_graph(io.StringIO(lines))
-        assert tally.malformed_lines == 1
+        _, dropped = position.build_cross_site_graph(io.StringIO(lines))
+        assert dropped["malformed_lines"] == 1
 
     def test_empty_graph_is_fatal(self):
         with pytest.raises(DomainError):

@@ -331,6 +331,30 @@ class TestComparison:
         assert depth_pointers[0]["relative_gap"] == pytest.approx(1.0)
         report.canonical_json(comparison)  # JSON-encodable: no infinities
 
+    @pytest.mark.parametrize("section,key", [
+        ("organization", "depth"), ("provision", "average_age_days")])
+    def test_gap_beyond_floats_is_refused_by_name(self, section, key):
+        # A lower-is-better leader near the smallest float: the shortfall
+        # over the leader's value overflows to infinity.
+        parts = {"organization": _organization, "provision": _provision}
+        best = _report("alpha", **{section: parts[section](**{key: 5e-324})})
+        worse = _report("beta", **{section: parts[section](**{key: 1e308})})
+        with pytest.raises(ComparabilityError) as info:
+            report.compare_within_segment([best, worse])
+        assert str(info.value) == (
+            f"refusing to compare 'alpha' and 'beta' in segment "
+            f"{GROW_LARGE!r}: the relative gap on {section}.{key} (1e+308 "
+            f"against 5e-324) is not a finite number")
+
+    def test_largest_finite_gap_is_kept(self):
+        best = _report("alpha", organization=_organization(depth=1e-300))
+        worse = _report("beta", organization=_organization(depth=1e7))
+        comparison = report.compare_within_segment([best, worse])
+        (gap,) = [p["relative_gap"] for p in comparison["pointers"][GROW_LARGE]
+                  if p["metric"] == "organization.depth"]
+        assert gap == (1e7 - 1e-300) / 1e-300
+        report.canonical_json(comparison)
+
     def test_missing_section_metric_skipped(self):
         a = _report("alpha", position=None)
         b = _report("beta", position=None)

@@ -1,22 +1,28 @@
 """`report` across its two processes: which error it prints when several
 inputs are bad, that no process outlives it, and a sweep of mutated input
 files that must each end in a report or in one error line; and the same
-sweep of `compare` over mutated copies of a report."""
+sweep of `compare` over mutated copies of a report, with the edits of a
+report that `compare` refuses by name. The sweeps themselves are in
+``mutation_sweep.py``, which also runs on its own."""
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
-import random
 import threading
 
 import pytest
 
 from portalmetrics import cli, structure, usage
 from portalmetrics import fixtures as fx
-from portalmetrics.config import build_config
-from portalmetrics.report import deserialize
+
+from mutation_sweep import (
+    KINDS,
+    TARGETS,
+    compare_failures,
+    demo_reports,
+    report_failures,
+)
 
 
 @pytest.fixture(scope="module")
@@ -195,94 +201,17 @@ def test_no_thread_shares_this_process_while_report_reads_logs(
     assert (code, counts) == (0, [1])
 
 
-TOKENS = [b'"', b",", b"\t", b"[", b"]", b"#", b"=", b" ", b"\n", b"\r",
-          b"\x00", b"\xff", b"\xef\xbb\xbf", b"-1", b"0", b"nan", b"1e999",
-          b"9999-99-99", b"http://[x]/", b"::", b"%"]
-
-
-def _mutated(data: bytes, kind: str, rng: random.Random) -> bytes:
-    at = rng.randrange(len(data) + 1)
-    if kind == "token inserted":
-        return data[:at] + rng.choice(TOKENS) + data[at:]
-    if kind == "byte changed":
-        at = min(at, len(data) - 1)
-        return data[:at] + bytes([rng.randrange(256)]) + data[at + 1:]
-    if kind == "bytes deleted":
-        return data[:at] + data[at + rng.randint(1, 16):]
-    if kind == "truncated":
-        return data[:at]
-    lines = data.splitlines(keepends=True)
-    lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
-    return b"".join(lines)
-
-
-KINDS = ["token inserted", "byte changed", "bytes deleted", "truncated",
-         "line duplicated"]
-TARGETS = ["alpha catalog", "alpha edge list", "alpha log", "alpha link map",
-           "alpha config", "taxonomy", "cross links", "beta catalog"]
-CASES_PER_KIND = 5
-
-
-def _target(demo, target):
-    """The file a target names, and the flags that make `report` on demo
-    alpha read a copy at PATH in its place."""
-    config = demo["portals"]["alpha"]["config"]
-    cfg = build_config(config)
-    own, beta = cfg.catalog, build_config(
-        demo["portals"]["beta"]["config"]).catalog
-    if target == "alpha config":
-        return config, ["--config", "PATH"]
-    source, flags = {
-        "alpha catalog": (own, ["--catalog", "PATH", "--network-catalogs",
-                                f"PATH,{beta}"]),
-        "alpha edge list": (cfg.edges, ["--edges", "PATH"]),
-        "alpha log": (cfg.logs[0], ["--logs", "PATH"]),
-        "alpha link map": (cfg.link_map, ["--link-map", "PATH"]),
-        "taxonomy": (cfg.taxonomy, ["--taxonomy", "PATH"]),
-        "cross links": (cfg.cross_links, ["--cross-links", "PATH"]),
-        "beta catalog": (beta, ["--network-catalogs", f"{own},PATH"]),
-    }[target]
-    return source, ["--config", config, *flags]
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("target", TARGETS)
 def test_mutated_input_gives_a_report_or_one_error_line(demo, tmp_path,
-                                                        capsys, target, kind):
-    source, flags = _target(demo, target)
-    with open(source, "rb") as fh:
-        data = fh.read()
-    for case in range(CASES_PER_KIND):
-        rng = random.Random(f"{target}/{kind}/{case}")
-        path = tmp_path / f"case{case}"
-        path.write_bytes(_mutated(data, kind, rng))
-        argv = ["report", *[flag.replace("PATH", str(path)) for flag in flags],
-                "--output-dir", str(tmp_path / f"out{case}")]
-        try:
-            code = cli.main(argv)
-        except Exception as exc:  # a traceback for the user
-            pytest.fail(f"case {case}: {type(exc).__name__}: {exc}")
-        captured = capsys.readouterr()
-        if code == 0:
-            deserialize(captured.out)
-        else:
-            _assert_one_error_line(code, captured.err, case)
-
-
-def _assert_one_error_line(code, err, case):
-    assert code in (1, 2), case
-    assert len(err.splitlines()) == 1, (case, err)
-    assert err.startswith("error: "), (case, err)
+                                                        target, kind):
+    assert report_failures(demo, target, kind, str(tmp_path)) == []
 
 
 @pytest.fixture(scope="module")
 def reports(demo, tmp_path_factory):
     """The demo portals' reports; alpha and beta share a segment."""
-    out = tmp_path_factory.mktemp("demo-reports")
-    for name in ("alpha", "beta"):
-        assert cli.main(["report", "--config", demo["portals"][name]["config"],
-                         "--output-dir", str(out)]) == 0
-    return {name: str(out / f"{name}.report.json") for name in ("alpha", "beta")}
+    return demo_reports(demo, str(tmp_path_factory.mktemp("demo-reports")))
 
 
 def _compare(capsys, reports, path, out):
@@ -293,28 +222,10 @@ def _compare(capsys, reports, path, out):
     return code, capsys.readouterr().err
 
 
-COMPARE_CASES_PER_KIND = 40
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_mutated_report_gives_a_comparison_or_one_error_line(
-        reports, tmp_path, capsys, kind):
-    with open(reports["beta"], "rb") as fh:
-        data = fh.read()
-    for case in range(COMPARE_CASES_PER_KIND):
-        rng = random.Random(f"beta report/{kind}/{case}")
-        path = tmp_path / f"case{case}.report.json"
-        path.write_bytes(_mutated(data, kind, rng))
-        out = tmp_path / f"out{case}"
-        try:
-            code, err = _compare(capsys, reports, path, out)
-        except Exception as exc:  # a traceback for the user
-            pytest.fail(f"case {case}: {type(exc).__name__}: {exc}")
-        if code == 0:
-            with open(out / "comparison.json", "rb") as fh:
-                json.loads(fh.read())
-        else:
-            _assert_one_error_line(code, err, case)
+        reports, tmp_path, kind):
+    assert compare_failures(reports, kind, str(tmp_path)) == []
 
 
 # Edits of beta's report that keep it valid JSON under the schema, and the
@@ -349,4 +260,38 @@ def test_edited_report_is_refused_by_name(reports, tmp_path, capsys, edit):
     out = tmp_path / "out"
     code, err = _compare(capsys, reports, path, out)
     assert (code, err) == (2, f"error: report file {path}: {message}\n")
+    assert not out.exists()
+
+
+# The value of a lower-is-better metric in each demo report. Alpha leads
+# on both; with alpha's value edited to the smallest float and beta's to
+# 1e308, beta's shortfall relative to alpha overflows a float.
+GAP_METRICS = {
+    "organization.depth": (b'"depth":3.1481481481481484', b'"depth":15.0'),
+    "provision.average_age_days": (b'"average_age_days":15.0',
+                                   b'"average_age_days":50.0'),
+}
+
+
+@pytest.mark.parametrize("metric", GAP_METRICS)
+def test_gap_beyond_floats_is_refused_by_name(reports, tmp_path, capsys,
+                                              metric):
+    key = metric.split(".")[1].encode()
+    paths = []
+    for name, old, value in (("alpha", GAP_METRICS[metric][0], b"5e-324"),
+                             ("beta", GAP_METRICS[metric][1], b"1e308")):
+        with open(reports[name], "rb") as fh:
+            data = fh.read()
+        assert data.count(old) == 1
+        path = tmp_path / f"{name}.report.json"
+        path.write_bytes(data.replace(old, b'"' + key + b'":' + value))
+        paths.append(str(path))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = cli.main(["compare", "--output-dir", str(out), *paths])
+    err = capsys.readouterr().err
+    assert (code, err) == (1, (
+        "error: refusing to compare 'alpha' and 'beta' in segment 'Growing "
+        f"portals with large relative size': the relative gap on {metric} "
+        "(1e+308 against 5e-324) is not a finite number\n"))
     assert not out.exists()

@@ -49,26 +49,26 @@ digraphs = st.builds(
 
 class TestBuildSiteGraph:
     def test_basic_edges_and_default_root(self):
-        g, tally = structure.build_site_graph(io.StringIO("/home,/a\n/a,/b\n"))
+        g, dropped = structure.build_site_graph(io.StringIO("/home,/a\n/a,/b\n"))
         assert g.root == "/home"
         assert g.nodes == {"/home", "/a", "/b"}
         assert g.edges == {("/home", "/a"), ("/a", "/b")}
-        assert tally.self_loops_dropped == 0
-        assert tally.parallel_edges_collapsed == 0
+        assert dropped["self_loops_dropped"] == 0
+        assert dropped["parallel_links_collapsed"] == 0
 
     def test_tab_separated(self):
         g, _ = structure.build_site_graph(io.StringIO("/home\t/a\n"))
         assert g.edges == {("/home", "/a")}
 
     def test_self_loop_dropped_and_tallied(self):
-        g, tally = structure.build_site_graph(io.StringIO("/home,/home\n/home,/a\n"))
+        g, dropped = structure.build_site_graph(io.StringIO("/home,/home\n/home,/a\n"))
         assert g.edges == {("/home", "/a")}
-        assert tally.self_loops_dropped == 1
+        assert dropped["self_loops_dropped"] == 1
 
     def test_parallel_edges_collapsed_and_tallied(self):
-        g, tally = structure.build_site_graph(io.StringIO("/home,/a\n/home,/a\n/home,/a\n"))
+        g, dropped = structure.build_site_graph(io.StringIO("/home,/a\n/home,/a\n/home,/a\n"))
         assert g.edges == {("/home", "/a")}
-        assert tally.parallel_edges_collapsed == 2
+        assert dropped["parallel_links_collapsed"] == 2
 
     def test_isolated_node_declaration(self):
         g, _ = structure.build_site_graph(io.StringIO("# node: /orphan\n/home,/a\n"))

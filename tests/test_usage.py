@@ -50,12 +50,6 @@ def _line(agent="PortalBrowser/1.0", path="/a", status=200,
             f'"-" "{agent}"')
 
 
-def _ingest(lines, **options):
-    tally = usage.IngestTally()
-    views = usage.ingest(lines, tally, **options)
-    return views, tally
-
-
 def _entry(visitor="user:alice", seconds=0, path="/a"):
     """An oracle entry, for the oracles that take entries."""
     return LogEntry(visitor_key=visitor, timestamp=T0 + timedelta(seconds=seconds),
@@ -269,42 +263,41 @@ def _successor_masks(draw):
 def _assert_matches_oracle(lines, use_auth_user=True, signatures=None):
     timeout = usage.DEFAULT_SESSION_TIMEOUT
     try:
-        expected, counts = reference_ingest(lines, timeout, use_auth_user,
-                                            signatures)
+        expected, expected_counts = reference_ingest(
+            lines, timeout, use_auth_user, signatures)
     except FormatError as exc:
-        tally = usage.IngestTally()
         with pytest.raises(FormatError) as ours:
-            usage.ingest(lines, tally, use_auth_user=use_auth_user,
+            usage.ingest(lines, use_auth_user=use_auth_user,
                          signatures=signatures)
         assert str(ours.value) == str(exc)
         return
-    views, tally = _ingest(lines, use_auth_user=use_auth_user,
-                           signatures=signatures)
+    views, counts = usage.ingest(lines, use_auth_user=use_auth_user,
+                                 signatures=signatures)
     sessions = usage.sessionize(views, timeout)
     assert sessions_as_set(sessions) == expected
     assert len(sessions) == len(expected)
-    assert vars(tally) == counts
+    assert counts == expected_counts
 
 
 class TestParseLog:
     def test_golden_line(self):
-        views, tally = _ingest([GOLDEN_LINE])
-        assert tally.malformed == 0
+        views, counts = usage.ingest([GOLDEN_LINE])
+        assert counts["malformed_lines"] == 0
         # -0700 offset normalizes to UTC
         stamp = epoch_seconds(datetime(2000, 10, 10, 20, 55, 36, tzinfo=UTC))
         assert views == {"user:alice": [(stamp, "/apache_pb.gif")]}
-        assert vars(tally) == {"total_lines": 1, "malformed": 0,
-                               "bot_entries": 0, "non_page_view_entries": 0}
+        assert counts == {"log_lines": 1, "malformed_lines": 0,
+                          "bot_entries": 0, "non_page_view_entries": 0}
 
     def test_anonymous_visitor_hash(self):
         line = ('198.51.100.9 - - [02/Mar/2026:10:00:00 +0000] '
                 '"GET /a HTTP/1.1" 200 10 "-" "AgentX/1.0"')
-        views, _ = _ingest([line])
+        views, _ = usage.ingest([line])
         digest = hashlib.sha1(b"198.51.100.9|AgentX/1.0").hexdigest()[:16]
         assert list(views) == [f"anon:{digest}"]
 
     def test_auth_user_can_be_disabled(self):
-        views, _ = _ingest([GOLDEN_LINE], use_auth_user=False)
+        views, _ = usage.ingest([GOLDEN_LINE], use_auth_user=False)
         (visitor,) = views
         assert visitor.startswith("anon:")
 
@@ -313,66 +306,67 @@ class TestParseLog:
                   '"GET /a HTTP/1.1" 200 10 "-" "AgentX/1.0"')
         line_b = ('198.51.100.9 - - [02/Mar/2026:11:00:00 +0000] '
                   '"GET /b HTTP/1.1" 200 10 "-" "AgentX/1.0"')
-        views, _ = _ingest([line_a, line_b])
+        views, _ = usage.ingest([line_a, line_b])
         assert [[p for _, p in v] for v in views.values()] == [["/a", "/b"]]
 
     def test_positive_offset_timestamp(self):
         line = ('198.51.100.9 - - [02/Mar/2026:10:30:00 +0530] '
                 '"GET /a HTTP/1.1" 200 10 "-" "AgentX/1.0"')
-        views, _ = _ingest([line])
+        views, _ = usage.ingest([line])
         [[(seconds, _path)]] = views.values()
         assert seconds == epoch_seconds(datetime(2026, 3, 2, 5, 0, tzinfo=UTC))
 
     def test_error_status_kept_but_not_page_view(self):
         line = ('198.51.100.9 - - [02/Mar/2026:10:00:00 +0000] '
                 '"GET /missing HTTP/1.1" 404 10 "-" "AgentX/1.0"')
-        views, tally = _ingest([line])
+        views, counts = usage.ingest([line])
         assert views == {}
-        assert (tally.malformed, tally.non_page_view_entries) == (0, 1)
+        assert (counts["malformed_lines"],
+                counts["non_page_view_entries"]) == (0, 1)
 
     def test_redirect_is_page_view(self):
-        views, tally = _ingest([_line(status=302, path="/moved"),
-                                _line(status=500, path="/broken")])
+        views, counts = usage.ingest([_line(status=302, path="/moved"),
+                                      _line(status=500, path="/broken")])
         assert [[p for _, p in v] for v in views.values()] == [["/moved"]]
-        assert tally.non_page_view_entries == 1
+        assert counts["non_page_view_entries"] == 1
 
     def test_malformed_lines_tallied(self):
         lines = [GOLDEN_LINE, "garbage", GOLDEN_LINE]
-        views, tally = _ingest(lines)
-        assert tally.malformed == 1
-        assert tally.total_lines == 3
+        views, counts = usage.ingest(lines)
+        assert counts["malformed_lines"] == 1
+        assert counts["log_lines"] == 3
         assert len(views["user:alice"]) == 2
 
     def test_bad_month_abbreviation_is_malformed(self):
         line = ('198.51.100.9 - - [02/Foo/2026:10:00:00 +0000] '
                 '"GET /a HTTP/1.1" 200 10 "-" "AgentX/1.0"')
-        assert _ingest([line, GOLDEN_LINE])[1].malformed == 1
+        assert usage.ingest([line, GOLDEN_LINE])[1]["malformed_lines"] == 1
 
     def test_majority_malformed_is_fatal(self):
         lines = [GOLDEN_LINE, "junk1", "junk2"]
         with pytest.raises(FormatError):
-            _ingest(lines)
+            usage.ingest(lines)
 
     def test_exactly_half_malformed_is_tolerated(self):
-        _, tally = _ingest([GOLDEN_LINE, "junk"])
-        assert tally.malformed == 1
+        _, counts = usage.ingest([GOLDEN_LINE, "junk"])
+        assert counts["malformed_lines"] == 1
 
     def test_empty_stream(self):
-        views, tally = _ingest([])
+        views, counts = usage.ingest([])
         assert views == {}
-        assert tally.total_lines == 0
+        assert counts["log_lines"] == 0
 
     def test_request_without_path_is_malformed(self):
         line = ('198.51.100.9 - - [02/Mar/2026:10:00:00 +0000] '
                 '"-" 408 10 "-" "AgentX/1.0"')
-        assert _ingest([line, GOLDEN_LINE])[1].malformed == 1
+        assert usage.ingest([line, GOLDEN_LINE])[1]["malformed_lines"] == 1
 
     @pytest.mark.parametrize("when", ["01/Jan/0001:00:30:00 +0100",
                                       "31/Dec/9999:23:00:00 -0100"])
     def test_instant_outside_datetime_range_is_malformed(self, when):
         line = f'h - - [{when}] "GET /a" 200 1 "-" "A"'
-        views, tally = _ingest([line, GOLDEN_LINE])
-        assert tally.malformed == 1
+        views, counts = usage.ingest([line, GOLDEN_LINE])
+        assert counts["malformed_lines"] == 1
         assert [p for v in views.values() for _, p in v] == ["/apache_pb.gif"]
 
     def test_lines_are_not_held(self):
@@ -392,7 +386,7 @@ class TestParseLog:
                 read.append(weakref.ref(line))
                 yield line
                 del line
-        views, _ = _ingest(lines())
+        views, _ = usage.ingest(lines())
         assert [[p for _, p in v] for v in views.values()] == \
             [[f"/p{i}" for i in range(6)]]
 
@@ -403,14 +397,14 @@ class TestParseLog:
             for line in (GOLDEN_LINE, "junk1", "junk2"):
                 read.append(line)
                 yield line
-        tally = usage.IngestTally()
-        with pytest.raises(FormatError, match="2 of 3 lines malformed"):
-            usage.ingest(lines(), tally)
+        # The counts of lines read and malformed are in the message.
+        with pytest.raises(FormatError, match="^log stream is mostly "
+                           "unparseable: 2 of 3 lines malformed$"):
+            usage.ingest(lines())
         assert len(read) == 3
-        assert (tally.total_lines, tally.malformed) == (3, 2)
 
     def test_views_of_one_path_share_its_string(self):
-        views, _ = _ingest([GOLDEN_LINE, GOLDEN_LINE])
+        views, _ = usage.ingest([GOLDEN_LINE, GOLDEN_LINE])
         (first, path_a), (second, path_b) = views["user:alice"]
         assert path_a == "/apache_pb.gif"
         assert path_a is path_b
@@ -481,27 +475,27 @@ class TestAgentFiltering:
                  _line("ExampleBot/2.1 (+https://bots.example/info)"),
                  _line("some-crawler/3.0"),
                  _line("curl/8.0")]
-        views, tally = _ingest(lines)
+        views, counts = usage.ingest(lines)
         assert len(self._kept(views)) == 1
-        assert tally.bot_entries == 3
+        assert counts["bot_entries"] == 3
 
     def test_robots_path_flags_any_agent(self):
-        views, tally = _ingest([_line("Mozilla/5.0 PortalBrowser/1.0",
-                                      path="/robots.txt")])
+        views, counts = usage.ingest([_line("Mozilla/5.0 PortalBrowser/1.0",
+                                            path="/robots.txt")])
         assert views == {}
-        assert tally.bot_entries == 1
+        assert counts["bot_entries"] == 1
 
     def test_custom_signatures_replace_defaults(self):
         lines = [_line("ExampleBot/2.1", path="/kept"),
                  _line("WeirdAgent/1.0", path="/dropped")]
-        views, tally = _ingest(lines, signatures=("weirdagent",))
+        views, counts = usage.ingest(lines, signatures=("weirdagent",))
         assert self._kept(views) == ["/kept"]
-        assert tally.bot_entries == 1
+        assert counts["bot_entries"] == 1
 
     def test_matching_is_case_insensitive(self):
-        views, tally = _ingest([_line("EXAMPLEBOT/2.1")],
-                               signatures=("ExampleBot",))
-        assert tally.bot_entries == 1
+        views, counts = usage.ingest([_line("EXAMPLEBOT/2.1")],
+                                     signatures=("ExampleBot",))
+        assert counts["bot_entries"] == 1
         assert views == {}
 
     def test_robots_fetch_does_not_mark_the_agent(self):
@@ -509,32 +503,33 @@ class TestAgentFiltering:
         # robots-exclusion test is not.
         lines = [_line("Mozilla/5.0 PortalBrowser/1.0", path="/robots.txt"),
                  _line("Mozilla/5.0 PortalBrowser/1.0", path="/a")]
-        views, tally = _ingest(lines)
+        views, counts = usage.ingest(lines)
         assert self._kept(views) == ["/a"]
-        assert tally.bot_entries == 1
+        assert counts["bot_entries"] == 1
 
     def test_kept_views_match_the_oracle_filter(self):
         lines = [_line("Mozilla/5.0"), _line("ExampleBot/2.1"),
                  _line("Mozilla/5.0", path="/robots.txt"),
                  _line("Mozilla/5.0", path="/gone", status=404),
                  _line("Mozilla/5.0", path="/b")]
-        views, tally = _ingest(lines)
+        views, counts = usage.ingest(lines)
         humans, bots = reference_filter_agents(reference_parse_log(lines).entries)
         assert self._kept(views) == [e.path for e in humans if e.is_page_view]
         assert self._kept(views) == ["/a", "/b"]
-        assert (tally.bot_entries, tally.non_page_view_entries) == (len(bots), 1)
+        assert (counts["bot_entries"],
+                counts["non_page_view_entries"]) == (len(bots), 1)
         assert len(bots) == 2
 
     def test_partition_is_exhaustive_and_disjoint(self):
         lines = [_line(a, status=s) for a in
                  ("x", "boty", "spider z", "Mozilla", "wget/1.2")
                  for s in (200, 404)]
-        views, tally = _ingest(lines + ["junk"])
+        views, counts = usage.ingest(lines + ["junk"])
         kept = sum(len(v) for v in views.values())
-        assert (kept, tally.bot_entries, tally.non_page_view_entries,
-                tally.malformed) == (2, 6, 2, 1)
-        assert kept + tally.bot_entries + tally.non_page_view_entries \
-            + tally.malformed == tally.total_lines
+        assert (kept, counts["bot_entries"], counts["non_page_view_entries"],
+                counts["malformed_lines"]) == (2, 6, 2, 1)
+        assert kept + counts["bot_entries"] + counts["non_page_view_entries"] \
+            + counts["malformed_lines"] == counts["log_lines"]
 
 
 class TestSessionize:
@@ -780,10 +775,19 @@ class TestAccessedDistribution:
         ]
         by_views, by_visitors, uncatalogued = usage.accessed_distribution(
             sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
-        assert by_views.counts == {"algebra": 3, "biology": 1}
+        assert by_views == {"algebra": 3, "biology": 1}
         # user:x viewed /a twice but counts once per topic
-        assert by_visitors.counts == {"algebra": 2, "biology": 1}
+        assert by_visitors == {"algebra": 2, "biology": 1}
         assert uncatalogued == 0
+
+    def test_topics_in_first_view_order(self):
+        # Diversity sums its float terms in this order.
+        sessions = [_session(["/b", "/a", "/b"], visitor="user:x"),
+                    _session(["/a"], visitor="user:y")]
+        by_views, by_visitors, _ = usage.accessed_distribution(
+            sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
+        assert list(by_views.items()) == [("biology", 2), ("algebra", 2)]
+        assert list(by_visitors.items()) == [("biology", 1), ("algebra", 2)]
 
     def test_visitor_counts_once_in_total_across_buckets(self):
         sessions = [
@@ -793,7 +797,7 @@ class TestAccessedDistribution:
         ]
         _, by_visitors, _ = usage.accessed_distribution(
             sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
-        assert by_visitors.counts == {"algebra": 2, "biology": 1}
+        assert by_visitors == {"algebra": 2, "biology": 1}
 
     def test_unsorted_views_across_a_bucket_edge(self):
         # The last bucket is cut short by the period's end at 36 h.
@@ -808,7 +812,7 @@ class TestAccessedDistribution:
         sessions = [usage.Session(visitor_key="user:x", views=views)]
         by_views, _, _ = usage.accessed_distribution(
             sessions, self.RECORDS, self.PATH_MAP, period)
-        assert by_views.counts == {"algebra": 3, "biology": 1}
+        assert by_views == {"algebra": 3, "biology": 1}
 
     @pytest.mark.parametrize("start_us,end_us", [
         (0, 600_000_000), (250_000, 600_000_000), (0, 600_750_000),
@@ -832,7 +836,7 @@ class TestAccessedDistribution:
             else:
                 by_views, _, _ = usage.accessed_distribution(
                     sessions, self.RECORDS, self.PATH_MAP, period)
-                assert by_views.counts == {"algebra": 1}
+                assert by_views == {"algebra": 1}
 
     def test_unmapped_views_tallied(self):
         sessions = [_session(["/a", "/nope"], visitor="user:x")]
