@@ -19,8 +19,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dir", default="demo-workspace",
                         help="where to write the workspace (default: %(default)s)")
-    parser.add_argument("--margin", default=None,
-                        help="comparison margin override, e.g. 0.02")
     args = parser.parse_args()
 
     layout = write_demo_network(args.dir)
@@ -37,12 +35,9 @@ def main() -> int:
                                          f"{name}.report.json"))
         print(f"report for {name}: {report_paths[-1]}")
 
-    compare_args = ["compare",
-                    "--output-dir", os.path.join(layout["root"], "out")]
-    if args.margin is not None:
-        compare_args += ["--compare-margin", args.margin]
     print()
-    return cli.main(compare_args + report_paths)
+    return cli.main(["compare", "--output-dir",
+                     os.path.join(layout["root"], "out"), *report_paths])
 
 
 if __name__ == "__main__":

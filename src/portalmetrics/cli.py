@@ -7,16 +7,18 @@ an optional key = value config file, then command-line flags, in that
 order of precedence. Outputs are canonical JSON with no timestamps, so
 identical inputs and settings give byte-identical files.
 
-``report`` uses up to two cores. One worker process parses the catalog and
-the taxonomy, the edge list, the cross links and the network catalogs, and
-computes the offered provision, organization, position and network sizes.
-Meanwhile this process reads the logs and measures demand and navigation;
-it then joins the logs to the catalog, segments the portal and writes the
-outputs. The worker is a plain ``multiprocessing.Process``, started before
-any log is read, with a one-way pipe back: no helper thread runs here to
-compete with ingest for the interpreter lock, and the worker's result is
-read from the pipe only after this process's log work. The other commands
-run in one process.
+``report`` uses up to two cores. One worker process reads every input
+but the logs and the bot list that filters them: it parses the catalog,
+the taxonomy, the link map, the edge list, the cross links and the
+network catalogs, and computes the offered provision, organization,
+position and network sizes. Meanwhile this process reads the logs and
+measures demand, its trend and navigation; it then joins the logs to the
+catalog, segments the portal and writes the outputs. The worker is a
+plain ``multiprocessing.Process``, started before any log is read, with
+a one-way pipe back: no helper thread runs here to compete with ingest
+for the interpreter lock, and the worker's result is read from the pipe
+only after this process's log work. The other commands run in one
+process.
 """
 
 from __future__ import annotations
@@ -127,20 +129,19 @@ def _offer_provision(cfg: RunConfig, parsed, taxonomy):
 
 
 def _add_accessed(cfg: RunConfig, section: dict, flags: list, offered,
-                  records, sessions, period) -> None:
+                  records, sessions, path_map, period) -> None:
     """Fill in the accessed fields of a provision section from the
-    sessions and the link map, or add the flag that says why they stay
-    empty.
+    sessions and the link map's ``path_map``, or add the flag that says
+    why they stay empty.
 
     Accessed diversity is given twice, weighted by views and by unique
     visitors, because both readings of "resources accessed" are
-    defensible. ``period`` is read only when ``sessions`` is given.
+    defensible. ``path_map`` is None when there are no logs or no link
+    map; ``sessions`` and ``period`` are read only when it is given.
     """
-    if sessions is None or cfg.link_map is None:
+    if path_map is None:
         flags.append("no_accessed_distribution")
         return
-    with opened(cfg.link_map, "link map") as lines:
-        path_map = usage_mod.parse_link_map(lines)
     try:
         by_views, by_visitors, uncatalogued = \
             usage_mod.accessed_distribution(sessions, records, path_map,
@@ -309,15 +310,15 @@ def cmd_segment(cfg: RunConfig) -> int:
     return 0
 
 
-def _sections_without_logs(cfg: RunConfig, with_network: bool):
-    """Every report section that reads no log, in the order ``report``
-    checks them: (the sections computed, by name; the package error that
-    stopped the rest, or None).
+def _sections_without_logs(cfg: RunConfig):
+    """Every report section that reads no log, computed in the order in
+    which ``report`` names their errors: (the sections computed, by name;
+    the package error that stopped the rest, or None).
 
-    ``report`` runs this in a worker process while it reads the logs, and
-    raises the error where its order of sections puts it. The network
-    catalogs are counted only ``with_network``, reusing the own catalog's
-    records, so that file is parsed once.
+    ``report`` runs this in a worker process while it reads the logs. The
+    link map is read, and the network catalogs counted, only when logs
+    are given; the network count reuses the own catalog's records, so
+    that file is parsed once.
     """
     sections: dict = {}
     parsed = None
@@ -326,12 +327,15 @@ def _sections_without_logs(cfg: RunConfig, with_network: bool):
             parsed = _load_catalog(cfg)
             sections["provision"] = (parsed.records, *_offer_provision(
                 cfg, parsed, _load_taxonomy(cfg)))
+            if cfg.logs and cfg.link_map is not None:
+                with opened(cfg.link_map, "link map") as lines:
+                    sections["link_map"] = usage_mod.parse_link_map(lines)
         if cfg.edges is not None:
             sections["organization"] = structure_mod.organization_profile(
                 _load_site_graph(cfg)[0], K=cfg.distance_k)
         if cfg.cross_links is not None and cfg.site is not None:
             sections["position"] = _position_profile(cfg)[:2]
-        if with_network:
+        if cfg.logs and cfg.network_catalogs:
             sections["network"] = _network_sizes(cfg, parsed)
     except (FormatError, DomainError) as exc:
         return sections, exc
@@ -340,29 +344,22 @@ def _sections_without_logs(cfg: RunConfig, with_network: bool):
 
 class _WorkerTraceback(Exception):
     """The traceback text of an exception raised in ``report``'s worker
-    process, chained as the cause of that exception when it is raised
-    again in this one."""
+    process, chained as the cause of the RuntimeError that ``report``
+    raises for it in this one."""
 
 
-def _report_worker(cfg: RunConfig, with_network: bool, sender) -> None:
-    """What ``report``'s worker process runs. It sends (sections, error,
-    None) from :func:`_sections_without_logs`, or (None, the exception,
-    its traceback text) if that raised any other exception, and exits.
-    An exception that does not survive pickling is sent as a RuntimeError
-    naming its type and message."""
-    import pickle
+def _report_worker(cfg: RunConfig, sender) -> None:
+    """What ``report``'s worker process runs. It sends (sections, error)
+    from :func:`_sections_without_logs`, or, if that raised any other
+    exception, (None, (its type name, its message, its traceback text)),
+    and exits. Such an exception crosses the pipe as text only, so any
+    exception gets through, whether or not it could be pickled."""
     import traceback
 
     try:
-        message = (*_sections_without_logs(cfg, with_network), None)
+        message = _sections_without_logs(cfg)
     except Exception as exc:
-        trace = traceback.format_exc()
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            exc = RuntimeError(f"report's worker raised {type(exc).__name__}:"
-                               f" {exc} (the exception cannot be pickled)")
-        message = (None, exc, trace)
+        message = None, (type(exc).__name__, str(exc), traceback.format_exc())
     with sender:
         sender.send(message)
 
@@ -370,27 +367,28 @@ def _report_worker(cfg: RunConfig, with_network: bool, sender) -> None:
 def cmd_report(cfg: RunConfig) -> int:
     """Full pipeline for one portal; writes report + local diagnostics.
 
-    One worker process, started before any log is read, computes the
-    sections that read no log (:func:`_sections_without_logs`) while this
-    one reads the logs and measures demand and navigation. It is a plain
-    process with a one-way pipe, so no helper thread in this process
-    competes with ingest; its result is read from the pipe only once this
-    process's log work is done. An error is raised in the order of
-    sections below, whichever process met it: logs, catalog, taxonomy,
-    link map, edges, position, demand trend, network catalogs,
-    segmentation. Any other exception in the worker is raised here with
-    the worker's traceback as its cause, and a worker that exits without
-    a result raises a RuntimeError; no worker outlives this call.
+    One worker process, started before any log is read, reads every input
+    but the logs and computes the sections that need no log
+    (:func:`_sections_without_logs`), while this one reads the logs and
+    measures demand, its trend and navigation. It is a plain process with
+    a one-way pipe, so no helper thread in this process competes with
+    ingest; its result is read from the pipe only once this process's log
+    work is done. Errors are raised in one fixed order: this process's
+    own (logs, demand trend), then the first error the worker met
+    (catalog, taxonomy, link map, edges, position, network catalogs),
+    then segmentation. Any other exception in the worker is raised here
+    as a RuntimeError naming its type and message, with the worker's
+    traceback as its cause, and a worker that exits without a result
+    raises a RuntimeError; no worker outlives this call.
     """
     import multiprocessing
 
     period = cfg.period()  # the report needs it even without logs
-    sessions = demand = navigation = navigation_sessions = None
+    sessions = demand = slope = navigation = navigation_sessions = None
     tallies: dict = {}
     receiver, sender = multiprocessing.Pipe(duplex=False)
-    worker = multiprocessing.Process(
-        target=_report_worker,
-        args=(cfg, bool(cfg.logs and cfg.network_catalogs), sender))
+    worker = multiprocessing.Process(target=_report_worker,
+                                     args=(cfg, sender))
     with receiver:
         with sender:
             # Started before the logs are read, so the fork copies no view.
@@ -399,47 +397,47 @@ def cmd_report(cfg: RunConfig) -> int:
             if cfg.logs:
                 sessions, tallies = _load_sessions(cfg)
                 demand = usage_mod.overall_demand(sessions, period)
+                if cfg.network_catalogs:
+                    slope = segmentation_mod.demand_trend(demand)
                 if cfg.edges is not None:
                     navigation, measured, skipped = \
                         usage_mod.summarize_navigation(sessions,
                                                        cfg.linearity_band)
                     navigation_sessions = (measured, skipped)
             try:
-                sections, error, trace = receiver.recv()
+                sections, error = receiver.recv()
             except EOFError:
                 worker.join()
                 raise RuntimeError(
                     f"report's worker process exited with code "
                     f"{worker.exitcode} before sending its result") from None
-            if trace is not None:
-                raise error from _WorkerTraceback(trace)
         finally:
             if worker.is_alive():
                 worker.terminate()
             worker.join()
-
-    def section(name):
-        if name not in sections:
-            raise error
-        return sections[name]
+    if sections is None:
+        kind, message, trace = error
+        raise RuntimeError(f"report's worker raised {kind}: {message}") \
+            from _WorkerTraceback(trace)
+    if error is not None:
+        raise error
 
     flags: list[str] = []
     provision = organization = position = segmentation = communities = None
-    if cfg.catalog is not None:
-        records, provision, flags, offered = section("provision")
+    if "provision" in sections:
+        records, provision, flags, offered = sections["provision"]
         _add_accessed(cfg, provision, flags, offered, records, sessions,
-                      period)
+                      sections.get("link_map"), period)
 
-    if cfg.edges is not None:
-        organization = section("organization")
+    if "organization" in sections:
+        organization = sections["organization"]
         organization["navigation"] = navigation
 
-    if cfg.cross_links is not None and cfg.site is not None:
-        position, communities = section("position")
+    if "position" in sections:
+        position, communities = sections["position"]
 
-    if sessions is not None and cfg.network_catalogs:
-        slope = segmentation_mod.demand_trend(demand)
-        segmentation = _segmentation_parts(cfg, slope, section("network"))[0]
+    if "network" in sections:
+        segmentation = _segmentation_parts(cfg, slope, sections["network"])[0]
 
     algorithms = {
         "visitor_key": usage_mod.visitor_key_method(cfg.use_auth_user),
@@ -491,6 +489,25 @@ def cmd_gen(cfg: RunConfig, demo_dir: str) -> int:
     return 0
 
 
+# Each command: its help line, its handler, and the (name, nargs, help)
+# of the operand it takes after its options, if any.
+_COMMANDS = {
+    "catalog": ("content provision metrics from a catalog export",
+                cmd_catalog, None),
+    "structure": ("site organization metrics from an edge list",
+                  cmd_structure, None),
+    "usage": ("demand metrics from access logs (local diagnostics)",
+              cmd_usage, None),
+    "position": ("cross-site standing of one portal", cmd_position, None),
+    "segment": ("typology quadrant for one portal", cmd_segment, None),
+    "report": ("full pipeline: assemble the shareable report", cmd_report,
+               None),
+    "compare": ("within-segment comparison of shareable reports",
+                cmd_compare, ("reports", "+", "shareable report JSON files")),
+    "gen": ("generate the synthetic two-portal demo workspace", cmd_gen,
+            ("demo_dir", None, "directory for the demo network")),
+}
+
 # Each setting's flag, and every option string a subcommand accepts.
 _FLAGS = {"--" + name.replace("_", "-"): name for name in _FIELD_PARSERS}
 _VALUE_OPTIONS = frozenset(("--config", *_FLAGS))
@@ -530,61 +547,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "educational web portals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "catalog": "content provision metrics from a catalog export",
-        "structure": "site organization metrics from an edge list",
-        "usage": "demand metrics from access logs (local diagnostics)",
-        "position": "cross-site standing of one portal",
-        "segment": "typology quadrant for one portal",
-        "report": "full pipeline: assemble the shareable report",
-        "compare": "within-segment comparison of shareable reports",
-        "gen": "generate the synthetic two-portal demo workspace",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _handler, operand) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="key = value settings file")
         for flag, field_name in _FLAGS.items():
             p.add_argument(flag, dest=field_name, metavar="VALUE")
-        if name == "compare":
-            p.add_argument("reports", nargs="+",
-                           help="shareable report JSON files")
-        if name == "gen":
-            p.add_argument("demo_dir", help="directory for the demo network")
+        if operand is not None:
+            operand_name, nargs, operand_help = operand
+            p.add_argument(operand_name, nargs=nargs, help=operand_help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
+    args = build_parser().parse_args(
         _glue_flag_values(sys.argv[1:] if argv is None else list(argv)))
+    _help, handler, operand = _COMMANDS[args.command]
     try:
         flags = {name: getattr(args, name) for name in _FIELD_PARSERS
                  if getattr(args, name) is not None}
         cfg = build_config(args.config, parse_flags(flags))
-        if args.command == "catalog":
-            return cmd_catalog(cfg)
-        if args.command == "structure":
-            return cmd_structure(cfg)
-        if args.command == "usage":
-            return cmd_usage(cfg)
-        if args.command == "position":
-            return cmd_position(cfg)
-        if args.command == "segment":
-            return cmd_segment(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.reports)
-        if args.command == "gen":
-            return cmd_gen(cfg, args.demo_dir)
-        parser.error(f"unknown command {args.command!r}")
+        if operand is None:
+            return handler(cfg)
+        return handler(cfg, getattr(args, operand[0]))
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -15,13 +15,17 @@ from the repository root,
     PYTHONPATH=src python tests/mutation_sweep.py DEMO_DIR
 
 writes the demo network into DEMO_DIR, runs every case under
-DEMO_DIR/mutation-sweep, prints one line per failed case and a count,
-and exits 1 if any case failed.
+DEMO_DIR/mutation-sweep, prints one line per failed case, a count and
+the sha256 of every case's (label, exit code, error line), with DEMO_DIR
+written as ``<root>``. It exits 1 if any case failed or if that digest
+is not ``OUTCOMES_SHA256``, so that a run on any Python shows that every
+case ends the same way there.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -60,6 +64,10 @@ TARGETS = ["alpha catalog", "alpha edge list", "alpha log", "alpha link map",
            "alpha config", "taxonomy", "cross links", "beta catalog"]
 CASES_PER_KIND = 5
 COMPARE_CASES_PER_KIND = 40
+# The digest of every case's outcome that main prints: the same on Python
+# 3.10 to 3.13, and wherever the demo is written.
+OUTCOMES_SHA256 = (
+    "808e69fab8efe98db1f82194fac345c7914624cfba078887eecf90d06ab2e35c")
 
 
 def _target(demo, target):
@@ -101,30 +109,47 @@ def _error_problem(code, err):
     return None
 
 
-def _cases(label, data, kind, count, workdir, suffix, check):
-    """Failures of ``count`` seeded mutations of ``data``: each mutated
-    copy is written to ``workdir`` and passed to ``check(path, out_dir)``,
-    which returns a problem or None."""
-    failures = []
+def _cases(label, data, kind, count, workdir, suffix, check, root=None):
+    """The outcomes of ``count`` seeded mutations of ``data``: each
+    mutated copy is written to ``workdir`` and passed to ``check(path,
+    out_dir)``, which returns the run's exit code and stderr after
+    checking its output on exit 0. An outcome is (case label, exit code,
+    error line, why the case failed or None); the error line is None on
+    exit 0.
+
+    Where ``data`` names a file under the demo ``root``, it holds
+    ``<root>`` in its place, and the root is put back after the mutation:
+    so each case changes the same bytes wherever the demo is written."""
+    outcomes = []
     for case in range(count):
         rng = random.Random(f"{label}/{kind}/{case}")
         path = os.path.join(workdir, f"case{case}{suffix}")
+        mutated = _mutated(data, kind, rng)
+        if root is not None:
+            mutated = mutated.replace(b"<root>", root.encode())
         with open(path, "wb") as fh:
-            fh.write(_mutated(data, kind, rng))
+            fh.write(mutated)
         try:
-            problem = check(path, os.path.join(workdir, f"out{case}"))
+            code, err = check(path, os.path.join(workdir, f"out{case}"))
+            problem = _error_problem(code, err) if code else None
         except Exception as exc:  # a traceback for the user
+            code, err = None, ""
             problem = f"{type(exc).__name__}: {exc}"
-        if problem is not None:
-            failures.append(f"{label}/{kind}/case {case}: {problem}")
-    return failures
+        outcomes.append((f"{label}/{kind}/case {case}", code,
+                         err.rstrip("\n") if code else None, problem))
+    return outcomes
 
 
-def report_failures(demo, target, kind, workdir) -> list[str]:
-    """The failed `report` cases of one target and kind, as lines."""
+def _failures(outcomes) -> list[str]:
+    return [f"{case}: {problem}" for case, _code, _line, problem in outcomes
+            if problem is not None]
+
+
+def report_outcomes(demo, target, kind, workdir) -> list[tuple]:
+    """The outcomes of the `report` cases of one target and kind."""
     source, flags = _target(demo, target)
     with open(source, "rb") as fh:
-        data = fh.read()
+        data = fh.read().replace(demo["root"].encode(), b"<root>")
 
     def check(path, out):
         code, stdout, err = _run(
@@ -132,9 +157,14 @@ def report_failures(demo, target, kind, workdir) -> list[str]:
              "--output-dir", out])
         if code == 0:
             deserialize(stdout)
-            return None
-        return _error_problem(code, err)
-    return _cases(target, data, kind, CASES_PER_KIND, workdir, "", check)
+        return code, err
+    return _cases(target, data, kind, CASES_PER_KIND, workdir, "", check,
+                  demo["root"])
+
+
+def report_failures(demo, target, kind, workdir) -> list[str]:
+    """The failed `report` cases of one target and kind, as lines."""
+    return _failures(report_outcomes(demo, target, kind, workdir))
 
 
 def demo_reports(demo, out) -> dict:
@@ -150,8 +180,8 @@ def demo_reports(demo, out) -> dict:
             for name in ("alpha", "beta")}
 
 
-def compare_failures(reports, kind, workdir) -> list[str]:
-    """The failed `compare` cases of one kind, as lines: alpha's report
+def compare_outcomes(reports, kind, workdir) -> list[tuple]:
+    """The outcomes of the `compare` cases of one kind: alpha's report
     beside a mutated copy of beta's."""
     with open(reports["beta"], "rb") as fh:
         data = fh.read()
@@ -162,10 +192,14 @@ def compare_failures(reports, kind, workdir) -> list[str]:
         if code == 0:
             with open(os.path.join(out, "comparison.json"), "rb") as fh:
                 json.loads(fh.read())
-            return None
-        return _error_problem(code, err)
+        return code, err
     return _cases("beta report", data, kind, COMPARE_CASES_PER_KIND,
                   workdir, ".report.json", check)
+
+
+def compare_failures(reports, kind, workdir) -> list[str]:
+    """The failed `compare` cases of one kind, as lines."""
+    return _failures(compare_outcomes(reports, kind, workdir))
 
 
 def main(argv=None) -> int:
@@ -175,23 +209,29 @@ def main(argv=None) -> int:
         return 2
     demo = fx.write_demo_network(args[0])
     root = os.path.join(demo["root"], "mutation-sweep")
-    failures = []
-    cases = 0
+    outcomes = []
     for target in TARGETS:
         for kind in KINDS:
             workdir = os.path.join(root, "report", target, kind)
             os.makedirs(workdir, exist_ok=True)
-            failures += report_failures(demo, target, kind, workdir)
-            cases += CASES_PER_KIND
+            outcomes += report_outcomes(demo, target, kind, workdir)
     reports = demo_reports(demo, os.path.join(root, "reports"))
     for kind in KINDS:
         workdir = os.path.join(root, "compare", kind)
         os.makedirs(workdir, exist_ok=True)
-        failures += compare_failures(reports, kind, workdir)
-        cases += COMPARE_CASES_PER_KIND
+        outcomes += compare_outcomes(reports, kind, workdir)
+    failures = _failures(outcomes)
     for line in failures:
         print(line)
-    print(f"{cases - len(failures)} of {cases} mutation cases passed")
+    print(f"{len(outcomes) - len(failures)} of {len(outcomes)} mutation "
+          "cases passed")
+    digest = hashlib.sha256(json.dumps([
+        [case, code, line and line.replace(demo["root"], "<root>")]
+        for case, code, line, _problem in outcomes]).encode()).hexdigest()
+    print(f"outcomes sha256 {digest}")
+    if digest != OUTCOMES_SHA256:
+        print(f"expected outcomes sha256 {OUTCOMES_SHA256}")
+        return 1
     return 1 if failures else 0
 
 

@@ -1395,3 +1395,14 @@ def test_readme_quick_start_writes_both_reports_and_the_comparison(tmp_path):
                  root / "portals" / "beta" / "out" / "beta.report.json",
                  root / "out" / "comparison.json"):
         assert path.is_file()
+
+
+def test_help_names_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per command
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+    listed = dict(line.split(None, 1)
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("    "))
+    assert listed == {name: entry[0] for name, entry in cli._COMMANDS.items()}

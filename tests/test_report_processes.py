@@ -15,6 +15,7 @@ import pytest
 
 from portalmetrics import cli, structure, usage
 from portalmetrics import fixtures as fx
+from portalmetrics.report import deserialize
 
 from mutation_sweep import (
     KINDS,
@@ -87,13 +88,14 @@ BAD = {
                "trend estimation needs at least 2 buckets"),
 }
 
-# Pairs of bad inputs, the one `report` names first. The expected lines
-# are those `report` printed when it computed every section in one
-# process, one section after another.
+# Pairs of bad inputs, the one `report` names first. `report` raises its
+# own errors first (logs, demand trend), then the worker's first (catalog,
+# taxonomy, link map, edge list, cross links, network catalogs), then
+# segmentation's.
 PAIRS = [("log", "edge list"), ("catalog", "cross links"),
          ("edge list", "network catalog"), ("distance_k", "site"),
          ("taxonomy", "link map"), ("link map", "edge list"),
-         ("bucket", "network catalog")]
+         ("bucket", "network catalog"), ("bucket", "catalog")]
 
 
 def _flags(names, bad):
@@ -115,6 +117,17 @@ def test_the_input_first_in_section_order_is_named(alpha, bad, tmp_path,
         code, _out, err = _report(capsys, alpha, out, *_flags(names, bad))
         assert (code, err) == _expected(expected, bad), names
         assert not out.exists()
+
+
+def test_link_map_is_not_read_without_logs(alpha, bad, tmp_path, capsys):
+    with open(alpha, encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith("logs =")]
+    config = tmp_path / "no-logs.config"
+    config.write_text("".join(lines), encoding="utf-8")
+    code, out, _err = _report(capsys, str(config), tmp_path / "out",
+                              "--link-map", bad["missing"])
+    flags = deserialize(out)["metadata"]["flags"]
+    assert (code, flags) == (0, ["no_accessed_distribution"])
 
 
 @pytest.mark.parametrize("name", [None, "log", "bucket", "edge list", "site"],
@@ -143,36 +156,27 @@ def test_no_process_outlives_an_unexpected_error(alpha, tmp_path, capsys,
     assert multiprocessing.active_children() == []
 
 
-def test_worker_error_carries_the_worker_traceback(alpha, tmp_path, capsys,
-                                                   monkeypatch):
-    def broken(*args, **kwargs):
-        raise ValueError("organization_profile broke")
-    monkeypatch.setattr(structure, "organization_profile", broken)
-    with pytest.raises(ValueError, match="organization_profile broke") as info:
-        _report(capsys, alpha, tmp_path / "out")
-    trace = str(info.value.__cause__)
-    assert trace.startswith("Traceback (most recent call last):")
-    assert "in _sections_without_logs" in trace
-    assert trace.endswith("ValueError: organization_profile broke\n")
-    assert multiprocessing.active_children() == []
-
-
-def test_worker_error_that_cannot_be_pickled(alpha, tmp_path, capsys,
-                                             monkeypatch):
+def _local_exception_class():
     class Unpicklable(Exception):  # a local class cannot be pickled
         pass
+    return Unpicklable
 
+
+@pytest.mark.parametrize("error", [ValueError, _local_exception_class()],
+                         ids=["ValueError", "unpicklable"])
+def test_worker_error_carries_the_worker_traceback(alpha, tmp_path, capsys,
+                                                   monkeypatch, error):
     def broken(*args, **kwargs):
-        raise Unpicklable("organization_profile broke")
+        raise error("organization_profile broke")
     monkeypatch.setattr(structure, "organization_profile", broken)
     with pytest.raises(RuntimeError) as info:
         _report(capsys, alpha, tmp_path / "out")
-    assert str(info.value) == (
-        "report's worker raised Unpicklable: organization_profile broke "
-        "(the exception cannot be pickled)")
+    assert str(info.value) == (f"report's worker raised {error.__name__}: "
+                               "organization_profile broke")
     trace = str(info.value.__cause__)
+    assert trace.startswith("Traceback (most recent call last):")
     assert "in _sections_without_logs" in trace
-    assert trace.endswith("Unpicklable: organization_profile broke\n")
+    assert trace.endswith(f"{error.__name__}: organization_profile broke\n")
     assert multiprocessing.active_children() == []
 
 
