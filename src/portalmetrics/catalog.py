@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from datetime import date, datetime
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -38,15 +37,12 @@ _COLUMN_ALIASES = {
 DEFAULT_GAP_THRESHOLD = 0.10
 
 
-@dataclass(frozen=True)
-class ContentRecord:
-    """One catalogued educational resource."""
+class ContentRecord(namedtuple("ContentRecord", "identifier resource_type "
+                               "topic published portal_id")):
+    """One catalogued educational resource; ``published`` is a date, the
+    other fields are text."""
 
-    identifier: str
-    resource_type: str
-    topic: str
-    published: date
-    portal_id: str
+    __slots__ = ()
 
 
 def parse_taxonomy(lines) -> tuple[str, ...]:
@@ -61,13 +57,17 @@ def parse_taxonomy(lines) -> tuple[str, ...]:
     return topics
 
 
-@dataclass
-class ParsedCatalog:
-    """Result of parsing one catalog."""
+class ParsedCatalog(namedtuple("ParsedCatalog",
+                               "records duplicates_dropped row_errors")):
+    """Result of parsing one catalog: its list of ContentRecords, the count
+    of duplicates dropped and the (line number, message) of each skipped
+    row, a new empty list unless given."""
 
-    records: list[ContentRecord]
-    duplicates_dropped: int
-    row_errors: list[tuple[int, str]] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, records, duplicates_dropped, row_errors=None):
+        return super().__new__(cls, records, duplicates_dropped,
+                               [] if row_errors is None else row_errors)
 
 
 def _resolve_header(header: list[str]) -> dict[str, int]:

@@ -10,7 +10,7 @@ reports comparable at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from datetime import date, datetime, timedelta, timezone
 
 from .catalog import DEFAULT_GAP_THRESHOLD
@@ -84,9 +84,8 @@ def _parse_paths(text: str) -> tuple[str, ...]:
     return paths
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a pipeline run needs; None paths mean 'not provided'."""
+class _Settings:
+    """Every setting of a run, in field order, with its type and default."""
 
     # inputs
     catalog: str | None = None
@@ -120,6 +119,15 @@ class RunConfig:
     # reproducibility
     seed: int = 0
     use_auth_user: bool = True
+
+
+class RunConfig(namedtuple("RunConfig", _Settings.__annotations__,
+                           defaults=[vars(_Settings)[name]
+                                     for name in _Settings.__annotations__])):
+    """Everything a pipeline run needs, one field per setting of
+    :class:`_Settings`; None paths mean 'not provided'."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         checks = [
@@ -214,9 +222,10 @@ _TYPE_PARSERS = {
     "bool": _parse_bool,
 }
 
-# Each setting's parser, in field order; a field type with no parser
-# fails here, at import.
-_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
+# Each setting's parser, in field order, from the text of its annotation
+# in _Settings; a field type with no parser fails here, at import.
+_FIELD_PARSERS = {name: _TYPE_PARSERS[annotation]
+                  for name, annotation in _Settings.__annotations__.items()}
 
 
 def _parse_value(key: str, text: str, where: str):
@@ -233,8 +242,10 @@ def _parse_value(key: str, text: str, where: str):
 
 def parse_config_lines(lines) -> dict:
     """key = value lines into a typed mapping; # starts a comment. An
-    error names its line."""
+    error names its line; a key set twice, once both values parse, names
+    both lines."""
     values: dict = {}
+    lines_of: dict[str, int] = {}
     for lineno, line in data_lines(lines):
         where = f"line {lineno}"
         if "=" not in line:
@@ -243,7 +254,12 @@ def parse_config_lines(lines) -> dict:
         key = key.strip()
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"{where}: unknown setting {key!r}")
-        values[key] = _parse_value(key, value, where)
+        value = _parse_value(key, value, where)
+        if key in lines_of:
+            raise ConfigError(f"{where}: setting {key!r} is already set on "
+                              f"line {lines_of[key]}")
+        lines_of[key] = lineno
+        values[key] = value
     return values
 
 
@@ -265,11 +281,11 @@ def build_config(file_path=None, overrides: dict | None = None) -> RunConfig:
     """Assemble the effective config: defaults, then file, then overrides."""
     config = RunConfig()
     if file_path is not None:
-        config = replace(config, **load_config(file_path))
+        config = config._replace(**load_config(file_path))
     if overrides:
         unknown = set(overrides) - set(_FIELD_PARSERS)
         if unknown:
             raise ConfigError(f"unknown settings: {', '.join(sorted(unknown))}")
-        config = replace(config, **overrides)
+        config = config._replace(**overrides)
     config.validate()
     return config

@@ -18,7 +18,7 @@ import ipaddress
 import random
 import re
 import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 from urllib.parse import urlparse
 
 from .errors import DomainError
@@ -36,26 +36,26 @@ ISOLATED_SITE_FLAG = "isolated_site"
 SINGLE_COMMUNITY_FLAG = "single_community_graph"
 
 
-@dataclass
-class CrossSiteGraph:
+class CrossSiteGraph(namedtuple("CrossSiteGraph", "sites weights")):
     """Directed site-to-site links with page-level multiplicities.
 
-    ``weights[(a, b)]`` is the number of page links from site a to site b;
-    intra-site pairs are excluded by construction. Sites with no links may
-    still be listed (isolated sites).
+    ``sites`` is a frozenset. ``weights[(a, b)]`` is the number of page
+    links from site a to site b; intra-site pairs are excluded by
+    construction. Sites with no links may still be listed (isolated
+    sites).
     """
 
-    sites: frozenset
-    weights: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        for (a, b), w in self.weights.items():
+    def __new__(cls, sites, weights):
+        for (a, b), w in weights.items():
             if a == b:
                 raise DomainError(f"self-link on site {a!r} is not allowed")
-            if a not in self.sites or b not in self.sites:
+            if a not in sites or b not in sites:
                 raise DomainError(f"link ({a!r}, {b!r}) references unknown site")
             if w < 1:
                 raise DomainError(f"link ({a!r}, {b!r}) has multiplicity {w}")
+        return super().__new__(cls, sites, weights)
 
     @property
     def edge_count(self) -> int:
@@ -65,15 +65,13 @@ class CrossSiteGraph:
         return sorted(self.sites)
 
 
-@dataclass(frozen=True)
-class CommunityAssignment:
-    """Site-to-community labeling plus the parameters that produced it."""
+class CommunityAssignment(namedtuple(
+        "CommunityAssignment", "labels seed algorithm rounds converged")):
+    """Site-to-community labeling (``labels``, a dict) plus the parameters
+    that produced it: the int ``seed``, the ``algorithm``'s name, the
+    ``rounds`` run and whether they ``converged``."""
 
-    labels: dict
-    seed: int
-    algorithm: str
-    rounds: int
-    converged: bool
+    __slots__ = ()
 
     @property
     def community_count(self) -> int:

@@ -26,7 +26,7 @@ are measured in ``usage`` from the same two formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, FormatError
 from .inputs import delimiter
@@ -35,29 +35,28 @@ DEGENERATE_SINGLE_NODE = "single_node_graph"
 DEGENERATE_NO_REACHABLE = "no_page_reachable_from_root"
 
 
-@dataclass(frozen=True)
-class SiteGraph:
+class SiteGraph(namedtuple("SiteGraph", "nodes edges root")):
     """Directed page graph with a designated homepage (root).
 
-    Nodes are page identifiers (normalized URLs or opaque ids). Self-loops
-    and parallel edges are forbidden; use :func:`build_site_graph` to
-    normalize raw edge lists.
+    Nodes are page identifiers (normalized URLs or opaque ids): ``nodes``
+    is a frozenset of them, ``edges`` a frozenset of (from, to) pairs.
+    Self-loops and parallel edges are forbidden; use
+    :func:`build_site_graph` to normalize raw edge lists.
     """
 
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-    root: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.nodes:
+    def __new__(cls, nodes, edges, root):
+        if not nodes:
             raise DomainError("a site graph needs at least one node")
-        if self.root not in self.nodes:
-            raise DomainError(f"root {self.root!r} is not a node of the graph")
-        for a, b in self.edges:
+        if root not in nodes:
+            raise DomainError(f"root {root!r} is not a node of the graph")
+        for a, b in edges:
             if a == b:
                 raise DomainError(f"self-loop on {a!r} is not allowed")
-            if a not in self.nodes or b not in self.nodes:
+            if a not in nodes or b not in nodes:
                 raise DomainError(f"edge ({a!r}, {b!r}) references unknown node")
+        return super().__new__(cls, nodes, edges, root)
 
     @property
     def n(self) -> int:

@@ -41,12 +41,11 @@ that both metrics read.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import re
 import statistics
 import zlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 
@@ -97,53 +96,46 @@ _MIN_SECONDS = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _SECOND
 _MAX_SECONDS = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _SECOND
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(namedtuple("Session", "visitor_key views")):
     """A visit: one visitor's page views with no gap above the timeout.
 
-    Each view is (UTC epoch seconds, request path).
+    ``views`` is a tuple of (UTC epoch seconds, request path); the length
+    of a session is its number of views.
     """
 
-    visitor_key: str
-    views: tuple[tuple[int, str], ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.views)
 
 
-@dataclass(frozen=True)
-class AnalysisPeriod:
-    """Half-open observation window [start, end) cut into equal buckets.
+class AnalysisPeriod(namedtuple("AnalysisPeriod", "start end bucket")):
+    """Half-open observation window [start, end) cut into equal buckets of
+    the timedelta ``bucket``.
 
     The last bucket may be partial. Both bounds must be timezone-aware.
     Views are placed in buckets by their epoch seconds, against the bounds
-    and bucket length held exactly in integer microseconds.
+    and bucket length held exactly in integer microseconds: ``_start_us``,
+    ``_span_us`` and ``_bucket_us``, set with the first and last whole
+    epoch seconds inside [start, end), ``_first_s`` and ``_last_s`` (the
+    first exceeds the last when the window holds no whole second). These
+    are attributes, not fields, so they take no part in equality.
     """
 
-    start: datetime
-    end: datetime
-    bucket: timedelta = timedelta(days=1)
-    _start_us: int = field(init=False, repr=False, compare=False)
-    _span_us: int = field(init=False, repr=False, compare=False)
-    _bucket_us: int = field(init=False, repr=False, compare=False)
-    # The first and last whole epoch second inside [start, end); the first
-    # exceeds the last when the window holds no whole second.
-    _first_s: int = field(init=False, repr=False, compare=False)
-    _last_s: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.start.utcoffset() is None or self.end.utcoffset() is None:
+    def __new__(cls, start, end, bucket=timedelta(days=1)):
+        if start.utcoffset() is None or end.utcoffset() is None:
             raise DomainError("period start and end must be timezone-aware")
-        if self.start >= self.end:
+        if start >= end:
             raise DomainError("period start must precede period end")
-        if self.bucket <= timedelta(0):
+        if bucket <= timedelta(0):
             raise DomainError("bucket duration must be positive")
-        object.__setattr__(self, "_start_us", (self.start - _EPOCH) // _MICROSECOND)
-        object.__setattr__(self, "_span_us", (self.end - self.start) // _MICROSECOND)
-        object.__setattr__(self, "_bucket_us", self.bucket // _MICROSECOND)
-        end_us = self._start_us + self._span_us
-        object.__setattr__(self, "_first_s", -(-self._start_us // 1_000_000))
-        object.__setattr__(self, "_last_s", -(-end_us // 1_000_000) - 1)
+        self = super().__new__(cls, start, end, bucket)
+        self._start_us = (start - _EPOCH) // _MICROSECOND
+        self._span_us = (end - start) // _MICROSECOND
+        self._bucket_us = bucket // _MICROSECOND
+        self._first_s = -(-self._start_us // 1_000_000)
+        self._last_s = -(-(self._start_us + self._span_us) // 1_000_000) - 1
+        return self
 
     @property
     def bucket_count(self) -> int:
@@ -314,7 +306,10 @@ def read_log_lines(paths):
     """Lines of every log file in turn; .gz files are decompressed. A file
     that cannot be read or decompressed raises ConfigError naming it."""
     for path in paths:
-        opener = gzip.open if str(path).endswith(".gz") else open
+        opener = open
+        if str(path).endswith(".gz"):
+            import gzip  # loaded only when a log is compressed
+            opener = gzip.open
         try:
             with opener(path, "rt", encoding="utf-8", errors="replace") as fh:
                 yield from fh

@@ -1349,6 +1349,37 @@ def test_cli_import_loads_no_process_pool():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # The records on the import path are named tuples: dataclasses, and
+    # the inspect, ast and tokenize it pulls in, cost more start-up than
+    # the rest of the package. gzip is loaded only for a .gz log.
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import portalmetrics.cli; "
+         "print(sorted({'dataclasses', 'inspect', 'gzip'}"
+         " & (set(sys.modules) - before)))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": _src_dir()})
+    assert result.stdout.strip() == "[]"
+
+
+def test_plain_logs_are_read_without_gzip(tmp_path):
+    log = tmp_path / "access.log"
+    log.write_text(_clf_line("198.51.100.9", "-", 60, 0, "/a", 200,
+                             "Mozilla/5.0") + "\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules)\n"
+         "from portalmetrics.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "print(code, 'gzip' in set(sys.modules) - before)",
+         "usage", "--logs", str(log), "--period-start", START,
+         "--period-end", END, "--output-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": _src_dir()})
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
 def test_report_and_compare_run_with_test_packages_blocked(tmp_path, capsys):
     # Blocking the test-only packages also catches an import made inside a
     # function, which the import check above cannot see.

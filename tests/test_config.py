@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import fields
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -85,7 +84,23 @@ class TestParseConfigText:
             "use_auth_user": value}
 
     def test_every_field_has_a_parser(self):
-        assert set(_FIELD_PARSERS) == {f.name for f in fields(RunConfig)}
+        assert set(_FIELD_PARSERS) == set(RunConfig._fields)
+
+    def test_key_set_twice_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r"^line 4: setting 'catalog' "
+                                              r"is already set on line 1$"):
+            _parse("catalog = a.csv\n# b.csv below\nportal_id = x\n"
+                   "catalog = b.csv\n")
+
+    def test_key_set_twice_exits_2(self, tmp_path, capsys):
+        # Before, the second catalog line won without a word.
+        path = tmp_path / "twice.config"
+        path.write_text("catalog = a.csv\ncatalog = b.csv\n",
+                        encoding="utf-8")
+        assert cli.main(["catalog", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {path}: line 2: setting 'catalog' is "
+            "already set on line 1\n")
 
 
 class TestBuildConfig:

@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import threading
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
 from portalmetrics import cli, structure, usage
 from portalmetrics import fixtures as fx
+from portalmetrics.catalog import ContentRecord
+from portalmetrics.config import build_config
+from portalmetrics.position import CommunityAssignment
 from portalmetrics.report import deserialize
 
 from mutation_sweep import (
@@ -117,6 +122,21 @@ def test_the_input_first_in_section_order_is_named(alpha, bad, tmp_path,
         code, _out, err = _report(capsys, alpha, out, *_flags(names, bad))
         assert (code, err) == _expected(expected, bad), names
         assert not out.exists()
+
+
+def test_worker_result_crosses_the_pipe_unchanged(alpha):
+    # Pickled as the worker's pipe pickles it, the catalog's records and
+    # the community assignment come back equal and of their own types,
+    # not as the plain tuples they also compare equal to.
+    sections, error = cli._sections_without_logs(build_config(alpha))
+    assert error is None
+    back, _ = pickle.loads(ForkingPickler.dumps((sections, error)))
+    records, copies = sections["provision"][0], back["provision"][0]
+    assert records and copies == records
+    assert {type(record) for record in copies} == {ContentRecord}
+    communities, copy = sections["position"][1], back["position"][1]
+    assert copy == communities and type(copy) is CommunityAssignment
+    assert copy.community_count == communities.community_count
 
 
 def test_link_map_is_not_read_without_logs(alpha, bad, tmp_path, capsys):
