@@ -61,13 +61,9 @@ class ParsedCatalog(namedtuple("ParsedCatalog",
                                "records duplicates_dropped row_errors")):
     """Result of parsing one catalog: its list of ContentRecords, the count
     of duplicates dropped and the (line number, message) of each skipped
-    row, a new empty list unless given."""
+    row."""
 
     __slots__ = ()
-
-    def __new__(cls, records, duplicates_dropped, row_errors=None):
-        return super().__new__(cls, records, duplicates_dropped,
-                               [] if row_errors is None else row_errors)
 
 
 def _resolve_header(header: list[str]) -> dict[str, int]:

@@ -14,11 +14,11 @@ network catalogs, and computes the offered provision, organization,
 position and network sizes. Meanwhile this process reads the logs and
 measures demand, its trend and navigation; it then joins the logs to the
 catalog, segments the portal and writes the outputs. The worker is a
-plain ``multiprocessing.Process``, started before any log is read, with
-a one-way pipe back: no helper thread runs here to compete with ingest
-for the interpreter lock, and the worker's result is read from the pipe
-only after this process's log work. The other commands run in one
-process.
+plain ``multiprocessing.Process``, forked where the platform can fork
+and started before any log is read, with a one-way pipe back: no helper
+thread runs here to compete with ingest for the interpreter lock, and
+the worker's result is read from the pipe only after this process's log
+work. The other commands run in one process.
 """
 
 from __future__ import annotations
@@ -383,12 +383,16 @@ def cmd_report(cfg: RunConfig) -> int:
     """
     import multiprocessing
 
+    # Forked where the platform can fork, whatever the default start
+    # method is (forkserver on Linux from Python 3.14, spawn on macOS), so
+    # the worker runs the modules as they are in this process.
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
     period = cfg.period()  # the report needs it even without logs
     sessions = demand = slope = navigation = navigation_sessions = None
     tallies: dict = {}
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    worker = multiprocessing.Process(target=_report_worker,
-                                     args=(cfg, sender))
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(target=_report_worker, args=(cfg, sender))
     with receiver:
         with sender:
             # Started before the logs are read, so the fork copies no view.

@@ -254,6 +254,21 @@ def _reject_constant(name: str):
                                 "number")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The members of one JSON object in a report as a dict; raises
+    ReportValidationError for a key the object holds twice, which would
+    otherwise keep its last value without a word."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen: set = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ReportValidationError(
+                    f"report holds the key {key!r} twice in one object")
+            seen.add(key)
+    return members
+
+
 def _finite_number(text: str, parse):
     """``parse(text)`` for a JSON number in a report; raises
     ReportValidationError when the number does not fit a finite float."""
@@ -273,13 +288,14 @@ def deserialize(data) -> dict:
     document.
 
     Besides the schema, refuses the NaN and Infinity tokens, a number that
-    does not fit a finite float and a period bound that is not an ISO
-    date-time with a UTC offset."""
+    does not fit a finite float, a key repeated in one object and a period
+    bound that is not an ISO date-time with a UTC offset."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
         document = json.loads(
-            data, parse_constant=_reject_constant,
+            data, object_pairs_hook=_unique_keys,
+            parse_constant=_reject_constant,
             parse_float=lambda text: _finite_number(text, float),
             parse_int=lambda text: _finite_number(text, int))
     except json.JSONDecodeError as exc:

@@ -6,22 +6,20 @@ read by :func:`build_site_graph` with its drop counts keyed as the
 
 * depth        -- mean shortest click-distance from the homepage,
 * density      -- links over maximum possible directed links, in [0, 1],
-* navigability -- compactness of the converted-distance matrix, in [0, 1]
+* navigability -- compactness of the converted distances, in [0, 1]
                   (1 = complete digraph, 0 = edgeless),
 * linearity    -- stratum: normalized absolute prestige, in [0, 1]
                   (1 = directed chain, 0 = symmetric navigation).
 
-Unreachable pairs enter the converted-distance matrix at the conversion
-constant K (default: the node count), which may not be below the longest
-finite distance. :func:`organization_profile` computes all four metrics;
-they and the matrix come from a breadth-first sweep that starts at all
-pages at once: each page holds the set of pages that have reached it as
-the bits of a Python integer, and status and contrastatus add up level by
-level without an n x n matrix. Status counts each page's new bits in a
-sweep along the edges, contrastatus in a second sweep against them. Only
-:func:`converted_distances` builds the matrix: a tuple of row tuples of
-ints, in the order of ``SiteGraph.node_order()``. Session path graphs
-are measured in ``usage`` from the same two formulas.
+Unreachable pairs count as the conversion constant K (default: the node
+count), which may not be below the longest finite distance.
+:func:`organization_profile` computes all four metrics from a
+breadth-first sweep that starts at all pages at once: each page holds the
+set of pages that have reached it as the bits of a Python integer, and
+status and contrastatus add up level by level without an n x n matrix.
+Status counts each page's new bits in a sweep along the edges,
+contrastatus in a second sweep against them. Session path graphs are
+measured in ``usage`` from the same two formulas.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ class SiteGraph(namedtuple("SiteGraph", "nodes edges root")):
         return len(self.nodes)
 
     def node_order(self) -> list[str]:
-        """Stable node ordering used by every matrix-valued computation."""
+        """Stable node ordering used by every per-node computation."""
         return sorted(self.nodes)
 
 
@@ -129,24 +127,33 @@ def _indexed(g: SiteGraph) -> tuple[list[str], list[tuple[int, int]], int]:
     return order, [(index[a], index[b]) for a, b in g.edges], index[g.root]
 
 
-def _sweep(n: int, edges):
-    """Breadth-first search from every node 0..n-1 at once.
+def _sweep(n: int, edges, root: int | None = None
+           ) -> tuple[list[int], int, int, list[int] | None]:
+    """Breadth-first search from every node 0..n-1 at once, along ``edges``.
 
     Bit s of reach[v] is set once source s has reached v; each level pushes
     the bits that arrived at a node on the previous level on to its
     successors (multi-source BFS after Then et al., "The More the Merrier",
-    VLDB 2014). Yields (level, fresh) where fresh maps each node v, in no
-    set order, to the sources whose shortest distance to v is exactly
-    ``level``, so the last level yielded is the longest finite distance.
-    Reversed edges turn fresh[v] into the targets at that distance from v.
+    VLDB 2014). Returns, per node v, the sum of the shortest distances from
+    every source that reaches v; the count of connected (source, node)
+    pairs, each node with itself included; the longest finite distance;
+    and, when ``root`` is given, each node's distance from it (-1 when
+    unreachable), else None. Reversed edges turn the sums into the sums of
+    distances out of each node.
     """
     successors: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         successors[a].append(b)
     reach = [1 << v for v in range(n)]
     fresh = dict(enumerate(reach))
+    sums = [0] * n
+    reached = n  # every node reaches itself at distance 0
+    root_distances = None
+    if root is not None:
+        root_distances = [-1] * n
+        root_distances[root] = 0
     level = 0
-    while True:
+    while fresh:
         level += 1
         pushed: dict[int, int] = {}
         for u, sources in fresh.items():
@@ -164,89 +171,45 @@ def _sweep(n: int, edges):
             if sources:
                 reach[v] = r | sources
                 fresh[v] = sources
-        if not fresh:
-            return
-        yield level, fresh
-
-
-def _check_conversion_constant(k: int, least: int, longest: int) -> None:
-    # Unreachable pairs count as K, so a K below a finite distance would
-    # rank unreachable pages closer than reachable ones.
-    if k < max(least, longest):
-        raise DomainError(
-            f"conversion constant K={k} is too small: it must be at least "
-            f"{least} and at least the longest finite distance, {longest}")
+                count = sources.bit_count()
+                sums[v] += level * count
+                reached += count
+                if root_distances is not None and sources >> root & 1:
+                    root_distances[v] = level
+    return sums, reached, level - 1, root_distances
 
 
 def _distance_summary(g: SiteGraph, k: int
-                      ) -> tuple[float, list[int], list[int], list[int]]:
+                      ) -> tuple[list[int], list[int], list[int], int]:
     """Distance aggregates of ``g`` in its canonical node order, enough for
-    all four metrics without the n x n matrix: the sum of converted
-    distances with unreachable pairs at ``k``; per node, the sum of finite
-    distances into it (status) and out of it (contrastatus); and the
-    distance from the root to each node, -1 when unreachable.
+    all four metrics without the n x n matrix: per node, the sum of finite
+    distances into it (status) and out of it (contrastatus); the distance
+    from the root to each node, -1 when unreachable; and the count of
+    connected ordered pairs, each node with itself included.
 
     Status and root distances come from a sweep along the edges,
     contrastatus from a second sweep against them. k must be at least 2,
-    the least K for which compactness has Max > Min.
+    the least K for which compactness has Max > Min, and at least the
+    longest finite distance: unreachable pairs count as K, so a smaller K
+    would rank unreachable pages closer than reachable ones.
     """
     order, edges, root = _indexed(g)
     n = len(order)
-    status = [0] * n
-    root_distances = [-1] * n
-    root_distances[root] = 0
-    reached = n  # every node reaches itself at distance 0
-    longest = 0
-    for level, fresh in _sweep(n, edges):
-        for v, sources in fresh.items():
-            count = sources.bit_count()
-            status[v] += level * count
-            reached += count
-            if sources >> root & 1:
-                root_distances[v] = level
-        longest = level
-    _check_conversion_constant(k, 2, longest)
-    contrastatus = [0] * n
-    for level, fresh in _sweep(n, [(b, a) for a, b in edges]):
-        for v, targets in fresh.items():
-            contrastatus[v] += level * targets.bit_count()
-    return (float(sum(status) + (n * n - reached) * k), status, contrastatus,
-            root_distances)
+    status, reached, longest, root_distances = _sweep(n, edges, root)
+    if k < max(2, longest):
+        raise DomainError(
+            f"conversion constant K={k} is too small: it must be at least "
+            f"2 and at least the longest finite distance, {longest}")
+    contrastatus = _sweep(n, [(b, a) for a, b in edges])[0]
+    return status, contrastatus, root_distances, reached
 
 
-def converted_distances(g: SiteGraph, K: int | None = None
-                        ) -> tuple[tuple[int, ...], ...]:
-    """All-pairs shortest directed distances with unreachable pairs set to
-    K, as n row tuples of ints in the order of ``g.node_order()``.
-
-    Row i, column j is the shortest path length from node i to node j;
-    the diagonal is 0, and a cell is K exactly when its column is not
-    reachable from its row. Default K is the node count; K may not be
-    below the longest finite distance. The full n x n matrix is
-    materialized; for metric computation on large graphs prefer
-    :func:`organization_profile`, which only keeps per-node sums.
-    """
-    k = g.n if K is None else K
-    order, edges, _ = _indexed(g)
-    n = len(order)
-    d = [[k] * n for _ in range(n)]
-    for i in range(n):
-        d[i][i] = 0
-    longest = 0
-    for level, fresh in _sweep(n, edges):
-        for v, sources in fresh.items():
-            while sources:
-                low = sources & -sources
-                d[low.bit_length() - 1][v] = level
-                sources ^= low
-        longest = level
-    _check_conversion_constant(k, 1, longest)
-    return tuple(map(tuple, d))
-
-
-def _navigability(n: int, k: int, sum_converted: float) -> float:
-    # Compactness Cp = (Max - sum(d_ij)) / (Max - Min) with
-    # Max = (n^2 - n) * K and Min = n^2 - n.
+def _navigability(n: int, k: int, status: list[int], reached: int) -> float:
+    # Compactness Cp = (Max - sum(d_ij)) / (Max - Min) over the converted
+    # distances d_ij, with Max = (n^2 - n) * K and Min = n^2 - n: the
+    # finite distances sum to sum(status), and each of the n^2 - reached
+    # unconnected ordered pairs counts as K.
+    sum_converted = sum(status) + (n * n - reached) * k
     max_sum = (n * n - n) * k
     min_sum = n * n - n
     return (max_sum - sum_converted) / (max_sum - min_sum)
@@ -276,14 +239,14 @@ def organization_profile(g: SiteGraph, K: int | None = None) -> dict:
                 "navigability": None, "linearity": None,
                 "flags": [DEGENERATE_SINGLE_NODE]}
     k = g.n if K is None else K
-    sum_converted, status, contrastatus, dists = _distance_summary(g, k)
+    status, contrastatus, dists, reached = _distance_summary(g, k)
     # Excludes the root (0) and unreachable pages (-1).
     reach = [d for d in dists if d > 0]
     return {
         "depth": sum(reach) / len(reach) if reach else 0.0,
         "unreachable_pages": dists.count(-1),
         "density": len(g.edges) / (g.n * (g.n - 1)),
-        "navigability": _navigability(g.n, k, sum_converted),
+        "navigability": _navigability(g.n, k, status, reached),
         "linearity": _linearity(status, contrastatus),
         "flags": [] if reach else [DEGENERATE_NO_REACHABLE],
     }

@@ -499,8 +499,7 @@ def _metrics_for_shape(successors: tuple[int, ...]) -> tuple[float, float]:
             out_sum += level * frontier.bit_count()
         contrastatus[source] = out_sum
         reached += seen.bit_count()
-    return (structure._navigability(
-                n, n, float(sum(status) + (n * n - reached) * n)),
+    return (structure._navigability(n, n, status, reached),
             structure._linearity(status, contrastatus))
 
 

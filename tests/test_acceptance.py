@@ -25,7 +25,8 @@ from portalmetrics.structure import SiteGraph
 from oracles import (
     LogEntry,
     brute_sessionize,
-    oracle_converted,
+    indexed_edges,
+    matrix_power_distances,
     sessions_as_set,
     views_by_visitor,
 )
@@ -129,9 +130,17 @@ def test_criterion_3_graph_oracle(capsys):
         factor = (seed % 13) / 4.0
         g = fx.gen_graph(fx.GeneratorSpec(kind="random-digraph", size=n,
                                           edge_factor=factor, seed=seed))
-        converted = structure.converted_distances(g)
-        if not np.array_equal(converted, oracle_converted(g)):
-            failures.append(f"distances differ from oracle at seed {seed}")
+        order, edges = indexed_edges(g)
+        d = matrix_power_distances(g.n, edges)
+        finite = np.where(d < 0, 0, d)
+        status, contrastatus, root_distances, reached = \
+            structure._distance_summary(g, g.n)
+        if (status != finite.sum(axis=0).tolist()
+                or contrastatus != finite.sum(axis=1).tolist()
+                or root_distances != d[order.index(g.root)].tolist()
+                or sum(status) + (g.n * g.n - reached) * g.n
+                != int(np.where(d < 0, g.n, d).sum())):
+            failures.append(f"distance sums differ from oracle at seed {seed}")
             break
         profile = structure.organization_profile(g)
         for name in ("density", "navigability", "linearity"):

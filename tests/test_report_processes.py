@@ -7,9 +7,12 @@ report that `compare` refuses by name. The sweeps themselves are in
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import threading
 from multiprocessing.reduction import ForkingPickler
 
@@ -210,6 +213,46 @@ def test_worker_that_exits_without_a_result(alpha, tmp_path, capsys,
     assert multiprocessing.active_children() == []
 
 
+# Runs `report` on a config in a fresh interpreter whose default start
+# method is the one named, with organization_profile broken in this
+# process only, and prints what `report` raised and how many children
+# are left.
+_BROKEN_REPORT = """
+import json, multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from portalmetrics import cli, structure
+def broken(*args, **kwargs):
+    raise RuntimeError("organization_profile broke")
+structure.organization_profile = broken
+try:
+    cli.main(["report", "--config", sys.argv[2], "--output-dir", sys.argv[3]])
+    raised = None
+except RuntimeError as exc:
+    raised = str(exc)
+print(json.dumps([raised, len(multiprocessing.active_children())]))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="report forks its worker only where it can")
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_worker_is_forked_whatever_the_default_start_method(alpha, tmp_path,
+                                                            method):
+    # A worker started any other way would import structure afresh and
+    # write a report; a forked one sees the broken function.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _BROKEN_REPORT, method, alpha,
+         str(tmp_path / "out")], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        "report's worker raised RuntimeError: organization_profile broke", 0]
+
+
 def test_no_thread_shares_this_process_while_report_reads_logs(
         alpha, tmp_path, capsys, monkeypatch):
     """The worker is a plain process with a pipe: no helper thread here
@@ -270,6 +313,9 @@ REPORT_EDITS = {
         b'"in_degree":2', b'"in_degree":' + b"9" * 309,
         "report holds the number 99999999999999999999..., which does not "
         "fit a finite float"),
+    "repeated key": (
+        b'"depth":15.0', b'"depth":0.0,"depth":15.0',
+        "report holds the key 'depth' twice in one object"),
 }
 
 

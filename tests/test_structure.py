@@ -233,23 +233,18 @@ class TestLinearity:
 class TestConvertedDistances:
     def test_small_graph_exact(self):
         g = _from_edges([("/h", "/a"), ("/a", "/b")], root="/h")
-        matrix = structure.converted_distances(g)
         assert g.node_order() == ["/a", "/b", "/h"]
-        assert matrix[0][2] == 3  # /a cannot reach /h: K is the node count
-        expected = oracle_converted(g)
-        assert np.array_equal(matrix, expected)
-
-    @given(digraphs)
-    @settings(max_examples=60)
-    def test_matches_matrix_power_oracle(self, g):
-        matrix = structure.converted_distances(g)
-        assert np.array_equal(matrix, oracle_converted(g))
-
-    def test_diagonal_is_zero_and_k_marks_unreachable(self):
-        g = _graph("chain", 4)
-        matrix = structure.converted_distances(g)
-        assert np.array_equal(np.diag(matrix), np.zeros(4, dtype=np.int64))
-        assert matrix[3][0] == g.n  # K defaults to the node count
+        status, contrastatus, root_distances, reached = \
+            structure._distance_summary(g, g.n)
+        assert status == [1, 3, 0]
+        assert contrastatus == [1, 0, 3]
+        assert root_distances == [1, 2, 0]
+        # Three pages each reach themselves, /h reaches /a and /b, and /a
+        # reaches /b; /a cannot reach /h, whose cell is K, the node count.
+        assert reached == 6
+        assert oracle_converted(g)[0][2] == 3
+        assert structure._navigability(g.n, g.n, status, reached) == \
+            pytest.approx(oracle_compactness(g), abs=1e-12)
 
 
 # Random digraphs of 2 to 40 pages, from edgeless to dense.
@@ -268,12 +263,15 @@ def _assert_summary_matches_oracle(g) -> None:
     order, edges = indexed_edges(g)
     d = matrix_power_distances(len(order), edges)
     finite = np.where(d < 0, 0, d)
-    sum_converted, status, contrastatus, root_distances = \
+    status, contrastatus, root_distances, reached = \
         structure._distance_summary(g, g.n)
-    assert sum_converted == float(np.where(d < 0, g.n, d).sum())
     assert status == finite.sum(axis=0).tolist()
     assert contrastatus == finite.sum(axis=1).tolist()
     assert root_distances == d[order.index(g.root)].tolist()
+    assert reached == int((d >= 0).sum())
+    # The converted total: finite distances plus K per unconnected pair.
+    assert sum(status) + (g.n * g.n - reached) * g.n == \
+        int(np.where(d < 0, g.n, d).sum())
 
 
 class TestOracleAgreement:
@@ -332,14 +330,13 @@ class TestConversionConstant:
         g = _graph("cycle", 5)
         with pytest.raises(DomainError, match="longest finite distance, 4"):
             structure.organization_profile(g, K=2)
-        with pytest.raises(DomainError):
-            structure.converted_distances(g, K=3)
+        with pytest.raises(DomainError, match="longest finite distance, 4"):
+            structure.organization_profile(g, K=3)
 
     def test_longest_distance_accepted(self):
         g = _graph("cycle", 5)
         value = _navigability(g, K=4)
         assert value == pytest.approx(oracle_compactness(g, K=4), abs=1e-12)
-        assert max(map(max, structure.converted_distances(g, K=4))) == 4
 
     def test_k_of_one_rejected_for_metrics(self):
         # Max equals Min at K=1, so compactness would divide by zero.
