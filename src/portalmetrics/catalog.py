@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator
 from datetime import date, datetime
 from operator import itemgetter
-from typing import Iterable, Iterator
 
 from .errors import DomainError, FormatError
 from .inputs import data_lines, delimiter

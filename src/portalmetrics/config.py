@@ -15,7 +15,7 @@ from datetime import date, datetime, timedelta, timezone
 
 from .catalog import DEFAULT_GAP_THRESHOLD
 from .errors import ConfigError
-from .inputs import data_lines, opened
+from .inputs import data_lines, iso_datetime, opened
 from .position import (DEFAULT_BRIDGE_MIN_COMMUNITIES,
                        DEFAULT_BRIDGE_SCORE_THRESHOLD, DEFAULT_DEGREE_PERCENTILE)
 from .report import DEFAULT_COMPARE_MARGIN
@@ -61,7 +61,7 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_datetime(text: str) -> datetime:
     try:
-        value = datetime.fromisoformat(text)
+        value = iso_datetime(text)
     except ValueError:
         raise ConfigError(f"not an ISO date-time: {text!r}")
     if value.tzinfo is None:
@@ -70,10 +70,13 @@ def _parse_datetime(text: str) -> datetime:
 
 
 def _parse_date(text: str) -> date:
+    # A date alone is the one ISO date-time that is ten characters long.
     try:
-        return date.fromisoformat(text)
+        if len(text) == 10:
+            return iso_datetime(text).date()
     except ValueError:
-        raise ConfigError(f"not an ISO date: {text!r}")
+        pass
+    raise ConfigError(f"not an ISO date: {text!r}")
 
 
 def _parse_paths(text: str) -> tuple[str, ...]:

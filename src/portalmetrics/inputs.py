@@ -2,15 +2,34 @@
 parsed line by line. The line formats share two rules, written here
 once: blank lines and ``#`` comments carry no data (:func:`data_lines`),
 and a delimited line splits at tabs if it holds one, else at commas
-(:func:`delimiter`).
+(:func:`delimiter`). The date-times of a config and of a report's period
+are read by one grammar (:func:`iso_datetime`).
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Iterator
+import re
+from collections.abc import Iterable, Iterator
+from datetime import datetime, timedelta, timezone
 
 from .errors import ConfigError, DomainError, FormatError
+
+# The grammar of Python 3.10's datetime.fromisoformat, the stray character
+# and the NUL that it reads included, so that no text it read is refused.
+# Python 3.11 widened the grammar ("Z", "+0000", "20260301", "2026-W09-7",
+# ...); none of that is read here, so a text means the same date-time, or
+# nothing, on every Python.
+_ISO_DATETIME = re.compile(r"""
+    (\d{4})-(\d{2})-(\d{2})                   # YYYY-MM-DD
+    (?:[\s\S]                                 # any one character
+       (\d{2})(?::(\d{2})(?::(\d{2}))?)?      # HH[:MM[:SS]]
+       (?:(?(6)[.:]|\.)(\d{3}|\d{6})          # .fff[fff]; :fff[fff] after SS
+         |[\x00-\x2a\x2c\x2e-\x7f](?=[+-])    # or ASCII but +-, then an offset
+         |\x00\Z)?                             # or a NUL that ends the text
+       # an offset: +HH:MM[:SS[.ffffff]]
+       (?:([+-])(\d{2}):(\d{2})(?::(\d{2})(?:[.:](\d{6}))?)?)?
+    )?""", re.ASCII | re.VERBOSE)
 
 
 @contextlib.contextmanager
@@ -48,3 +67,30 @@ def delimiter(line: str) -> str:
     """The field separator of a delimited line: a tab if it holds one,
     a comma otherwise."""
     return "\t" if "\t" in line else ","
+
+
+def iso_datetime(text: str) -> datetime:
+    """The date-time that Python 3.10's ``datetime.fromisoformat`` reads
+    from ``text``, on every Python: naive without an offset, UTC for a
+    zero one. Raises ValueError for a text outside its grammar or a field
+    out of range.
+    """
+    match = _ISO_DATETIME.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not an ISO date-time: {text!r}")
+    (year, month, day, hour, minute, second, fraction,
+     sign, off_hour, off_minute, off_second, off_fraction) = match.groups()
+    tzinfo = None
+    if sign:
+        whole = (int(off_hour) * 3600 + int(off_minute) * 60
+                 + int(off_second or 0))
+        # As in Python 3.10, an offset of zero whole seconds is UTC,
+        # whatever its fraction.
+        tzinfo = timezone.utc
+        if whole:
+            offset = timedelta(seconds=whole,
+                               microseconds=int(off_fraction or 0))
+            tzinfo = timezone(-offset if sign == "-" else offset)
+    return datetime(int(year), int(month), int(day), int(hour or 0),
+                    int(minute or 0), int(second or 0),
+                    int((fraction or "0").ljust(6, "0")), tzinfo)

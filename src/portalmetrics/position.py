@@ -17,7 +17,6 @@ from __future__ import annotations
 import ipaddress
 import random
 import re
-import statistics
 from collections import namedtuple
 from urllib.parse import urlparse
 
@@ -321,7 +320,9 @@ def position_profile(g: CrossSiteGraph, site: str,
     if linked:
         adjacent = len({communities.labels[other] for other in linked})
         score = adjacent / len(linked)
-        median_degree = statistics.median(c[0] + c[2] for c in degrees.values())
+        # The 50th percentile is the median, exactly for integer degrees.
+        median_degree = _percentile_cut(
+            [c[0] + c[2] for c in degrees.values()], 50)
         is_bridge = (adjacent >= bridge_min_communities
                      and score >= bridge_score_threshold
                      and degree <= median_degree)

@@ -38,6 +38,7 @@ import operator
 from datetime import datetime
 
 from .errors import ComparabilityError, DomainError, ReportValidationError
+from .inputs import iso_datetime
 from .segmentation import GROWING, STABLE, LARGE, SMALL, QUADRANT_NAMES
 from .usage import AnalysisPeriod
 
@@ -442,7 +443,7 @@ def _parse_period(section: dict) -> tuple[datetime, datetime]:
     for key in ("start", "end"):
         text = section[key]
         try:
-            bound = datetime.fromisoformat(text)
+            bound = iso_datetime(text)
         except ValueError:
             bound = None
         if bound is None or bound.utcoffset() is None:

@@ -10,7 +10,7 @@ comparison always states the rules it was made under.
 
 from __future__ import annotations
 
-import statistics
+from math import fsum
 
 from .errors import DomainError
 
@@ -41,16 +41,33 @@ def demand_trend(counts: list[int]) -> float | None:
     mean visit count, so 0.05 means demand grows by 5% of its average
     level per bucket. Needs at least 2 buckets. An all-zero series has no
     level to measure change against: it gives None.
+
+    The sums are exact (``math.fsum``), in the formula that
+    ``statistics.linear_regression`` used up to Python 3.11, so the slope
+    is the same float on every Python.
     """
-    if len(counts) < 2:
+    n = len(counts)
+    if n < 2:
         raise DomainError("trend estimation needs at least 2 buckets")
     if any(c < 0 for c in counts):
         raise DomainError("visit counts cannot be negative")
-    mean = statistics.fmean(counts)
-    if mean == 0:
+    ybar = fsum(counts) / n
+    if ybar == 0:
         return None
-    xs = list(range(len(counts)))
-    return statistics.linear_regression(xs, counts).slope / mean
+    xbar = fsum(range(n)) / n
+    sxy = fsum((x - xbar) * (y - ybar) for x, y in enumerate(counts))
+    sxx = fsum((d := x - xbar) * d for x in range(n))
+    return sxy / sxx / ybar
+
+
+def _median(values: list[float]) -> float:
+    """The middle of ``values`` once sorted, or the mean of the two middle
+    ones for an even count."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 def relative_size(portal_counts: dict, network_total: int) -> dict:
@@ -79,7 +96,7 @@ def size_class(ratios: dict) -> tuple[dict, tuple[str, ...]]:
     if not ratios:
         raise DomainError("no portals to classify")
     values = list(ratios.values())
-    median = statistics.median(values)
+    median = _median(values)
     flags = (SINGLE_PORTAL_FLAG,) if len(values) == 1 else ()
     classes = {portal: (LARGE if ratio >= median else SMALL)
                for portal, ratio in ratios.items()}

@@ -43,16 +43,17 @@ from __future__ import annotations
 
 import hashlib
 import re
-import statistics
 import zlib
 from collections import namedtuple
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
+from math import fsum
 
 from . import structure
 from .catalog import ContentRecord
 from .errors import ConfigError, DomainError, FormatError
 from .inputs import data_lines, delimiter
+from .segmentation import _median
 
 DEFAULT_SESSION_TIMEOUT = timedelta(minutes=30)
 DEFAULT_LINEARITY_BAND = 0.8
@@ -555,10 +556,10 @@ def summarize_navigation(sessions,
     if complexities:
         high = sum(1 for v in linearities if v > linearity_band)
         section.update(
-            complexity_mean=statistics.fmean(complexities),
-            complexity_median=statistics.median(complexities),
-            linearity_mean=statistics.fmean(linearities),
-            linearity_median=statistics.median(linearities),
+            complexity_mean=fsum(complexities) / len(complexities),
+            complexity_median=_median(complexities),
+            linearity_mean=fsum(linearities) / len(linearities),
+            linearity_median=_median(linearities),
             high_linearity_share=high / len(linearities),
         )
     return section, len(complexities), skipped

@@ -1217,8 +1217,9 @@ _BAD_VALUES = {
     config_mod._parse_paths: ("", " ", ",", " , "),
     config_mod._parse_float: ("", "x", "nan", "inf", "-inf", "1e400", "1,5"),
     int: ("", "x", "1.5", "1e3", "nan"),
-    config_mod._parse_datetime: ("", "x", "nan", "2026-02-30T00:00:00"),
-    config_mod._parse_date: ("", "x", "2026-02-30", "03/01/2026"),
+    config_mod._parse_datetime: ("", "x", "nan", "2026-02-30T00:00:00",
+                                 "2026-03-02T00:00:00Z"),
+    config_mod._parse_date: ("", "x", "2026-02-30", "03/01/2026", "20260301"),
     config_mod._parse_bool: ("", "x", "maybe", "2"),
 }
 _BAD_FLAGS = [(field, value)
@@ -1352,11 +1353,16 @@ def test_cli_import_loads_no_process_pool():
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # The records on the import path are named tuples: dataclasses, and
     # the inspect, ast and tokenize it pulls in, cost more start-up than
-    # the rest of the package. gzip is loaded only for a .gz log.
+    # the rest of the package. gzip is loaded only for a .gz log. Means,
+    # medians and slopes are written out, so statistics and the fractions,
+    # decimal and numbers it pulls in stay out too, and annotations take
+    # their types from collections.abc, not typing. -S keeps site hooks
+    # from loading any of them first.
     result = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, "-S", "-c",
          "import sys; before = set(sys.modules); import portalmetrics.cli; "
-         "print(sorted({'dataclasses', 'inspect', 'gzip'}"
+         "print(sorted({'dataclasses', 'inspect', 'gzip', 'statistics',"
+         " 'fractions', 'decimal', 'numbers', 'typing'}"
          " & (set(sys.modules) - before)))"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": _src_dir()})

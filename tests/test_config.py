@@ -19,6 +19,8 @@ from portalmetrics.config import (
 )
 from portalmetrics.errors import ConfigError
 
+import cross_python
+
 UTC = timezone.utc
 
 
@@ -54,6 +56,13 @@ class TestParseConfigText:
         got = _parse("period_start = 2026-03-02T00:00:00")
         assert got["period_start"] == datetime(2026, 3, 2, tzinfo=UTC)
 
+    def test_dates_are_read_as_python_3_10_reads_them(self):
+        # The pin is the digest of Python 3.10's fromisoformat over the
+        # same corpus; tests/cross_python.py shows it on Python 3.10.
+        outcomes = cross_python.date_outcomes()
+        assert cross_python.dates_sha256(outcomes) == (
+            cross_python.DATES_SHA256)
+
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match=r"^line 3: unknown setting 'colour'"):
             _parse("# one\nportal_id = a\ncolour = red\n")
@@ -66,13 +75,22 @@ class TestParseConfigText:
         with pytest.raises(ConfigError, match=r"seed: 'seven'"):
             _parse("seed = seven")
 
+    # The last nine are forms that Python 3.11's fromisoformat reads and
+    # 3.10's does not; every Python refuses them here, word for word.
     @pytest.mark.parametrize("line,fragment", [
         ("use_auth_user = maybe", "boolean"),
         ("period_start = tomorrow", "date-time"),
         ("reference_date = 03/01/2026", "date"),
+        *((f"period_start = {text}", f"not an ISO date-time: {text!r}")
+          for text in ("2026-03-02T00:00:00Z", "2026-03-02T00:00:00+0000",
+                       "2026-03-02T00:00:00+00", "2026-03-02T00:00:00.5+00:00",
+                       "2026-03-02T00:00:00,123+00:00", "20260301",
+                       "2026-W09-7")),
+        *((f"reference_date = {text}", f"not an ISO date: {text!r}")
+          for text in ("20260301", "2026-W09-7")),
     ])
     def test_parser_specific_messages(self, line, fragment):
-        with pytest.raises(ConfigError, match=fragment):
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
             _parse(line)
 
     @pytest.mark.parametrize("text,value", [

@@ -216,8 +216,12 @@ class TestSchemaAndRoundTrip:
         assert report.deserialize(data)["organization"]["depth"] == int(
             "9" * 308)
 
-    @pytest.mark.parametrize("bound", ["2026-03-02T00:00:00", "2026-03-02",
-                                       "March 2, 2026", ""])
+    # The last seven are read by Python 3.11's fromisoformat, not 3.10's.
+    @pytest.mark.parametrize("bound", [
+        "2026-03-02T00:00:00", "2026-03-02", "March 2, 2026", "",
+        "2026-03-02T00:00:00Z", "2026-03-02T00:00:00+0000",
+        "2026-03-02T00:00:00+00", "2026-03-02T00:00:00.5+00:00",
+        "2026-03-02T00:00:00,123+00:00", "20260301", "2026-W09-7"])
     def test_deserialize_rejects_period_bounds_without_offset(self, bound):
         document = json.loads(report.serialize(_report()))
         document["period"]["start"] = bound

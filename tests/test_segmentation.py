@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from portalmetrics import segmentation
 from portalmetrics.errors import DomainError
 
+import cross_python
 from oracles import ols_slope
 
 
@@ -47,6 +48,14 @@ class TestDemandTrend:
 
     def test_all_zero_is_indeterminate(self):
         assert segmentation.demand_trend([0, 0, 0]) is None
+
+    def test_slope_is_the_same_float_on_every_python(self):
+        # statistics.linear_regression gave ...169 here on Python 3.12+.
+        assert repr(segmentation.demand_trend(cross_python.SLOPE_SERIES)) == (
+            cross_python.SLOPE_REPR)
+
+    def test_seeded_slopes_match_their_pinned_digest(self):
+        assert cross_python.slopes_sha256() == cross_python.SLOPES_SHA256
 
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=2,
                     max_size=30).filter(lambda c: sum(c) > 0),
@@ -141,6 +150,13 @@ class TestSizeClass:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             segmentation.size_class({})
+
+    @pytest.mark.parametrize("values,median", [
+        ([3.0], 3.0), ([0.7, 0.1, 0.2], 0.2), ([0.75, 0.25], 0.5),
+        ([0.4, 0.1, 0.3, 0.2], 0.25), ([4, 1, 3, 2], 2.5)])
+    def test_median_is_the_middle_or_the_mean_of_the_two(self, values,
+                                                         median):
+        assert segmentation._median(values) == median
 
     @given(st.dictionaries(st.text(min_size=1, max_size=3),
                            st.floats(min_value=0.0, max_value=1.0,
