@@ -8,9 +8,9 @@ Topic distributions are ``{topic: count}`` dicts; a taxonomy is a tuple.
 
 Every row of every catalog passes one row checker, so a portal's own
 catalog and the network catalogs follow the same rules. The own catalog
-becomes records (:func:`parse_catalog`); a network catalog only gives the
-(portal_id, identifier) pairs that network sizes are counted from
-(:func:`content_keys`, :func:`content_counts`).
+becomes records (:func:`parse_catalog`), joined to link-map paths by
+:func:`topics_by_path`; a network catalog only gives the (portal_id,
+identifier) pairs that :func:`content_counts` counts network sizes from.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import csv
 import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from datetime import date, datetime
+from datetime import date
 from operator import itemgetter
 
 from .errors import DomainError, FormatError
-from .inputs import data_lines, delimiter
+from .inputs import data_lines, delimiter, iso_date
 
 # Accepted header aliases, Dublin Core names included.
 _COLUMN_ALIASES = {
@@ -83,10 +83,6 @@ def _resolve_header(header: list[str]) -> dict[str, int]:
     return mapping
 
 
-def _parse_date(text: str) -> date:
-    return datetime.strptime(text.strip(), "%Y-%m-%d").date()
-
-
 def _without_nul(lines):
     for line_no, line in enumerate(lines, start=1):
         if "\x00" in line:
@@ -102,13 +98,13 @@ def _checked_rows(lines, row_errors: list[tuple[int, str]]):
     from the header row, whose names are resolved through the alias
     table. A blank or whitespace-only row is skipped silently. A row too
     short for the mandatory columns, with an empty identifier or with a
-    date that is not ISO-8601 (YYYY-MM-DD) is skipped and appended to
-    ``row_errors`` as (the physical line it starts on, message). Each
-    distinct date string is parsed once. A missing header, a missing
-    mandatory column and a row the csv module cannot read (such as a field
-    over its size limit) raise FormatError, as does a line holding a NUL
-    byte, which the csv module reads on some Python versions and refuses
-    on others.
+    date that inputs.iso_date does not read once stripped (YYYY-MM-DD) is
+    skipped and appended to ``row_errors`` as (the physical line it
+    starts on, message). Each distinct date string is parsed once. A
+    missing header, a missing mandatory column and a row the csv module
+    cannot read (such as a field over its size limit) raise FormatError,
+    as does a line holding a NUL byte, which the csv module reads on some
+    Python versions and refuses on others.
     """
     lines = _without_nul(lines)
     try:
@@ -140,7 +136,7 @@ def _checked_rows(lines, row_errors: list[tuple[int, str]]):
                 published = dates.get(text)
                 if published is None:
                     try:
-                        published = dates[text] = _parse_date(text)
+                        published = dates[text] = iso_date(text.strip())
                     except ValueError as exc:
                         row_errors.append((line_no, str(exc)))
                         continue
@@ -163,7 +159,7 @@ def parse_catalog(lines) -> ParsedCatalog:
     comma- or tab-separated (sniffed from the header row), with a header
     naming at least identifier, resource_type, topic, published and
     portal_id; Dublin Core aliases are accepted. Dates must be ISO-8601
-    (YYYY-MM-DD).
+    (YYYY-MM-DD), as in a config.
 
     Duplicate identifiers within one portal are collapsed to the first
     occurrence and tallied. Malformed rows are skipped and tallied with
@@ -193,6 +189,14 @@ def content_keys(lines) -> Iterator[tuple[str, str]]:
     built. Read lazily; reading raises the FormatErrors parse_catalog
     raises."""
     return map(itemgetter(0, 1), _checked_rows(lines, []))
+
+
+def topics_by_path(records: list[ContentRecord],
+                   path_map: dict[str, str]) -> dict[str, str]:
+    """The topic of each path of ``path_map`` (path -> identifier) that
+    links to a record; of the last record, when records share one."""
+    topics = {r.identifier: r.topic for r in records}
+    return {path: topics[i] for path, i in path_map.items() if i in topics}
 
 
 def shannon_diversity(counts: dict[str, int]) -> tuple[float, float]:

@@ -7,18 +7,16 @@ an optional key = value config file, then command-line flags, in that
 order of precedence. Outputs are canonical JSON with no timestamps, so
 identical inputs and settings give byte-identical files.
 
-``report`` uses up to two cores. One worker process reads every input
-but the logs and the bot list that filters them: it parses the catalog,
-the taxonomy, the link map, the edge list, the cross links and the
-network catalogs, and computes the offered provision, organization,
-position and network sizes. Meanwhile this process reads the logs and
-measures demand, its trend and navigation; it then joins the logs to the
-catalog, segments the portal and writes the outputs. The worker is a
-plain ``multiprocessing.Process``, forked where the platform can fork
-and started before any log is read, with a one-way pipe back: no helper
-thread runs here to compete with ingest for the interpreter lock, and
-the worker's result is read from the pipe only after this process's log
-work. The other commands run in one process.
+``report`` uses up to two cores (see :func:`cmd_report`). One worker
+process reads every input but the logs and the bot list that filters
+them: the catalog, the taxonomy, the link map, the edge list, the cross
+links and the network catalogs, the own catalog again if they list it.
+It computes the offered provision, organization, position and network
+sizes, and sends the topic of each linked request path, not the
+catalog's records. Meanwhile this process reads the logs and measures
+demand, its trend and navigation; it then counts the topics viewed,
+segments the portal and writes the outputs. The other commands run in
+one process.
 """
 
 from __future__ import annotations
@@ -129,23 +127,22 @@ def _offer_provision(cfg: RunConfig, parsed, taxonomy):
 
 
 def _add_accessed(cfg: RunConfig, section: dict, flags: list, offered,
-                  records, sessions, path_map, period) -> None:
+                  sessions, topics, period) -> None:
     """Fill in the accessed fields of a provision section from the
-    sessions and the link map's ``path_map``, or add the flag that says
-    why they stay empty.
+    sessions and the catalog ``topics`` by request path, or add the flag
+    that says why they stay empty.
 
     Accessed diversity is given twice, weighted by views and by unique
     visitors, because both readings of "resources accessed" are
-    defensible. ``path_map`` is None when there are no logs or no link
-    map; ``sessions`` and ``period`` are read only when it is given.
+    defensible. ``topics`` is None when there are no logs or no link map;
+    ``sessions`` and ``period`` are read only when it is given.
     """
-    if path_map is None:
+    if topics is None:
         flags.append("no_accessed_distribution")
         return
     try:
         by_views, by_visitors, uncatalogued = \
-            usage_mod.accessed_distribution(sessions, records, path_map,
-                                            period)
+            usage_mod.accessed_distribution(sessions, topics, period)
     except DomainError:
         flags.append("accessed_join_empty")
         return
@@ -194,7 +191,8 @@ def cmd_structure(cfg: RunConfig) -> int:
 
 def _write_diagnostics(cfg: RunConfig, period, sessions, tallies, demand,
                        navigation_sessions) -> dict:
-    """Build the local diagnostics, write them and say so on stderr."""
+    """Build the local diagnostics of the ``sessions`` that start in the
+    period, write them and say so on stderr."""
     diagnostics = report_mod.build_diagnostics(
         cfg.portal_id, period, demand=demand,
         recency=usage_mod.recency(sessions, period),
@@ -212,11 +210,12 @@ def _write_diagnostics(cfg: RunConfig, period, sessions, tallies, demand,
 def cmd_usage(cfg: RunConfig) -> int:
     period = cfg.period()
     sessions, tallies = _load_sessions(cfg)
+    started = usage_mod.sessions_in(sessions, period)
     _navigation, measured, skipped = usage_mod.summarize_navigation(
-        sessions, cfg.linearity_band)
+        started, cfg.linearity_band)
     _emit(_write_diagnostics(
-        cfg, period, sessions, tallies,
-        usage_mod.overall_demand(sessions, period), (measured, skipped)))
+        cfg, period, started, tallies,
+        usage_mod.overall_demand(started, period), (measured, skipped)))
     return 0
 
 
@@ -255,22 +254,14 @@ def cmd_position(cfg: RunConfig) -> int:
     return 0
 
 
-def _network_sizes(cfg: RunConfig, parsed=None):
-    """Relative sizes over every portal catalog in the network, counted
-    from the (portal_id, identifier) pair of each row the catalog parser
-    would keep, one file at a time; no record is built for them.
-
-    ``parsed``, when given, is the portal's own catalog, already parsed; a
-    network catalog at the same path is counted from its records instead
-    of being read again. A catalog format error names its file.
+def _network_sizes(cfg: RunConfig):
+    """Relative sizes over every portal catalog in the network, the own
+    one too if listed, counted from the (portal_id, identifier) pair of
+    each row the catalog parser would keep, one file at a time; no record
+    is built for them. A catalog format error names its file.
     """
-    own = os.path.abspath(cfg.catalog) if parsed is not None else None
-
     def keys():
         for path in _require(cfg, "network_catalogs"):
-            if os.path.abspath(path) == own:
-                yield from ((r.portal_id, r.identifier) for r in parsed.records)
-                continue
             with opened(path, "network catalog") as lines:
                 yield from catalog_mod.content_keys(lines)
     per_portal, network_total = catalog_mod.content_counts(keys())
@@ -317,26 +308,28 @@ def _sections_without_logs(cfg: RunConfig):
 
     ``report`` runs this in a worker process while it reads the logs. The
     link map is read, and the network catalogs counted, only when logs
-    are given; the network count reuses the own catalog's records, so
-    that file is parsed once.
+    are given. The provision section ends in the topic of each linked
+    request path, or None without a link map, so no record leaves the
+    worker; the own catalog is read again if the network lists it.
     """
     sections: dict = {}
-    parsed = None
     try:
         if cfg.catalog is not None:
             parsed = _load_catalog(cfg)
-            sections["provision"] = (parsed.records, *_offer_provision(
-                cfg, parsed, _load_taxonomy(cfg)))
+            offer = _offer_provision(cfg, parsed, _load_taxonomy(cfg))
+            topics = None
             if cfg.logs and cfg.link_map is not None:
                 with opened(cfg.link_map, "link map") as lines:
-                    sections["link_map"] = usage_mod.parse_link_map(lines)
+                    topics = catalog_mod.topics_by_path(
+                        parsed.records, usage_mod.parse_link_map(lines))
+            sections["provision"] = (*offer, topics)
         if cfg.edges is not None:
             sections["organization"] = structure_mod.organization_profile(
                 _load_site_graph(cfg)[0], K=cfg.distance_k)
         if cfg.cross_links is not None and cfg.site is not None:
             sections["position"] = _position_profile(cfg)[:2]
         if cfg.logs and cfg.network_catalogs:
-            sections["network"] = _network_sizes(cfg, parsed)
+            sections["network"] = _network_sizes(cfg)
     except (FormatError, DomainError) as exc:
         return sections, exc
     return sections, None
@@ -400,12 +393,13 @@ def cmd_report(cfg: RunConfig) -> int:
         try:
             if cfg.logs:
                 sessions, tallies = _load_sessions(cfg)
-                demand = usage_mod.overall_demand(sessions, period)
+                started = usage_mod.sessions_in(sessions, period)
+                demand = usage_mod.overall_demand(started, period)
                 if cfg.network_catalogs:
                     slope = segmentation_mod.demand_trend(demand)
                 if cfg.edges is not None:
                     navigation, measured, skipped = \
-                        usage_mod.summarize_navigation(sessions,
+                        usage_mod.summarize_navigation(started,
                                                        cfg.linearity_band)
                     navigation_sessions = (measured, skipped)
             try:
@@ -429,9 +423,9 @@ def cmd_report(cfg: RunConfig) -> int:
     flags: list[str] = []
     provision = organization = position = segmentation = communities = None
     if "provision" in sections:
-        records, provision, flags, offered = sections["provision"]
-        _add_accessed(cfg, provision, flags, offered, records, sessions,
-                      sections.get("link_map"), period)
+        provision, flags, offered, topics = sections["provision"]
+        _add_accessed(cfg, provision, flags, offered, sessions, topics,
+                      period)
 
     if "organization" in sections:
         organization = sections["organization"]
@@ -461,7 +455,7 @@ def cmd_report(cfg: RunConfig) -> int:
     path = _write_output(cfg, f"{cfg.portal_id}.report.json", data)
 
     if sessions is not None:
-        _write_diagnostics(cfg, period, sessions, tallies, demand,
+        _write_diagnostics(cfg, period, started, tallies, demand,
                            navigation_sessions)
     sys.stdout.write(data.decode("utf-8"))
     sys.stderr.write(f"report written to {path}\n")

@@ -15,7 +15,7 @@ from datetime import date, datetime, timedelta, timezone
 
 from .catalog import DEFAULT_GAP_THRESHOLD
 from .errors import ConfigError
-from .inputs import data_lines, iso_datetime, opened
+from .inputs import data_lines, iso_date, iso_datetime, opened
 from .position import (DEFAULT_BRIDGE_MIN_COMMUNITIES,
                        DEFAULT_BRIDGE_SCORE_THRESHOLD, DEFAULT_DEGREE_PERCENTILE)
 from .report import DEFAULT_COMPARE_MARGIN
@@ -70,13 +70,10 @@ def _parse_datetime(text: str) -> datetime:
 
 
 def _parse_date(text: str) -> date:
-    # A date alone is the one ISO date-time that is ten characters long.
     try:
-        if len(text) == 10:
-            return iso_datetime(text).date()
-    except ValueError:
-        pass
-    raise ConfigError(f"not an ISO date: {text!r}")
+        return iso_date(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_paths(text: str) -> tuple[str, ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date, datetime, timedelta, timezone
 
 from .catalog import ContentRecord
@@ -41,31 +41,28 @@ BOT_AGENT = "ExampleBot/2.1 (+https://bots.example/info)"
 DEFAULT_PAGES = ("/p0000", "/p0001", "/p0002", "/p0003")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+# Each field of a GeneratorSpec after ``kind``, with its default.
+_SPEC_DEFAULTS = {
+    "size": 0, "seed": 0,
+    # cross-site graphs
+    "bridge_node": False, "edge_factor": 2.0,
+    # logs
+    "visits_per_bucket": (), "visitors": 1, "bot_fraction": 0.0,
+    "views_per_visit": 3, "pages": DEFAULT_PAGES,
+    "start": datetime(2026, 3, 2, tzinfo=timezone.utc),
+    "bucket": timedelta(days=1),
+    # catalogs; topic_counts holds (topic, count) pairs
+    "portal_id": "portal-a", "topic_counts": (), "ages_days": (30,),
+    "reference": date(2026, 3, 1), "resource_types": ("text", "video"),
+}
+
+
+class GeneratorSpec(namedtuple("GeneratorSpec", ("kind", *_SPEC_DEFAULTS),
+                               defaults=_SPEC_DEFAULTS.values())):
     """Parameters for one synthetic artifact; unused fields are ignored
     by generators that do not need them."""
 
-    kind: str
-    size: int = 0
-    seed: int = 0
-    # cross-site graphs
-    bridge_node: bool = False
-    edge_factor: float = 2.0
-    # logs
-    visits_per_bucket: tuple[int, ...] = ()
-    visitors: int = 1
-    bot_fraction: float = 0.0
-    views_per_visit: int = 3
-    pages: tuple[str, ...] = DEFAULT_PAGES
-    start: datetime = datetime(2026, 3, 2, tzinfo=timezone.utc)
-    bucket: timedelta = timedelta(days=1)
-    # catalogs
-    portal_id: str = "portal-a"
-    topic_counts: tuple[tuple[str, int], ...] = ()
-    ages_days: tuple[int, ...] = (30,)
-    reference: date = date(2026, 3, 1)
-    resource_types: tuple[str, ...] = ("text", "video")
+    __slots__ = ()
 
 
 def _page(i: int) -> str:
@@ -414,14 +411,11 @@ def write_demo_network(root) -> dict:
 
     out = {"root": root, "taxonomy": taxonomy_path, "cross_links": cross_path,
            "portals": {}}
-    catalog_paths = {}
+    catalog_paths = {p: os.path.join(root, "portals", p, "catalog.csv")
+                     for p in _DEMO_PORTALS}
     for portal, plan in _DEMO_PORTALS.items():
         portal_dir = os.path.join(root, "portals", portal)
         os.makedirs(portal_dir, exist_ok=True)
-        catalog_paths[portal] = os.path.join(portal_dir, "catalog.csv")
-
-    for portal, plan in _DEMO_PORTALS.items():
-        portal_dir = os.path.join(root, "portals", portal)
         records = gen_catalog(GeneratorSpec(
             kind="synthetic-catalog",
             portal_id=portal,

@@ -2,8 +2,9 @@
 parsed line by line. The line formats share two rules, written here
 once: blank lines and ``#`` comments carry no data (:func:`data_lines`),
 and a delimited line splits at tabs if it holds one, else at commas
-(:func:`delimiter`). The date-times of a config and of a report's period
-are read by one grammar (:func:`iso_datetime`).
+(:func:`delimiter`). Every date-time is read by one grammar
+(:func:`iso_datetime`), and every date by its ten-character form
+(:func:`iso_date`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import re
 from collections.abc import Iterable, Iterator
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 from .errors import ConfigError, DomainError, FormatError
 
@@ -94,3 +95,13 @@ def iso_datetime(text: str) -> datetime:
     return datetime(int(year), int(month), int(day), int(hour or 0),
                     int(minute or 0), int(second or 0),
                     int((fraction or "0").ljust(6, "0")), tzinfo)
+
+
+def iso_date(text: str) -> date:
+    """The ``YYYY-MM-DD`` date that :func:`iso_datetime` reads from a
+    ten-character text; raises ValueError for any other text."""
+    # A date alone is the one ISO date-time that is ten characters long.
+    if len(text) == 10:
+        with contextlib.suppress(ValueError):
+            return iso_datetime(text).date()
+    raise ValueError(f"not an ISO date: {text!r}")

@@ -5,12 +5,12 @@ from automated-agent traffic, groups page views into visits (sessions),
 and computes the demand-side metrics: overall demand per time bucket,
 recency (mean time between visits by the same visitor), activity level
 (page views per visit), the accessed-content distributions of the whole
-period (by views and by unique visitors) joined against the catalog, and
-per-session navigation complexity/linearity derived from the structure
-metrics on the session's path graph. Each returns the plain value its
-one reader needs: demand is visits per bucket, recency the diagnostics'
-recency block, ingest's drop counts a dict keyed as the diagnostics
-print them, and the accessed distributions topic-count dicts.
+period (by views and by unique visitors) over the topics of linked
+paths, and per-session navigation complexity/linearity derived from the
+structure metrics on the session's path graph. Each returns the plain
+value its one reader needs: demand is visits per bucket, recency the
+diagnostics' recency block, ingest's drop counts a dict keyed as the
+diagnostics print them, and the accessed distributions topic-count dicts.
 
 :func:`read_log_lines` is the one log reader: plain or gzip files, read
 in turn, and a file that cannot be read or decompressed raises
@@ -50,7 +50,6 @@ from functools import lru_cache
 from math import fsum
 
 from . import structure
-from .catalog import ContentRecord
 from .errors import ConfigError, DomainError, FormatError
 from .inputs import data_lines, delimiter
 from .segmentation import _median
@@ -367,6 +366,13 @@ def sessionize(views_by_visitor,
     return sessions
 
 
+def sessions_in(sessions, period: AnalysisPeriod) -> list[Session]:
+    """The sessions that start inside the period, in order: the visits
+    that recency, views per session and navigation are measured over."""
+    first, last = period._first_s, period._last_s
+    return [s for s in sessions if first <= s.views[0][0] <= last]
+
+
 def overall_demand(sessions, period: AnalysisPeriod) -> list[int]:
     """Visits per bucket, in bucket order; a session counts in the bucket
     of its start."""
@@ -388,10 +394,8 @@ def recency(sessions, period: AnalysisPeriod) -> dict:
     visitor had two or more visits in the period.
     """
     starts_by_visitor: dict[str, list[int]] = {}
-    for session in sessions:
-        start = session.views[0][0]
-        if period.bucket_index(start) is not None:
-            starts_by_visitor.setdefault(session.visitor_key, []).append(start)
+    for visitor, views in sessions_in(sessions, period):
+        starts_by_visitor.setdefault(visitor, []).append(views[0][0])
     gaps: list[timedelta] = []
     single = 0
     for starts in starts_by_visitor.values():
@@ -420,35 +424,28 @@ def activity_level(sessions) -> float:
     return sum(len(s) for s in sessions) / len(sessions)
 
 
-def accessed_distribution(sessions, records: list[ContentRecord],
-                          path_map: dict[str, str], period: AnalysisPeriod
+def accessed_distribution(sessions, topics_by_path: dict[str, str],
+                          period: AnalysisPeriod
                           ) -> tuple[dict[str, int], dict[str, int], int]:
     """Accessed-topic distributions over the period, by views and by
     unique visitors, and the count of uncatalogued views:
     ``(by_views, by_visitors, uncatalogued)``, topics in first-view order.
 
-    Only views inside the period count. ``path_map`` joins request paths
-    to catalog identifiers; views whose path or identifier has no catalog
-    record are tallied as uncatalogued. Raises DomainError when nothing
-    joins at all. Each distinct path is joined once.
+    Only views inside the period count. ``topics_by_path`` is the catalog
+    topic of each linked request path, as catalog.topics_by_path gives
+    it; a view of any other path is tallied as uncatalogued. Raises
+    DomainError when nothing joins at all.
     """
-    by_id = {r.identifier: r for r in records}
     total_views: dict[str, int] = {}  # labels in order of first view
     visitors: dict[str, set[str]] = {}
     uncatalogued = 0
-    labels: dict[str, str | None] = {}  # path -> label; None: uncatalogued
     first, last = period._first_s, period._last_s
     for session in sessions:
         visitor = session.visitor_key
         for seconds, path in session.views:
             if seconds < first or seconds > last:
                 continue
-            try:
-                label = labels[path]
-            except KeyError:
-                identifier = path_map.get(path)
-                record = by_id.get(identifier) if identifier else None
-                label = labels[path] = None if record is None else record.topic
+            label = topics_by_path.get(path)
             if label is None:
                 uncatalogued += 1
                 continue

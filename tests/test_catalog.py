@@ -33,8 +33,8 @@ r3,text,algebra,2025-12-15,p
 _COLUMNS = tuple(catalog._COLUMN_ALIASES)
 _IDENTIFIERS = ("r1", " r1 ", "r2", "shared", "x,y", 'say "hi"', "two\nlines")
 _PORTALS = ("A", " A", "B")
-_GOOD_DATES = ("2026-01-01", " 2025-12-31 ", "2026-3-1")
-_BAD_DATES = ("not-a-date", "2026-02-30", "", "01/02/2026")
+_GOOD_DATES = ("2026-01-01", " 2025-12-31 ")
+_BAD_DATES = ("not-a-date", "2026-02-30", "", "01/02/2026", "2026-3-1")
 
 
 @st.composite
@@ -124,16 +124,17 @@ class TestParseCatalog:
 
     def test_repeated_dates_keep_their_own_verdicts(self):
         # Dates are parsed once per distinct string: a repeated bad date is
-        # still reported on each of its lines, and strptime's leniency
-        # (unpadded fields, surrounding blanks) is kept.
+        # still reported on each of its lines. Surrounding blanks are
+        # stripped; an unpadded field is not ISO-8601.
         text = CSV_BASIC + ("r9,text,algebra,not-a-date,p\n"
                             "r10,text,algebra,2026-3-1,p\n"
                             "r11,text,algebra,not-a-date,p\n"
                             "r12,text,algebra, 2026-03-01 ,p\n"
                             "r13,text,algebra,2026-3-1,p\n")
         parsed = catalog.parse_catalog(io.StringIO(text))
-        assert [line for line, _ in parsed.row_errors] == [5, 7]
-        assert [r.published for r in parsed.records[3:]] == [date(2026, 3, 1)] * 3
+        assert [line for line, _ in parsed.row_errors] == [5, 6, 7, 9]
+        assert [r.identifier for r in parsed.records[3:]] == ["r12"]
+        assert parsed.records[3].published == date(2026, 3, 1)
 
     def test_row_error_gives_the_physical_line_after_a_quoted_newline(self):
         text = ("identifier,resource_type,topic,published,portal_id\n"
@@ -359,6 +360,22 @@ class TestOfferDistribution:
                    for i, t in enumerate(["c", "a", "c", "b"])]
         assert list(catalog.offer_distribution(records).items()) == [
             ("c", 2), ("a", 1), ("b", 1)]
+
+
+class TestTopicsByPath:
+    def test_each_linked_path_gets_its_records_topic(self):
+        records = [_rec(ident="r1", topic="algebra"),
+                   _rec(ident="r2", topic="", portal="q")]
+        path_map = {"/a": "r1", "/b": "r2", "/c": "r1", "/ghost": "r9"}
+        assert catalog.topics_by_path(records, path_map) == {
+            "/a": "algebra", "/b": "", "/c": "algebra"}
+
+    def test_last_record_of_a_shared_identifier_wins(self):
+        # Two portals may catalog the same identifier.
+        records = [_rec(ident="r1", topic="algebra", portal="p"),
+                   _rec(ident="r1", topic="biology", portal="q")]
+        assert catalog.topics_by_path(records, {"/a": "r1"}) == {
+            "/a": "biology"}
 
 
 class TestDemandOfferGap:

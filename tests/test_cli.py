@@ -188,6 +188,41 @@ class TestUsageCommand:
         assert tallies["sessions"] == 1
 
 
+@pytest.mark.parametrize("command", ["report", "usage"])
+def test_a_visit_before_the_period_moves_only_the_tallies(demo, tmp_path,
+                                                          capsys, command):
+    # One 8-view visit on 23 Feb, before alpha's period starts on 2 Mar.
+    # Navigation, views per session and the session count cover the
+    # sessions that start in the period, as demand does; the tallies
+    # still count every line read and every session built.
+    portal = demo["portals"]["alpha"]
+    log = tmp_path / "access.log"
+    shutil.copyfile(os.path.join(portal["dir"], "access.log"), log)
+    with open(log, "a", encoding="utf-8") as fh:
+        for minute, page in enumerate((0, 1, 2, 0, 3, 1, 4, 2)):
+            fh.write(f'192.0.2.250 - - [23/Feb/2026:10:{minute:02d}:00 +0000] '
+                     f'"GET /p{page:04d} HTTP/1.1" 200 1024 "-" '
+                     f'"{fx.HUMAN_AGENT}"\n')
+    outputs = []
+    for name, flags in (("plain", []), ("early", ["--logs", str(log)])):
+        out = tmp_path / name
+        assert cli.main([command, "--config", portal["config"],
+                         "--output-dir", str(out), *flags]) == 0
+        capsys.readouterr()
+        diagnostics = json.loads((out / "alpha.diagnostics.json").read_text())
+        tallies = diagnostics.pop("tallies")
+        report = out / "alpha.report.json"
+        outputs.append((report.read_bytes() if report.exists() else None,
+                        diagnostics, tallies))
+    (plain, plain_diagnostics, plain_tallies), (early, early_diagnostics,
+                                                early_tallies) = outputs
+    assert early == plain and early_diagnostics == plain_diagnostics
+    assert early_diagnostics["session_count"] == 60
+    assert early_tallies == dict(plain_tallies,
+                                 log_lines=plain_tallies["log_lines"] + 8,
+                                 sessions=plain_tallies["sessions"] + 1)
+
+
 class TestPositionCommand:
     def test_two_community_profile(self, tmp_path, capsys):
         g = fx.gen_graph(fx.GeneratorSpec(kind="two-community", size=6,
@@ -574,11 +609,12 @@ class TestNetworkCatalogs:
             2, f"error: {what} file {path}: line 3: line contains NUL\n")
         assert not out.exists()
 
-    def test_own_catalog_is_parsed_once(self, demo, tmp_path, capsys,
-                                        monkeypatch):
+    def test_every_listed_catalog_is_read_once_more(self, demo, tmp_path,
+                                                    capsys, monkeypatch):
         # The demo configs list each portal's own catalog again among the
-        # network catalogs; report reads each distinct file once and runs
-        # the row checker over it once.
+        # network catalogs; report reads it as the portal's catalog and
+        # again as a network catalog, each time through the row checker,
+        # just as it reads a copy of it, and the report is the same.
         config = demo["portals"]["alpha"]["config"]
         cfg = build_config(config)
         own = cfg.catalog
@@ -619,21 +655,20 @@ class TestNetworkCatalogs:
             assert cli.main(args) == 0
             capsys.readouterr()
             passes, reads = logged(passes_log), logged(reads_log)
-            assert len(reads) == len(set(reads)) == len(passes)
-            return len(passes), (out / "alpha.report.json").read_bytes()
+            assert len(reads) == len(passes)
+            return reads, (out / "alpha.report.json").read_bytes()
 
-        passes_listed, listed = report("listed")
-        assert passes_listed == 1 + len(others)
-        # The same file under another spelling of its path is still reused.
+        reads, listed = report("listed")
+        assert sorted(reads) == sorted(
+            map(os.path.abspath, [own, *cfg.network_catalogs]))
         respelled = os.path.join(os.path.dirname(own), ".",
                                  os.path.basename(own))
-        assert report("respelled", respelled, *others) == (passes_listed,
-                                                           listed)
-        # A copy is another file: read and checked again, to the same report.
         copy = tmp_path / "copy.csv"
         shutil.copyfile(own, copy)
-        assert report("copied", str(copy), *others) == (passes_listed + 1,
-                                                        listed)
+        for name, path in (("respelled", respelled), ("copied", str(copy))):
+            reads, report_bytes = report(name, path, *others)
+            assert len(reads) == 2 + len(others)
+            assert report_bytes == listed
 
 
 class TestCatalogFormatErrors:
@@ -1353,14 +1388,16 @@ def test_cli_import_loads_no_process_pool():
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # The records on the import path are named tuples: dataclasses, and
     # the inspect, ast and tokenize it pulls in, cost more start-up than
-    # the rest of the package. gzip is loaded only for a .gz log. Means,
+    # the rest of the package. So is the generator spec of the fixtures
+    # that `gen` imports. gzip is loaded only for a .gz log. Means,
     # medians and slopes are written out, so statistics and the fractions,
     # decimal and numbers it pulls in stay out too, and annotations take
     # their types from collections.abc, not typing. -S keeps site hooks
     # from loading any of them first.
     result = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys; before = set(sys.modules); import portalmetrics.cli; "
+         "import sys; before = set(sys.modules); "
+         "import portalmetrics.cli, portalmetrics.fixtures; "
          "print(sorted({'dataclasses', 'inspect', 'gzip', 'statistics',"
          " 'fractions', 'decimal', 'numbers', 'typing'}"
          " & (set(sys.modules) - before)))"],
@@ -1432,6 +1469,43 @@ def test_readme_quick_start_writes_both_reports_and_the_comparison(tmp_path):
                  root / "portals" / "beta" / "out" / "beta.report.json",
                  root / "out" / "comparison.json"):
         assert path.is_file()
+
+
+# The sha256 of each --help text at 80 columns: the top level (None)
+# and every command's. Python 3.13 words argparse's help differently.
+HELP_SHA256 = {
+    None:
+        "a8b9e6debe06928c98672081f5b3aaebbdf479cf63ba020ca757521d8ecfa451",
+    "catalog":
+        "d3eb0b2680437881569db63ef35612b725bfd7b2adcaa60bbeb65248f382f265",
+    "structure":
+        "a29d31ef12eddafb583d6a6acf5fc25534f8e555575b6e5a7a3479b0a3222947",
+    "usage":
+        "30afeb1d76cf1466f335131cfedeb5f6d49042d11905cb13394b376fa8aef40e",
+    "position":
+        "ef6c018508aaf860811211e14c2af10f7ebb1f2d79daed81337464ea1e16fff3",
+    "segment":
+        "7e105b65ca67d83e3daa89ca3e63906eec9fd45a308122e5f1838e80fcd1986b",
+    "report":
+        "5730bf2f91457a4f15f8fef0bc3095dc317524350979de9733a0f1b6fdd9ceb9",
+    "compare":
+        "f885143f1392df7b29305ba9da4f47a0876b0ffa77db8154032741b27042f9ea",
+    "gen":
+        "eada0a346441a3f035fecf31395280a56ae016729f6e437857da7e1bee6648fd",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                    reason="help digests are pinned on Python 3.10 and 3.11")
+@pytest.mark.parametrize("command", HELP_SHA256)
+def test_help_texts_match_their_pinned_digests(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert done.value.code == 0
+    help_text = capsys.readouterr().out
+    assert hashlib.sha256(help_text.encode()).hexdigest() == \
+        HELP_SHA256[command]
 
 
 def test_help_names_every_command(capsys, monkeypatch):

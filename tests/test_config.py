@@ -63,6 +63,11 @@ class TestParseConfigText:
         assert cross_python.dates_sha256(outcomes) == (
             cross_python.DATES_SHA256)
 
+    def test_catalog_dates_are_read_as_config_dates(self):
+        # strptime once kept the unpadded, space-padded and non-ASCII
+        # CATALOG_DATES; a catalog now refuses them, as a config does.
+        assert cross_python.catalog_date_mismatches() == []
+
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match=r"^line 3: unknown setting 'colour'"):
             _parse("# one\nportal_id = a\ncolour = red\n")

@@ -128,15 +128,20 @@ def test_the_input_first_in_section_order_is_named(alpha, bad, tmp_path,
 
 
 def test_worker_result_crosses_the_pipe_unchanged(alpha):
-    # Pickled as the worker's pipe pickles it, the catalog's records and
-    # the community assignment come back equal and of their own types,
-    # not as the plain tuples they also compare equal to.
+    # Pickled as the worker's pipe pickles it, the sections come back
+    # equal, and the community assignment of its own type, not as the
+    # plain tuple it also compares equal to. The provision section ends in
+    # the topic of each linked path; no catalog record crosses the pipe.
     sections, error = cli._sections_without_logs(build_config(alpha))
     assert error is None
-    back, _ = pickle.loads(ForkingPickler.dumps((sections, error)))
-    records, copies = sections["provision"][0], back["provision"][0]
-    assert records and copies == records
-    assert {type(record) for record in copies} == {ContentRecord}
+    data = ForkingPickler.dumps((sections, error))
+    back, _ = pickle.loads(data)
+    assert back == sections
+    assert sorted(sections) == ["network", "organization", "position",
+                                "provision"]
+    topics = sections["provision"][-1]
+    assert topics and {type(v) for v in topics.values()} == {str}
+    assert ContentRecord.__name__.encode() not in bytes(data)
     communities, copy = sections["position"][1], back["position"][1]
     assert copy == communities and type(copy) is CommunityAssignment
     assert copy.community_count == communities.community_count

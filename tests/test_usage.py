@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from portalmetrics import usage
-from portalmetrics.catalog import ContentRecord
+from portalmetrics.catalog import ContentRecord, topics_by_path
 from portalmetrics.config import RunConfig
 from portalmetrics.errors import DomainError, FormatError
 from portalmetrics.structure import SiteGraph, organization_profile
@@ -767,6 +767,7 @@ class TestAccessedDistribution:
                       published=date(2026, 1, 1), portal_id="p"),
     ]
     PATH_MAP = {"/a": "c1", "/b": "c2"}
+    TOPICS = topics_by_path(RECORDS, PATH_MAP)
 
     def test_views_and_visitors_axes(self):
         sessions = [
@@ -774,7 +775,7 @@ class TestAccessedDistribution:
             _session(["/a"], visitor="user:y"),
         ]
         by_views, by_visitors, uncatalogued = usage.accessed_distribution(
-            sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
+            sessions, self.TOPICS, self.PERIOD)
         assert by_views == {"algebra": 3, "biology": 1}
         # user:x viewed /a twice but counts once per topic
         assert by_visitors == {"algebra": 2, "biology": 1}
@@ -785,7 +786,7 @@ class TestAccessedDistribution:
         sessions = [_session(["/b", "/a", "/b"], visitor="user:x"),
                     _session(["/a"], visitor="user:y")]
         by_views, by_visitors, _ = usage.accessed_distribution(
-            sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
+            sessions, self.TOPICS, self.PERIOD)
         assert list(by_views.items()) == [("biology", 2), ("algebra", 2)]
         assert list(by_visitors.items()) == [("biology", 1), ("algebra", 2)]
 
@@ -796,7 +797,7 @@ class TestAccessedDistribution:
             _session(["/a"], visitor="user:y", start=86_400 + 20),
         ]
         _, by_visitors, _ = usage.accessed_distribution(
-            sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
+            sessions, self.TOPICS, self.PERIOD)
         assert by_visitors == {"algebra": 2, "biology": 1}
 
     def test_unsorted_views_across_a_bucket_edge(self):
@@ -811,7 +812,7 @@ class TestAccessedDistribution:
                  (T0_S - 1, "/b"))              # before the start
         sessions = [usage.Session(visitor_key="user:x", views=views)]
         by_views, _, _ = usage.accessed_distribution(
-            sessions, self.RECORDS, self.PATH_MAP, period)
+            sessions, self.TOPICS, period)
         assert by_views == {"algebra": 3, "biology": 1}
 
     @pytest.mark.parametrize("start_us,end_us", [
@@ -831,31 +832,30 @@ class TestAccessedDistribution:
                                       views=((seconds, "/a"),))]
             if period.bucket_index(seconds) is None:
                 with pytest.raises(DomainError):
-                    usage.accessed_distribution(sessions, self.RECORDS,
-                                                self.PATH_MAP, period)
+                    usage.accessed_distribution(sessions, self.TOPICS, period)
             else:
                 by_views, _, _ = usage.accessed_distribution(
-                    sessions, self.RECORDS, self.PATH_MAP, period)
+                    sessions, self.TOPICS, period)
                 assert by_views == {"algebra": 1}
 
     def test_unmapped_views_tallied(self):
         sessions = [_session(["/a", "/nope"], visitor="user:x")]
         _, _, uncatalogued = usage.accessed_distribution(
-            sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
+            sessions, self.TOPICS, self.PERIOD)
         assert uncatalogued == 1
 
     def test_mapped_but_uncatalogued_identifier_tallied(self):
         sessions = [_session(["/a", "/ghost"], visitor="user:x")]
         path_map = dict(self.PATH_MAP, **{"/ghost": "no-such-id"})
         _, _, uncatalogued = usage.accessed_distribution(
-            sessions, self.RECORDS, path_map, self.PERIOD)
+            sessions, topics_by_path(self.RECORDS, path_map), self.PERIOD)
         assert uncatalogued == 1
 
     def test_zero_joins_rejected(self):
         sessions = [_session(["/zzz"], visitor="user:x")]
         with pytest.raises(DomainError):
             usage.accessed_distribution(
-                sessions, self.RECORDS, self.PATH_MAP, self.PERIOD)
+                sessions, self.TOPICS, self.PERIOD)
 
 
 class TestNavigationMetrics:
