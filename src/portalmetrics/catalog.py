@@ -194,9 +194,21 @@ def content_keys(lines) -> Iterator[tuple[str, str]]:
 def topics_by_path(records: list[ContentRecord],
                    path_map: dict[str, str]) -> dict[str, str]:
     """The topic of each path of ``path_map`` (path -> identifier) that
-    links to a record; of the last record, when records share one."""
-    topics = {r.identifier: r.topic for r in records}
-    return {path: topics[i] for path, i in path_map.items() if i in topics}
+    links to a record. Records of several portals may share an
+    identifier; a path that links one they hold with two topics raises
+    DomainError naming the path, the identifier and both (portal, topic)
+    pairs."""
+    first: dict[str, ContentRecord] = {}
+    clashes: dict[str, tuple] = {}
+    for r in records:
+        if first.setdefault(r.identifier, r).topic != r.topic:
+            clashes.setdefault(r.identifier, (first[r.identifier], r))
+    for path, i in path_map.items():
+        if i in clashes:
+            a, b = ((r.portal_id, r.topic) for r in clashes[i])
+            raise DomainError(f"path {path!r} links identifier {i!r}, which "
+                              f"the catalog holds with two topics: {a} and {b}")
+    return {path: first[i].topic for path, i in path_map.items() if i in first}
 
 
 def shannon_diversity(counts: dict[str, int]) -> tuple[float, float]:

@@ -11,12 +11,12 @@ identical inputs and settings give byte-identical files.
 process reads every input but the logs and the bot list that filters
 them: the catalog, the taxonomy, the link map, the edge list, the cross
 links and the network catalogs, the own catalog again if they list it.
-It computes the offered provision, organization, position and network
-sizes, and sends the topic of each linked request path, not the
-catalog's records. Meanwhile this process reads the logs and measures
-demand, its trend and navigation; it then counts the topics viewed,
-segments the portal and writes the outputs. The other commands run in
-one process.
+It sends the offered provision, organization, position and network
+sizes, with the topic of each linked request path for the catalog's
+records, or the package error that stopped them. Meanwhile this process
+reads the logs and measures demand, its trend and navigation; it then
+counts the topics viewed, segments the portal and writes the outputs.
+The other commands run in one process.
 """
 
 from __future__ import annotations
@@ -61,7 +61,11 @@ def _emit(document) -> None:
 
 def _load_catalog(cfg: RunConfig) -> catalog_mod.ParsedCatalog:
     with opened(_require(cfg, "catalog"), "catalog") as lines:
-        return catalog_mod.parse_catalog(lines)
+        parsed = catalog_mod.parse_catalog(lines)
+        if not parsed.records:
+            raise DomainError("catalog holds no usable row ("
+                              f"{len(parsed.row_errors)} skipped as malformed)")
+    return parsed
 
 
 def _load_taxonomy(cfg: RunConfig) -> tuple[str, ...] | None:
@@ -258,13 +262,15 @@ def _network_sizes(cfg: RunConfig):
     """Relative sizes over every portal catalog in the network, the own
     one too if listed, counted from the (portal_id, identifier) pair of
     each row the catalog parser would keep, one file at a time; no record
-    is built for them. A catalog format error names its file.
-    """
+    is built for them. A catalog format error names its file; catalogs
+    with no usable row between them name the setting."""
     def keys():
         for path in _require(cfg, "network_catalogs"):
             with opened(path, "network catalog") as lines:
                 yield from catalog_mod.content_keys(lines)
     per_portal, network_total = catalog_mod.content_counts(keys())
+    if not per_portal:
+        raise DomainError("no file of network_catalogs holds a usable row")
     ratios = segmentation_mod.relative_size(per_portal, network_total)
     return ratios, *segmentation_mod.size_class(ratios)
 
@@ -301,10 +307,10 @@ def cmd_segment(cfg: RunConfig) -> int:
     return 0
 
 
-def _sections_without_logs(cfg: RunConfig):
-    """Every report section that reads no log, computed in the order in
-    which ``report`` names their errors: (the sections computed, by name;
-    the package error that stopped the rest, or None).
+def _sections_without_logs(cfg: RunConfig) -> dict:
+    """Every report section that reads no log, by name, computed in the
+    order in which ``report`` names their errors; the first FormatError
+    or DomainError stops them and is raised.
 
     ``report`` runs this in a worker process while it reads the logs. The
     link map is read, and the network catalogs counted, only when logs
@@ -313,47 +319,35 @@ def _sections_without_logs(cfg: RunConfig):
     worker; the own catalog is read again if the network lists it.
     """
     sections: dict = {}
-    try:
-        if cfg.catalog is not None:
-            parsed = _load_catalog(cfg)
-            offer = _offer_provision(cfg, parsed, _load_taxonomy(cfg))
-            topics = None
-            if cfg.logs and cfg.link_map is not None:
-                with opened(cfg.link_map, "link map") as lines:
-                    topics = catalog_mod.topics_by_path(
-                        parsed.records, usage_mod.parse_link_map(lines))
-            sections["provision"] = (*offer, topics)
-        if cfg.edges is not None:
-            sections["organization"] = structure_mod.organization_profile(
-                _load_site_graph(cfg)[0], K=cfg.distance_k)
-        if cfg.cross_links is not None and cfg.site is not None:
-            sections["position"] = _position_profile(cfg)[:2]
-        if cfg.logs and cfg.network_catalogs:
-            sections["network"] = _network_sizes(cfg)
-    except (FormatError, DomainError) as exc:
-        return sections, exc
-    return sections, None
-
-
-class _WorkerTraceback(Exception):
-    """The traceback text of an exception raised in ``report``'s worker
-    process, chained as the cause of the RuntimeError that ``report``
-    raises for it in this one."""
+    if cfg.catalog is not None:
+        parsed = _load_catalog(cfg)
+        offer = _offer_provision(cfg, parsed, _load_taxonomy(cfg))
+        topics = None
+        if cfg.logs and cfg.link_map is not None:
+            with opened(cfg.link_map, "link map") as lines:
+                topics = catalog_mod.topics_by_path(
+                    parsed.records, usage_mod.parse_link_map(lines))
+        sections["provision"] = (*offer, topics)
+    if cfg.edges is not None:
+        sections["organization"] = structure_mod.organization_profile(
+            _load_site_graph(cfg)[0], K=cfg.distance_k)
+    if cfg.cross_links is not None and cfg.site is not None:
+        sections["position"] = _position_profile(cfg)[:2]
+    if cfg.logs and cfg.network_catalogs:
+        sections["network"] = _network_sizes(cfg)
+    return sections
 
 
 def _report_worker(cfg: RunConfig, sender) -> None:
-    """What ``report``'s worker process runs. It sends (sections, error)
-    from :func:`_sections_without_logs`, or, if that raised any other
-    exception, (None, (its type name, its message, its traceback text)),
-    and exits. Such an exception crosses the pipe as text only, so any
-    exception gets through, whether or not it could be pickled."""
-    import traceback
-
-    try:
-        message = _sections_without_logs(cfg)
-    except Exception as exc:
-        message = None, (type(exc).__name__, str(exc), traceback.format_exc())
+    """What ``report``'s worker process runs: it sends the sections of
+    :func:`_sections_without_logs` or the package error that stopped
+    them. Any other exception ends it as any failed process ends, with
+    its traceback on stderr, exit code 1 and nothing sent."""
     with sender:
+        try:
+            message = _sections_without_logs(cfg)
+        except (FormatError, DomainError) as exc:
+            message = exc
         sender.send(message)
 
 
@@ -369,10 +363,9 @@ def cmd_report(cfg: RunConfig) -> int:
     work is done. Errors are raised in one fixed order: this process's
     own (logs, demand trend), then the first error the worker met
     (catalog, taxonomy, link map, edges, position, network catalogs),
-    then segmentation. Any other exception in the worker is raised here
-    as a RuntimeError naming its type and message, with the worker's
-    traceback as its cause, and a worker that exits without a result
-    raises a RuntimeError; no worker outlives this call.
+    then segmentation. A worker that ends any other way sends nothing
+    (an exception prints its traceback), and this raises a RuntimeError
+    naming its exit code; no worker outlives this call.
     """
     import multiprocessing
 
@@ -403,7 +396,7 @@ def cmd_report(cfg: RunConfig) -> int:
                                                        cfg.linearity_band)
                     navigation_sessions = (measured, skipped)
             try:
-                sections, error = receiver.recv()
+                sections = receiver.recv()
             except EOFError:
                 worker.join()
                 raise RuntimeError(
@@ -413,15 +406,11 @@ def cmd_report(cfg: RunConfig) -> int:
             if worker.is_alive():
                 worker.terminate()
             worker.join()
-    if sections is None:
-        kind, message, trace = error
-        raise RuntimeError(f"report's worker raised {kind}: {message}") \
-            from _WorkerTraceback(trace)
-    if error is not None:
-        raise error
+    if isinstance(sections, Exception):
+        raise sections
 
     flags: list[str] = []
-    provision = organization = position = segmentation = communities = None
+    provision = organization = segmentation = None
     if "provision" in sections:
         provision, flags, offered, topics = sections["provision"]
         _add_accessed(cfg, provision, flags, offered, sessions, topics,
@@ -431,8 +420,7 @@ def cmd_report(cfg: RunConfig) -> int:
         organization = sections["organization"]
         organization["navigation"] = navigation
 
-    if "position" in sections:
-        position, communities = sections["position"]
+    position, communities = sections.get("position", (None, None))
 
     if "network" in sections:
         segmentation = _segmentation_parts(cfg, slope, sections["network"])[0]

@@ -370,12 +370,23 @@ class TestTopicsByPath:
         assert catalog.topics_by_path(records, path_map) == {
             "/a": "algebra", "/b": "", "/c": "algebra"}
 
-    def test_last_record_of_a_shared_identifier_wins(self):
-        # Two portals may catalog the same identifier.
-        records = [_rec(ident="r1", topic="algebra", portal="p"),
-                   _rec(ident="r1", topic="biology", portal="q")]
-        assert catalog.topics_by_path(records, {"/a": "r1"}) == {
-            "/a": "biology"}
+    # Two portals may catalog the same identifier.
+    SHARED = [_rec(ident="r1", topic="algebra", portal="p"),
+              _rec(ident="r2", topic="algebra", portal="p"),
+              _rec(ident="r1", topic="biology", portal="q"),
+              _rec(ident="r2", topic="algebra", portal="q")]
+
+    def test_linked_identifier_held_with_two_topics_is_refused(self):
+        with pytest.raises(DomainError) as info:
+            catalog.topics_by_path(self.SHARED, {"/b": "r2", "/a": "r1"})
+        assert str(info.value) == (
+            "path '/a' links identifier 'r1', which the catalog holds with "
+            "two topics: ('p', 'algebra') and ('q', 'biology')")
+
+    def test_shared_identifier_joins_with_one_topic_or_unlinked(self):
+        # r2 is held with one topic; r1, with two, is linked by no path.
+        assert catalog.topics_by_path(self.SHARED, {
+            "/b": "r2", "/x": "r9"}) == {"/b": "algebra"}
 
 
 class TestDemandOfferGap:

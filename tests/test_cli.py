@@ -29,6 +29,8 @@ from portalmetrics.report import (REPORT_SCHEMA, _check, canonical_json,
                                   deserialize)
 
 from oracles import reference_content_counts, reference_ingest, sessions_as_set
+import pins
+from pins import DEMO_DIGESTS, DEMO_STDOUT_DIGESTS
 
 START = "2026-03-02T00:00:00+00:00"
 END = "2026-03-05T00:00:00+00:00"
@@ -744,26 +746,60 @@ class TestCatalogFormatErrors:
         assert message in err
 
 
-# sha256 of the demo network's outputs: both portals' report and
-# diagnostics, and their comparison. A change that moves any byte must
-# update the digest and say why.
-DEMO_DIGESTS = {
-    "alpha.report.json":
-        "f96cab93335dc176e7f0c382083e8e39a632848e25fee91b23b855ea528713c0",
-    "alpha.diagnostics.json":
-        "41f6bd07bad1467e41c5a9a419d62466e6f034ec7ca9fa0051b566de725c6a04",
-    "beta.report.json":
-        "4f217381163ff39ec6c2e12b8fbac7d186240cffffe452e06c60dfec69b5e822",
-    "beta.diagnostics.json":
-        "6c4c78ddaec6c2c9dad96e7c1debb042ae89d13cbf369b08f323bb6bd8e0edbb",
-    "comparison.json":
-        "73942e2e0d4e5d8145629cf7d1133c1aace8d5ba3562076a24e203ebd46fc15f",
-}
-# sha256 of the text the demo network's comparison prints. Same rule.
-DEMO_STDOUT_DIGESTS = {
-    "comparison.stdout":
-        "e7b9fd34b36189e9a200cfcb194590aa0f4353dc820ece68b99a21187b08b060",
-}
+class TestCatalogsWithNoUsableRow:
+    """An own catalog that keeps no record, and network catalogs that hold
+    no usable row between them, end in one line that names them."""
+
+    HEADER = "identifier,resource_type,topic,published,portal_id"
+
+    @pytest.mark.parametrize("command", ["catalog", "report"])
+    @pytest.mark.parametrize("rows,skipped", [
+        ([], 0), (["x1,text,algebra,2026-13-01,alpha"], 1)],
+        ids=["header only", "bad date"])
+    def test_own_catalog(self, demo, tmp_path, capsys, command, rows,
+                         skipped):
+        path = tmp_path / "catalog.csv"
+        fx.write_lines(path, [self.HEADER, *rows])
+        out = tmp_path / "out"
+        code = cli.main([command, "--config",
+                         demo["portals"]["alpha"]["config"],
+                         "--catalog", str(path), "--output-dir", str(out)])
+        assert (code, capsys.readouterr().err) == (1, (
+            f"error: catalog file {path}: catalog holds no usable row "
+            f"({skipped} skipped as malformed)\n"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["segment", "report"])
+    def test_network_catalogs(self, demo, tmp_path, capsys, command):
+        path = tmp_path / "network.csv"
+        fx.write_lines(path, [self.HEADER])
+        out = tmp_path / "out"
+        code = cli.main([command, "--config",
+                         demo["portals"]["alpha"]["config"],
+                         "--network-catalogs", f"{path},{path}",
+                         "--output-dir", str(out)])
+        assert (code, capsys.readouterr().err) == (1, (
+            "error: no file of network_catalogs holds a usable row\n"))
+        assert not out.exists()
+
+
+def test_report_refuses_a_linked_identifier_held_with_two_topics(
+        demo, tmp_path, capsys):
+    # Another portal's record of alpha-00001, which /p0001 links, with a
+    # topic of its own: its views would count for either topic.
+    cfg = build_config(demo["portals"]["alpha"]["config"])
+    path = tmp_path / "catalog.csv"
+    shutil.copyfile(cfg.catalog, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("alpha-00001,text,history,2026-02-19,beta\n")
+    out = tmp_path / "out"
+    code = cli.main(["report", "--config", demo["portals"]["alpha"]["config"],
+                     "--catalog", str(path), "--output-dir", str(out)])
+    assert (code, capsys.readouterr().err) == (1, (
+        f"error: link map file {cfg.link_map}: path '/p0001' links "
+        "identifier 'alpha-00001', which the catalog holds with two topics: "
+        "('alpha', 'algebra') and ('beta', 'history')\n"))
+    assert not out.exists()
 
 
 def test_demo_network_outputs_match_their_pinned_digests(tmp_path, capsys):
@@ -788,6 +824,27 @@ def test_demo_network_outputs_match_their_pinned_digests(tmp_path, capsys):
     assert digests == DEMO_DIGESTS
     stdout_digests = {"comparison.stdout": hashlib.sha256(stdout).hexdigest()}
     assert stdout_digests == DEMO_STDOUT_DIGESTS
+    # The same check as CI makes it, through the pins' entry point.
+    outputs["comparison.stdout"] = tmp_path / "comparison.stdout"
+    outputs["comparison.stdout"].write_bytes(stdout)
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("pins.py")),
+         *(f"{name}={path}" for name, path in outputs.items())],
+        capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout.count(": OK (")) == (0, 6), \
+        done.stdout
+
+
+def test_pins_refuse_a_wrong_digest_an_unknown_name_and_a_missing_file(
+        tmp_path, capsys):
+    other = tmp_path / "other.json"
+    other.write_bytes(b"{}\n")
+    for arg in (f"alpha.report.json={other}", f"gamma.report.json={other}",
+                f"comparison.json={tmp_path / 'missing'}",
+                "comparison.json"):
+        assert pins.main([f"comparison.json={other}", arg]) == 1, arg
+    assert pins.main([]) == 1
+    capsys.readouterr()
 
 
 def test_traced_benchmark_operation_on_demo_alpha(tmp_path, capsys):

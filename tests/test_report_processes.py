@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -132,11 +133,10 @@ def test_worker_result_crosses_the_pipe_unchanged(alpha):
     # equal, and the community assignment of its own type, not as the
     # plain tuple it also compares equal to. The provision section ends in
     # the topic of each linked path; no catalog record crosses the pipe.
-    sections, error = cli._sections_without_logs(build_config(alpha))
-    assert error is None
-    data = ForkingPickler.dumps((sections, error))
-    back, _ = pickle.loads(data)
-    assert back == sections
+    sections = cli._sections_without_logs(build_config(alpha))
+    data = ForkingPickler.dumps(sections)
+    back = pickle.loads(data)
+    assert type(back) is dict and back == sections
     assert sorted(sections) == ["network", "organization", "position",
                                 "provision"]
     topics = sections["provision"][-1]
@@ -176,52 +176,61 @@ def test_no_process_outlives_report(alpha, bad, tmp_path, capsys, name):
 def test_no_process_outlives_an_unexpected_error(alpha, tmp_path, capsys,
                                                  monkeypatch, module,
                                                  function):
+    # Raised here, the error reaches the caller as it is; raised in the
+    # worker, it ends the worker with exit code 1.
     def broken(*args, **kwargs):
         raise RuntimeError(f"{function} broke")
     monkeypatch.setattr(module, function, broken)
-    with pytest.raises(RuntimeError, match=f"{function} broke"):
+    with pytest.raises(RuntimeError, match=f"{function} broke"
+                       if module is usage else "exited with code 1 "):
         _report(capsys, alpha, tmp_path / "out")
     assert multiprocessing.active_children() == []
 
 
-def _local_exception_class():
-    class Unpicklable(Exception):  # a local class cannot be pickled
-        pass
-    return Unpicklable
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("organization_profile broke")
 
 
-@pytest.mark.parametrize("error", [ValueError, _local_exception_class()],
-                         ids=["ValueError", "unpicklable"])
-def test_worker_error_carries_the_worker_traceback(alpha, tmp_path, capsys,
-                                                   monkeypatch, error):
-    def broken(*args, **kwargs):
-        raise error("organization_profile broke")
+def _kill_this_process(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+# Each way a section can end the worker before it sends anything: the
+# broken organization_profile, and the exit code that `report` names.
+WORKER_ENDS = {
+    "ValueError": (_raise_value_error, 1),
+    # The sections are pickled when they are sent, and a lambda cannot be.
+    "unpicklable result": (lambda *args, **kwargs: lambda: None, 1),
+    "os._exit(3)": (lambda *args, **kwargs: os._exit(3), 3),
+    "SIGKILL": (_kill_this_process, -9),
+}
+
+
+@pytest.mark.parametrize("end", [
+    pytest.param(name, marks=pytest.mark.skipif(
+        name == "SIGKILL" and not hasattr(signal, "SIGKILL"),
+        reason="no SIGKILL on this platform")) for name in WORKER_ENDS])
+def test_worker_that_ends_without_sections(alpha, tmp_path, capfd,
+                                           monkeypatch, end):
+    broken, code = WORKER_ENDS[end]
     monkeypatch.setattr(structure, "organization_profile", broken)
-    with pytest.raises(RuntimeError) as info:
-        _report(capsys, alpha, tmp_path / "out")
-    assert str(info.value) == (f"report's worker raised {error.__name__}: "
-                               "organization_profile broke")
-    trace = str(info.value.__cause__)
-    assert trace.startswith("Traceback (most recent call last):")
-    assert "in _sections_without_logs" in trace
-    assert trace.endswith(f"{error.__name__}: organization_profile broke\n")
+    with pytest.raises(RuntimeError, match=f"^report's worker process "
+                       f"exited with code {code} before sending its result$"):
+        cli.main(["report", "--config", alpha,
+                  "--output-dir", str(tmp_path / "out")])
     assert multiprocessing.active_children() == []
-
-
-def test_worker_that_exits_without_a_result(alpha, tmp_path, capsys,
-                                            monkeypatch):
-    monkeypatch.setattr(structure, "organization_profile",
-                        lambda *args, **kwargs: os._exit(3))
-    with pytest.raises(RuntimeError, match="^report's worker process exited "
-                       "with code 3 before sending its result$"):
-        _report(capsys, alpha, tmp_path / "out")
-    assert multiprocessing.active_children() == []
+    if end == "ValueError":
+        # The worker prints its own traceback, as any failed process does.
+        err = capfd.readouterr().err
+        assert "Traceback (most recent call last):" in err
+        assert "in _sections_without_logs" in err
+        assert err.endswith("ValueError: organization_profile broke\n")
 
 
 # Runs `report` on a config in a fresh interpreter whose default start
 # method is the one named, with organization_profile broken in this
 # process only, and prints what `report` raised and how many children
-# are left.
+# are left. A broken worker prints its traceback on stderr.
 _BROKEN_REPORT = """
 import json, multiprocessing, sys
 multiprocessing.set_start_method(sys.argv[1])
@@ -255,7 +264,9 @@ def test_worker_is_forked_whatever_the_default_start_method(alpha, tmp_path,
         timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [
-        "report's worker raised RuntimeError: organization_profile broke", 0]
+        "report's worker process exited with code 1 before sending its "
+        "result", 0]
+    assert done.stderr.endswith("RuntimeError: organization_profile broke\n")
 
 
 def test_no_thread_shares_this_process_while_report_reads_logs(
