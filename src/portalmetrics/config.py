@@ -175,6 +175,13 @@ class RunConfig(namedtuple("RunConfig", _Settings.__annotations__,
             raise ConfigError(f"bucket_days = {self.bucket_days} cuts the period "
                               f"into {buckets} buckets; at most {MAX_BUCKETS} "
                               "are allowed")
+        # The diagnostics list the start of every bucket as a date-time.
+        try:
+            self.period_start + (buckets - 1) * bucket
+        except OverflowError:
+            raise ConfigError(
+                "period_end: the last bucket of the period would start "
+                f"after {datetime.max.isoformat()}") from None
 
     def period(self) -> AnalysisPeriod:
         if self.period_start is None or self.period_end is None:

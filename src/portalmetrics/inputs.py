@@ -2,9 +2,9 @@
 parsed line by line. The line formats share two rules, written here
 once: blank lines and ``#`` comments carry no data (:func:`data_lines`),
 and a delimited line splits at tabs if it holds one, else at commas
-(:func:`delimiter`). Every date-time is read by one grammar
-(:func:`iso_datetime`), and every date by its ten-character form
-(:func:`iso_date`).
+(:func:`delimiter`). Every date-time (:func:`iso_datetime`) and every
+date (:func:`iso_date`) is refused unless it has one of the forms that
+README's "Dates and date-times" lists, and read by ``fromisoformat``.
 """
 
 from __future__ import annotations
@@ -12,24 +12,22 @@ from __future__ import annotations
 import contextlib
 import re
 from collections.abc import Iterable, Iterator
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime
 
 from .errors import ConfigError, DomainError, FormatError
 
-# The grammar of Python 3.10's datetime.fromisoformat, the stray character
-# and the NUL that it reads included, so that no text it read is refused.
-# Python 3.11 widened the grammar ("Z", "+0000", "20260301", "2026-W09-7",
-# ...); none of that is read here, so a text means the same date-time, or
-# nothing, on every Python.
-_ISO_DATETIME = re.compile(r"""
-    (\d{4})-(\d{2})-(\d{2})                   # YYYY-MM-DD
-    (?:[\s\S]                                 # any one character
-       (\d{2})(?::(\d{2})(?::(\d{2}))?)?      # HH[:MM[:SS]]
-       (?:(?(6)[.:]|\.)(\d{3}|\d{6})          # .fff[fff]; :fff[fff] after SS
-         |[\x00-\x2a\x2c\x2e-\x7f](?=[+-])    # or ASCII but +-, then an offset
-         |\x00\Z)?                             # or a NUL that ends the text
-       # an offset: +HH:MM[:SS[.ffffff]]
-       (?:([+-])(\d{2}):(\d{2})(?::(\d{2})(?:[.:](\d{6}))?)?)?
+# The forms README's "Dates and date-times" lists, and no other, so that
+# fromisoformat reads the fields alike on every Python: Python 3.10 takes
+# any one separating character, and 3.11 also takes "Z", "+0000",
+# "20260301", "2026-W09-7" and more. Every Python reads an offset under a
+# second, such as +00:00:00.500000, as +00:00, and an offset's minutes or
+# seconds past 59 as more hours or minutes, so neither is admitted.
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+_ISO_DATETIME = re.compile(_ISO_DATE.pattern + r"""
+    (?:[T\ ]                                          # T or one space
+       \d{2}(?::\d{2}(?::\d{2}(?:\.\d{3}(?:\d{3})?)?)?)?  # HH[:MM[:SS[.fff[fff]]]]
+       (?:[+-](?!00:00:00\.)                          # +HH:MM[:SS[.ffffff]], a
+          \d{2}:[0-5]\d(?::[0-5]\d(?:\.\d{6})?)?)?    # second or more if .ffffff
     )?""", re.ASCII | re.VERBOSE)
 
 
@@ -71,37 +69,20 @@ def delimiter(line: str) -> str:
 
 
 def iso_datetime(text: str) -> datetime:
-    """The date-time that Python 3.10's ``datetime.fromisoformat`` reads
-    from ``text``, on every Python: naive without an offset, UTC for a
-    zero one. Raises ValueError for a text outside its grammar or a field
-    out of range.
+    """The date-time ``datetime.fromisoformat`` reads from ``text``, a
+    README form: naive without an offset, UTC for a zero one. Raises
+    ValueError for any other form or a field out of range.
     """
-    match = _ISO_DATETIME.fullmatch(text)
-    if match is None:
+    if _ISO_DATETIME.fullmatch(text) is None:
         raise ValueError(f"not an ISO date-time: {text!r}")
-    (year, month, day, hour, minute, second, fraction,
-     sign, off_hour, off_minute, off_second, off_fraction) = match.groups()
-    tzinfo = None
-    if sign:
-        whole = (int(off_hour) * 3600 + int(off_minute) * 60
-                 + int(off_second or 0))
-        # As in Python 3.10, an offset of zero whole seconds is UTC,
-        # whatever its fraction.
-        tzinfo = timezone.utc
-        if whole:
-            offset = timedelta(seconds=whole,
-                               microseconds=int(off_fraction or 0))
-            tzinfo = timezone(-offset if sign == "-" else offset)
-    return datetime(int(year), int(month), int(day), int(hour or 0),
-                    int(minute or 0), int(second or 0),
-                    int((fraction or "0").ljust(6, "0")), tzinfo)
+    return datetime.fromisoformat(text)
 
 
 def iso_date(text: str) -> date:
-    """The ``YYYY-MM-DD`` date that :func:`iso_datetime` reads from a
-    ten-character text; raises ValueError for any other text."""
-    # A date alone is the one ISO date-time that is ten characters long.
-    if len(text) == 10:
+    """The date ``date.fromisoformat`` reads from a ``YYYY-MM-DD``
+    ``text``; raises ValueError for any other text or a field out of
+    range."""
+    if _ISO_DATE.fullmatch(text) is not None:
         with contextlib.suppress(ValueError):
-            return iso_datetime(text).date()
+            return date.fromisoformat(text)
     raise ValueError(f"not an ISO date: {text!r}")

@@ -78,8 +78,12 @@ ROBOTS_PATH = "/robots.txt"
 
 # The acceptance rule for a log line. It captures only the fields ingest
 # reads: host, authenticated user, timestamp, request, status and agent.
+# The timestamp has the fixed CLF layout dd/Mon/yyyy:HH:MM:SS +ZZZZ in
+# ASCII digits, captured in three parts: up to its minute, its seconds and
+# its offset.
 _COMBINED_RE = re.compile(
-    r'^(\S+) \S+ (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) \S+ "[^"]*" "([^"]*)"\s*$'
+    r'^(\S+) \S+ (\S+) \[([0-9]{2}/[A-Z][a-z]{2}/[0-9]{4}:[0-9]{2}:[0-9]{2})'
+    r':([0-9]{2}) ([+-][0-9]{4})\] "([^"]*)" (\d{3}) \S+ "[^"]*" "([^"]*)"\s*$'
 )
 
 _MONTHS = {
@@ -157,21 +161,19 @@ def _clf_base(text: str) -> int:
     """UTC epoch seconds of a CLF timestamp's local midnight: the UTC
     midnight of its calendar date minus its offset east of UTC.
 
-    Fixed layout: dd/Mon/yyyy:HH:MM:SS +ZZZZ (locale-independent). Only
-    the date and the offset are read here; raises ValueError or KeyError
-    on an invalid day, month, year or offset.
+    ``text`` is the date and the offset of a timestamp that _COMBINED_RE
+    matched, as dd/Mon/yyyy+ZZZZ (locale-independent); raises ValueError
+    or KeyError on an invalid day, month, year or offset.
     """
     day = int(text[0:2])
     month = _MONTHS[text[3:6]]
     year = int(text[7:11])
-    tz_text = text[21:].strip()
-    if len(tz_text) != 5 or tz_text[0] not in "+-":
-        raise ValueError(f"bad timezone {tz_text!r}")
-    offset = int(tz_text[1:3]) * 3600 + int(tz_text[3:5]) * 60
-    if not -86400 < offset < 86400:  # the offsets timezone() accepts
-        raise ValueError(f"bad timezone {tz_text!r}")
+    hours, minutes = int(text[12:14]), int(text[14:16])
+    if hours > 23 or minutes > 59:
+        raise ValueError(f"bad timezone {text[11:]!r}")
+    offset = hours * 3600 + minutes * 60
     midnight = (date(year, month, day).toordinal() - _EPOCH_ORDINAL) * 86400
-    return midnight - offset if tz_text[0] == "+" else midnight + offset
+    return midnight - offset if text[11] == "+" else midnight + offset
 
 
 def visitor_key_method(use_auth_user: bool = True) -> str:
@@ -223,12 +225,9 @@ def ingest(lines, *, use_auth_user: bool = True, signatures=None
     paths: dict[str, str] = {}
     views_by_visitor: dict[str, list[tuple[int, str]]] = {}
     # The epoch seconds of the last minute that resolved, keyed by the
-    # timestamp text before and after its seconds. The memo is exact: the
-    # parse reads no position of the text other than the seconds (18-19)
-    # outside the key, and the key's tail pins the text's length. A minute
-    # resolves only with a five-character offset after position 21, so a
-    # stored tail is never empty.
-    memo_head = memo_tail = None
+    # timestamp's text up to its minute and by its offset: all that the
+    # parse reads but the seconds.
+    memo_stamp = memo_zone = None
     memo_minute = 0
     match = _COMBINED_RE.match
     for raw in lines:
@@ -237,27 +236,25 @@ def ingest(lines, *, use_auth_user: bool = True, signatures=None
         if m is None:
             malformed += 1
             continue
-        host, authuser, when, request, status, agent = m.groups()
-        head = when[:17]
-        tail = when[20:]
-        try:
-            second = int(when[18:20])
-            if not 0 <= second < 60:
-                raise ValueError(f"bad time of day in {when!r}")
-            if head != memo_head or tail != memo_tail:
-                hour = int(when[12:14])
-                minute = int(when[15:17])
-                if not (0 <= hour < 24 and 0 <= minute < 60):
-                    raise ValueError(f"bad time of day in {when!r}")
-                # Date and offset; the separators between fields are not
-                # read.
-                date_key = when[:11] + when[21:]
-                base = bases.get(date_key)
-                if base is None:
-                    base = bases[date_key] = _clf_base(when)
-                memo_head, memo_tail = head, tail
-                memo_minute = base + hour * 3600 + minute * 60
-        except (ValueError, KeyError):
+        host, authuser, stamp, second, zone, request, status, agent = m.groups()
+        if stamp != memo_stamp or zone != memo_zone:
+            hour = int(stamp[12:14])
+            minute = int(stamp[15:17])
+            date_key = stamp[:11] + zone
+            base = bases.get(date_key)
+            if base is None:
+                try:
+                    base = bases[date_key] = _clf_base(date_key)
+                except (ValueError, KeyError):
+                    malformed += 1
+                    continue
+            if hour > 23 or minute > 59:
+                malformed += 1
+                continue
+            memo_stamp, memo_zone = stamp, zone
+            memo_minute = base + hour * 3600 + minute * 60
+        second = int(second)
+        if second > 59:
             malformed += 1
             continue
         seconds = memo_minute + second

@@ -10,11 +10,12 @@ standard library alone, by running this file:
 - **ISO date-times.** Each text of the seeded corpus of
   :func:`date_corpus` is read as a config date-time, a config date and a
   report period bound; one sha256 covers every text with what each of
-  the three read from it, or ``None`` where it refused. The pin is what
-  the same three read through Python 3.10's ``fromisoformat``; later
-  Pythons' read more forms, such as a ``Z`` offset or ``20260301``. On
-  Python 3.10 the script also reads the corpus that way and names every
-  text on which the two disagree.
+  the three read from it, or ``None`` where it refused. The package
+  admits only the forms that README's "Dates and date-times" lists and
+  lets ``fromisoformat`` read their fields, so the pin holds only if every
+  Python's ``fromisoformat`` reads those forms alike and the grammar
+  refuses the forms that later Pythons added, such as a ``Z`` offset or
+  ``20260301``.
 - **Catalog dates.** A one-row catalog keeps its row for a corpus text,
   or one of :data:`CATALOG_DATES`, exactly when a config date reads the
   stripped text, and with the same date (:func:`catalog_date_mismatches`).
@@ -34,7 +35,6 @@ import io
 import json
 import random
 import sys
-from datetime import date, datetime, timezone
 
 from portalmetrics.catalog import parse_catalog
 from portalmetrics.config import _parse_date, _parse_datetime
@@ -48,7 +48,7 @@ SLOPE_REPR = "0.006038647342995164"
 SLOPES_SHA256 = (
     "c8da4ace19f6eaac75be4bd57595ea2a6327ad6c2742ede1d76ba2f792728365")
 DATES_SHA256 = (
-    "60ea650a9388d403aa56fc9080f13da1a106b831e5a5953c98eb2b63780a1813")
+    "c5013de9ccb10af4947526353cdb6080f5241a195f662a42c1b6bfe42311a1e5")
 
 
 def slope_corpus() -> list[list[int]]:
@@ -157,24 +157,12 @@ def _read(parse, text):
         return None
 
 
-def date_outcomes(readers=(_parse_datetime, _parse_date, _period_start)):
-    """Each corpus text with what each of ``readers`` reads from it."""
-    return [(text, *(_read(read, text) for read in readers))
+def date_outcomes():
+    """Each corpus text with what a config date-time, a config date and a
+    report period start read from it."""
+    return [(text, *(_read(read, text)
+                     for read in (_parse_datetime, _parse_date, _period_start)))
             for text in date_corpus()]
-
-
-def _fromisoformat_readers():
-    """The three readers as they were with ``fromisoformat``."""
-    def config_datetime(text):
-        value = datetime.fromisoformat(text)
-        return value if value.tzinfo else value.replace(tzinfo=timezone.utc)
-
-    def period_start(text):
-        value = datetime.fromisoformat(text)
-        if value.utcoffset() is None:
-            raise ValueError("no UTC offset")
-        return value
-    return config_datetime, date.fromisoformat, period_start
 
 
 def dates_sha256(outcomes) -> str:
@@ -186,17 +174,7 @@ def main() -> int:
     slope = repr(demand_trend(SLOPE_SERIES))
     print(f"demand_trend({SLOPE_SERIES}) = {slope}")
     digests = [("slopes", slopes_sha256(), SLOPES_SHA256)]
-    outcomes = date_outcomes()
-    digests.append(("dates", dates_sha256(outcomes), DATES_SHA256))
-    if sys.version_info[:2] == (3, 10):
-        reference = date_outcomes(_fromisoformat_readers())
-        for ours, theirs in zip(outcomes, reference):
-            if ours != theirs:
-                failed = True
-                print(f"{ours[0]!r}: read as {ours[1:]}, Python 3.10 "
-                      f"reads {theirs[1:]}")
-        digests.append(("Python 3.10's dates", dates_sha256(reference),
-                        DATES_SHA256))
+    digests.append(("dates", dates_sha256(date_outcomes()), DATES_SHA256))
     for text, ours, config in catalog_date_mismatches():
         failed = True
         print(f"{text!r}: a catalog reads {ours}, a config date {config}")

@@ -40,8 +40,11 @@ EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # The NCSA Combined Log Format line with all nine fields captured: host,
 # ident, authenticated user, timestamp, request, status, size, referrer
 # and agent. ``usage.ingest`` must accept exactly the lines it accepts.
+# The timestamp has the fixed layout dd/Mon/yyyy:HH:MM:SS +ZZZZ in ASCII
+# digits.
 COMBINED_RE = re.compile(
-    r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (\S+) "([^"]*)" "([^"]*)"\s*$'
+    r'^(\S+) (\S+) (\S+) \[((?a:\d\d/[A-Z][a-z]{2}/\d{4}:\d\d:\d\d:\d\d [+-]\d{4}))\] '
+    r'"([^"]*)" (\d{3}) (\S+) "([^"]*)" "([^"]*)"\s*$'
 )
 
 
@@ -208,18 +211,18 @@ class ParsedLog:
 
 
 def _reference_clf_timestamp(text: str) -> datetime:
-    # Fixed layout: dd/Mon/yyyy:HH:MM:SS +ZZZZ (locale-independent).
+    # The layout that COMBINED_RE fixes (locale-independent).
     day = int(text[0:2])
     month = _MONTHS[text[3:6]]
     year = int(text[7:11])
     hour = int(text[12:14])
     minute = int(text[15:17])
     second = int(text[18:20])
-    tz_text = text[21:].strip()
-    if len(tz_text) != 5 or tz_text[0] not in "+-":
-        raise ValueError(f"bad timezone {tz_text!r}")
-    offset = timedelta(hours=int(tz_text[1:3]), minutes=int(tz_text[3:5]))
-    tz = timezone(offset if tz_text[0] == "+" else -offset)
+    offset_minutes = int(text[24:26])
+    if offset_minutes > 59:
+        raise ValueError(f"bad timezone {text[21:]!r}")
+    offset = timedelta(hours=int(text[22:24]), minutes=offset_minutes)
+    tz = timezone(offset if text[21] == "+" else -offset)
     return datetime(year, month, day, hour, minute, second, tzinfo=tz)
 
 

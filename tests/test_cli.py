@@ -144,6 +144,21 @@ def test_bucket_too_small_for_the_period_exits_2(demo, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["usage", "report"])
+def test_last_bucket_past_the_datetime_range_exits_2(demo, tmp_path, capsys,
+                                                     command):
+    # The end is 04:59:59 on 10000-01-01 in UTC, so the second daily
+    # bucket would start at 10000-01-01T00:00:00+00:00.
+    code = cli.main([command, "--config", demo["portals"]["alpha"]["config"],
+                     "--period-start", "9999-12-31T00:00:00+00:00",
+                     "--period-end", "9999-12-31T23:59:59-05:00",
+                     "--output-dir", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (2, (
+        "error: period_end: the last bucket of the period would start "
+        "after 9999-12-31T23:59:59.999999\n"))
+    assert not (tmp_path / "out").exists()
+
+
 class TestUsageCommand:
     def test_diagnostics_written_with_warning(self, tmp_path, capsys):
         lines = fx.gen_log(fx.GeneratorSpec(
@@ -1526,6 +1541,36 @@ def test_readme_quick_start_writes_both_reports_and_the_comparison(tmp_path):
                  root / "portals" / "beta" / "out" / "beta.report.json",
                  root / "out" / "comparison.json"):
         assert path.is_file()
+
+
+def _readme_date_examples():
+    """The examples of README's "Dates and date-times": (text, the
+    isoformat it reads as, or None where README says it is refused)."""
+    with open(os.path.join(os.path.dirname(_src_dir()), "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme[readme.index("Dates and date-times, in a config"):
+                     readme.index("## Input formats")]
+    return re.findall(r"^- `([^`]+)` (?:reads as `([^`]+)`|is refused)",
+                      section, re.MULTILINE)
+
+
+def test_readme_date_examples_read_as_it_says(demo, tmp_path, capsys):
+    examples = _readme_date_examples()
+    assert [len([text for text, value in examples if bool(value) is read])
+            for read in (True, False)] == [7, 15]
+    for text, value in examples:
+        code = cli.main(["usage", "--config",
+                         demo["portals"]["alpha"]["config"],
+                         "--period-start", text,
+                         "--output-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        if value:
+            assert code == 0, (text, captured.err)
+            assert json.loads(captured.out)["period"]["start"] == value
+        else:
+            assert (code, captured.err) == (
+                2, f"error: --period-start: not an ISO date-time: {text!r}\n")
 
 
 # The sha256 of each --help text at 80 columns: the top level (None)

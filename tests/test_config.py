@@ -56,9 +56,8 @@ class TestParseConfigText:
         got = _parse("period_start = 2026-03-02T00:00:00")
         assert got["period_start"] == datetime(2026, 3, 2, tzinfo=UTC)
 
-    def test_dates_are_read_as_python_3_10_reads_them(self):
-        # The pin is the digest of Python 3.10's fromisoformat over the
-        # same corpus; tests/cross_python.py shows it on Python 3.10.
+    def test_dates_are_read_as_pinned(self):
+        # tests/cross_python.py checks the same pin on Python 3.10-3.13.
         outcomes = cross_python.date_outcomes()
         assert cross_python.dates_sha256(outcomes) == (
             cross_python.DATES_SHA256)
@@ -81,13 +80,21 @@ class TestParseConfigText:
             _parse("seed = seven")
 
     # The last nine are forms that Python 3.11's fromisoformat reads and
-    # 3.10's does not; every Python refuses them here, word for word.
+    # README's grammar does not; every Python refuses them, word for word.
+    # It refuses the seven before them too, which Python 3.10's
+    # fromisoformat reads as a date-time that no one wrote (the last two
+    # of them, every Python's).
     @pytest.mark.parametrize("line,fragment", [
         ("use_auth_user = maybe", "boolean"),
         ("period_start = tomorrow", "date-time"),
         ("reference_date = 03/01/2026", "date"),
         *((f"period_start = {text}", f"not an ISO date-time: {text!r}")
-          for text in ("2026-03-02T00:00:00Z", "2026-03-02T00:00:00+0000",
+          for text in ("2026-03-02x12:00", "2026-03-02T12:00a+01:00",
+                       "2026-03-02T12:00:00:123", "2026-03-02T12.123",
+                       "2026-03-02T12:30.123456",
+                       "2026-03-02T12:00-00:00:00.500000",
+                       "2026-03-02T12:00+00:99",
+                       "2026-03-02T00:00:00Z", "2026-03-02T00:00:00+0000",
                        "2026-03-02T00:00:00+00", "2026-03-02T00:00:00.5+00:00",
                        "2026-03-02T00:00:00,123+00:00", "20260301",
                        "2026-W09-7")),

@@ -216,7 +216,8 @@ class TestSchemaAndRoundTrip:
         assert report.deserialize(data)["organization"]["depth"] == int(
             "9" * 308)
 
-    # The last seven are read by Python 3.11's fromisoformat, not 3.10's.
+    # The last seven are read by Python 3.11's fromisoformat, not by
+    # README's grammar.
     @pytest.mark.parametrize("bound", [
         "2026-03-02T00:00:00", "2026-03-02", "March 2, 2026", "",
         "2026-03-02T00:00:00Z", "2026-03-02T00:00:00+0000",

@@ -269,6 +269,51 @@ def test_worker_is_forked_whatever_the_default_start_method(alpha, tmp_path,
     assert done.stderr.endswith("RuntimeError: organization_profile broke\n")
 
 
+def _random_cross_flags(demo, root):
+    """Flags that give demo alpha a seeded 240-site random-cross graph, with
+    its site one that links out and is linked to, and three more network
+    catalogs."""
+    cross = fx.gen_graph(fx.GeneratorSpec(kind="random-cross", size=240,
+                                          edge_factor=3.0, seed=7))
+    cross_links = root / "cross_links.tsv"
+    fx.write_cross_links(cross, cross_links)
+    site = min({a for a, _ in cross.weights} & {b for _, b in cross.weights})
+    catalogs = [demo["portals"]["alpha"]["catalog"]]
+    for j in range(3):
+        catalogs.append(str(root / f"net{j}.csv"))
+        fx.write_catalog(fx.gen_catalog(fx.GeneratorSpec(
+            kind="synthetic-catalog", portal_id=f"net{j}",
+            topic_counts=tuple((topic, 5 + 7 * ((i + j) % 4))
+                               for i, topic in enumerate(fx.DEMO_TAXONOMY)),
+            ages_days=(10, 200, 800))), catalogs[-1])
+    return ["--cross-links", str(cross_links), "--site", site,
+            "--network-catalogs", ",".join(catalogs)]
+
+
+@pytest.mark.parametrize("workspace", ["demo alpha", "random-cross"])
+def test_report_bytes_do_not_depend_on_the_hash_seed(demo, alpha, tmp_path,
+                                                     workspace):
+    # String hashes order sets and dicts, which feed the communities and
+    # the topic counts.
+    flags = ([] if workspace == "demo alpha"
+             else _random_cross_flags(demo, tmp_path))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hash-seed-{seed}"
+        done = subprocess.run(
+            [sys.executable, "-m", "portalmetrics.cli", "report", "--config",
+             alpha, "--output-dir", str(out), *flags],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append({path.name: path.read_bytes()
+                        for path in out.iterdir()})
+    assert sorted(outputs[0]) == ["alpha.diagnostics.json",
+                                  "alpha.report.json"]
+    assert outputs[0] == outputs[1]
+
+
 def test_no_thread_shares_this_process_while_report_reads_logs(
         alpha, tmp_path, capsys, monkeypatch):
     """The worker is a plain process with a pipe: no helper thread here
@@ -319,7 +364,7 @@ REPORT_EDITS = {
         "period/start: '2026-03-02T00:00:00' is not an ISO date-time with a "
         "UTC offset"),
     # Python 3.11's fromisoformat reads "Z" as UTC; report files are read
-    # by Python 3.10's grammar on every Python.
+    # by README's date-time grammar on every Python.
     "period start with Z": (
         b'"start":"2026-03-02T00:00:00+00:00"', b'"start":"2026-03-02T00:00:00Z"',
         "period/start: '2026-03-02T00:00:00Z' is not an ISO date-time with a "

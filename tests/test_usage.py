@@ -6,7 +6,6 @@ import hashlib
 import random
 import weakref
 from datetime import date, datetime, timedelta, timezone
-from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -42,6 +41,18 @@ GOLDEN_LINE = ('203.0.113.7 - alice [10/Oct/2000:13:55:36 -0700] '
                '"GET /apache_pb.gif HTTP/1.0" 200 2326 '
                '"http://www.example.com/start.html" '
                '"Mozilla/4.08 [en] (Win98; I ;Nav)"')
+
+
+# CLF timestamps that each have one field off dd/Mon/yyyy:HH:MM:SS +ZZZZ:
+# a signed or space-padded field, an Arabic-Indic digit, a separator other
+# than ":" and an offset's minutes past 59.
+LOOSE_TIMESTAMPS = [
+    "01/Mar/2026:12:30:+5 +0000", "01/Mar/2026:12:30: 5 +0000",
+    " 1/Mar/2026:12:30:05 +0000",
+    "01/Mar/2026:12:30:\N{ARABIC-INDIC DIGIT FOUR}\N{ARABIC-INDIC DIGIT FIVE} +0000",
+    "01/Mar/2026x12:30:05 +0000",
+    "01/Mar/2026:12:30:05 +0060", "01/Mar/2026:12:30:05 -1299",
+]
 
 
 def _line(agent="PortalBrowser/1.0", path="/a", status=200,
@@ -93,7 +104,8 @@ _ODD_FIELDS = (
     ["24", "-1", " 5", "+1"],
     ["60", "-0"],
     ["60", "5 "],
-    [" +2400", " 0000", " +05:30", " +ab00", "  +0100 ", "", " +01000"],
+    [" +2400", " +0060", " 0000", " +05:30", " +ab00", "  +0100 ", "",
+     " +01000"],
     ["/", "-", "x"],
 )
 
@@ -342,6 +354,11 @@ class TestParseLog:
                 '"GET /a HTTP/1.1" 200 10 "-" "AgentX/1.0"')
         assert usage.ingest([line, GOLDEN_LINE])[1]["malformed_lines"] == 1
 
+    @pytest.mark.parametrize("when", LOOSE_TIMESTAMPS)
+    def test_loose_timestamp_is_malformed(self, when):
+        counts = usage.ingest([_line(when=when), GOLDEN_LINE])[1]
+        assert counts["malformed_lines"] == 1
+
     def test_majority_malformed_is_fatal(self):
         lines = [GOLDEN_LINE, "junk1", "junk2"]
         with pytest.raises(FormatError):
@@ -429,6 +446,9 @@ class TestParseLog:
     @example([f'h - {user} [01/Jan/2026:00:00:00 {offset}] "GET /a" 200 1 "-" "A"'
               for user in ("-", "u") for offset in ("-2359", "+01000")],
              True, False)
+    # Timestamps that int() on a slice would read: off the fixed layout,
+    # or with an offset's minutes past 59.
+    @example([_line(when=when) for when in LOOSE_TIMESTAMPS], True, True)
     def test_matches_reference_parser(self, lines, use_auth_user, pad):
         # As many well-formed lines again keep the malformed share at or
         # below one half, so that the sessions are compared; unpadded,
@@ -453,8 +473,10 @@ class TestParseLog:
         reference = COMBINED_RE.match(line)
         assert (ours is None) == (reference is None)
         if reference is not None:
-            assert ours.groups() == itemgetter(0, 2, 3, 4, 5, 8)(
+            host, _, user, when, request, status, _, _, agent = (
                 reference.groups())
+            assert ours.groups() == (host, user, when[:17], when[18:20],
+                                     when[21:], request, status, agent)
 
     @given(_minute_runs(), st.booleans())
     @settings(max_examples=300)
